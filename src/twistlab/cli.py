@@ -6,17 +6,9 @@ Exit codes: 0 success, 1 I/O or parse error, 2 validation failure,
 
 from __future__ import annotations
 
-import os
-import sys
-
-# pin BLAS thread counts before numpy loads so reports are byte-identical
-# across machines and thread-count settings
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 import argparse
 import json
+import sys
 
 from . import __version__, serialize
 from .errors import (BackendMismatch, MemoryBudgetExceeded, TwistlabError,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .algebra import AlgebraElement, convolve, delta, involute
 from .cocycles import Cocycle, TableCocycle
 from .errors import BackendMismatch, DegenerateAfterRetries, NotPermuting
@@ -242,7 +241,7 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
     for Li, Ri in zip(left_mats, right_mats):
         D = Li - Ri
         G += D.conj().T @ D
-    w, V = linalg.hermitian_eigen(G, tol=1e-8)
+    w, V = np.linalg.eigh(G)
     null_tol = 1e-10 * max(w[-1], 1.0)
     centre = [V[:, i] for i in range(n) if w[i] <= null_tol]
     zdim = len(centre)
@@ -264,7 +263,7 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
         cvec = 0.5 * (wvec + star(wvec))
         C = lmat(cvec)
         C = 0.5 * (C + C.conj().T)
-        ev, U = linalg.hermitian_eigen(C, tol=1e-8)
+        ev, U = np.linalg.eigh(C)
         gap = CLUSTER_GAP * max(1.0, float(np.max(np.abs(ev))))
         clusters = []
         start = 0
@@ -282,7 +281,7 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
             Uc = U[:, lo:hi]
             P = Uc @ Uc.conj().T
             pvec = P @ unit_vec
-            r = linalg.rank_eps(lmat(pvec), 1e-6)
+            r = int(np.linalg.matrix_rank(lmat(pvec), tol=1e-6))
             s = int(round(np.sqrt(r)))
             if s * s != r:
                 ok = False
@@ -447,17 +446,15 @@ def assemble_crossed_product(sys: TwistedSystem, seed: int = 0):
     unit[index[(0, sys.gamma.quotient.identity())]] = 1.0
 
     # numeric involution: lambda(x*) = lambda(x)^dagger, solved against the
-    # basis via the Gram matrix of the faithful left regular representation
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = np.trace(left[i].conj().T @ left[j])
-    star_cols = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        target = left[i].conj().T
-        rhs[:, i] = [np.trace(left[j].conj().T @ target) for j in range(n)]
-    star_cols = linalg.gauss_solve(gram, rhs)
+    # basis via the Gram matrix of the faithful left regular representation:
+    # gram[i, j] = tr(L_i^dagger L_j), rhs[j, i] = tr(L_j^dagger L_i^dagger),
+    # both as products of the stacked vec(L_i)
+    stacked = np.array(left)
+    vecs = stacked.reshape(n, n * n)
+    adjoints = stacked.conj().transpose(0, 2, 1).reshape(n, n * n)
+    gram = vecs.conj() @ vecs.T
+    rhs = vecs.conj() @ adjoints.T
+    star_cols = np.linalg.solve(gram, rhs)
 
     def star(vec):
         return star_cols @ np.conj(vec)
@@ -472,7 +469,7 @@ def attribute_blocks_to_summands(sys: TwistedSystem, kblocks: BlockDecomposition
     contains it; returns one block-size list per summand."""
     K, L = sys.K, sys.gamma.quotient
     n = len(basis)
-    _, _, left = sys._left_cache if hasattr(sys, "_left_cache") else _crossed_structure(sys)
+    _, _, left = _crossed_structure(sys)
     out = []
     for s in summands:
         z = np.zeros(n, dtype=complex)

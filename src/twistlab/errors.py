@@ -5,14 +5,6 @@ class TwistlabError(Exception):
     """Base class for all twistlab errors."""
 
 
-class DimensionMismatch(TwistlabError):
-    pass
-
-
-class NotHermitian(TwistlabError):
-    pass
-
-
 class BackendMismatch(TwistlabError):
     """Operands live over different (or incompatible) group backends."""
 

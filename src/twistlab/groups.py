@@ -81,18 +81,6 @@ class Group:
             raise BackendMismatch(f"{self.kind} vs {other.kind} backends differ")
 
 
-def compose(G: Group, a, b):
-    return G.compose(a, b)
-
-
-def invert(G: Group, a):
-    return G.invert(a)
-
-
-def enumerate_ball(G: Group, r):
-    return G.enumerate_ball(r)
-
-
 class FiniteTableGroup(Group):
     """Finite group given by an order-n multiplication table of indices.
 
@@ -512,8 +500,3 @@ class ExtensionGroup(Group):
 
     def __repr__(self):
         return f"ExtensionGroup(|K|={self.K.order}, quotient={self.quotient!r})"
-
-
-def build_extension(K, quotient, action, factor_set) -> ExtensionGroup:
-    """Validated extension backend; see ExtensionGroup for conventions."""
-    return ExtensionGroup(K, quotient, action, factor_set, validate=True)

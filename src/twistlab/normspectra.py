@@ -14,8 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import linalg
-from .algebra import AlgebraElement, convolve, delta, involute, is_normal, l2_norm, power
+from .algebra import AlgebraElement, convolve, delta, is_normal, l2_norm
 from .cocycles import Cocycle, TrivialCocycle
 from .errors import MemoryBudgetExceeded, Unsupported
 from .groups import Group
@@ -81,7 +80,7 @@ def regular_rep(G: Group, sigma: Cocycle, a: AlgebraElement) -> np.ndarray:
 
 
 def exact_norm(G: Group, sigma: Cocycle, a: AlgebraElement) -> float:
-    return linalg.operator_norm(regular_rep(G, sigma, a))
+    return float(np.linalg.norm(regular_rep(G, sigma, a), 2))
 
 
 def _ball_with_index(G, r, cap):
@@ -118,8 +117,7 @@ def _top_singular_sparse(T) -> float:
     Th = T.conj().T.tocsr()
     v0 = np.ones(n) / np.sqrt(n)
     if n < 3:
-        dense = T.toarray()
-        return linalg.operator_norm(dense)
+        return float(np.linalg.norm(T.toarray(), 2))
 
     def matvec(v):
         return Th @ (T @ v)
@@ -259,84 +257,12 @@ def l2_spectral_radius(a: AlgebraElement, sigma: Cocycle | None, N: int,
                           {"max_power": N})
 
 
-def _cluster(vals, gap):
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > gap:
-            clusters.append((start, i))
-            start = i
-    return clusters
-
-
 def exact_spectrum(G: Group, sigma: Cocycle, a: AlgebraElement):
-    """Eigenvalue multiset of the sigma-regular representation of a.
-
-    Normal elements go through Hermitian machinery (simultaneous
-    diagonalisation of the real and imaginary parts); other elements fall back
-    to power iteration with Householder deflation on the dense matrix."""
+    """Eigenvalue multiset of the sigma-regular representation of a, sorted by
+    (real, imag), from LAPACK's general eigensolver for every element."""
     _require_finite(G)
-    M = regular_rep(G, sigma, a)
-    n = M.shape[0]
-    if is_normal(a, sigma):
-        H = 0.5 * (M + M.conj().T)
-        S = (M - M.conj().T) / 2j
-        wh, V = linalg.hermitian_eigen(H, tol=1e-8)
-        scale = max(np.max(np.abs(wh)), 1.0) if n else 1.0
-        out = []
-        for lo, hi in _cluster(list(wh), 1e-8 * scale):
-            Vc = V[:, lo:hi]
-            Sc = Vc.conj().T @ S @ Vc
-            Sc = 0.5 * (Sc + Sc.conj().T)
-            ws, _ = linalg.hermitian_eigen(Sc, tol=1e-6)
-            mid = float(np.mean(wh[lo:hi]))
-            out.extend(complex(mid, w) for w in ws)
-        out.sort(key=lambda z: (z.real, z.imag))
-        return out
-    return _eigenvalues_by_deflation(M)
-
-
-def _eigenvalues_by_deflation(M, iters: int = 2000):
-    """Best-effort dense spectrum: dominant eigenpair by power iteration, then
-    a Householder similarity pushes it to the top-left corner and the trailing
-    block recurses.  Adequate for generic small matrices."""
-    M = np.array(M, dtype=complex)
-    n = M.shape[0]
-    out = []
-    rng = np.random.default_rng(0xDEF1)
-    while n > 1:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0 + 0.0j
-        for _ in range(iters):
-            w = M @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            new = complex(np.vdot(v, M @ v))
-            if abs(new - lam) <= 1e-13 * max(abs(new), 1.0):
-                lam = new
-                break
-            lam = new
-        out.append(lam)
-        # Householder u maps v to e1; deflate to the trailing (n-1) block
-        e1 = np.zeros(n, dtype=complex)
-        e1[0] = 1.0
-        phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0
-        u = v + phase * np.linalg.norm(v) * e1
-        u /= max(np.linalg.norm(u), 1e-300)
-        Hh = np.eye(n, dtype=complex) - 2.0 * np.outer(u, u.conj())
-        M = (Hh @ M @ Hh)[1:, 1:]
-        n -= 1
-    if n == 1:
-        out.append(complex(M[0, 0]))
-    out.sort(key=lambda z: (z.real, z.imag))
-    return out
-
-
-def spectral_radius_exact(G: Group, sigma: Cocycle, a: AlgebraElement) -> float:
-    return float(max(abs(z) for z in exact_spectrum(G, sigma, a)))
+    vals = np.linalg.eigvals(regular_rep(G, sigma, a))
+    return sorted((complex(z) for z in vals), key=lambda z: (z.real, z.imag))
 
 
 @dataclass

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 
 import numpy as np
 
@@ -59,10 +61,6 @@ def group_from_json(obj) -> Group:
                         _element_from_key(quotient, h2s))] = int(k)
         return ExtensionGroup(K, quotient, action, factor_set)
     raise ParseError(f"unknown group kind {kind!r}")
-
-
-def group_to_json(G: Group):
-    return G.describe()
 
 
 def _element_from_key(G: Group, key: str):
@@ -164,11 +162,32 @@ def element_set_to_json(G: Group, elements, embed_group=True):
     }
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text):
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} overflows a float")
+    return value
+
+
+def _float_sized_int(text):
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text.lstrip('-'))} digits overflows a float")
+    return value
+
+
 def load_json(path):
+    """Parse a descriptor file.  NaN, Infinity and numbers too large for a
+    float are rejected here, so every loader downstream sees finite values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_constant=_reject_constant,
+                             parse_float=_finite_float, parse_int=_float_sized_int)
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -147,3 +147,45 @@ def test_byte_determinism_across_runs_and_threads():
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout == r3.stdout
     assert json.loads(r1.stdout)["seed"] == 11
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc and at least two CPUs")
+def test_blas_pinned_to_one_thread_on_import():
+    code = ("import twistlab.cli\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('Threads:'):\n"
+            "        print(line.split()[1])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["OPENBLAS_NUM_THREADS"] = "8"
+    env["OMP_NUM_THREADS"] = "8"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, cwd=ROOT)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "1"
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE, ids=["NaN", "Infinity", "-Infinity",
+                                                     "1e400", "int-1e400"])
+@pytest.mark.parametrize("slot", ["element", "table-cocycle"])
+def test_non_finite_number_is_a_parse_error(tmp_path, slot, literal):
+    if slot == "element":
+        path = tmp_path / "element.json"
+        path.write_text('{"group": "ref", "terms": [{"g": 1, "re": %s, "im": 0}]}' % literal)
+        args = ("norm", "--group", str(DATA / "group_z2.json"),
+                "--cocycle", str(DATA / "cocycle_trivial.json"),
+                "--element", str(path), "--mode", "exact")
+    else:
+        path = tmp_path / "cocycle.json"
+        path.write_text('{"kind": "table", "values": [[[1, 0], [1, 0]], [[1, 0], [%s, 0]]]}'
+                        % literal)
+        args = ("validate", "--group", str(DATA / "group_z2.json"), "--cocycle", str(path))
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
