@@ -8,6 +8,8 @@ results are bit-reproducible.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .cocycles import Cocycle, TrivialCocycle
@@ -24,7 +26,9 @@ class AlgebraElement:
 
     def __init__(self, group: Group, coeffs):
         self.group = group
-        self.coeffs = {g: complex(c) for g, c in coeffs.items() if abs(c) >= DROP_TOL}
+        self.coeffs = {g: complex(c) for g, c in coeffs.items() if not abs(c) < DROP_TOL}
+        if not all(map(cmath.isfinite, self.coeffs.values())):
+            raise ValueError("coefficients must be finite")
 
     def support(self):
         return sorted(self.coeffs, key=self.group.sort_key)

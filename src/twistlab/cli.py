@@ -29,40 +29,37 @@ def _progress(msg):
     print(msg, file=sys.stderr)
 
 
-def _load_group(args, inputs):
-    obj = serialize.load_json(args.group)
-    inputs["group"] = serialize.file_digest(args.group)
-    return serialize.group_from_json(obj)
-
-
-def _load_cocycle(path, G, inputs, slot="cocycle"):
+def _load(path, inputs, slot, build, *context):
+    """Read one descriptor file, record its digest under ``slot`` and build
+    it with ``build(obj, *context)``.  Malformed content, whatever part of
+    the descriptor it is in, becomes a ParseError naming the file."""
     obj = serialize.load_json(path)
     digest = serialize.file_digest(path)
     if slot in inputs:
-        inputs[slot] = ([inputs[slot]] if isinstance(inputs[slot], str)
-                        else inputs[slot]) + [digest]
+        prev = inputs[slot]
+        inputs[slot] = ([prev] if isinstance(prev, str) else prev) + [digest]
     else:
         inputs[slot] = digest
-    return serialize.cocycle_from_json(obj, G)
+    try:
+        return build(obj, *context)
+    except KeyError as exc:
+        raise serialize.ParseError(f"{path}: missing key {exc}") from exc
+    except (serialize.ParseError, TypeError, ValueError) as exc:
+        raise serialize.ParseError(f"{path}: {exc}") from exc
 
 
-def _load_element(args, G, inputs, slot="element"):
-    obj = serialize.load_json(args.element)
-    inputs[slot] = serialize.file_digest(args.element)
-    return serialize.element_from_json(obj, G)
+def _load_group(args, inputs):
+    return _load(args.group, inputs, "group", serialize.group_from_json)
 
 
 def _load_set(args, G, inputs):
-    obj = serialize.load_json(args.set)
-    inputs["set"] = serialize.file_digest(args.set)
-    _, els = serialize.element_set_from_json(obj, G)
-    return els
+    return _load(args.set, inputs, "set", serialize.element_set_from_json, G)[1]
 
 
 def _emit(report, args, inputs, tolerances):
     out = dict(report)
     out["version"] = __version__
-    out["seed"] = getattr(args, "seed", 0)
+    out["seed"] = args.seed
     out["tolerances"] = tolerances
     out["inputs"] = inputs
     print(json.dumps(out, sort_keys=True, indent=2))
@@ -78,8 +75,8 @@ def cmd_validate(args):
               "group_valid": True}
     code = EXIT_OK
     if args.cocycle:
-        sigma = _load_cocycle(args.cocycle, G, inputs)
-        vrep = validate_cocycle(G, sigma, tol=args.tol)
+        sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
+        vrep = validate_cocycle(G, sigma, seed=args.seed, tol=args.tol)
         report["cocycle"] = vrep.to_json()
         if not vrep.passed:
             code = EXIT_VALIDATION
@@ -90,8 +87,8 @@ def cmd_validate(args):
 def cmd_norm(args):
     inputs = {}
     G = _load_group(args, inputs)
-    sigma = _load_cocycle(args.cocycle, G, inputs)
-    a = _load_element(args, G, inputs)
+    sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
+    a = _load(args.element, inputs, "element", serialize.element_from_json, G)
     mode = args.mode
     if mode == "exact":
         if not G.is_finite:
@@ -112,10 +109,9 @@ def cmd_norm(args):
 def cmd_transfer(args):
     inputs = {}
     G = _load_group(args, inputs)
-    obj = serialize.load_json(args.set)
-    inputs["set"] = serialize.file_digest(args.set)
-    _, S = serialize.element_set_from_json(obj, G)
-    sigmas = [_load_cocycle(p, G, inputs) for p in args.cocycle]
+    S = _load_set(args, G, inputs)
+    sigmas = [_load(p, inputs, "cocycle", serialize.cocycle_from_json, G)
+              for p in args.cocycle]
     rep = transfer_check(G, S, sigmas, seed=args.seed, tol=args.tol)
     code = EXIT_OK if rep.passed else EXIT_VALIDATION
     rc = _emit(rep.to_json(), args, inputs, {"transfer": args.tol})
@@ -125,8 +121,8 @@ def cmd_transfer(args):
 def cmd_specrad(args):
     inputs = {}
     G = _load_group(args, inputs)
-    sigma = _load_cocycle(args.cocycle, G, inputs)
-    a = _load_element(args, G, inputs)
+    sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
+    a = _load(args.element, inputs, "element", serialize.element_from_json, G)
     rep = l2_spectral_radius(a, sigma, args.powers, mem_cap=args.mem_cap)
     return _emit(rep.to_json(), args, inputs, {})
 
@@ -141,7 +137,7 @@ def _single_element(a):
 def cmd_semigroup(args):
     inputs = {}
     G = _load_group(args, inputs)
-    t = _single_element(_load_element(args, G, inputs, slot="t"))
+    t = _single_element(_load(args.element, inputs, "t", serialize.element_from_json, G))
     F = _load_set(args, G, inputs)
     cert = certify_free_subsemigroup(G, t, F, args.length, mem_cap=args.mem_cap)
     return _emit(cert.to_json(), args, inputs, {})
@@ -150,8 +146,9 @@ def cmd_semigroup(args):
 def cmd_criterion(args):
     inputs = {}
     G = _load_group(args, inputs)
-    sigma = _load_cocycle(args.cocycle, G, inputs) if args.cocycle else None
-    t = _single_element(_load_element(args, G, inputs, slot="t"))
+    sigma = (_load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
+             if args.cocycle else None)
+    t = _single_element(_load(args.element, inputs, "t", serialize.element_from_json, G))
     F = _load_set(args, G, inputs)
     cfg = CriterionConfig(seed=args.seed, max_power=args.powers,
                           radius=args.radius, length=args.length,
@@ -167,7 +164,7 @@ def cmd_decompose(args):
     G = _load_group(args, inputs)
     if not G.is_finite or G.kind != "finite-table":
         raise Unsupported("decompose needs a finite-table group")
-    sigma = _load_cocycle(args.cocycle, G, inputs)
+    sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
     dec = decompose_blocks(G, sigma, seed=args.seed)
     return _emit(dec.to_json(), args, inputs, {"projection": 1e-9})
 
@@ -179,7 +176,7 @@ def cmd_crossed(args):
     G = _load_group(args, inputs)
     if G.kind != "extension":
         raise Unsupported("crossed needs an extension group")
-    sigma = _load_cocycle(args.cocycle, G, inputs)
+    sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
     rep = crossed_product_pipeline(G, sigma, convention=args.convention,
                                    seed=args.seed)
     code = EXIT_OK if rep["axioms"]["passed"] else EXIT_VALIDATION
@@ -193,40 +190,37 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs=()):
+    def add(name, fn, *flags):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         sp.add_argument("--group", required=True)
-        if "cocycle" in needs:
-            sp.add_argument("--cocycle", required=True)
-        if "cocycle?" in needs:
-            sp.add_argument("--cocycle", default=None)
-        if "cocycles" in needs:
-            sp.add_argument("--cocycle", action="append", required=True)
-        if "element" in needs:
-            sp.add_argument("--element", required=True)
-        if "set" in needs:
-            sp.add_argument("--set", required=True)
-        sp.add_argument("--radius", type=int, default=8)
-        sp.add_argument("--powers", type=int, default=12)
-        sp.add_argument("--length", type=int, default=8)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--mem-cap", type=int, default=DEFAULT_MEM_CAP)
-        sp.add_argument("--convention", choices=["as-printed", "conjugated"],
-                        default="conjugated")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        return sp
 
-    add("validate", cmd_validate, ("cocycle?",))
-    sp = add("norm", cmd_norm, ("cocycle", "element"))
-    sp.add_argument("--mode", choices=["exact", "truncate", "haagerup"],
-                    required=True)
-    add("transfer", cmd_transfer, ("cocycles", "set"))
-    add("specrad", cmd_specrad, ("cocycle", "element"))
-    add("semigroup", cmd_semigroup, ("element", "set"))
-    add("criterion", cmd_criterion, ("cocycle?", "element", "set"))
-    add("decompose", cmd_decompose, ("cocycle",))
-    add("crossed", cmd_crossed, ("cocycle",))
+    cocycle = ("--cocycle", {"required": True})
+    optional_cocycle = ("--cocycle", {"default": None})
+    element = ("--element", {"required": True})
+    element_set = ("--set", {"required": True})
+    radius = ("--radius", {"type": int, "default": 8})
+    powers = ("--powers", {"type": int, "default": 12})
+    length = ("--length", {"type": int, "default": 8})
+    mem_cap = ("--mem-cap", {"type": int, "default": DEFAULT_MEM_CAP})
+    tol = ("--tol", {"type": float, "default": 1e-9})
+
+    add("validate", cmd_validate, optional_cocycle, tol)
+    add("norm", cmd_norm, cocycle, element,
+        ("--mode", {"choices": ["exact", "truncate", "haagerup"], "required": True}),
+        radius, mem_cap)
+    add("transfer", cmd_transfer, ("--cocycle", {"action": "append", "required": True}),
+        element_set, tol)
+    add("specrad", cmd_specrad, cocycle, element, powers, mem_cap)
+    add("semigroup", cmd_semigroup, element, element_set, length, mem_cap)
+    add("criterion", cmd_criterion, optional_cocycle, element, element_set,
+        powers, radius, length, mem_cap)
+    add("decompose", cmd_decompose, cocycle)
+    add("crossed", cmd_crossed, cocycle,
+        ("--convention", {"choices": ["as-printed", "conjugated"], "default": "conjugated"}))
     return p
 
 

@@ -125,8 +125,8 @@ class CoboundaryCocycle(Cocycle):
         return complex(b)
 
     def evaluate(self, x, y):
-        return (np.conj(self.beta(x)) * np.conj(self.beta(y))
-                * self.beta(self.group.compose(x, y)))
+        return complex(np.conj(self.beta(x)) * np.conj(self.beta(y))
+                       * self.beta(self.group.compose(x, y)))
 
     def to_json(self):
         if not isinstance(self._beta, dict):

@@ -4,7 +4,9 @@ From an extension backend and a cocycle on it, extract the induced twisted
 action (alpha, rho) of the quotient on the twisted algebra of the finite
 normal subgroup, verify the twisted-action axioms, decompose finite
 dimensional twisted group algebras into matrix blocks, group the blocks into
-quotient orbits, reassemble the crossed product, and compare block structures.
+quotient orbits, reassemble the crossed product as the twisted group algebra
+of the whole extension under the cocycle read off (alpha, rho), and compare
+block structures.
 """
 
 from __future__ import annotations
@@ -227,21 +229,28 @@ class BlockDecomposition:
         }
 
 
-def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
-                         make_element=None):
-    """Minimal central projections of a multi-matrix algebra given by its left
-    and right regular matrices.
+def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> BlockDecomposition:
+    """Matrix-block decomposition of the twisted group algebra of a finite
+    group: minimal central projections plus the block-size multiset.
 
-    Center from the nullspace of a -> [L(a) - R(a)], then a seeded random
-    Hermitian central element is spectrally decomposed; eigenvalue clusters
-    give the projections, sqrt of the rank of L(p) the block sizes.  Retries
-    with a fresh random element when clusters merge."""
-    n = dim
-    G = np.zeros((n, n), dtype=complex)
-    for Li, Ri in zip(left_mats, right_mats):
+    Centre from the nullspace of a -> [L(a) - R(a)] over the left and right
+    regular matrices, then a seeded random self-adjoint central element is
+    spectrally decomposed; eigenvalue clusters give the projections, sqrt of
+    the rank of L(p) the block sizes.  Retries with a fresh random element
+    when clusters merge."""
+    if not G.is_finite:
+        raise BackendMismatch("decompose_blocks needs a finite group")
+    n = G.order
+    left = [regular_rep(G, sigma, delta(G, g)) for g in range(n)]
+    # right multiplication by delta_h: R_h[gh, g] = sigma(g, h) = L_g[gh, h]
+    right = np.array(left).transpose(2, 1, 0)
+    unit = np.zeros(n, dtype=complex)
+    unit[0] = 1.0
+    gram = np.zeros((n, n), dtype=complex)
+    for Li, Ri in zip(left, right):
         D = Li - Ri
-        G += D.conj().T @ D
-    w, V = np.linalg.eigh(G)
+        gram += D.conj().T @ D
+    w, V = np.linalg.eigh(gram)
     null_tol = 1e-10 * max(w[-1], 1.0)
     centre = [V[:, i] for i in range(n) if w[i] <= null_tol]
     zdim = len(centre)
@@ -250,10 +259,13 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
 
     def lmat(vec):
         M = np.zeros((n, n), dtype=complex)
-        for i, Li in enumerate(left_mats):
+        for i, Li in enumerate(left):
             if abs(vec[i]) > 1e-300:
                 M += vec[i] * Li
         return M
+
+    def star(vec):
+        return element_to_vector(G, involute(vector_to_element(G, vec), sigma))
 
     last = None
     for attempt in range(MAX_RETRIES):
@@ -280,7 +292,7 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
         for lo, hi in clusters:
             Uc = U[:, lo:hi]
             P = Uc @ Uc.conj().T
-            pvec = P @ unit_vec
+            pvec = P @ unit
             r = int(np.linalg.matrix_rank(lmat(pvec), tol=1e-6))
             s = int(round(np.sqrt(r)))
             if s * s != r:
@@ -303,7 +315,7 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
             residuals["idempotent"] = max(residuals["idempotent"],
                                           float(np.linalg.norm(lmat(p) @ p - p)))
             rmat = np.zeros((n, n), dtype=complex)
-            for i, Ri in enumerate(right_mats):
+            for i, Ri in enumerate(right):
                 if abs(p[i]) > 1e-300:
                     rmat += p[i] * Ri
             residuals["central"] = max(residuals["central"],
@@ -313,37 +325,11 @@ def _structure_decompose(left_mats, right_mats, star, unit_vec, dim, seed=0,
             for q in projections[i + 1:]:
                 residuals["orthogonal"] = max(residuals["orthogonal"],
                                               float(np.linalg.norm(lmat(p) @ q)))
-        residuals["sum_to_unit"] = float(np.linalg.norm(total - unit_vec))
+        residuals["sum_to_unit"] = float(np.linalg.norm(total - unit))
         order = np.argsort([-s for s in sizes], kind="stable")
-        projections = [projections[i] for i in order]
-        sizes = [sizes[i] for i in order]
-        if make_element is not None:
-            projections = [make_element(p) for p in projections]
-        return BlockDecomposition(projections, sizes, residuals)
+        return BlockDecomposition([vector_to_element(G, projections[i]) for i in order],
+                                  [sizes[i] for i in order], residuals)
     raise DegenerateAfterRetries(f"no clean decomposition after {MAX_RETRIES} tries: {last}")
-
-
-def decompose_blocks(K: FiniteTableGroup, sigma_k: Cocycle, seed: int = 0) -> BlockDecomposition:
-    """Matrix-block decomposition of the twisted group algebra of a finite
-    group: minimal central projections plus the block-size multiset."""
-    if not K.is_finite:
-        raise BackendMismatch("decompose_blocks needs a finite group")
-    n = K.order
-    left = [regular_rep(K, sigma_k, delta(K, k)) for k in range(n)]
-    right = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for l in range(n):
-            m[K.compose(l, k), l] = sigma_k.evaluate(l, k)
-        right.append(m)
-    unit = np.zeros(n, dtype=complex)
-    unit[0] = 1.0
-
-    def star(vec):
-        return element_to_vector(K, involute(vector_to_element(K, vec), sigma_k))
-
-    return _structure_decompose(left, right, star, unit, n, seed,
-                                make_element=lambda v: vector_to_element(K, v))
 
 
 @dataclass
@@ -409,83 +395,71 @@ def orbit_decomposition(sys: TwistedSystem, blocks: BlockDecomposition):
     return summands
 
 
-def _crossed_structure(sys: TwistedSystem):
-    """Structure constants of the crossed product on the basis u_k v_h:
-    every product of basis elements is a scalar times a basis element."""
-    K, L, sig = sys.K, sys.gamma.quotient, sys.sigma_k
-    hs = L.elements()
-    basis = [(k, h) for h in hs for k in range(K.order)]
-    index = {b: i for i, b in enumerate(basis)}
-    n = len(basis)
-    left = [np.zeros((n, n), dtype=complex) for _ in range(n)]
-    for i, (k1, h1) in enumerate(basis):
-        a1 = delta(K, k1)
-        for j, (k2, h2) in enumerate(basis):
-            mid = convolve(a1, sys.apply_alpha(h1, delta(K, k2)), sig)
-            out = convolve(mid, sys.rho[(h1, h2)], sig)
-            h12 = L.compose(h1, h2)
-            for k3, c in out.coeffs.items():
-                left[i][index[(k3, h12)], j] += c
-    return basis, index, left
+def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
+    """The crossed product on the basis u_k v_h as a twisted group algebra of
+    the whole extension.
+
+    alpha_h(u_k) is a scalar times u_{s(h) k s(h)^-1} and rho(h1, h2) a scalar
+    times u_{s(h1) s(h2) s(h1 h2)^-1}, so for x = (k1, h1) and y = (k2, h2)
+
+        u_{k1} v_{h1} . u_{k2} v_{h2} = u_{k1} alpha_{h1}(u_{k2}) rho(h1, h2) v_{h1 h2}
+                                      = omega(x, y) u_{k3} v_{h1 h2}
+
+    with (k3, h1 h2) = xy in the extension.  Returns omega as a table cocycle
+    on the finite-table backend of the extension, indexed like
+    gamma.elements()."""
+    gamma = sys.gamma
+    elems = gamma.elements()
+    whole = FiniteTableGroup(
+        [[gamma.element_index(gamma.compose(a, b)) for b in elems] for a in elems],
+        validate=False,
+    )
+    m = sys.K.order
+    S = sys.sigma_k.values
+    Ktab = np.array(sys.K.table)
+    hs = sys.quotient_elements()
+    omega = np.empty((whole.order, whole.order), dtype=complex)
+    for i, h1 in enumerate(hs):
+        A = sys.alpha[h1]
+        # alpha_h1(u_k) = A[img[k], k] u_{img[k]}, so
+        # u_k1 alpha_h1(u_k2) = front[k1, k2] u_{mid[k1, k2]}
+        img = np.argmax(np.abs(A), axis=0)
+        front = S[:, img] * A[img, np.arange(m)]
+        mid = Ktab[:, img]
+        for j, h2 in enumerate(hs):
+            [(w, c)] = sys.rho[(h1, h2)].coeffs.items()
+            omega[i * m:(i + 1) * m, j * m:(j + 1) * m] = front * S[mid, w] * c
+    return TableCocycle(whole, omega)
 
 
 def assemble_crossed_product(sys: TwistedSystem, seed: int = 0):
-    """Build the crossed product on the basis u_k v_h, realize it by its left
-    regular matrices, and decompose into blocks.
+    """Build the crossed product as the twisted group algebra of the whole
+    extension under crossed_cocycle and decompose it into blocks.
 
-    Returns (dimension, BlockDecomposition, summand attribution): every block
-    of the assembled algebra is matched to the coefficient-algebra summand
-    whose central support carries it."""
-    basis, index, left = _crossed_structure(sys)
-    n = len(basis)
-    right = [np.zeros((n, n), dtype=complex) for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            right[j][:, i] = left[i][:, j]
-    unit = np.zeros(n, dtype=complex)
-    unit[index[(0, sys.gamma.quotient.identity())]] = 1.0
-
-    # numeric involution: lambda(x*) = lambda(x)^dagger, solved against the
-    # basis via the Gram matrix of the faithful left regular representation:
-    # gram[i, j] = tr(L_i^dagger L_j), rhs[j, i] = tr(L_j^dagger L_i^dagger),
-    # both as products of the stacked vec(L_i)
-    stacked = np.array(left)
-    vecs = stacked.reshape(n, n * n)
-    adjoints = stacked.conj().transpose(0, 2, 1).reshape(n, n * n)
-    gram = vecs.conj() @ vecs.T
-    rhs = vecs.conj() @ adjoints.T
-    star_cols = np.linalg.solve(gram, rhs)
-
-    def star(vec):
-        return star_cols @ np.conj(vec)
-
-    blocks = _structure_decompose(left, right, star, unit, n, seed)
-    return basis, index, blocks
+    Returns (basis, omega, blocks): basis is gamma.elements(), basis[i] = (k, h)
+    standing for u_k v_h; omega is the table cocycle on the finite-table
+    backend; blocks its BlockDecomposition."""
+    omega = crossed_cocycle(sys)
+    return sys.gamma.elements(), omega, decompose_blocks(omega.group, omega, seed=seed)
 
 
 def attribute_blocks_to_summands(sys: TwistedSystem, kblocks: BlockDecomposition,
-                                 summands, basis, index, crossed_blocks):
+                                 summands, omega: TableCocycle,
+                                 crossed_blocks: BlockDecomposition):
     """Match each assembled block to the summand whose central support
     contains it; returns one block-size list per summand."""
-    K, L = sys.K, sys.gamma.quotient
-    n = len(basis)
-    _, _, left = _crossed_structure(sys)
+    gamma, whole = sys.gamma, omega.group
+    qvecs = [element_to_vector(whole, q) for q in crossed_blocks.projections]
     out = []
     for s in summands:
-        z = np.zeros(n, dtype=complex)
+        z = {}
         for i in s.block_indices:
-            pv = element_to_vector(K, kblocks.projections[i])
-            for k in range(K.order):
-                z[index[(k, L.identity())]] += pv[k]
-        Lz = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            if abs(z[i]) > 1e-300:
-                Lz += z[i] * left[i]
-        sizes = []
-        for bi, q in enumerate(crossed_blocks.projections):
-            if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q)):
-                sizes.append(crossed_blocks.block_sizes[bi])
-        out.append(sorted(sizes))
+            for k, c in kblocks.projections[i].coeffs.items():
+                g = gamma.element_index(gamma.embed_k(k))
+                z[g] = z.get(g, 0.0) + c
+        Lz = regular_rep(whole, omega, AlgebraElement(whole, z))
+        out.append(sorted(size for q, size in zip(qvecs, crossed_blocks.block_sizes)
+                          if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q))))
     return out
 
 
@@ -517,19 +491,12 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
         }
     kblocks = decompose_blocks(sys.K, sys.sigma_k, seed=seed)
     summands = orbit_decomposition(sys, kblocks)
-    basis, index, crossed_blocks = assemble_crossed_product(sys, seed=seed)
-    per_summand = attribute_blocks_to_summands(sys, kblocks, summands, basis, index,
-                                               crossed_blocks)
-    # finite backend for the whole group: decompose directly for comparison
-    whole = FiniteTableGroup(
-        [[gamma.element_index(gamma.compose(a, b)) for b in gamma.elements()]
-         for a in gamma.elements()],
-        validate=False,
-    )
-    elems = gamma.elements()
-    direct_sigma = TableCocycle(whole, np.array(
-        [[sigma.evaluate(a, b) for b in elems] for a in elems], dtype=complex))
-    direct = decompose_blocks(whole, direct_sigma, seed=seed)
+    basis, omega, crossed_blocks = assemble_crossed_product(sys, seed=seed)
+    per_summand = attribute_blocks_to_summands(sys, kblocks, summands, omega, crossed_blocks)
+    # the twisted algebra of the whole group, decomposed directly for comparison
+    direct_sigma = TableCocycle(omega.group, np.array(
+        [[sigma.evaluate(a, b) for b in basis] for a in basis], dtype=complex))
+    direct = decompose_blocks(omega.group, direct_sigma, seed=seed)
     match, diff = compare_block_structure(crossed_blocks, direct)
     return {
         "convention": convention,

@@ -126,6 +126,16 @@ def test_tiny_coefficients_dropped(s3):
     assert a.support() == [0]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf")),
+                                 complex(float("nan"), 0.0)],
+                         ids=["nan", "inf", "-inf-imag", "nan-real"])
+def test_non_finite_coefficients_rejected(s3, bad):
+    with pytest.raises(ValueError):
+        AlgebraElement(s3, {0: 1.0, 1: bad})
+    with pytest.raises(ValueError):
+        AlgebraElement(s3, {1: bad})
+
+
 def test_backend_mismatch_rejected(s3, q8):
     a = delta(s3, 0)
     b = delta(q8, 0)

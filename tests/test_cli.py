@@ -189,3 +189,78 @@ def test_non_finite_number_is_a_parse_error(tmp_path, slot, literal):
     assert r.stdout == ""
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+
+
+@pytest.mark.parametrize("group, cocycle", [
+    ("group_q8_extension.json", "cocycle_q8ext_coboundary.json"),
+    ("group_f2.json", "cocycle_f2_random_coboundary.json"),
+], ids=["q8-extension", "f2"])
+def test_validate_coboundary(group, cocycle):
+    r = run_cli("validate", "--group", str(DATA / group), "--cocycle", str(DATA / cocycle))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["cocycle"]["passed"] is True
+
+
+def test_validate_uses_the_seed_on_infinite_groups():
+    from twistlab import cocycles, serialize
+
+    G = serialize.group_from_json(serialize.load_json(DATA / "group_f2.json"))
+    sigma = serialize.cocycle_from_json(
+        serialize.load_json(DATA / "cocycle_f2_random_coboundary.json"), G)
+    expected = cocycles.validate(G, sigma, seed=5, tol=1e-9).to_json()
+    r = run_cli("validate", "--group", str(DATA / "group_f2.json"),
+                "--cocycle", str(DATA / "cocycle_f2_random_coboundary.json"), "--seed", "5")
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["seed"] == 5
+    assert out["cocycle"] == json.loads(json.dumps(expected))
+    assert expected != cocycles.validate(G, sigma, seed=0, tol=1e-9).to_json()
+
+
+MALFORMED = {
+    "free-without-rank": ("group", '{"kind": "free"}'),
+    "free-rank-0": ("group", '{"kind": "free", "rank": 0}'),
+    "generator-out-of-rank": ("element", '{"group": "ref", "terms": [{"g": "x3", "re": 1}]}'),
+    "table-cocycle-wrong-shape": ("cocycle", '{"kind": "table", "values": [[[1, 0]]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_descriptor_is_a_parse_error(tmp_path, case):
+    slot, text = MALFORMED[case]
+    path = tmp_path / f"{slot}.json"
+    path.write_text(text)
+    if slot == "group":
+        args = ("validate", "--group", str(path))
+    elif slot == "element":
+        args = ("norm", "--group", str(DATA / "group_f2.json"),
+                "--cocycle", str(DATA / "cocycle_trivial.json"),
+                "--element", str(path), "--mode", "haagerup")
+    else:
+        args = ("validate", "--group", str(DATA / "group_z2.json"), "--cocycle", str(path))
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), r.stderr
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    from twistlab.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {name: sorted(o for a in sp._actions for o in a.option_strings
+                          if o not in ("-h", "--help", "--group", "--seed"))
+             for name, sp in subparsers.items()}
+    assert flags == {
+        "validate": ["--cocycle", "--tol"],
+        "norm": ["--cocycle", "--element", "--mem-cap", "--mode", "--radius"],
+        "transfer": ["--cocycle", "--set", "--tol"],
+        "specrad": ["--cocycle", "--element", "--mem-cap", "--powers"],
+        "semigroup": ["--element", "--length", "--mem-cap", "--set"],
+        "criterion": ["--cocycle", "--element", "--length", "--mem-cap", "--powers",
+                      "--radius", "--set"],
+        "decompose": ["--cocycle"],
+        "crossed": ["--cocycle", "--convention"],
+    }
+    assert all("--seed" in sp._option_string_actions for sp in subparsers.values())

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from twistlab import crossed, fixtures
-from twistlab.cocycles import PullbackCocycle, TableCocycle, TrivialCocycle
-from twistlab.crossed import (assemble_crossed_product, decompose_blocks,
+from twistlab.cocycles import PullbackCocycle, TableCocycle, TrivialCocycle, validate
+from twistlab.crossed import (assemble_crossed_product, crossed_cocycle, decompose_blocks,
                               induced_action_data, orbit_decomposition,
                               verify_twisted_action)
 from twistlab.errors import DegenerateAfterRetries
@@ -116,6 +116,43 @@ def test_z3sq_pipeline_with_pullback_table():
     res = crossed.crossed_product_pipeline(ext, sigma)
     assert res["axioms"]["passed"]
     assert res["blocks_match"]
+
+
+def _pullback_table(ext):
+    """A table cocycle on the quotient (a seeded coboundary written out as a
+    table), pulled back to the extension."""
+    q = ext.quotient
+    cob = fixtures.random_coboundary(q, seed=11)
+    table = TableCocycle(q, np.array([[cob.evaluate(a, b) for b in q.elements()]
+                                      for a in q.elements()]))
+    return PullbackCocycle(ext, table)
+
+
+@pytest.mark.parametrize("twist", ["trivial", "coboundary", "pullback-table"])
+@pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
+def test_crossed_cocycle_is_gauge_equivalent_to_sigma(name, twist):
+    # Packer-Raeburn: u_k v_h -> u_(k,e) u_(0,h) = beta(k, h) u_(k,h) with
+    # beta(k, h) = sigma((k, e), (0, h)) carries the crossed product onto
+    # C(Gamma, sigma), so omega * d beta = sigma on every pair
+    ext = fixtures.standard_extensions()[name]
+    sigma = {"trivial": TrivialCocycle(ext),
+             "coboundary": fixtures.random_coboundary(ext, seed=5),
+             "pullback-table": _pullback_table(ext)}[twist]
+    sys = induced_action_data(ext, sigma)
+    assert verify_twisted_action(sys).passed
+    omega = crossed_cocycle(sys)
+    rep = validate(omega.group, omega)
+    assert rep.passed and rep.exhaustive, rep.to_json()
+    elems = ext.elements()
+    e = ext.quotient.identity()
+    beta = [sigma.evaluate((k, e), (0, h)) for k, h in elems]
+    worst = 0.0
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            xy = ext.element_index(ext.compose(x, y))
+            dbeta = np.conj(beta[i]) * np.conj(beta[j]) * beta[xy]
+            worst = max(worst, abs(omega.evaluate(i, j) * dbeta - sigma.evaluate(x, y)))
+    assert worst <= 1e-12
 
 
 def test_assembled_star_is_involutive():
