@@ -92,9 +92,10 @@ def convolve(a: AlgebraElement, b: AlgebraElement, sigma: Cocycle | None = None)
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
     acc = {}
+    bsupp = b.support()
     for x in a.support():
         ax = a.coeffs[x]
-        for y in b.support():
+        for y in bsupp:
             g = G.compose(x, y)
             acc[g] = acc.get(g, 0.0 + 0.0j) + sigma.evaluate(x, y) * ax * b.coeffs[y]
     return AlgebraElement(G, acc)

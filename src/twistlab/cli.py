@@ -24,6 +24,9 @@ EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
 
+# smallest accepted value of each count flag, by argparse dest
+COUNT_MINIMUM = {"radius": 0, "powers": 1, "length": 1, "mem_cap": 1}
+
 
 def _progress(msg):
     print(msg, file=sys.stderr)
@@ -158,7 +161,7 @@ def cmd_criterion(args):
 
 
 def cmd_decompose(args):
-    from .crossed import decompose_blocks
+    from .crossed import CLUSTER_GAP, NULL_TOL, RANK_TOL, decompose_blocks
 
     inputs = {}
     G = _load_group(args, inputs)
@@ -166,7 +169,8 @@ def cmd_decompose(args):
         raise Unsupported("decompose needs a finite-table group")
     sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
     dec = decompose_blocks(G, sigma, seed=args.seed)
-    return _emit(dec.to_json(), args, inputs, {"projection": 1e-9})
+    return _emit(dec.to_json(), args, inputs,
+                 {"cluster_gap": CLUSTER_GAP, "null_space": NULL_TOL, "rank": RANK_TOL})
 
 
 def cmd_crossed(args):
@@ -226,6 +230,12 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, low in COUNT_MINIMUM.items():
+        value = getattr(args, dest, low)
+        if value < low:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be >= {low}, got {value}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.fn(args)
     except (serialize.ParseError, OSError) as exc:

@@ -23,8 +23,12 @@ from .groups import ExtensionGroup, FiniteTableGroup
 from .normspectra import regular_rep
 
 AXIOM_TOL = 1e-10
-PROJECTION_TOL = 1e-9
+# decompose_blocks: relative eigenvalue cut for the centre (null space of
+# the commutator Gram matrix), relative gap between eigenvalue clusters, and
+# absolute singular-value cut for the rank of L(p)
+NULL_TOL = 1e-10
 CLUSTER_GAP = 1e-8
+RANK_TOL = 1e-6
 MAX_RETRIES = 5
 
 CONVENTION_AS_PRINTED = "as-printed"
@@ -251,7 +255,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
         D = Li - Ri
         gram += D.conj().T @ D
     w, V = np.linalg.eigh(gram)
-    null_tol = 1e-10 * max(w[-1], 1.0)
+    null_tol = NULL_TOL * max(w[-1], 1.0)
     centre = [V[:, i] for i in range(n) if w[i] <= null_tol]
     zdim = len(centre)
     if zdim == 0:
@@ -293,7 +297,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
             Uc = U[:, lo:hi]
             P = Uc @ Uc.conj().T
             pvec = P @ unit
-            r = int(np.linalg.matrix_rank(lmat(pvec), tol=1e-6))
+            r = int(np.linalg.matrix_rank(lmat(pvec), tol=RANK_TOL))
             s = int(round(np.sqrt(r)))
             if s * s != r:
                 ok = False

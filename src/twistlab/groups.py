@@ -17,14 +17,20 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import (
     BackendMismatch,
     InvalidAction,
     InvalidFactorSet,
     InvalidGroupTable,
+    MemoryBudgetExceeded,
     NotFinite,
     Unsupported,
 )
+
+# free-group shortlex positions are computed in int64
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class Group:
@@ -57,6 +63,21 @@ class Group:
 
     def enumerate_ball(self, r):
         raise Unsupported(f"{self.kind} backend does not enumerate balls")
+
+    def ball_size(self, n):
+        """|B_n|, the length of enumerate_ball(n)."""
+        return len(self.enumerate_ball(n))
+
+    def ball_positions(self, gs, r):
+        """Positions of g * b in enumerate_ball(r + max |g|) for g in gs and b
+        in enumerate_ball(r): an int64 array with one row per g."""
+        ball = self.enumerate_ball(r)
+        cod = self.enumerate_ball(r + max(self.word_length(g) for g in gs))
+        index = {h: i for i, h in enumerate(cod)}
+        out = np.empty((len(gs), len(ball)), dtype=np.int64)
+        for i, g in enumerate(gs):
+            out[i] = [index[self.compose(g, b)] for b in ball]
+        return out
 
     def word_length(self, a):
         raise Unsupported(f"{self.kind} backend has no word length")
@@ -197,10 +218,11 @@ class FreeGroup(Group):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
-        # letter order x1 < x1^-1 < x2 < x2^-1 < ...
+        # letter order x1 < x1^-1 < x2 < x2^-1 < ..., so rank(v^-1) = rank(v) ^ 1
         self._letters = []
         for i in range(1, rank + 1):
             self._letters.extend([i, -i])
+        self._rank = {v: i for i, v in enumerate(self._letters)}
 
     def identity(self):
         return ()
@@ -217,11 +239,8 @@ class FreeGroup(Group):
     def invert(self, a):
         return tuple(-v for v in reversed(a))
 
-    def _letter_rank(self, v):
-        return (abs(v) - 1) * 2 + (0 if v > 0 else 1)
-
     def sort_key(self, a):
-        return (len(a), tuple(self._letter_rank(v) for v in a))
+        return (len(a), tuple(map(self._rank.__getitem__, a)))
 
     def word_length(self, a):
         return len(a)
@@ -240,6 +259,52 @@ class FreeGroup(Group):
             sphere = nxt
             ball.extend(sphere)
         return ball
+
+    def ball_size(self, n):
+        """|B_n| = 1 + 2k((2k-1)^n - 1)/(2k-2), and 2n + 1 when k = 1."""
+        q = 2 * self.rank - 1
+        if q == 1:
+            return 2 * n + 1
+        return 1 + 2 * self.rank * (q ** n - 1) // (q - 1)
+
+    def ball_positions(self, gs, r):
+        """Shortlex positions of g * b for g in gs and b in B_r, one row per g.
+
+        B_n is a prefix of B_{n+1}, so a position is global.  Each g acts
+        letter by letter, right to left, on arange(|B_r|); no ball is listed."""
+        top = r + max(len(g) for g in gs)
+        if self.ball_size(top) > INT64_MAX:
+            raise MemoryBudgetExceeded(self.ball_size(top), INT64_MAX)
+        q = 2 * self.rank - 1
+        starts = np.array([0] + [self.ball_size(n) for n in range(top + 1)], dtype=np.int64)
+        powers = q ** np.arange(top + 1, dtype=np.int64)
+        ball = np.arange(self.ball_size(r), dtype=np.int64)
+        out = np.empty((len(gs), ball.size), dtype=np.int64)
+        for i, g in enumerate(gs):
+            pos = ball
+            for s in reversed(g):
+                pos = self._times_letter(s, pos, starts, powers)
+            out[i] = pos
+        return out
+
+    def _times_letter(self, s, pos, starts, powers):
+        """Positions of s * w for the words w at positions pos.
+
+        A word l_1 ... l_n sits at starts[n] + sum_i d_i q^(n-i), q = 2k - 1,
+        where d_1 is the rank of l_1 and d_i (i >= 2) the rank of l_i among
+        the q letters allowed after l_{i-1}."""
+        rs = self._rank[s]
+        ri = rs ^ 1
+        n = np.searchsorted(starts, pos, side="right") - 1
+        unit = powers[np.maximum(n - 1, 0)]
+        d1, rest = np.divmod(pos - starts[n], unit)
+        # w starts with s^-1: drop d_1 and re-rank l_2 among all 2k letters
+        sub = powers[np.maximum(n - 2, 0)]
+        d2, tail = np.divmod(rest, sub)
+        shrunk = np.where(n > 1, starts[n - 1] + (d2 + (d2 >= rs)) * sub + tail, 0)
+        # otherwise s leads and l_1 is re-ranked among the letters allowed after s
+        grown = starts[n + 1] + rs * powers[n] + np.where(n > 0, (d1 - (d1 > ri)) * unit + rest, 0)
+        return np.where((n > 0) & (d1 == ri), shrunk, grown)
 
     def contains(self, a):
         if not isinstance(a, tuple):

@@ -83,41 +83,39 @@ def exact_norm(G: Group, sigma: Cocycle, a: AlgebraElement) -> float:
     return float(np.linalg.norm(regular_rep(G, sigma, a), 2))
 
 
-def _ball_with_index(G, r, cap):
-    ball = G.enumerate_ball(r)
-    if len(ball) > cap:
-        raise MemoryBudgetExceeded(len(ball), cap)
-    return ball, {g: i for i, g in enumerate(ball)}
-
-
 def _truncation_matrix(G, sigma, a, r, cap):
-    """Sparse matrix of b -> a *_sigma b from l2(B_r) to l2(B_{r + diam})."""
+    """b -> a *_sigma b from l2(B_r) to l2(B_{r + diam supp a}) as a sparse
+    matrix on the codomain rows it reaches, kept in shortlex order.  Returns
+    the matrix, the codomain positions of its rows and |B_{r + diam}|."""
     supp = a.support()
-    if not supp:
-        return None, 0, 0
     d = max(G.word_length(g) for g in supp)
-    dom, _ = _ball_with_index(G, r, cap)
-    cod, cod_index = _ball_with_index(G, r + d, cap)
-    rows, cols, data = [], [], []
-    for g in supp:
-        c = a.coeffs[g]
-        for j, b in enumerate(dom):
-            rows.append(cod_index[G.compose(g, b)])
-            cols.append(j)
-            data.append(sigma.evaluate(g, b) * c)
-    T = sp.csr_matrix((data, (rows, cols)), shape=(len(cod), len(dom)), dtype=complex)
-    return T, len(dom), len(cod)
+    for n in (r, r + d):
+        height = G.ball_size(n)
+        if height > cap:
+            raise MemoryBudgetExceeded(height, cap)
+    dom = G.enumerate_ball(r)
+    # sigma first: a cocycle may memoise its values (fixtures.random_beta
+    # does), and a memo grown after the index arrays below lands above them in
+    # the heap and keeps the allocator from giving their pages back
+    data = [sigma.evaluate(g, b) * a.coeffs[g] for g in supp for b in dom]
+    positions, rows = np.unique(G.ball_positions(supp, r).ravel(), return_inverse=True)
+    cols = np.tile(np.arange(len(dom)), len(supp))
+    T = sp.csr_matrix((data, (rows, cols)), shape=(len(positions), len(dom)), dtype=complex)
+    return T, positions, height
 
 
-def _top_singular_sparse(T) -> float:
-    """Largest singular value of a sparse matrix, deterministic start vector."""
+def _top_singular_sparse(T, positions, height) -> float:
+    """Largest singular value of T, deterministic start vector."""
     n = T.shape[1]
-    if n == 0:
-        return 0.0
+    if n < 3:
+        # too small for ARPACK.  LAPACK's dense SVD starts its Householder
+        # step from the first row, so dropping the unreached (zero) rows
+        # would move its last bit; they go back in here
+        M = np.zeros((height, n), dtype=complex)
+        M[positions] = T.toarray()
+        return float(np.linalg.norm(M, 2))
     Th = T.conj().T.tocsr()
     v0 = np.ones(n) / np.sqrt(n)
-    if n < 3:
-        return float(np.linalg.norm(T.toarray(), 2))
 
     def matvec(v):
         return Th @ (T @ v)
@@ -150,13 +148,14 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     of b -> a *_sigma b restricted to l2(B_r), codomain B_{r + diam supp a}.
 
     Monotone nondecreasing in r; equals the exact norm on finite backends."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
     a.group.check_same(G)
     if G.is_finite:
         return exact_norm(G, sigma, a)
     if not a.coeffs:
         return 0.0
-    T, ndom, ncod = _truncation_matrix(G, sigma, a, r, mem_cap)
-    return _top_singular_sparse(T)
+    return _top_singular_sparse(*_truncation_matrix(G, sigma, a, r, mem_cap))
 
 
 def haagerup_upper(G: Group, a: AlgebraElement) -> float:

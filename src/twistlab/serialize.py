@@ -52,6 +52,8 @@ def group_from_json(obj) -> Group:
         K = group_from_json(obj["k"])
         _require(isinstance(K, FiniteTableGroup), "extension kernel must be finite-table")
         quotient = group_from_json(obj["lambda"])
+        for key in ("action", "factorSet"):
+            _require(isinstance(obj.get(key), dict), f"extension {key!r} must be a JSON object")
         action = {_element_from_key(quotient, h): tuple(p)
                   for h, p in obj["action"].items()}
         factor_set = {}

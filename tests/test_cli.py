@@ -264,3 +264,55 @@ def test_subcommands_take_only_the_flags_they_read():
         "crossed": ["--cocycle", "--convention"],
     }
     assert all("--seed" in sp._option_string_actions for sp in subparsers.values())
+
+
+F2_SPHERE1 = ("--group", str(DATA / "group_f2.json"),
+              "--cocycle", str(DATA / "cocycle_trivial.json"),
+              "--element", str(DATA / "element_f2_sphere1.json"))
+SEMIGROUP = ("semigroup", "--group", str(DATA / "group_f2.json"),
+             "--element", str(DATA / "element_f2_t_x.json"),
+             "--set", str(DATA / "set_f2_F_y_y2.json"))
+OUT_OF_RANGE = {
+    "radius": (("norm", *F2_SPHERE1, "--mode", "truncate", "--radius", "-1"),
+               "--radius must be >= 0"),
+    "powers": (("specrad", *F2_SPHERE1, "--powers", "0"), "--powers must be >= 1"),
+    "length": ((*SEMIGROUP, "--length", "0"), "--length must be >= 1"),
+    "mem-cap": (("norm", *F2_SPHERE1, "--mode", "truncate", "--mem-cap", "0"),
+                "--mem-cap must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_count_is_a_validation_error(case):
+    args, message = OUT_OF_RANGE[case]
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), r.stderr
+
+
+@pytest.mark.parametrize("key", ["action", "factorSet"])
+def test_extension_map_given_as_a_list_is_a_parse_error(tmp_path, key):
+    desc = json.loads((DATA / "group_q8_extension.json").read_text())
+    desc[key] = list(desc[key].values())
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(desc))
+    r = run_cli("validate", "--group", str(path))
+    assert r.returncode == 1
+    assert r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), r.stderr
+    assert repr(key) in lines[0]
+
+
+def test_decompose_reports_the_tolerances_it_applies():
+    from twistlab import crossed
+
+    r = run_cli("decompose", "--group", str(DATA / "group_s3.json"),
+                "--cocycle", str(DATA / "cocycle_trivial.json"))
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["tolerances"] == {
+        "cluster_gap": crossed.CLUSTER_GAP, "null_space": crossed.NULL_TOL,
+        "rank": crossed.RANK_TOL}
+    assert not hasattr(crossed, "PROJECTION_TOL")

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import fixtures
-from twistlab.errors import (InvalidAction, InvalidFactorSet, InvalidGroupTable)
+from twistlab.errors import (InvalidAction, InvalidFactorSet, InvalidGroupTable,
+                             MemoryBudgetExceeded)
 from twistlab.groups import (ExtensionGroup, FiniteTableGroup, FreeGroup,
                              IntLattice, reduce_word)
 
@@ -151,3 +152,52 @@ def test_element_json_roundtrip_all_backends(s3, f2):
     cases = [(s3, 4), (f2, (1, -2, 1)), (z2, (3, -1)), (ext, ext.elements()[5])]
     for G, g in cases:
         assert G.element_from_json(G.element_to_json(g)) == g
+
+
+def shortlex_position(w, letters, starts):
+    # d_1 = rank of l_1 among all 2k letters, d_i = rank of l_i among the
+    # 2k - 1 letters allowed after l_{i-1}; starts[n] = |B_{n-1}|
+    pos = 0
+    for i, v in enumerate(w):
+        allowed = [u for u in letters if i == 0 or u != -w[i - 1]]
+        pos = pos * len(allowed) + allowed.index(v)
+    return starts[len(w)] + pos
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_ball_positions_roundtrip(k):
+    G = FreeGroup(k)
+    r = 6
+    ball = G.enumerate_ball(r)
+    sizes = [len(G.enumerate_ball(n)) for n in range(r + 1)]
+    assert [G.ball_size(n) for n in range(r + 1)] == sizes
+    letters = [u for (u,) in G.enumerate_ball(1)[1:]]
+    positions = [shortlex_position(w, letters, [0] + sizes) for w in ball]
+    assert positions == list(range(len(ball)))
+    # each word is its own letters applied right to left to the identity
+    short = ball[:sizes[4]]
+    assert G.ball_positions(short, 0)[:, 0].tolist() == positions[:len(short)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_letter_maps_match_compose(k):
+    G = FreeGroup(k)
+    r = 6
+    ball = G.enumerate_ball(r)
+    index = {w: i for i, w in enumerate(G.enumerate_ball(r + 1))}
+    letters = ball[1:2 * k + 1]
+    expected = [[index[G.compose(s, w)] for w in ball] for s in letters]
+    assert G.ball_positions(letters, r).tolist() == expected
+
+
+def test_free_ball_positions_agree_with_the_generic_path(f2):
+    # the generic Group method lists both balls and indexes them with a dict
+    from twistlab.groups import Group
+    gs = [(), (1,), (-2, 1), (2, 2, -1, 2), (-1, -2, -1)]
+    assert (f2.ball_positions(gs, 4) == Group.ball_positions(f2, gs, 4)).all()
+
+
+def test_free_ball_positions_beyond_int64_are_refused(f2):
+    # |B_40| = 2 * 3^40 - 1 > 2^63: its positions do not fit the int64 arithmetic
+    with pytest.raises(MemoryBudgetExceeded):
+        f2.ball_positions([(1,) * 40], 0)

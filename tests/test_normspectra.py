@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twistlab import fixtures, normspectra
 from twistlab.algebra import AlgebraElement, delta
@@ -183,3 +184,76 @@ def test_spectral_radius_of_non_normal_elements_matches_lapack(name):
         assert got == pytest.approx(ref, rel=1e-10), (support, seed)
     # abelian and untwisted, Z6 has only normal elements; the others mostly not
     assert name == "Z6" or non_normal >= len(cases) // 2
+
+
+def dict_reference_matrix(G, sigma, a, r):
+    # the whole codomain ball, listed and indexed by a dict of words
+    supp = a.support()
+    dom = G.enumerate_ball(r)
+    cod = G.enumerate_ball(r + max(len(g) for g in supp))
+    index = {w: i for i, w in enumerate(cod)}
+    rows = [index[G.compose(g, b)] for g in supp for b in dom]
+    cols = [j for _ in supp for j in range(len(dom))]
+    data = [sigma.evaluate(g, b) * a.coeffs[g] for g in supp for b in dom]
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(cod), len(dom)), dtype=complex)
+
+
+@pytest.mark.parametrize("k, rmax", [(1, 12), (2, 5), (3, 3)])
+def test_truncation_bit_equal_to_dict_reference(k, rmax):
+    G = FreeGroup(k)
+    ball = G.enumerate_ball(4)
+    rng = np.random.default_rng(k)
+    support = [ball[int(i)] for i in rng.choice(len(ball), 5, replace=False)]
+    support[0] = ball[-1]  # a word of length 4
+    elements = [fixtures.random_element(G, support, seed=k),
+                AlgebraElement(G, {g: 1.0 for g in ball[1:2 * k + 1]})]
+    for sigma in (TrivialCocycle(G), fixtures.random_coboundary(G, seed=k)):
+        for a in elements:
+            for r in range(rmax + 1):
+                ref = dict_reference_matrix(G, sigma, a, r)
+                T, positions, height = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
+                # the reached rows, in shortlex order, carry every entry bit for bit
+                assert height == ref.shape[0] and ref.nnz == T.nnz
+                kept = ref[positions]
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(kept, attr), getattr(T, attr))
+                got = truncated_norm_lower(G, sigma, a, r)
+                want = normspectra._top_singular_sparse(ref, np.arange(height), height)
+                if T.shape[1] < 3:
+                    # dense LAPACK path: the same matrix, the same bits
+                    assert got == want
+                else:
+                    # on one operator and start vector, ARPACK's last bit still
+                    # moves with earlier allocations in the process, so only the
+                    # operator is compared bit for bit
+                    assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_sphere1_truncation_is_the_radial_jacobi_norm(f2):
+    # on normalised sphere indicators the truncation is the (r+2) x (r+1)
+    # Jacobi matrix with off-diagonals sqrt(4), sqrt(3), sqrt(3), ...
+    a = AlgebraElement(f2, {g: 1.0 for g in f2.enumerate_ball(1)[1:]})
+    prev = 0.0
+    for r in range(11):
+        J = np.zeros((r + 2, r + 1))
+        for j in range(r + 1):
+            J[j + 1, j] = math.sqrt(4 if j == 0 else 3)
+            if j >= 1:
+                J[j - 1, j] = math.sqrt(4 if j == 1 else 3)
+        lo = truncated_norm_lower(f2, TrivialCocycle(f2), a, r)
+        assert lo == pytest.approx(np.linalg.norm(J, 2), abs=1e-12)
+        assert lo >= prev
+        prev = lo
+
+
+def test_truncated_norm_rejects_negative_radius(f2):
+    with pytest.raises(ValueError):
+        truncated_norm_lower(f2, TrivialCocycle(f2), delta(f2, f2.generator(1)), -1)
+
+
+def test_mem_cap_counts_the_codomain_ball(f2):
+    # |B_13| = 3,188,645 on F2: over the default cap, refused before allocating
+    a = AlgebraElement(f2, {g: 1.0 for g in f2.enumerate_ball(1)[1:]})
+    with pytest.raises(MemoryBudgetExceeded) as exc:
+        truncated_norm_lower(f2, TrivialCocycle(f2), a, 12)
+    assert exc.value.needed == 3_188_645
