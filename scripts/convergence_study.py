@@ -18,7 +18,7 @@ from twistlab.normspectra import haagerup_upper, truncated_norm_lower
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-radius", type=int, default=12)
+    ap.add_argument("--max-radius", type=int, default=11)
     args = ap.parse_args()
 
     f2 = FreeGroup(2)

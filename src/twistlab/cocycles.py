@@ -278,12 +278,6 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
     return ValidationReport(passed, mod_res, norm_res, id_res, count, exhaustive, witnesses)
 
 
-def from_bicharacter(G: Group, theta) -> BicharacterCocycle:
-    if G.kind != "int-lattice":
-        raise BackendMismatch("from_bicharacter needs an int-lattice group")
-    return BicharacterCocycle(G, theta)
-
-
 def restrict(sigma: Cocycle, subgroup_elements) -> TableCocycle:
     """Restrict to a finite subgroup, given as an explicit closed element set.
 

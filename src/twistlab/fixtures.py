@@ -84,22 +84,6 @@ def klein_four():
     return cyclic_product([2, 2])
 
 
-def subgroup_closure_indices(G: FiniteTableGroup, gens):
-    seen = {0}
-    frontier = [0]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.compose(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return sorted(seen)
-
-
 def extension_from_subgroup(G: FiniteTableGroup, k_indices, name=""):
     """Extract (K, Lambda, action, factor set) from a normal subgroup of G.
 

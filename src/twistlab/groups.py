@@ -98,8 +98,16 @@ class Group:
         return self.describe() == other.describe()
 
     def check_same(self, other):
-        if not self.same_backend(other):
+        mine, theirs = self.describe(), other.describe()
+        if mine == theirs:
+            return
+        if self.kind != other.kind:
             raise BackendMismatch(f"{self.kind} vs {other.kind} backends differ")
+        key = next(k for k in mine if mine[k] != theirs.get(k))
+        detail = (f": {mine[key]} vs {theirs[key]}"
+                  if isinstance(mine[key], (int, str)) and isinstance(theirs[key], (int, str))
+                  else "")
+        raise BackendMismatch(f"{self.kind} backends differ in {key}{detail}")
 
 
 class FiniteTableGroup(Group):

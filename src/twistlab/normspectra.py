@@ -8,11 +8,10 @@ norm-transfer check, and free-subsemigroup certification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .algebra import AlgebraElement, convolve, delta, is_normal, l2_norm
 from .cocycles import Cocycle, TrivialCocycle
@@ -20,24 +19,11 @@ from .errors import MemoryBudgetExceeded, Unsupported
 from .groups import Group
 
 DEFAULT_MEM_CAP = 2_000_000
-
-
-@dataclass
-class NormEstimate:
-    lower: float
-    upper: float
-    lower_method: str
-    upper_method: str
-    metadata: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "lower_method": self.lower_method,
-            "upper_method": self.upper_method,
-            "metadata": self.metadata,
-        }
+# Lanczos stops once the Ritz residual is this small relative to the Ritz
+# value, or after this many steps; sphere-like elements need about r + 1
+LANCZOS_TOL = 1e-13
+LANCZOS_MAX_STEPS = 1000
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -84,70 +70,144 @@ def exact_norm(G: Group, sigma: Cocycle, a: AlgebraElement) -> float:
 
 
 def _truncation_matrix(G, sigma, a, r, cap):
-    """b -> a *_sigma b from l2(B_r) to l2(B_{r + diam supp a}) as a sparse
-    matrix on the codomain rows it reaches, kept in shortlex order.  Returns
-    the matrix, the codomain positions of its rows and |B_{r + diam}|."""
+    """b -> a *_sigma b from l2(B_r) to l2(B_{r + diam supp a}), kept on the
+    codomain rows it reaches, in shortlex order.  Returns ``data`` (one row
+    per g in supp a, one column per b in B_r) holding sigma(g, b) a_g,
+    ``rows`` (same shape) holding the kept row of g b, and the kept row
+    count."""
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
-        height = G.ball_size(n)
-        if height > cap:
-            raise MemoryBudgetExceeded(height, cap)
+        if G.ball_size(n) > cap:
+            raise MemoryBudgetExceeded(G.ball_size(n), cap)
     dom = G.enumerate_ball(r)
     # sigma first: a cocycle may memoise its values (fixtures.random_beta
     # does), and a memo grown after the index arrays below lands above them in
     # the heap and keeps the allocator from giving their pages back
-    data = [sigma.evaluate(g, b) * a.coeffs[g] for g in supp for b in dom]
+    data = np.array([[sigma.evaluate(g, b) * a.coeffs[g] for b in dom] for g in supp],
+                    dtype=complex)
     positions, rows = np.unique(G.ball_positions(supp, r).ravel(), return_inverse=True)
-    cols = np.tile(np.arange(len(dom)), len(supp))
-    T = sp.csr_matrix((data, (rows, cols)), shape=(len(positions), len(dom)), dtype=complex)
-    return T, positions, height
+    return data, rows.reshape(data.shape), len(positions)
 
 
-def _top_singular_sparse(T, positions, height) -> float:
-    """Largest singular value of T, deterministic start vector."""
-    n = T.shape[1]
-    if n < 3:
-        # too small for ARPACK.  LAPACK's dense SVD starts its Householder
-        # step from the first row, so dropping the unreached (zero) rows
-        # would move its last bit; they go back in here
-        M = np.zeros((height, n), dtype=complex)
-        M[positions] = T.toarray()
-        return float(np.linalg.norm(M, 2))
-    Th = T.conj().T.tocsr()
-    v0 = np.ones(n) / np.sqrt(n)
+def _dot(x, y) -> float:
+    """Re <x, y> by numpy's pairwise sum, which unlike BLAS does not depend
+    on the thread count."""
+    return float(np.sum(x.real * y.real + x.imag * y.imag))
 
-    def matvec(v):
-        return Th @ (T @ v)
 
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    try:
-        w = spla.eigsh(op, k=1, which="LA", v0=v0, maxiter=50_000, tol=1e-13,
-                       return_eigenvectors=False)
-        return float(np.sqrt(max(w[0].real, 0.0)))
-    except spla.ArpackNoConvergence:
-        lam = 0.0
-        v = v0.astype(complex)
-        for _ in range(200_000):
-            w_ = matvec(v)
-            nw = np.linalg.norm(w_)
-            if nw == 0.0:
-                return 0.0
-            v = w_ / nw
-            new = float(np.real(np.vdot(v, matvec(v))))
-            if abs(new - lam) <= 1e-14 * max(abs(new), 1.0):
-                lam = new
+def _lanczos(gram, q, steps):
+    """The plain three-term Lanczos recurrence for the Hermitian operator
+    ``gram`` from the unit vector q, without reorthogonalisation: yields
+    (q_k, alpha_k, beta_k) for k = 1..steps, or until beta_k is 0.  Every
+    step repeats the same operations in the same order, so a second run
+    yields the same bits."""
+    q_prev = np.zeros_like(q)
+    beta = 0.0
+    for _ in range(steps):
+        w = gram(q) - beta * q_prev
+        alpha = _dot(q, w)
+        w -= alpha * q
+        beta = np.sqrt(_dot(w, w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        q_prev, q = q, w / beta
+
+
+def _top_singular_rayleigh(data, rows, m) -> float:
+    """||T y|| / ||y|| for a Ritz vector y of T^H T's top eigenvalue, where
+    T is the m-row operator with entries ``data`` in ``rows`` (column j of
+    ``data`` is column j of T).
+
+    The start vector is ones when every entry of T is real and >= 0: then
+    T^H T is entrywise nonnegative and has a nonnegative top eigenvector
+    (Perron-Frobenius), which ones is not orthogonal to, and a radial
+    element's Krylov space stays in the radial subspace.  Otherwise a
+    symmetry can hide the top eigenvector from ones (x - x^-1 on F1 at r = 3
+    keeps it in the odd functions while ones is even), so a fixed
+    pseudo-random vector starts.
+
+    Pass 1 runs Lanczos on T^H T until the Ritz residual beta_k |s_k| or
+    beta_k itself is at most LANCZOS_TOL times the Ritz value, or for
+    LANCZOS_MAX_STEPS steps.  Pass 2 repeats the recurrence and sums
+    y = sum_j s_j q_j, so no Lanczos basis is stored.  T and T^H are applied
+    by bincount and a sum over the rows of ``data``, both in a fixed order,
+    inner products use numpy's pairwise sum and the final norms math.fsum:
+    the result is the same bits in every process and for every BLAS thread
+    count."""
+    n = data.shape[1]
+    flat = rows.ravel()
+    conj = data.conj()
+    if np.all(data.imag == 0) and np.all(data.real >= 0):
+        start = np.ones(n)
+    else:
+        start = np.random.default_rng(0).random(n)
+    start = (start / np.sqrt(_sum_squares(start))).astype(complex)
+
+    def apply(v):
+        tv = (data * v).ravel()
+        out = np.empty(m, dtype=complex)
+        out.real = np.bincount(flat, tv.real, m)
+        out.imag = np.bincount(flat, tv.imag, m)
+        return out
+
+    def gram(v):
+        return (conj * apply(v)[rows]).sum(axis=0)
+
+    alphas, betas = [], []
+    for _, alpha, beta in _lanczos(gram, start, LANCZOS_MAX_STEPS):
+        alphas.append(alpha)
+        betas.append(beta)
+        k = len(alphas)
+        # the dense k x k Ritz problem costs k^3, so after step 16 it is
+        # solved only every k // 16 + 1 steps, and at once when beta_k nears
+        # breakdown (the Ritz value is >= every alpha) or at the last step:
+        # past a breakdown the recurrence continues from rounding noise, and
+        # the residual test would not catch up
+        if (beta <= 1e-8 * max(alphas) or k % (k // 16 + 1) == 0
+                or k == LANCZOS_MAX_STEPS):
+            off = np.diag(betas[:-1], 1)
+            vals, vecs = np.linalg.eigh(np.diag(alphas) + off + off.T)
+            theta, s = vals[-1], vecs[:, -1]
+            if min(beta, beta * abs(s[-1])) <= LANCZOS_TOL * theta:
                 break
-            lam = new
-        return float(np.sqrt(max(lam, 0.0)))
+    y = np.zeros(n, dtype=complex)
+    for (q, _, _), sj in zip(_lanczos(gram, start, len(s)), s):
+        y += sj * q
+    return np.sqrt(_sum_squares(apply(y)) / _sum_squares(y))
+
+
+def _sum_squares(x) -> float:
+    """||x||^2 as one math.fsum over the squares of the real (and, for a
+    complex x, imaginary) parts."""
+    return math.fsum(np.square(x.view(np.float64)).tolist())
 
 
 def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
                          mem_cap: int = DEFAULT_MEM_CAP) -> float:
-    """Certified lower bound for the reduced twisted norm: the operator norm
-    of b -> a *_sigma b restricted to l2(B_r), codomain B_{r + diam supp a}.
+    """Certified lower bound for the reduced twisted norm from the operator
+    T: b -> a *_sigma b restricted to l2(B_r), codomain B_{r + diam supp a},
+    with sigma as the cocycle evaluates it.
 
-    Monotone nondecreasing in r; equals the exact norm on finite backends."""
+    The value is the Rayleigh quotient rho = ||T y|| / ||y|| of a Lanczos
+    Ritz vector y (see _top_singular_rayleigh), less a rounding allowance.
+    Any y gives rho <= ||T|| <= ||a||, so only the rounding of rho needs
+    covering.  Let u = 2^-53 and p = |supp a|.  Each entry sigma(g, b) a_g
+    and each product with y_j is a complex product rounded once, within
+    sqrt(5) u of the exact one (Brent, Percival and Zimmermann 2007), and
+    each row of T y sums at most p products in a fixed order (Higham 2002,
+    section 3.1).  So the computed T y is within (p - 1 + 2 sqrt 5) u |T| |y|
+    of the exact one entrywise, and its error in norm is at most
+    (p + 3.5) u || |T| || ||y|| <= (p + 3.5) u ||a||_1 ||y||, since |T| is a
+    truncation of convolution by |a|.  The squares, one fsum for each norm,
+    the quotient and the square root add at most 3.5 u relative to
+    rho <= ||a||_1.  Subtracting (p + 8) u ||a||_1 covers both, with room
+    for the second-order terms, so the value is a genuine lower bound; it is
+    clipped at 0.
+
+    The truncated norm is monotone nondecreasing in r, and the value follows
+    it to about 1e-14 relative; on finite backends it is the exact norm."""
     if r < 0:
         raise ValueError("r must be >= 0")
     a.group.check_same(G)
@@ -155,7 +215,9 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
         return exact_norm(G, sigma, a)
     if not a.coeffs:
         return 0.0
-    return _top_singular_sparse(*_truncation_matrix(G, sigma, a, r, mem_cap))
+    rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma, a, r, mem_cap))
+    l1 = math.fsum(abs(c) for c in a.coeffs.values())
+    return float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1))
 
 
 def haagerup_upper(G: Group, a: AlgebraElement) -> float:

@@ -166,6 +166,17 @@ def test_blas_pinned_to_one_thread_on_import():
     assert r.stdout.strip() == "1"
 
 
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, twistlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=env, cwd=ROOT)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400]
 
 

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import fixtures
-from twistlab.errors import (InvalidAction, InvalidFactorSet, InvalidGroupTable,
-                             MemoryBudgetExceeded)
+from twistlab.errors import (BackendMismatch, InvalidAction, InvalidFactorSet,
+                             InvalidGroupTable, MemoryBudgetExceeded)
 from twistlab.groups import (ExtensionGroup, FiniteTableGroup, FreeGroup,
                              IntLattice, reduce_word)
 
@@ -201,3 +201,15 @@ def test_free_ball_positions_beyond_int64_are_refused(f2):
     # |B_40| = 2 * 3^40 - 1 > 2^63: its positions do not fit the int64 arithmetic
     with pytest.raises(MemoryBudgetExceeded):
         f2.ball_positions([(1,) * 40], 0)
+
+
+def test_backend_mismatch_names_what_differs():
+    with pytest.raises(BackendMismatch, match=r"^finite-table backends differ in order: 6 vs 8$"):
+        fixtures.symmetric(3).check_same(fixtures.quaternion())
+    with pytest.raises(BackendMismatch, match=r"^free backends differ in rank: 2 vs 3$"):
+        FreeGroup(2).check_same(FreeGroup(3))
+    with pytest.raises(BackendMismatch, match=r"^finite-table vs free backends differ$"):
+        fixtures.symmetric(3).check_same(FreeGroup(2))
+    # same order, different table: too long to print, so only the key is named
+    with pytest.raises(BackendMismatch, match=r"^finite-table backends differ in table$"):
+        fixtures.cyclic(4).check_same(fixtures.klein_four())

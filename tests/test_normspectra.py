@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from twistlab import fixtures, normspectra
-from twistlab.algebra import AlgebraElement, delta
+from twistlab.algebra import AlgebraElement, delta, gauge
 from twistlab.cocycles import TableCocycle, TrivialCocycle
 from twistlab.errors import MemoryBudgetExceeded, Unsupported
 from twistlab.groups import FreeGroup
@@ -198,35 +199,75 @@ def dict_reference_matrix(G, sigma, a, r):
     return sp.csr_matrix((data, (rows, cols)), shape=(len(cod), len(dom)), dtype=complex)
 
 
+def five_term_element(G, seed):
+    # seeded coefficients on 5 seeded words of B_4, one of them of length 4
+    ball = G.enumerate_ball(4)
+    rng = np.random.default_rng(seed)
+    support = [ball[int(i)] for i in rng.choice(len(ball), 5, replace=False)]
+    support[0] = ball[-1]
+    return fixtures.random_element(G, support, seed=seed)
+
+
 @pytest.mark.parametrize("k, rmax", [(1, 12), (2, 5), (3, 3)])
 def test_truncation_bit_equal_to_dict_reference(k, rmax):
     G = FreeGroup(k)
-    ball = G.enumerate_ball(4)
-    rng = np.random.default_rng(k)
-    support = [ball[int(i)] for i in rng.choice(len(ball), 5, replace=False)]
-    support[0] = ball[-1]  # a word of length 4
-    elements = [fixtures.random_element(G, support, seed=k),
-                AlgebraElement(G, {g: 1.0 for g in ball[1:2 * k + 1]})]
+    sphere1 = G.enumerate_ball(1)[1:]
+    # the last element is odd under x_i -> x_i^-1, which hides the top
+    # singular vector from an all-ones start at some radii
+    elements = [five_term_element(G, k), AlgebraElement(G, {g: 1.0 for g in sphere1}),
+                AlgebraElement(G, {g: 1.0 if g[0] > 0 else -1.0 for g in sphere1})]
     for sigma in (TrivialCocycle(G), fixtures.random_coboundary(G, seed=k)):
         for a in elements:
             for r in range(rmax + 1):
                 ref = dict_reference_matrix(G, sigma, a, r)
-                T, positions, height = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
+                data, rows, m = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
+                n = data.shape[1]
+                T = sp.csr_matrix((data.ravel(), (rows.ravel(), np.tile(np.arange(n), len(data)))),
+                                  shape=(m, n), dtype=complex)
                 # the reached rows, in shortlex order, carry every entry bit for bit
-                assert height == ref.shape[0] and ref.nnz == T.nnz
-                kept = ref[positions]
+                kept = ref[np.flatnonzero(np.diff(ref.indptr))]
+                assert kept.shape == T.shape and ref.nnz == T.nnz
                 for attr in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(kept, attr), getattr(T, attr))
                 got = truncated_norm_lower(G, sigma, a, r)
-                want = normspectra._top_singular_sparse(ref, np.arange(height), height)
-                if T.shape[1] < 3:
-                    # dense LAPACK path: the same matrix, the same bits
-                    assert got == want
-                else:
-                    # on one operator and start vector, ARPACK's last bit still
-                    # moves with earlier allocations in the process, so only the
-                    # operator is compared bit for bit
-                    assert got == pytest.approx(want, rel=1e-14, abs=0)
+                want = np.linalg.norm(kept.toarray(), 2)
+                assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def mp_radial_jacobi_norm(r):
+    # the norm of the (r+2) x (r+1) Jacobi matrix of sphere-1 on F2 at 40 digits
+    with mpmath.workdps(40):
+        J = mpmath.zeros(r + 2, r + 1)
+        for j in range(r + 1):
+            J[j + 1, j] = mpmath.sqrt(4 if j == 0 else 3)
+            if j >= 1:
+                J[j - 1, j] = mpmath.sqrt(4 if j == 1 else 3)
+        return mpmath.sqrt(max(mpmath.eigsy(J.T * J, eigvals_only=True)))
+
+
+def test_truncated_norm_is_a_genuine_lower_bound(f2):
+    # sphere-1 untwisted and gauged under a coboundary: the same operator up
+    # to diagonal phases, so both are bounded by the exact Jacobi norm
+    a = AlgebraElement(f2, {g: 1.0 for g in f2.enumerate_ball(1)[1:]})
+    cob = fixtures.random_coboundary(f2, seed=7)
+    cases = [(TrivialCocycle(f2), a), (cob, gauge(a, cob.beta))]
+    for r in range(11):
+        exact = mp_radial_jacobi_norm(r)
+        for sigma, b in cases:
+            lo = truncated_norm_lower(f2, sigma, b, r)
+            assert mpmath.mpf(lo) <= exact, (r, lo)
+            assert lo >= exact - 1e-13, (r, lo)
+
+
+def test_truncated_norm_is_reproducible_within_one_process():
+    # the same call, with allocations in between, returns the same bits
+    G = FreeGroup(3)
+    a = five_term_element(G, 3)
+    values, held = set(), []
+    for i in range(12):
+        held.append(np.empty(1000 * (i + 1), dtype=complex))
+        values.add(truncated_norm_lower(G, TrivialCocycle(G), a, 3))
+    assert len(values) == 1, values
 
 
 def test_sphere1_truncation_is_the_radial_jacobi_norm(f2):
