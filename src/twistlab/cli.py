@@ -161,20 +161,19 @@ def cmd_criterion(args):
 
 
 def cmd_decompose(args):
-    from .crossed import CLUSTER_GAP, NULL_TOL, RANK_TOL, decompose_blocks
+    from .cocycles import IDENTITY_TOL
+    from .crossed import CLUSTER_GAP, decompose_blocks
 
     inputs = {}
     G = _load_group(args, inputs)
-    if not G.is_finite or G.kind != "finite-table":
-        raise Unsupported("decompose needs a finite-table group")
     sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
     dec = decompose_blocks(G, sigma, seed=args.seed)
     return _emit(dec.to_json(), args, inputs,
-                 {"cluster_gap": CLUSTER_GAP, "null_space": NULL_TOL, "rank": RANK_TOL})
+                 {"cluster_gap": CLUSTER_GAP, "cocycle_identity": IDENTITY_TOL})
 
 
 def cmd_crossed(args):
-    from .crossed import crossed_product_pipeline
+    from .crossed import AXIOM_TOL, crossed_product_pipeline
 
     inputs = {}
     G = _load_group(args, inputs)
@@ -184,15 +183,22 @@ def cmd_crossed(args):
     rep = crossed_product_pipeline(G, sigma, convention=args.convention,
                                    seed=args.seed)
     code = EXIT_OK if rep["axioms"]["passed"] else EXIT_VALIDATION
-    rc = _emit(rep, args, inputs, {"axioms": 1e-10})
+    rc = _emit(rep, args, inputs, {"axioms": AXIOM_TOL})
     return code if code else rc
 
 
+class OneLineParser(argparse.ArgumentParser):
+    """Usage errors as a single ``error:`` line and the validation exit code."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_VALIDATION)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="twistlab",
-                                description="twisted group algebra numerics")
+    p = OneLineParser(prog="twistlab", description="twisted group algebra numerics")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=OneLineParser)
 
     def add(name, fn, *flags):
         sp = sub.add_parser(name)

@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, delta, involute
-from .cocycles import Cocycle, TableCocycle
-from .errors import BackendMismatch, DegenerateAfterRetries, NotPermuting
+from .cocycles import Cocycle, TableCocycle, validate, value_table
+from .errors import (BackendMismatch, DegenerateAfterRetries, NotACocycle, NotPermuting,
+                     Unsupported)
 from .groups import ExtensionGroup, FiniteTableGroup
-from .normspectra import regular_rep
 
 AXIOM_TOL = 1e-10
-# decompose_blocks: relative eigenvalue cut for the centre (null space of
-# the commutator Gram matrix), relative gap between eigenvalue clusters, and
-# absolute singular-value cut for the rank of L(p)
-NULL_TOL = 1e-10
+# decompose_blocks: relative gap between eigenvalue clusters
 CLUSTER_GAP = 1e-8
-RANK_TOL = 1e-6
 MAX_RETRIES = 5
 
 CONVENTION_AS_PRINTED = "as-printed"
@@ -42,13 +38,8 @@ DEFAULT_CONVENTION = CONVENTION_CONJUGATED
 
 def restrict_to_k(gamma: ExtensionGroup, sigma: Cocycle) -> TableCocycle:
     """The cocycle on K obtained by evaluating sigma on embedded pairs."""
-    K = gamma.K
-    vals = np.array(
-        [[sigma.evaluate(gamma.embed_k(i), gamma.embed_k(j)) for j in range(K.order)]
-         for i in range(K.order)],
-        dtype=complex,
-    )
-    return TableCocycle(K, vals)
+    embedded = [gamma.embed_k(k) for k in range(gamma.K.order)]
+    return TableCocycle(gamma.K, [[sigma.evaluate(x, y) for y in embedded] for x in embedded])
 
 
 @dataclass
@@ -222,9 +213,6 @@ class BlockDecomposition:
     block_sizes: list
     residuals: dict = field(default_factory=dict)
 
-    def sizes_multiset(self):
-        return Counter(self.block_sizes)
-
     def to_json(self):
         return {
             "block_sizes": sorted(self.block_sizes),
@@ -233,105 +221,88 @@ class BlockDecomposition:
         }
 
 
+def _left(T, S, v, right=False):
+    """Matrix of b -> v *_sigma b on l2(G), whose column h holds S[g, h] v[g]
+    at row gh; with ``right``, of b -> b *_sigma v, column g holds S[g, h] v[h]."""
+    M = np.zeros(T.shape, dtype=complex)
+    if right:
+        M[T, np.arange(len(T))[:, None]] = S * v[None, :]
+    else:
+        M[T, np.arange(len(T))] = S * v[:, None]
+    return M
+
+
 def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> BlockDecomposition:
     """Matrix-block decomposition of the twisted group algebra of a finite
     group: minimal central projections plus the block-size multiset.
 
-    Centre from the nullspace of a -> [L(a) - R(a)] over the left and right
-    regular matrices, then a seeded random self-adjoint central element is
-    spectrally decomposed; eigenvalue clusters give the projections, sqrt of
-    the rank of L(p) the block sizes.  Retries with a fresh random element
-    when clusters merge."""
-    if not G.is_finite:
-        raise BackendMismatch("decompose_blocks needs a finite group")
+    Everything comes from the multiplication table T and the value table S of
+    sigma.  With u_h u_g u_h* = phi(h, g) u_{hgh^-1}, the centre is spanned by
+    the twisted class sums of the sigma-regular classes: g is sigma-regular
+    when phi(., g) is trivial on its centraliser C(g), and that character sums
+    to |C(g)| or to 0 over C(g).  A seeded random self-adjoint central element
+    is spectrally decomposed; its eigenvalue clusters give the projections p,
+    and the canonical trace p_e = d^2 / |G| the block sizes d.  Retries with a
+    fresh element when clusters merge."""
+    if G.kind != "finite-table":
+        raise Unsupported("decompose needs a finite-table group")
+    rep = validate(G, sigma)
+    if not rep.passed:
+        w = rep.witnesses[0] if rep.witnesses else None
+        where = (f"the identity fails at {tuple(w['triple'])} by {w['residual']:.3g}" if w
+                 else f"modulus residual {rep.max_modulus_residual:.3g}, normalisation "
+                      f"residual {rep.max_normalization_residual:.3g}")
+        raise NotACocycle(f"sigma is not a normalised unit-modulus 2-cocycle: {where}")
+    T, S = G.multiplication_table(), value_table(G, sigma)
     n = G.order
-    left = [regular_rep(G, sigma, delta(G, g)) for g in range(n)]
-    # right multiplication by delta_h: R_h[gh, g] = sigma(g, h) = L_g[gh, h]
-    right = np.array(left).transpose(2, 1, 0)
-    unit = np.zeros(n, dtype=complex)
-    unit[0] = 1.0
-    gram = np.zeros((n, n), dtype=complex)
-    for Li, Ri in zip(left, right):
-        D = Li - Ri
-        gram += D.conj().T @ D
-    w, V = np.linalg.eigh(gram)
-    null_tol = NULL_TOL * max(w[-1], 1.0)
-    centre = [V[:, i] for i in range(n) if w[i] <= null_tol]
-    zdim = len(centre)
-    if zdim == 0:
-        raise DegenerateAfterRetries("empty centre, not an algebra?")
-
-    def lmat(vec):
-        M = np.zeros((n, n), dtype=complex)
-        for i, Li in enumerate(left):
-            if abs(vec[i]) > 1e-300:
-                M += vec[i] * Li
-        return M
+    idx = np.arange(n)
+    inv = np.array([G.invert(g) for g in idx])
+    # conj[h, g] = h g h^-1 and phi[h, g] its scalar
+    conj = T[T, inv[:, None]]
+    phi = S * S[T, inv[:, None]] * np.conj(S[inv, idx])[:, None]
+    # sums[g, k]: sum of phi(h, g) over the h with h g h^-1 = k
+    flat = (idx[None, :] * n + conj).ravel()
+    sums = (np.bincount(flat, phi.real.ravel(), n * n)
+            + 1j * np.bincount(flat, phi.imag.ravel(), n * n)).reshape(n, n)
+    centraliser = np.count_nonzero(conj == idx[None, :], axis=0)
+    regular = np.abs(sums[idx, idx]) > centraliser / 2
+    reps = np.flatnonzero((conj.min(axis=0) == idx) & regular)
+    centre = sums[reps] / centraliser[reps, None]
+    zdim = len(reps)
 
     def star(vec):
-        return element_to_vector(G, involute(vector_to_element(G, vec), sigma))
+        out = np.empty(n, dtype=complex)
+        out[inv] = np.conj(S[inv, idx]) * np.conj(vec)
+        return out
 
     last = None
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng((seed + 1) * 1000 + attempt)
         coeff = rng.standard_normal(zdim) + 1j * rng.standard_normal(zdim)
-        wvec = sum(c * z for c, z in zip(coeff, centre))
-        cvec = 0.5 * (wvec + star(wvec))
-        C = lmat(cvec)
+        wvec = coeff @ centre
+        C = _left(T, S, 0.5 * (wvec + star(wvec)))
         C = 0.5 * (C + C.conj().T)
         ev, U = np.linalg.eigh(C)
         gap = CLUSTER_GAP * max(1.0, float(np.max(np.abs(ev))))
-        clusters = []
-        start = 0
-        for i in range(1, n + 1):
-            if i == n or ev[i] - ev[i - 1] > gap:
-                clusters.append((start, i))
-                start = i
-        if len(clusters) != zdim:
-            last = f"{len(clusters)} clusters for centre dimension {zdim}"
+        cuts = np.flatnonzero(np.diff(ev) > gap) + 1
+        if len(cuts) + 1 != zdim:
+            last = f"{len(cuts) + 1} clusters for {zdim} sigma-regular classes"
             continue
-        projections = []
-        sizes = []
-        ok = True
-        for lo, hi in clusters:
-            Uc = U[:, lo:hi]
-            P = Uc @ Uc.conj().T
-            pvec = P @ unit
-            r = int(np.linalg.matrix_rank(lmat(pvec), tol=RANK_TOL))
-            s = int(round(np.sqrt(r)))
-            if s * s != r:
-                ok = False
-                last = f"block rank {r} is not a square"
-                break
-            projections.append(pvec)
-            sizes.append(s)
-        if not ok or sum(s * s for s in sizes) != n:
-            if ok:
-                last = f"sum of squared block sizes {sum(s * s for s in sizes)} != {n}"
-            continue
+        P = np.array([Uc @ Uc[0].conj() for Uc in np.split(U, cuts, axis=1)])
+        sizes = [int(round(np.sqrt(n * p[0].real))) for p in P]
 
-        residuals = {"self_adjoint": 0.0, "idempotent": 0.0, "orthogonal": 0.0,
-                     "sum_to_unit": 0.0, "central": 0.0}
-        total = np.zeros(n, dtype=complex)
-        for p in projections:
-            residuals["self_adjoint"] = max(residuals["self_adjoint"],
-                                            float(np.linalg.norm(p - star(p))))
-            residuals["idempotent"] = max(residuals["idempotent"],
-                                          float(np.linalg.norm(lmat(p) @ p - p)))
-            rmat = np.zeros((n, n), dtype=complex)
-            for i, Ri in enumerate(right):
-                if abs(p[i]) > 1e-300:
-                    rmat += p[i] * Ri
-            residuals["central"] = max(residuals["central"],
-                                       float(np.max(np.abs(lmat(p) - rmat))))
-            total += p
-        for i, p in enumerate(projections):
-            for q in projections[i + 1:]:
-                residuals["orthogonal"] = max(residuals["orthogonal"],
-                                              float(np.linalg.norm(lmat(p) @ q)))
-        residuals["sum_to_unit"] = float(np.linalg.norm(total - unit))
+        res = {"self_adjoint": [], "idempotent": [], "orthogonal": [0.0], "central": []}
+        for i, p in enumerate(P):
+            Lp = _left(T, S, p)
+            prods = P[i:] @ Lp.T  # p times p, then times each later projection
+            res["self_adjoint"].append(np.linalg.norm(p - star(p)))
+            res["idempotent"].append(np.linalg.norm(prods[0] - p))
+            res["orthogonal"].extend(np.linalg.norm(prods[1:], axis=1))
+            res["central"].append(np.max(np.abs(Lp - _left(T, S, p, right=True))))
+        residuals = {key: float(max(values)) for key, values in res.items()}
+        residuals["sum_to_unit"] = float(np.linalg.norm(P.sum(axis=0) - (idx == 0)))
         order = np.argsort([-s for s in sizes], kind="stable")
-        return BlockDecomposition([vector_to_element(G, projections[i]) for i in order],
+        return BlockDecomposition([vector_to_element(G, P[i]) for i in order],
                                   [sizes[i] for i in order], residuals)
     raise DegenerateAfterRetries(f"no clean decomposition after {MAX_RETRIES} tries: {last}")
 
@@ -413,14 +384,10 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     on the finite-table backend of the extension, indexed like
     gamma.elements()."""
     gamma = sys.gamma
-    elems = gamma.elements()
-    whole = FiniteTableGroup(
-        [[gamma.element_index(gamma.compose(a, b)) for b in elems] for a in elems],
-        validate=False,
-    )
+    whole = FiniteTableGroup(gamma.multiplication_table().tolist(), validate=False)
     m = sys.K.order
     S = sys.sigma_k.values
-    Ktab = np.array(sys.K.table)
+    Ktab = sys.K.multiplication_table()
     hs = sys.quotient_elements()
     omega = np.empty((whole.order, whole.order), dtype=complex)
     for i, h1 in enumerate(hs):
@@ -453,15 +420,15 @@ def attribute_blocks_to_summands(sys: TwistedSystem, kblocks: BlockDecomposition
     """Match each assembled block to the summand whose central support
     contains it; returns one block-size list per summand."""
     gamma, whole = sys.gamma, omega.group
+    T = whole.multiplication_table()
     qvecs = [element_to_vector(whole, q) for q in crossed_blocks.projections]
     out = []
     for s in summands:
-        z = {}
+        z = np.zeros(whole.order, dtype=complex)
         for i in s.block_indices:
             for k, c in kblocks.projections[i].coeffs.items():
-                g = gamma.element_index(gamma.embed_k(k))
-                z[g] = z.get(g, 0.0) + c
-        Lz = regular_rep(whole, omega, AlgebraElement(whole, z))
+                z[gamma.element_index(gamma.embed_k(k))] += c
+        Lz = _left(T, omega.values, z)
         out.append(sorted(size for q, size in zip(qvecs, crossed_blocks.block_sizes)
                           if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q))))
     return out
@@ -498,8 +465,7 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
     basis, omega, crossed_blocks = assemble_crossed_product(sys, seed=seed)
     per_summand = attribute_blocks_to_summands(sys, kblocks, summands, omega, crossed_blocks)
     # the twisted algebra of the whole group, decomposed directly for comparison
-    direct_sigma = TableCocycle(omega.group, np.array(
-        [[sigma.evaluate(a, b) for b in basis] for a in basis], dtype=complex))
+    direct_sigma = TableCocycle(omega.group, value_table(gamma, sigma))
     direct = decompose_blocks(omega.group, direct_sigma, seed=seed)
     match, diff = compare_block_structure(crossed_blocks, direct)
     return {

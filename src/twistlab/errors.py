@@ -62,3 +62,7 @@ class NotPermuting(TwistlabError):
 
 class DegenerateAfterRetries(TwistlabError):
     """Random central elements kept producing merged spectral clusters."""
+
+
+class NotACocycle(TwistlabError):
+    """A value table that is not a normalised unit-modulus 2-cocycle."""

@@ -61,6 +61,12 @@ class Group:
     def element_index(self, a):
         raise NotFinite(f"{self.kind} backend is not finite")
 
+    def multiplication_table(self):
+        """Index table of a finite group: [i, j] indexes elements()[i] * elements()[j]."""
+        elems = self.elements()
+        return np.array([[self.element_index(self.compose(a, b)) for b in elems]
+                         for a in elems])
+
     def enumerate_ball(self, r):
         raise Unsupported(f"{self.kind} backend does not enumerate balls")
 
@@ -126,34 +132,31 @@ class FiniteTableGroup(Group):
         self.labels = list(labels) if labels is not None else None
         if validate:
             self._validate()
-        self._inv = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == 0:
-                    self._inv[i] = j
-                    break
+        self._inv = [row.index(0) for row in self.table]
 
     def _validate(self):
         n = self.order
+        if n == 0:
+            raise InvalidGroupTable("table is empty")
         if self.labels is not None and len(self.labels) != n:
             raise InvalidGroupTable("labels length differs from table order")
         for i, row in enumerate(self.table):
             if len(row) != n:
                 raise InvalidGroupTable(f"row {i} has length {len(row)}, expected {n}")
-            if any(not (0 <= v < n) for v in row):
-                raise InvalidGroupTable(f"row {i} has out-of-range entries")
-        for j in range(n):
-            if self.table[0][j] != j or self.table[j][0] != j:
-                raise InvalidGroupTable("identity is not at index 0")
+            if any(type(v) is not int or not 0 <= v < n for v in row):
+                raise InvalidGroupTable(f"row {i} has entries that are not integers in [0, {n})")
+        T = self.multiplication_table()
+        if (T[0] != np.arange(n)).any() or (T[:, 0] != np.arange(n)).any():
+            raise InvalidGroupTable("identity is not at index 0")
         for i in range(n):
             if 0 not in self.table[i]:
                 raise InvalidGroupTable(f"element {i} has no inverse")
         for i in range(n):
-            for j in range(n):
-                ij = self.table[i][j]
-                for k in range(n):
-                    if self.table[ij][k] != self.table[i][self.table[j][k]]:
-                        raise InvalidGroupTable(f"associativity fails at ({i}, {j}, {k})")
+            # (ij)k against i(jk) for every j, k at once
+            bad = np.argwhere(T[T[i]] != T[i][T])
+            if len(bad):
+                j, k = bad[0]
+                raise InvalidGroupTable(f"associativity fails at ({i}, {j}, {k})")
 
     def identity(self):
         return 0
@@ -176,6 +179,9 @@ class FiniteTableGroup(Group):
 
     def element_index(self, a):
         return a
+
+    def multiplication_table(self):
+        return np.array(self.table, dtype=np.intp)
 
     def enumerate_ball(self, r):
         return self.elements()

@@ -318,12 +318,49 @@ def test_extension_map_given_as_a_list_is_a_parse_error(tmp_path, key):
 
 
 def test_decompose_reports_the_tolerances_it_applies():
-    from twistlab import crossed
+    from twistlab import cocycles, crossed
 
     r = run_cli("decompose", "--group", str(DATA / "group_s3.json"),
                 "--cocycle", str(DATA / "cocycle_trivial.json"))
     assert r.returncode == 0
     assert json.loads(r.stdout)["tolerances"] == {
-        "cluster_gap": crossed.CLUSTER_GAP, "null_space": crossed.NULL_TOL,
-        "rank": crossed.RANK_TOL}
-    assert not hasattr(crossed, "PROJECTION_TOL")
+        "cluster_gap": crossed.CLUSTER_GAP, "cocycle_identity": cocycles.IDENTITY_TOL}
+    for gone in ("PROJECTION_TOL", "NULL_TOL", "RANK_TOL"):
+        assert not hasattr(crossed, gone)
+
+
+def _one_error_line(r, code=2):
+    assert r.returncode == code, r.stderr
+    assert r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    return lines[0]
+
+
+def test_decompose_rejects_a_non_cocycle(tmp_path):
+    line = _one_error_line(run_cli("decompose", "--group", str(DATA / "group_s3.json"),
+                                   "--cocycle", str(DATA / "cocycle_s3_broken.json")))
+    assert "the identity fails at (1, 1, 2)" in line
+    path = tmp_path / "cocycle.json"
+    path.write_text('{"kind": "table", "values": [[[1, 0], [1, 0]], [[1, 0], [0, 0]]]}')
+    line = _one_error_line(run_cli("decompose", "--group", str(DATA / "group_z2.json"),
+                                   "--cocycle", str(path)))
+    assert "modulus residual 1" in line
+
+
+@pytest.mark.parametrize("table", ["[]", "[[0.0]]", "[[0, 1], [1, 0.0]]"],
+                         ids=["empty", "float", "float-entry"])
+def test_malformed_group_table_is_a_validation_error(tmp_path, table):
+    path = tmp_path / "group.json"
+    path.write_text('{"kind": "finite-table", "table": %s}' % table)
+    for args in (("validate",), ("decompose", "--cocycle", str(DATA / "cocycle_trivial.json"))):
+        _one_error_line(run_cli(args[0], "--group", str(path), *args[1:]))
+
+
+@pytest.mark.parametrize("extra", [("--mode", "exact", "--bogus"), ("--mode", "bogus")],
+                         ids=["flag", "choice"])
+def test_usage_errors_are_one_line(extra):
+    line = _one_error_line(run_cli("norm", "--group", str(DATA / "group_z2.json"),
+                                   "--cocycle", str(DATA / "cocycle_trivial.json"),
+                                   "--element", str(DATA / "element_z2_ones.json"), *extra))
+    assert extra[-1] in line

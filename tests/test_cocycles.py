@@ -20,7 +20,7 @@ def test_clock_shift_validates_exactly():
     for n in (2, 3, 5):
         sigma = fixtures.clock_shift_cocycle(n)
         rep = cocycles.validate(sigma.group, sigma)
-        assert rep.passed, (n, rep.witness)
+        assert rep.passed, (n, rep.witnesses)
 
 
 def test_broken_table_fails_with_witness(s3):
@@ -152,3 +152,42 @@ def test_json_roundtrip(s3):
     prod = ProductCocycle([sigma, TrivialCocycle(s3)])
     back2 = serialize.cocycle_from_json(prod.to_json(), s3)
     assert np.isclose(back2.evaluate(3, 4), prod.evaluate(3, 4))
+
+
+def _triple_loop(G, sigma, tol=cocycles.IDENTITY_TOL):
+    """validate's finite-group residuals and witnesses, one triple at a time."""
+    els = G.elements()
+    e = G.identity()
+    ev = sigma.evaluate
+    mod = max(abs(abs(ev(x, y)) - 1.0) for x in els for y in els)
+    norm = max(max(abs(ev(e, g) - 1.0), abs(ev(g, e) - 1.0)) for g in els)
+    ident, witnesses = 0.0, []
+    for x in els:
+        for y in els:
+            for z in els:
+                r = abs(ev(x, y) * ev(G.compose(x, y), z) - ev(x, G.compose(y, z)) * ev(y, z))
+                ident = max(ident, r)
+                if r > tol and len(witnesses) < 10:
+                    witnesses.append(([G.element_to_json(a) for a in (x, y, z)], r))
+    return mod, norm, ident, witnesses
+
+
+@pytest.mark.parametrize("case", ["S3", "Q8", "clock6", "broken"])
+def test_table_validation_matches_a_triple_loop(case):
+    s3, clock6 = fixtures.symmetric(3), fixtures.clock_shift_cocycle(6)
+    G, sigma = {
+        "S3": (s3, fixtures.random_coboundary(s3, seed=21)),
+        "Q8": (fixtures.quaternion(), fixtures.random_coboundary(fixtures.quaternion(), seed=21)),
+        "clock6": (clock6.group, clock6),
+        "broken": (s3, TableCocycle(s3, np.exp(2j * np.pi * np.arange(36).reshape(6, 6) / 7.0))),
+    }[case]
+    rep = cocycles.validate(G, sigma)
+    mod, norm, ident, witnesses = _triple_loop(G, sigma)
+    assert rep.exhaustive and rep.checked_triples == G.order ** 3
+    assert abs(rep.max_modulus_residual - mod) <= 1e-15
+    assert abs(rep.max_normalization_residual - norm) <= 1e-15
+    assert abs(rep.max_identity_residual - ident) <= 1e-15
+    assert [w["triple"] for w in rep.witnesses] == [t for t, _ in witnesses]
+    assert all(abs(w["residual"] - r) <= 1e-15 for w, (_, r) in zip(rep.witnesses, witnesses))
+    assert rep.passed is (case != "broken")
+    assert len(rep.witnesses) == (10 if case == "broken" else 0)

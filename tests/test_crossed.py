@@ -6,7 +6,7 @@ from twistlab.cocycles import PullbackCocycle, TableCocycle, TrivialCocycle, val
 from twistlab.crossed import (assemble_crossed_product, crossed_cocycle, decompose_blocks,
                               induced_action_data, orbit_decomposition,
                               verify_twisted_action)
-from twistlab.errors import DegenerateAfterRetries
+from twistlab.errors import DegenerateAfterRetries, Unsupported
 
 
 def test_s3_group_algebra_blocks(s3):
@@ -177,3 +177,53 @@ def test_compare_block_structure_diff(s3, q8):
     match, diff = crossed.compare_block_structure(d1, d2)
     assert not match
     assert diff["only_in_second"] == [1, 1]
+
+
+def _regular_class_count(G, sigma):
+    """Conjugacy classes of g with sigma(g, h) = sigma(h, g) for every h that
+    commutes with g, counted by the definition."""
+    els = G.elements()
+    seen, count = set(), 0
+    for g in els:
+        if g in seen:
+            continue
+        seen |= {G.compose(G.compose(h, g), G.invert(h)) for h in els}
+        count += all(abs(sigma.evaluate(g, h) - sigma.evaluate(h, g)) <= 1e-9
+                     for h in els if G.compose(g, h) == G.compose(h, g))
+    return count
+
+
+def _centre_cases():
+    for name, G in fixtures.standard_groups().items():
+        yield f"{name}-trivial", G, TrivialCocycle(G)
+        yield f"{name}-coboundary", G, fixtures.random_coboundary(G, seed=4)
+    for n in range(2, 7):
+        sigma = fixtures.clock_shift_cocycle(n)
+        yield f"clock{n}", sigma.group, sigma
+    for name, ext in fixtures.standard_extensions().items():
+        for twist, sigma in (("trivial", TrivialCocycle(ext)),
+                             ("coboundary", fixtures.random_coboundary(ext, seed=5))):
+            omega = crossed_cocycle(induced_action_data(ext, sigma))
+            yield f"omega-{name}-{twist}", omega.group, omega
+
+
+@pytest.mark.parametrize("case", list(_centre_cases()), ids=lambda c: c[0])
+def test_one_block_per_sigma_regular_class(case):
+    _, G, sigma = case
+    dec = decompose_blocks(G, sigma)
+    assert len(dec.block_sizes) == _regular_class_count(G, sigma)
+    assert sum(d * d for d in dec.block_sizes) == G.order
+    assert max(dec.residuals.values()) <= 1e-10
+
+
+def test_s5_block_sizes():
+    S5 = fixtures.symmetric(5)
+    dec = decompose_blocks(S5, TrivialCocycle(S5))
+    assert sorted(dec.block_sizes) == [1, 1, 4, 4, 5, 5, 6]
+    assert max(dec.residuals.values()) <= 1e-10
+
+
+def test_decompose_needs_a_finite_table_group():
+    ext = fixtures.q8_extension()
+    with pytest.raises(Unsupported, match="decompose needs a finite-table group"):
+        decompose_blocks(ext, TrivialCocycle(ext))

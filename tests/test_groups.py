@@ -14,6 +14,28 @@ def test_finite_table_validates():
         FiniteTableGroup([[0, 1], [1, 1]])  # not a latin square
     with pytest.raises(InvalidGroupTable):
         FiniteTableGroup([[1, 0], [0, 1]])  # identity not at index 0
+    with pytest.raises(InvalidGroupTable, match="empty"):
+        FiniteTableGroup([])
+    with pytest.raises(InvalidGroupTable, match="not integers"):
+        FiniteTableGroup([[0, 1], [1, 0.0]])
+    with pytest.raises(InvalidGroupTable, match="not integers"):
+        FiniteTableGroup([[0, 1], [1, False]])
+    with pytest.raises(InvalidGroupTable, match=r"not integers in \[0, 2\)"):
+        FiniteTableGroup([[0, 1], [1, 2]])
+
+
+def test_associativity_failure_names_the_first_triple():
+    # a Latin square with identity 0 that is not a group
+    table = [[0, 1, 2, 3, 4],
+             [1, 4, 3, 2, 0],
+             [2, 3, 4, 0, 1],
+             [3, 0, 1, 4, 2],
+             [4, 2, 0, 1, 3]]
+    first = next((i, j, k) for i in range(5) for j in range(5) for k in range(5)
+                 if table[table[i][j]][k] != table[i][table[j][k]])
+    with pytest.raises(InvalidGroupTable) as err:
+        FiniteTableGroup(table)
+    assert str(err.value) == f"associativity fails at {first}"
 
 
 def test_s3_group_axioms(s3):
