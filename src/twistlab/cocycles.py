@@ -13,13 +13,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BackendMismatch, NotASubgroup, NotUnitModulus
+from .errors import BackendMismatch, MemoryBudgetExceeded, NotASubgroup, NotUnitModulus
 from .groups import FiniteTableGroup, Group, IntLattice
 
 MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 DEFAULT_SAMPLED_TRIPLES = 100_000
 SAMPLE_RADIUS = 6
+# largest sample ball the sampled check lists (F5's radius-6 ball has 664,301 words)
+SAMPLE_POOL_CAP = 2_000_000
+
+
+def complex_product(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) on float arrays as (real, imaginary): the four
+    products and two sums of Python's complex multiply, each rounded once.
+    numpy's complex ufunc may use fused or reordered kernels instead."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def as_complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 class Cocycle:
@@ -36,6 +52,15 @@ class Cocycle:
     def __call__(self, x, y) -> complex:
         return self.evaluate(x, y)
 
+    def pair_values(self, xs, ys, xys) -> np.ndarray:
+        """sigma(x, y) for the elements at ball positions xs and ys (see
+        Group.positions; on a free group the shortlex positions), whose
+        products sit at xys: a complex array with the bits of evaluate.  This
+        default decodes the elements and calls evaluate pair by pair."""
+        words = self.group.words
+        return np.array([self.evaluate(x, y) for x, y in zip(words(xs), words(ys))],
+                        dtype=complex)
+
     def to_json(self):
         raise NotImplementedError
 
@@ -45,6 +70,9 @@ class TrivialCocycle(Cocycle):
 
     def evaluate(self, x, y):
         return 1.0 + 0.0j
+
+    def pair_values(self, xs, ys, xys):
+        return np.ones(len(xs), dtype=complex)
 
     def to_json(self):
         return {"kind": "trivial"}
@@ -127,6 +155,15 @@ class CoboundaryCocycle(Cocycle):
     def evaluate(self, x, y):
         return complex(np.conj(self.beta(x)) * np.conj(self.beta(y))
                        * self.beta(self.group.compose(x, y)))
+
+    def pair_values(self, xs, ys, xys):
+        """beta once per distinct position, then (conj beta(x) conj beta(y))
+        beta(xy) as evaluate rounds it."""
+        pos, inv = np.unique(np.concatenate([xs, ys, xys]), return_inverse=True)
+        b = np.array([self.beta(g) for g in self.group.words(pos)], dtype=complex)[inv]
+        bx, by, bxy = np.split(b, [len(xs), len(xs) + len(ys)])
+        re, im = complex_product(bx.real, -bx.imag, by.real, -by.imag)
+        return as_complex(*complex_product(re, im, bxy.real, bxy.imag))
 
     def to_json(self):
         if not isinstance(self._beta, dict):
@@ -225,17 +262,22 @@ def value_table(G: Group, sigma: Cocycle) -> np.ndarray:
 
 
 def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TRIPLES,
-             seed: int = 0, tol: float = IDENTITY_TOL) -> ValidationReport:
+             seed: int = 0, tol: float = IDENTITY_TOL, values=None) -> ValidationReport:
     """Check unit modulus, normalisation, and the cocycle identity.
 
-    Exhaustive over finite groups; otherwise seeded sampled triples drawn from
-    the radius-6 ball.
+    Exhaustive over finite groups, on ``values`` when the caller already has
+    value_table(G, sigma); otherwise seeded sampled triples drawn from the
+    radius-6 ball, which may hold at most SAMPLE_POOL_CAP elements.
     """
     sigma.group.check_same(G)
     if G.is_finite:
-        return _validate_table(G, G.multiplication_table(), value_table(G, sigma), tol)
+        if values is None:
+            values = value_table(G, sigma)
+        return _validate_table(G, G.multiplication_table(), values, tol)
     e = G.identity()
     witnesses = []
+    if G.ball_size(SAMPLE_RADIUS) > SAMPLE_POOL_CAP:
+        raise MemoryBudgetExceeded(G.ball_size(SAMPLE_RADIUS), SAMPLE_POOL_CAP)
     pool = G.enumerate_ball(SAMPLE_RADIUS)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pool), size=(sampled_triples, 3))

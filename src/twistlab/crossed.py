@@ -246,14 +246,15 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     fresh element when clusters merge."""
     if G.kind != "finite-table":
         raise Unsupported("decompose needs a finite-table group")
-    rep = validate(G, sigma)
+    sigma.group.check_same(G)
+    T, S = G.multiplication_table(), value_table(G, sigma)
+    rep = validate(G, sigma, values=S)
     if not rep.passed:
         w = rep.witnesses[0] if rep.witnesses else None
         where = (f"the identity fails at {tuple(w['triple'])} by {w['residual']:.3g}" if w
                  else f"modulus residual {rep.max_modulus_residual:.3g}, normalisation "
                       f"residual {rep.max_normalization_residual:.3g}")
         raise NotACocycle(f"sigma is not a normalised unit-modulus 2-cocycle: {where}")
-    T, S = G.multiplication_table(), value_table(G, sigma)
     n = G.order
     idx = np.arange(n)
     inv = np.array([G.invert(g) for g in idx])

@@ -17,6 +17,11 @@ class Unsupported(TwistlabError):
     """The backend does not support the requested operation."""
 
 
+class InvalidArgument(TwistlabError, ValueError):
+    """An argument outside its domain: an empty generating set, a coefficient
+    that is NaN or infinite (given so, or overflowed in a product)."""
+
+
 class MemoryBudgetExceeded(TwistlabError):
     """A ball / support grew past the configured basis-element cap."""
 

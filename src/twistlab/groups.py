@@ -15,7 +15,7 @@ tuple, pair) so they can key coefficient maps directly:
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     Unsupported,
 )
 
-# free-group shortlex positions are computed in int64
+# free-group shortlex positions are int64 up to here and Python ints past it
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -85,6 +85,26 @@ class Group:
             out[i] = [index[self.compose(g, b)] for b in ball]
         return out
 
+    def positions(self, words):
+        """Positions of words, an int64 array: ball_positions of w * e.  A
+        ball is a prefix of the next, so a position is global."""
+        if not words:
+            return np.zeros(0, dtype=np.int64)
+        return self.ball_positions(words, 0)[:, 0]
+
+    def words(self, pos):
+        """The elements at positions pos, the inverse of positions."""
+        pos = np.asarray(pos, dtype=np.int64)
+        ball = self.enumerate_ball(self._radius(pos))
+        return [ball[i] for i in pos.tolist()]
+
+    def _radius(self, pos):
+        """The smallest n with every position in pos inside B_n."""
+        top, last = 0, int(pos.max()) if pos.size else 0
+        while self.ball_size(top) <= last:
+            top += 1
+        return top
+
     def word_length(self, a):
         raise Unsupported(f"{self.kind} backend has no word length")
 
@@ -101,9 +121,11 @@ class Group:
         raise NotImplementedError
 
     def same_backend(self, other):
-        return self.describe() == other.describe()
+        return other is self or self.describe() == other.describe()
 
     def check_same(self, other):
+        if other is self:
+            return
         mine, theirs = self.describe(), other.describe()
         if mine == theirs:
             return
@@ -223,8 +245,15 @@ def reduce_word(letters):
     return tuple(out)
 
 
+def letter_rank(v):
+    """Rank of a letter in the order x1 < x1^-1 < x2 < x2^-1 < ..., so that
+    letter_rank(-v) = letter_rank(v) ^ 1."""
+    return 2 * v - 2 if v > 0 else -2 * v - 1
+
+
 class FreeGroup(Group):
-    """Free group of finite rank; elements are freely reduced letter tuples."""
+    """Free group of finite rank; elements are freely reduced letter tuples.
+    Nothing is stored per generator, so a large rank costs no memory."""
 
     kind = "free"
 
@@ -232,11 +261,6 @@ class FreeGroup(Group):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
-        # letter order x1 < x1^-1 < x2 < x2^-1 < ..., so rank(v^-1) = rank(v) ^ 1
-        self._letters = []
-        for i in range(1, rank + 1):
-            self._letters.extend([i, -i])
-        self._rank = {v: i for i, v in enumerate(self._letters)}
 
     def identity(self):
         return ()
@@ -254,19 +278,20 @@ class FreeGroup(Group):
         return tuple(-v for v in reversed(a))
 
     def sort_key(self, a):
-        return (len(a), tuple(map(self._rank.__getitem__, a)))
+        return (len(a), tuple(map(letter_rank, a)))
 
     def word_length(self, a):
         return len(a)
 
     def enumerate_ball(self, r):
         """All reduced words of length <= r, shortlex ordered."""
+        letters = [v for i in range(1, self.rank + 1) for v in (i, -i)]
         ball = [()]
         sphere = [()]
         for _ in range(r):
             nxt = []
             for w in sphere:
-                for v in self._letters:
+                for v in letters:
                     if w and w[-1] == -v:
                         continue
                     nxt.append(w + (v,))
@@ -289,9 +314,7 @@ class FreeGroup(Group):
         top = r + max(len(g) for g in gs)
         if self.ball_size(top) > INT64_MAX:
             raise MemoryBudgetExceeded(self.ball_size(top), INT64_MAX)
-        q = 2 * self.rank - 1
-        starts = np.array([0] + [self.ball_size(n) for n in range(top + 1)], dtype=np.int64)
-        powers = q ** np.arange(top + 1, dtype=np.int64)
+        starts, powers = self._layout(top)
         ball = np.arange(self.ball_size(r), dtype=np.int64)
         out = np.empty((len(gs), ball.size), dtype=np.int64)
         for i, g in enumerate(gs):
@@ -301,13 +324,106 @@ class FreeGroup(Group):
             out[i] = pos
         return out
 
+    def _layout(self, top):
+        """(starts, powers) for words of length <= top: starts[n] = |B_(n-1)|
+        is the first position of length n (starts[0] = 0), and powers[i] =
+        (2k - 1)^i.  int64 arrays while B_top (B_1 at least) fits in int64,
+        else arrays of Python ints, with which the same code runs exactly."""
+        dtype = np.int64 if self.ball_size(max(top, 1)) <= INT64_MAX else object
+        q = 2 * self.rank - 1
+        return (np.array([0] + [self.ball_size(n) for n in range(top + 1)], dtype=dtype),
+                np.array([q ** i for i in range(top + 1)], dtype=dtype))
+
+    def positions(self, words):
+        """Shortlex positions of reduced words (dtype as in _layout): the word
+        l_1 ... l_n sits at starts[n] + sum_i d_i q^(n-i) (see _times_letter)."""
+        q = 2 * self.rank - 1
+        starts, _ = self._layout(max(map(len, words), default=0))
+        out = []
+        for w in words:
+            value, before = 0, None
+            for v in w:
+                rv = letter_rank(v)
+                value = value * q + (rv if before is None else rv - (rv > (before ^ 1)))
+                before = rv
+            out.append(int(starts[len(w)]) + value)
+        return np.array(out, dtype=starts.dtype)
+
+    def _digit_walk(self, pos):
+        """Lengths n, offsets pos - starts[n] and letter ranks of the words
+        at positions pos.  The ranks come from one column per letter, left to
+        right: letter i's digit re-ranked past the inverse of letter i - 1.
+        Columns past a word's length hold junk in [0, 2k)."""
+        top = self._radius(pos)
+        starts, powers = self._layout(top)
+        n = np.searchsorted(starts, pos, side="right") - 1
+        offset = pos - starts[n]
+        ranks = np.zeros((pos.size, max(top, 1)), dtype=starts.dtype)
+        for i in range(top):
+            d = offset // powers[np.maximum(n - 1 - i, 0)]
+            if i:
+                d %= 2 * self.rank - 1
+                d += d >= (ranks[:, i - 1] ^ 1)
+            ranks[:, i] = d
+        return n, offset, ranks
+
+    def words(self, pos):
+        """The reduced words at shortlex positions pos, as tuples."""
+        n, _, ranks = self._digit_walk(np.asarray(pos))
+        letters = (((ranks >> 1) + 1) * (1 - 2 * (ranks & 1))).tolist()
+        return [tuple(row[:k]) for row, k in zip(letters, n.tolist())]
+
+    def times_right(self, pos, words):
+        """Positions of x w for the words x at positions pos (rows) and each
+        reduced word w in words (columns).
+
+        The c letters of w that cancel against the end of x are counted from
+        x's last letters; x loses its last c digits (an integer division, and
+        position 0 when nothing is left) and w's remaining letters are
+        appended, the first one re-ranked past the inverse of x's new last
+        letter."""
+        pos = np.asarray(pos)
+        if not pos.size:
+            return np.empty((0, len(words)), dtype=pos.dtype)
+        q = 2 * self.rank - 1
+        n, offset, ranks = self._digit_walk(pos)
+        starts, powers = self._layout(int(n.max()) + max(map(len, words), default=0))
+        out = np.empty((pos.size, len(words)), dtype=starts.dtype)
+        row = np.arange(pos.size)
+
+        def letter(k):
+            """Rank of each x's k-th letter (1-based); junk where k < 1."""
+            return ranks[row, np.maximum(k - 1, 0)]
+
+        for j, w in enumerate(words):
+            wr = [letter_rank(v) for v in w]
+            m = len(wr)
+            c = np.zeros(pos.size, dtype=np.int64)
+            alive = np.ones(pos.size, dtype=bool)
+            for i, rv in enumerate(wr):
+                alive &= (n > i) & (letter(n - i) == (rv ^ 1))
+                c += alive
+            # appended[c]: w's letters c + 2 .. m as the low digits of the product
+            appended = [0] * (m + 1)
+            for k in range(m - 2, -1, -1):
+                d = wr[k + 1] - (wr[k + 1] > (wr[k] ^ 1))
+                appended[k] = appended[k + 1] + d * q ** (m - 2 - k)
+            kept = n - c
+            t = m - c
+            prefix = np.where(kept > 0, offset // powers[c], 0)
+            first = np.asarray(wr + [0])[c]
+            first = np.where(kept > 0, first - (first > (letter(kept) ^ 1)), first)
+            grown = (prefix * q + first) * powers[np.maximum(t - 1, 0)] + np.asarray(appended)[c]
+            out[:, j] = starts[kept + t] + np.where(t > 0, grown, prefix)
+        return out
+
     def _times_letter(self, s, pos, starts, powers):
         """Positions of s * w for the words w at positions pos.
 
         A word l_1 ... l_n sits at starts[n] + sum_i d_i q^(n-i), q = 2k - 1,
         where d_1 is the rank of l_1 and d_i (i >= 2) the rank of l_i among
         the q letters allowed after l_{i-1}."""
-        rs = self._rank[s]
+        rs = letter_rank(s)
         ri = rs ^ 1
         n = np.searchsorted(starts, pos, side="right") - 1
         unit = powers[np.maximum(n - 1, 0)]
@@ -389,10 +505,18 @@ class IntLattice(Group):
         return sum(abs(x) for x in a)
 
     def enumerate_ball(self, r):
-        pts = [p for p in itertools.product(range(-r, r + 1), repeat=self.dim)
-               if sum(abs(x) for x in p) <= r]
-        pts.sort(key=self.sort_key)
-        return pts
+        """Points of l1 norm <= r in (norm, tuple) order, built coordinate by
+        coordinate within the remaining norm, so the work is that of the ball."""
+        pts = [((), r)]
+        for _ in range(self.dim):
+            pts = [(p + (x,), left - abs(x)) for p, left in pts for x in range(-left, left + 1)]
+        return sorted((p for p, _ in pts), key=self.sort_key)
+
+    def ball_size(self, n):
+        """|B_n| = sum_j 2^j C(d, j) C(n, j): j nonzero coordinates, their
+        signs and their positive values summing to at most n."""
+        return sum(2 ** j * math.comb(self.dim, j) * math.comb(n, j)
+                   for j in range(min(self.dim, n) + 1))
 
     def contains(self, a):
         return isinstance(a, tuple) and len(a) == self.dim and all(isinstance(x, int) for x in a)
@@ -458,6 +582,10 @@ class ExtensionGroup(Group):
                         )
         if self.action[e_l] != tuple(range(K.order)):
             raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
+        for (h1, h2), k in self.factor_set.items():
+            if not K.contains(k):
+                raise InvalidFactorSet(f"kappa({h1!r}, {h2!r}) = {k!r} is not an element of K",
+                                       witness=(h1, h2))
         for h in hs:
             if self._kappa(e_l, h) != 0 or self._kappa(h, e_l) != 0:
                 raise InvalidFactorSet(f"kappa is not normalised at {h!r}", witness=h)
@@ -539,6 +667,9 @@ class ExtensionGroup(Group):
 
     def word_length(self, a):
         return self.quotient.word_length(a[1])
+
+    def ball_size(self, n):
+        return self.quotient.ball_size(n) * self.K.order
 
     def enumerate_ball(self, r):
         if self.is_finite:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve, delta, is_normal, l2_norm
-from .cocycles import Cocycle, TrivialCocycle
-from .errors import MemoryBudgetExceeded, Unsupported
+from .algebra import AlgebraElement, delta, is_normal, l2_norm, power_norms
+from .cocycles import Cocycle, TrivialCocycle, as_complex, complex_product
+from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from .groups import Group
 
 DEFAULT_MEM_CAP = 2_000_000
@@ -24,6 +24,7 @@ DEFAULT_MEM_CAP = 2_000_000
 LANCZOS_TOL = 1e-13
 LANCZOS_MAX_STEPS = 1000
 UNIT_ROUNDOFF = 2.0 ** -53
+SCALE_EXPONENT = 256
 
 
 @dataclass
@@ -80,13 +81,14 @@ def _truncation_matrix(G, sigma, a, r, cap):
     for n in (r, r + d):
         if G.ball_size(n) > cap:
             raise MemoryBudgetExceeded(G.ball_size(n), cap)
-    dom = G.enumerate_ball(r)
-    # sigma first: a cocycle may memoise its values (fixtures.random_beta
-    # does), and a memo grown after the index arrays below lands above them in
-    # the heap and keeps the allocator from giving their pages back
-    data = np.array([[sigma.evaluate(g, b) * a.coeffs[g] for b in dom] for g in supp],
-                    dtype=complex)
-    positions, rows = np.unique(G.ball_positions(supp, r).ravel(), return_inverse=True)
+    gb = G.ball_positions(supp, r)
+    m = gb.shape[1]
+    s = sigma.pair_values(np.repeat(G.positions(supp), m), np.tile(np.arange(m), len(supp)),
+                          gb.ravel())
+    c = np.array([a.coeffs[g] for g in supp], dtype=complex)
+    data = as_complex(*complex_product(s.real, s.imag, np.repeat(c.real, m),
+                                       np.repeat(c.imag, m))).reshape(gb.shape)
+    positions, rows = np.unique(gb.ravel(), return_inverse=True)
     return data, rows.reshape(data.shape), len(positions)
 
 
@@ -215,9 +217,16 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
         return exact_norm(G, sigma, a)
     if not a.coeffs:
         return 0.0
+    # a power of two scales T exactly; past 2^(+-SCALE_EXPONENT) the squares
+    # in the Lanczos sums could overflow or underflow, so such an a is scaled
+    e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in a.coeffs.values()))[1]
+    e = e if abs(e) > SCALE_EXPONENT else 0
+    if e:
+        a = AlgebraElement(G, {g: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+                               for g, c in a.coeffs.items()})
     rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma, a, r, mem_cap))
     l1 = math.fsum(abs(c) for c in a.coeffs.values())
-    return float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1))
+    return math.ldexp(float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1)), e)
 
 
 def haagerup_upper(G: Group, a: AlgebraElement) -> float:
@@ -229,8 +238,11 @@ def haagerup_upper(G: Group, a: AlgebraElement) -> float:
         raise Unsupported("haagerup_upper needs a free group")
     a.group.check_same(G)
     by_len = {}
-    for g, c in a.coeffs.items():
-        by_len.setdefault(len(g), []).append(abs(c) ** 2)
+    try:
+        for g, c in a.coeffs.items():
+            by_len.setdefault(len(g), []).append(abs(c) ** 2)
+    except OverflowError:
+        raise InvalidArgument("the square of a coefficient overflows") from None
     total = 0.0
     for n in sorted(by_len):
         total += (n + 1) * np.sqrt(sum(sorted(by_len[n])))
@@ -269,7 +281,7 @@ def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
     _require_finite(G)
     S = sorted(set(S), key=G.sort_key)
     if not S:
-        raise ValueError("S must be nonempty")
+        raise InvalidArgument("S must be nonempty")
     rng = np.random.default_rng(seed)
     sample = [AlgebraElement(G, {g: 1.0 for g in S})]
     sample.extend(delta(G, g) for g in S)
@@ -302,13 +314,10 @@ def l2_spectral_radius(a: AlgebraElement, sigma: Cocycle | None, N: int,
         raise ValueError("N must be >= 1")
     G = a.group
     seq = []
-    p = a
-    for n in range(1, N + 1):
-        if n > 1:
-            p = convolve(p, a, sigma)
-        if len(p) > mem_cap:
-            raise MemoryBudgetExceeded(len(p), mem_cap)
-        seq.append(float(l2_norm(p) ** (1.0 / n)))
+    for n, (size, l2) in enumerate(power_norms(a, N, sigma), 1):
+        if size > mem_cap:
+            raise MemoryBudgetExceeded(size, mem_cap)
+        seq.append(float(l2 ** (1.0 / n)))
     r_sigma = None
     if G.is_finite:
         sig = sigma if sigma is not None else TrivialCocycle(G)
@@ -353,7 +362,7 @@ def certify_free_subsemigroup(G: Group, t, F, L: int,
         raise ValueError("L must be >= 1")
     F = sorted(set(F), key=G.sort_key)
     if not F:
-        raise ValueError("F must be nonempty")
+        raise InvalidArgument("F must be nonempty")
     gens = [G.compose(t, f) for f in F]
     seen = {}
     frontier = [((), G.identity())]

@@ -3,22 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import algebra, fixtures, serialize
+from twistlab import algebra, cocycles, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
 from twistlab.cocycles import TrivialCocycle
 from twistlab.errors import BackendMismatch
+from twistlab.groups import FreeGroup
 from twistlab.normspectra import regular_rep
 
 
-def naive_convolve(a, b, sigma):
-    """Independent oracle: plain double loop over coefficient dicts."""
+def dict_convolve(a, b, sigma):
+    """Independent oracle, the loop convolve runs on non-free backends:
+    x-major, y in shortlex order, sigma(x, y) a_x b_y as Python complex
+    products."""
     G = a.group
-    out = {}
-    for x, ca in a.coeffs.items():
-        for y, cb in b.coeffs.items():
+    acc = {}
+    bsupp = b.support()
+    for x in a.support():
+        for y in bsupp:
             g = G.compose(x, y)
-            out[g] = out.get(g, 0.0) + sigma.evaluate(x, y) * ca * cb
-    return AlgebraElement(G, out)
+            acc[g] = acc.get(g, 0.0 + 0.0j) + sigma.evaluate(x, y) * a.coeffs[x] * b.coeffs[y]
+    return AlgebraElement(G, acc)
 
 
 def random_pair(G, seed, size=5):
@@ -37,7 +41,7 @@ def test_convolution_matches_oracle(s3, q8, f2):
         for seed in range(5):
             a, b = random_pair(G, seed)
             got = convolve(a, b, sigma)
-            ref = naive_convolve(a, b, sigma)
+            ref = dict_convolve(a, b, sigma)
             assert algebra.l1_norm(got - ref) <= 1e-12 * max(1.0, algebra.l1_norm(ref))
 
 
@@ -168,3 +172,163 @@ def test_convolution_bilinear(seed):
     lhs = convolve(a + c, b, sigma)
     rhs = convolve(a, b, sigma) + convolve(c, b, sigma)
     assert algebra.l1_norm(lhs - rhs) <= 1e-10 * max(1.0, algebra.l1_norm(lhs))
+
+
+# --- free groups: the position-array path against the dict loop -----------
+
+def dict_r2_sequence(a, sigma, N):
+    """l2_spectral_radius's sequence from dict_convolve powers."""
+    seq, p = [], a
+    for n in range(1, N + 1):
+        if n > 1:
+            p = dict_convolve(p, a, sigma)
+        l2 = float(np.sqrt(sum(abs(p.coeffs[g]) ** 2 for g in p.support())))
+        seq.append(float(l2 ** (1.0 / n)))
+    return seq
+
+
+FREE_RANKS = (1, 2, 3)
+
+
+def free_cocycles(G):
+    cob = fixtures.random_coboundary(G, 11)
+    return {"trivial": TrivialCocycle(G), "coboundary": cob,
+            "product": cocycles.multiply(cob, fixtures.random_coboundary(G, 12)),
+            "conjugate": cocycles.conjugate(cob)}
+
+
+def random_free_element(G, seed, size=5, radius=4):
+    rng = np.random.default_rng(seed)
+    ball = G.enumerate_ball(radius)
+    pick = rng.choice(len(ball), size=min(size, len(ball)), replace=False)
+    return AlgebraElement(G, {ball[i]: complex(*rng.standard_normal(2)) for i in pick})
+
+
+@pytest.mark.parametrize("rank", FREE_RANKS)
+@pytest.mark.parametrize("kind", ["trivial", "coboundary", "product", "conjugate"])
+def test_free_convolve_equals_the_dict_loop(rank, kind):
+    G = FreeGroup(rank)
+    sigma = free_cocycles(G)[kind]
+    x, xi = G.generator(1), G.invert(G.generator(1))
+    cases = [(random_free_element(G, s), random_free_element(G, s + 50)) for s in range(4)]
+    cases += [
+        # the identity in both supports, and (e + x)(e - x^-1), whose e term
+        # cancels exactly under the trivial cocycle
+        (AlgebraElement(G, {(): 1.0, x: 1.0}), AlgebraElement(G, {(): 1.0, xi: -1.0})),
+        (AlgebraElement(G, {(): 2.5j}), random_free_element(G, 7)),
+        (AlgebraElement(G, {}), random_free_element(G, 8)),
+        (random_free_element(G, 9), AlgebraElement(G, {})),
+    ]
+    for a, b in cases:
+        got, ref = convolve(a, b, sigma), dict_convolve(a, b, sigma)
+        assert got.coeffs == ref.coeffs
+        assert list(got.coeffs) == got.support()
+    if kind == "trivial":
+        a, b = cases[4]
+        assert () not in convolve(a, b, sigma).coeffs
+
+
+@pytest.mark.parametrize("rank", FREE_RANKS)
+@pytest.mark.parametrize("kind", ["trivial", "coboundary", "product", "conjugate"])
+def test_free_powers_equal_the_dict_loop(rank, kind):
+    G = FreeGroup(rank)
+    sigma = free_cocycles(G)[kind]
+    a = random_free_element(G, rank, size=3, radius=2)
+    ref = a
+    for n in range(2, 5):
+        ref = dict_convolve(ref, a, sigma)
+        assert algebra.power(a, n, sigma).coeffs == ref.coeffs
+    assert (normspectra.l2_spectral_radius(a, sigma, 4).r2_sequence
+            == dict_r2_sequence(a, sigma, 4))
+
+
+def test_free_pair_values_equal_evaluate():
+    for rank in FREE_RANKS:
+        G = FreeGroup(rank)
+        ball = G.enumerate_ball(3)
+        xs, ys = np.meshgrid(np.arange(len(ball)), np.arange(len(ball)), indexing="ij")
+        xs, ys = xs.ravel(), ys.ravel()
+        xys = G.positions([G.compose(ball[i], ball[j]) for i, j in zip(xs, ys)])
+        for sigma in free_cocycles(G).values():
+            got = sigma.pair_values(xs, ys, xys)
+            ref = [sigma.evaluate(ball[i], ball[j]) for i, j in zip(xs, ys)]
+            assert got.tolist() == ref
+
+
+@pytest.mark.parametrize("rank", FREE_RANKS)
+def test_positions_round_trip_on_b6(rank):
+    G = FreeGroup(rank)
+    ball = G.enumerate_ball(6)
+    pos = G.positions(ball)
+    assert pos.dtype == np.int64
+    assert np.array_equal(pos, np.arange(len(ball)))
+    assert G.words(pos) == ball
+    assert G.words(pos[::-1]) == ball[::-1]
+
+
+@pytest.mark.parametrize("rank", FREE_RANKS)
+def test_right_multiplication_matches_compose(rank):
+    G = FreeGroup(rank)
+    ball = G.enumerate_ball(5)
+    pos = G.positions(ball)
+    ws = G.enumerate_ball(3)
+    got = G.times_right(pos, ws)
+    assert got.shape == (len(ball), len(ws))
+    for j, w in enumerate(ws):
+        assert G.words(got[:, j]) == [G.compose(x, w) for x in ball]
+    for s in (1, -1, rank, -rank):
+        # a length-1 word times its inverse lands on the identity, position 0
+        one = G.positions([(s,)])
+        assert G.times_right(one, [(-s,)]).tolist() == [[0]]
+        assert G.times_right(one, [(s,)]).tolist() == G.positions([(s, s)])[:, None].tolist()
+    assert G.times_right(np.zeros(0, dtype=np.int64), ws).shape == (0, len(ws))
+
+
+def test_free_words_past_int64_positions_run_on_python_ints(f2):
+    # |B_40| on F2 is past 2^63: such positions are exact Python ints
+    long = (1, 2) * 20
+    pos = f2.positions([long, (1,) * 39])
+    assert pos.dtype == object and f2.words(pos) == [long, (1,) * 39]
+    for row, x in zip(f2.times_right(pos, [(-2,), (1,)]), (long, (1,) * 39)):
+        assert f2.words(row) == [x[:-1] if x == long else x + (-2,), x + (1,)]
+    sigma = fixtures.random_coboundary(f2, 3)
+    a = AlgebraElement(f2, {long: 1.5, (1,) * 39: -0.5j, (): 2.0})
+    b = AlgebraElement(f2, {(-2, -1): 1.0, (1,) * 3: 0.25})
+    assert convolve(a, b, sigma).coeffs == dict_convolve(a, b, sigma).coeffs
+    ux = AlgebraElement(f2, {(1,): 1.0, (-1,): 1.0})
+    assert (normspectra.l2_spectral_radius(ux, None, 44).r2_sequence
+            == dict_r2_sequence(ux, TrivialCocycle(f2), 44))
+
+
+# values of the dict-loop implementation these paths replaced
+SPHERE1_R2_N10 = [2.0, 2.3003266337912063, 2.478837157090335, 2.6005799507854426,
+                  2.6903369142895732, 2.7599517422166637, 2.815910429192967,
+                  2.862107472209264, 2.901042912952502, 2.9344054091897096]
+X_PLUS_XINV_R2_N24 = [
+    1.4142135623730951, 1.5650845800732873, 1.6475489724420658, 1.7007373720004737,
+    1.7383613363123431, 1.7666044941912076, 1.7887065254921728, 1.8065444805181703,
+    1.8212879263456108, 1.8337069353546647, 1.844331019923307, 1.8535372680953086,
+    1.861602104797792, 1.8687331508461194, 1.8750896145462919, 1.880795783495311,
+    1.8859502090780018, 1.8906321153565555, 1.894905969231849, 1.8988248025462693,
+    1.9024326685971022, 1.9057664866578934, 1.9088574462609154, 1.9117320898055958]
+
+
+def test_free_r2_sequences_keep_their_recorded_bits(f2):
+    x, y = f2.generator(1), f2.generator(2)
+    sphere1 = AlgebraElement(f2, {x: 1.0, f2.invert(x): 1.0, y: 1.0, f2.invert(y): 1.0})
+    ux = AlgebraElement(f2, {x: 1.0, f2.invert(x): 1.0})
+    assert normspectra.l2_spectral_radius(sphere1, None, 10).r2_sequence == SPHERE1_R2_N10
+    assert normspectra.l2_spectral_radius(ux, None, 24).r2_sequence == X_PLUS_XINV_R2_N24
+
+
+def test_free_l2_squares_round_as_python_does(f2):
+    # h * h and Python's h ** 2 (libm pow) differ in the last bit for about
+    # one h in 1200; an element made of such h tells the two apart
+    rng = np.random.default_rng(5)
+    hs = [h for h in rng.standard_normal(400_000).tolist() if h ** 2 != h * h][:200]
+    if len(hs) < 200:
+        pytest.skip("this libm's pow(h, 2) rounds like h * h")
+    a = AlgebraElement(f2, dict(zip(f2.enumerate_ball(5), hs)))
+    ref = float(np.sqrt(sum(abs(a.coeffs[g]) ** 2 for g in a.support())))
+    assert next(algebra.power_norms(a, 1))[1] == algebra.l2_norm(a) == ref
+    assert ref != float(np.sqrt(sum(abs(a.coeffs[g]) * abs(a.coeffs[g]) for g in a.support())))

@@ -191,3 +191,13 @@ def test_table_validation_matches_a_triple_loop(case):
     assert all(abs(w["residual"] - r) <= 1e-15 for w, (_, r) in zip(rep.witnesses, witnesses))
     assert rep.passed is (case != "broken")
     assert len(rep.witnesses) == (10 if case == "broken" else 0)
+
+
+def test_sampled_validation_refuses_a_sample_ball_past_the_cap():
+    from twistlab.errors import MemoryBudgetExceeded
+    from twistlab.groups import FreeGroup
+
+    G = FreeGroup(6)  # |B_6| = 2,125,873
+    with pytest.raises(MemoryBudgetExceeded) as exc:
+        cocycles.validate(G, TrivialCocycle(G))
+    assert exc.value.needed == G.ball_size(cocycles.SAMPLE_RADIUS) == 2_125_873

@@ -227,3 +227,13 @@ def test_decompose_needs_a_finite_table_group():
     ext = fixtures.q8_extension()
     with pytest.raises(Unsupported, match="decompose needs a finite-table group"):
         decompose_blocks(ext, TrivialCocycle(ext))
+
+
+def test_decompose_evaluates_sigma_once_per_pair(s3):
+    calls = []
+    sigma = fixtures.random_coboundary(s3, 5)
+    evaluate = sigma.evaluate
+    sigma.evaluate = lambda x, y: calls.append((x, y)) or evaluate(x, y)
+    dec = decompose_blocks(s3, sigma)
+    assert sorted(dec.block_sizes) == [1, 1, 2]
+    assert len(calls) == s3.order ** 2

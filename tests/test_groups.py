@@ -235,3 +235,43 @@ def test_backend_mismatch_names_what_differs():
     # same order, different table: too long to print, so only the key is named
     with pytest.raises(BackendMismatch, match=r"^finite-table backends differ in table$"):
         fixtures.cyclic(4).check_same(fixtures.klein_four())
+
+
+def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
+    import itertools
+
+    for d in (1, 2, 3, 4):
+        Z = IntLattice(d)
+        for r in range(5):
+            box = sorted((p for p in itertools.product(range(-r, r + 1), repeat=d)
+                          if sum(map(abs, p)) <= r), key=Z.sort_key)
+            assert Z.enumerate_ball(r) == box
+            assert Z.ball_size(r) == len(box)
+    # the box of Z^40 at r = 1 has 3^40 points; the ball has 81
+    assert len(IntLattice(40).enumerate_ball(1)) == IntLattice(40).ball_size(1) == 81
+
+
+def test_free_group_of_huge_rank_stores_nothing_per_generator():
+    G = FreeGroup(10 ** 30)
+    w = (10 ** 30, -7)
+    assert G.contains(w) and G.compose(w, G.invert(w)) == ()
+    assert G.sort_key((-1,)) > G.sort_key((1,))
+    # its ball of radius 1 already has more than 2^63 words
+    pos = G.positions([w, (), (-1,)])
+    assert pos.dtype == object and G.words(pos) == [w, (), (-1,)]
+
+
+def test_factor_set_values_outside_k_are_rejected():
+    ext = fixtures.q8_extension()
+    broken = dict(ext.factor_set)
+    key = next(iter(broken))
+    broken[key] = ext.K.order
+    with pytest.raises(InvalidFactorSet, match="is not an element of K"):
+        ExtensionGroup(ext.K, ext.quotient, ext.action, broken)
+
+
+def test_check_same_on_itself_reads_no_description(s3):
+    G = fixtures.symmetric(3)
+    G.describe = None  # any call would raise
+    G.check_same(G)
+    assert G.same_backend(G)

@@ -298,3 +298,14 @@ def test_mem_cap_counts_the_codomain_ball(f2):
     with pytest.raises(MemoryBudgetExceeded) as exc:
         truncated_norm_lower(f2, TrivialCocycle(f2), a, 12)
     assert exc.value.needed == 3_188_645
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_truncated_norm_of_a_huge_or_tiny_element_scales(f2, exponent):
+    # T^H T squares the coefficients: 2^+-1200 is outside the float range
+    x, y = f2.generator(1), f2.generator(2)
+    a = AlgebraElement(f2, {x: 1.0, f2.invert(x): 1.0, y: 1.0, f2.invert(y): 0.5j})
+    big = a.scale(2.0 ** exponent)
+    plain = truncated_norm_lower(f2, TrivialCocycle(f2), a, 4)
+    scaled = truncated_norm_lower(f2, TrivialCocycle(f2), big, 4)
+    assert math.ldexp(scaled, -exponent) == pytest.approx(plain, rel=1e-13)
