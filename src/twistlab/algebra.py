@@ -117,11 +117,13 @@ def _convolve_terms(G, sigma, x, y, ywords):
     nx, ny = len(xs), len(ys)
     xys = G.times_right(xs, ywords).ravel()
     s = sigma.pair_values(np.repeat(xs, ny), np.tile(ys, nx), xys)
-    re, im = complex_product(s.real, s.imag, np.repeat(xre, ny), np.repeat(xim, ny))
-    re, im = complex_product(re, im, np.tile(yre, nx), np.tile(yim, nx))
     pos, where = np.unique(xys, return_inverse=True)
-    re = np.bincount(where, re, len(pos))
-    im = np.bincount(where, im, len(pos))
+    # an overflow is caught by the isfinite test below, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = complex_product(s.real, s.imag, np.repeat(xre, ny), np.repeat(xim, ny))
+        re, im = complex_product(re, im, np.tile(yre, nx), np.tile(yim, nx))
+        re = np.bincount(where, re, len(pos))
+        im = np.bincount(where, im, len(pos))
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise InvalidArgument("a coefficient of the product overflows")
     keep = ~(np.hypot(re, im) < DROP_TOL)

@@ -47,7 +47,7 @@ def _load(path, inputs, slot, build, *context):
         return build(obj, *context)
     except KeyError as exc:
         raise serialize.ParseError(f"{path}: missing key {exc}") from exc
-    except (serialize.ParseError, AttributeError, TypeError, ValueError) as exc:
+    except (serialize.ParseError, TypeError, ValueError) as exc:
         raise serialize.ParseError(f"{path}: {exc}") from exc
 
 

@@ -20,8 +20,10 @@ MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 DEFAULT_SAMPLED_TRIPLES = 100_000
 SAMPLE_RADIUS = 6
-# largest sample ball the sampled check lists (F5's radius-6 ball has 664,301 words)
-SAMPLE_POOL_CAP = 2_000_000
+# largest sample ball the sampled check lists.  With a memoised random
+# coboundary the check holds about 420 bytes per word: F6's 2,125,873 words
+# peak at 0.9 GiB (22 s), so F7's 5,631,277 would need about 2.3 GiB
+SAMPLE_POOL_CAP = 4_000_000
 
 
 def complex_product(ar, ai, br, bi):

@@ -24,7 +24,6 @@ DEFAULT_MEM_CAP = 2_000_000
 LANCZOS_TOL = 1e-13
 LANCZOS_MAX_STEPS = 1000
 UNIT_ROUNDOFF = 2.0 ** -53
-SCALE_EXPONENT = 256
 
 
 @dataclass
@@ -217,16 +216,18 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
         return exact_norm(G, sigma, a)
     if not a.coeffs:
         return 0.0
-    # a power of two scales T exactly; past 2^(+-SCALE_EXPONENT) the squares
-    # in the Lanczos sums could overflow or underflow, so such an a is scaled
+    # a power of two scales T exactly: with every part of a's coefficients
+    # below 1 in magnitude, ||a||_1^4 and so the squares in the Lanczos sums
+    # stay far inside the float range, whatever the scale of a
     e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in a.coeffs.values()))[1]
-    e = e if abs(e) > SCALE_EXPONENT else 0
-    if e:
-        a = AlgebraElement(G, {g: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
-                               for g, c in a.coeffs.items()})
+    a = AlgebraElement(G, {g: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+                           for g, c in a.coeffs.items()})
     rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma, a, r, mem_cap))
     l1 = math.fsum(abs(c) for c in a.coeffs.values())
-    return math.ldexp(float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1)), e)
+    try:
+        return math.ldexp(float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1)), e)
+    except OverflowError:
+        raise InvalidArgument("the truncated norm overflows") from None
 
 
 def haagerup_upper(G: Group, a: AlgebraElement) -> float:

@@ -95,7 +95,8 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
         return BicharacterCocycle(G, np.array(obj["theta"], dtype=float))
     if kind == "coboundary":
         beta = obj["beta"]
-        if isinstance(beta, dict) and set(beta) == {"random-seed"}:
+        _require(isinstance(beta, dict), "a coboundary's 'beta' must be an object")
+        if set(beta) == {"random-seed"}:
             from .fixtures import random_beta
             return CoboundaryCocycle(G, random_beta(G, int(beta["random-seed"])))
         bmap = {_element_from_key(G, key): _as_complex(v) for key, v in beta.items()}

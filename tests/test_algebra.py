@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,26 @@ from hypothesis import strategies as st
 from twistlab import algebra, cocycles, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
 from twistlab.cocycles import TrivialCocycle
-from twistlab.errors import BackendMismatch
+from twistlab.errors import BackendMismatch, InvalidArgument
 from twistlab.groups import FreeGroup
 from twistlab.normspectra import regular_rep
 
 
+def naive_convolve(a, b, sigma):
+    """Independent oracle: plain double loop over coefficient dicts."""
+    G = a.group
+    out = {}
+    for x, ca in a.coeffs.items():
+        for y, cb in b.coeffs.items():
+            g = G.compose(x, y)
+            out[g] = out.get(g, 0.0) + sigma.evaluate(x, y) * ca * cb
+    return AlgebraElement(G, out)
+
+
 def dict_convolve(a, b, sigma):
-    """Independent oracle, the loop convolve runs on non-free backends:
-    x-major, y in shortlex order, sigma(x, y) a_x b_y as Python complex
-    products."""
+    """Bit-for-bit reference for the free-group position-array path: the
+    loop convolve runs on non-free backends, x-major, y in shortlex order,
+    sigma(x, y) a_x b_y as Python complex products."""
     G = a.group
     acc = {}
     bsupp = b.support()
@@ -41,7 +54,7 @@ def test_convolution_matches_oracle(s3, q8, f2):
         for seed in range(5):
             a, b = random_pair(G, seed)
             got = convolve(a, b, sigma)
-            ref = dict_convolve(a, b, sigma)
+            ref = naive_convolve(a, b, sigma)
             assert algebra.l1_norm(got - ref) <= 1e-12 * max(1.0, algebra.l1_norm(ref))
 
 
@@ -332,3 +345,12 @@ def test_free_l2_squares_round_as_python_does(f2):
     ref = float(np.sqrt(sum(abs(a.coeffs[g]) ** 2 for g in a.support())))
     assert next(algebra.power_norms(a, 1))[1] == algebra.l2_norm(a) == ref
     assert ref != float(np.sqrt(sum(abs(a.coeffs[g]) * abs(a.coeffs[g]) for g in a.support())))
+
+
+def test_free_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):
+    x, y = f2.generator(1), f2.generator(2)
+    a = AlgebraElement(f2, {x: 1e200, y: 1e200j})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument):
+            convolve(a, a)

@@ -6,6 +6,7 @@ runs cli.main in-process.  The contract: nothing escapes main but the exit
 code, the code is one of 0..4, and a non-zero exit prints exactly one
 ``error:`` line, except that exit 2 may instead carry a report of a failed
 check on stdout (validate, transfer and crossed print their verdict).
+Nothing else reaches stderr but the truncation progress line: no warning.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import json
 import math
 import pathlib
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -100,13 +102,28 @@ def with_node(name, path, value):
 
 
 def run_main(argv):
+    """cli.main's exit code, stdout and stderr; a warning is written to stderr
+    as the command line would print it."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+def error_lines(err):
+    """The error lines of stderr, after checking that every other line is
+    the truncation progress message."""
+    rest = [line for line in err.splitlines() if not line.startswith("truncating at radius")]
+    errors = [line for line in rest if line.startswith("error:")]
+    assert rest == errors, err
+    return errors
 
 
 # derandomized, so that every run of the suite tries the same examples
@@ -124,7 +141,7 @@ def test_mutated_fixtures_exit_cleanly(data):
                 for i, a in enumerate(argv)]
         code, out, err = run_main(args)
     assert code in range(5), (code, err)
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    errors = error_lines(err)
     if code == 0:
         assert not errors, err
     elif code == 2 and out:
@@ -172,8 +189,8 @@ def test_inputs_the_fuzz_found(case, tmp_path):
     args = [str(mutated) if i == target else str(DATA / a) if a.endswith(".json") else a
             for i, a in enumerate(argv)]
     code, out, err = run_main(args)
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == expected, err
+    errors = error_lines(err)
     assert len(errors) == (code != 0), err
     if code == 0:
         assert math.isfinite(json.loads(out)["lower"])

@@ -197,7 +197,7 @@ def test_sampled_validation_refuses_a_sample_ball_past_the_cap():
     from twistlab.errors import MemoryBudgetExceeded
     from twistlab.groups import FreeGroup
 
-    G = FreeGroup(6)  # |B_6| = 2,125,873
+    G = FreeGroup(7)  # |B_6| = 5,631,277
     with pytest.raises(MemoryBudgetExceeded) as exc:
         cocycles.validate(G, TrivialCocycle(G))
-    assert exc.value.needed == G.ball_size(cocycles.SAMPLE_RADIUS) == 2_125_873
+    assert exc.value.needed == G.ball_size(cocycles.SAMPLE_RADIUS) == 5_631_277

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from twistlab import fixtures, normspectra
 from twistlab.algebra import AlgebraElement, delta, gauge
 from twistlab.cocycles import TableCocycle, TrivialCocycle
-from twistlab.errors import MemoryBudgetExceeded, Unsupported
+from twistlab.errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from twistlab.groups import FreeGroup
 from twistlab.normspectra import (certify_free_subsemigroup, exact_norm,
                                   exact_spectrum, haagerup_upper,
@@ -308,4 +308,20 @@ def test_truncated_norm_of_a_huge_or_tiny_element_scales(f2, exponent):
     big = a.scale(2.0 ** exponent)
     plain = truncated_norm_lower(f2, TrivialCocycle(f2), a, 4)
     scaled = truncated_norm_lower(f2, TrivialCocycle(f2), big, 4)
-    assert math.ldexp(scaled, -exponent) == pytest.approx(plain, rel=1e-13)
+    assert scaled == math.ldexp(plain, exponent)
+
+
+def test_truncated_norm_of_many_large_terms_does_not_overflow(f2):
+    # each coefficient is below 2^256, but T^H T's entries reach ||a||_1^2
+    # and the Lanczos sums square them again
+    sphere = AlgebraElement(f2, {g: 1.0 for g in f2.enumerate_ball(1) if g})
+    plain = truncated_norm_lower(f2, TrivialCocycle(f2), sphere, 3)
+    big = truncated_norm_lower(f2, TrivialCocycle(f2), sphere.scale(1e77), 3)
+    assert big == pytest.approx(1e77 * plain, rel=1e-13)
+
+
+def test_truncated_norm_past_the_float_range_is_an_invalid_argument(f2):
+    x, y = f2.generator(1), f2.generator(2)
+    a = AlgebraElement(f2, {x: 1e308, y: 1e308})
+    with pytest.raises(InvalidArgument):
+        truncated_norm_lower(f2, TrivialCocycle(f2), a, 3)
