@@ -91,6 +91,23 @@ def invocations():
         ("crossed", "--group", "data/group_s4_v4_extension.json", *TRIVIAL),
         ("norm", *F2, *TRIVIAL, *SPHERE1, "--mode", "bogus"),
     ]
+    # the finite table paths: multi-term elements under a clock-shift twist
+    # and under the Q8-extension coboundary, a transfer check on two
+    # cocycles, the rejected convention on S4/V4, and a Haagerup bound past
+    # the float range
+    for group, cocycle, element in (("z4sq", "clock_shift_4", "z4sq_random"),
+                                    ("q8_extension", "q8ext_coboundary", "q8ext_random")):
+        finite = ("--group", f"data/group_{group}.json", "--cocycle",
+                  f"data/cocycle_{cocycle}.json", "--element", f"data/element_{element}.json")
+        out += [("norm", *finite, "--mode", "exact"), ("specrad", *finite, "--powers", "6")]
+    out += [
+        ("transfer", "--group", "data/group_z4xz4.json", "--set", "data/set_z4xz4_S.json",
+         *TRIVIAL, "--cocycle", "data/cocycle_clock_shift_4.json"),
+        ("crossed", "--group", "data/group_s4_v4_extension.json", *TRIVIAL,
+         "--convention", "as-printed"),
+        ("norm", *F2, *TRIVIAL, "--element", "data/element_f2_sphere1_huge.json",
+         "--mode", "haagerup"),
+    ]
     return out
 
 

@@ -9,7 +9,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from twistlab import fixtures, serialize
-from twistlab.algebra import delta
+from twistlab.algebra import AlgebraElement, delta
 from twistlab.cocycles import TableCocycle
 from twistlab.groups import FreeGroup, FiniteTableGroup
 
@@ -62,6 +62,16 @@ def main():
          serialize.element_to_json(delta(f2, x) + delta(f2, xi)))
     dump("element_f2_t_x.json", serialize.element_to_json(delta(f2, x)))
     dump("element_f2_t_e.json", serialize.element_to_json(delta(f2, f2.identity())))
+    # multi-term elements for the finite exact paths: a clock-shift twist on
+    # Z4 x Z4 and the Q8-extension coboundary
+    dump("element_z4sq_random.json", serialize.element_to_json(
+        fixtures.random_element(z4sq, [0, 1, 4, 6, 9, 15], seed=3)))
+    dump("element_q8ext_random.json", serialize.element_to_json(
+        fixtures.random_element(q8ext, q8ext.elements()[1:6], seed=4)))
+    # sphere 1 with two coefficients whose squares are finite but sum past
+    # the float range
+    dump("element_f2_sphere1_huge.json", serialize.element_to_json(
+        AlgebraElement(f2, {x: 1e154, xi: 1e154, y: 1.0, yi: 1.0})))
     dump("element_delta_e_ref.json",
          {"group": "ref", "terms": [{"g": "", "re": 1.0, "im": 0.0}]})
 

@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import __version__, serialize
-from .errors import (BackendMismatch, MemoryBudgetExceeded, TwistlabError,
-                     Unsupported)
+from .errors import (BackendMismatch, InvalidArgument, MemoryBudgetExceeded,
+                     TwistlabError, Unsupported)
 from .normspectra import (DEFAULT_MEM_CAP, CriterionConfig,
                           certify_free_subsemigroup, criterion_report,
                           exact_norm, haagerup_upper, l2_spectral_radius,
@@ -65,7 +65,11 @@ def _emit(report, args, inputs, tolerances):
     out["seed"] = args.seed
     out["tolerances"] = tolerances
     out["inputs"] = inputs
-    print(json.dumps(out, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(out, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise InvalidArgument("the report holds a value past the float range") from None
+    print(text)
     return EXIT_OK
 
 

@@ -255,12 +255,18 @@ class ValidationReport:
         }
 
 
-def value_table(G: Group, sigma: Cocycle) -> np.ndarray:
-    """sigma on every pair of a finite group, indexed like G.elements()."""
-    if isinstance(sigma, TableCocycle):
-        return sigma.values
+def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
+    """sigma(x, y) for every y of a finite group and every x in ``rows``
+    (default: every element), indexed like G.elements(): the table's rows
+    at ``rows``.  Only a cocycle without a table of its own is evaluated."""
     elems = G.elements()
-    return np.array([[sigma.evaluate(x, y) for y in elems] for x in elems], dtype=complex)
+    xs = elems if rows is None else rows
+    if isinstance(sigma, TableCocycle):
+        return sigma.values if rows is None else sigma.values[[G.element_index(x) for x in xs]]
+    if isinstance(sigma, TrivialCocycle):
+        return np.ones((len(xs), len(elems)), dtype=complex)
+    return np.array([[sigma.evaluate(x, y) for y in elems] for x in xs],
+                    dtype=complex).reshape(len(xs), len(elems))
 
 
 def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TRIPLES,

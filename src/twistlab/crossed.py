@@ -11,16 +11,20 @@ block structures.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve, delta, involute
-from .cocycles import Cocycle, TableCocycle, validate, value_table
+from .algebra import AlgebraElement
+from .cocycles import (Cocycle, TableCocycle, as_complex, complex_product, validate,
+                       value_table)
 from .errors import (BackendMismatch, DegenerateAfterRetries, NotACocycle, NotPermuting,
                      Unsupported)
 from .groups import ExtensionGroup, FiniteTableGroup
+from .normspectra import regular_matrices
 
 AXIOM_TOL = 1e-10
 # decompose_blocks: relative gap between eigenvalue clusters
@@ -46,24 +50,28 @@ def restrict_to_k(gamma: ExtensionGroup, sigma: Cocycle) -> TableCocycle:
 class TwistedSystem:
     """The data (K, Lambda, sigma_K, alpha, rho) induced by a section.
 
-    alpha maps quotient elements to |K| x |K| matrices in the delta basis of
-    the twisted algebra of K; rho maps quotient pairs to single-term unitaries
-    in that algebra."""
+    alpha and rho are monomial, held as index and scalar arrays over the
+    positions h of gamma.quotient.elements() and the indices k of K:
+
+        alpha_h(u_k) = alpha_scalar[h, k] u_{alpha_perm[h, k]}
+        rho(h1, h2) = rho_scalar[h1, h2] u_{rho_index[h1, h2]}"""
 
     gamma: ExtensionGroup
     sigma: Cocycle
     K: FiniteTableGroup
     sigma_k: TableCocycle
-    alpha: dict
-    rho: dict
+    alpha_perm: np.ndarray
+    alpha_scalar: np.ndarray
+    rho_index: np.ndarray
+    rho_scalar: np.ndarray
     convention: str
 
-    def quotient_elements(self):
-        return self.gamma.quotient.elements()
-
-    def apply_alpha(self, h, a: AlgebraElement) -> AlgebraElement:
-        vec = element_to_vector(self.K, a)
-        return vector_to_element(self.K, self.alpha[h] @ vec)
+    def alpha_matrices(self) -> np.ndarray:
+        """Every alpha_h as a |K| x |K| matrix in the delta basis."""
+        nl, m = self.alpha_perm.shape
+        D = np.zeros((nl, m, m), dtype=complex)
+        D[np.arange(nl)[:, None], self.alpha_perm, np.arange(m)] = self.alpha_scalar
+        return D
 
 
 def element_to_vector(K: FiniteTableGroup, a: AlgebraElement) -> np.ndarray:
@@ -92,33 +100,35 @@ def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
     sigma.group.check_same(gamma)
     K = gamma.K
     L = gamma.quotient
+    hs = L.elements()
     sigma_k = restrict_to_k(gamma, sigma)
 
-    alpha = {}
-    for h in L.elements():
+    alpha_perm = np.empty((len(hs), K.order), dtype=np.intp)
+    alpha_scalar = np.empty((len(hs), K.order), dtype=complex)
+    for i, h in enumerate(hs):
         s_h = gamma.section(h)
         s_h_inv = gamma.invert(s_h)
-        m = np.zeros((K.order, K.order), dtype=complex)
         for k in range(K.order):
             gk = gamma.embed_k(k)
             conj_el = gamma.compose(gamma.compose(s_h, gk), s_h_inv)
-            k2 = conj_el[0]
             c1 = sigma.evaluate(s_h, gk)
             c2 = sigma.evaluate(conj_el, s_h)
             if convention == CONVENTION_CONJUGATED:
                 c2 = np.conj(c2)
-            m[k2, k] = c1 * c2
-        alpha[h] = m
+            alpha_perm[i, k] = conj_el[0]
+            alpha_scalar[i, k] = c1 * c2
 
-    rho = {}
-    for h1 in L.elements():
-        for h2 in L.elements():
+    rho_index = np.empty((len(hs), len(hs)), dtype=np.intp)
+    rho_scalar = np.empty((len(hs), len(hs)), dtype=complex)
+    for i, h1 in enumerate(hs):
+        for j, h2 in enumerate(hs):
             s1, s2 = gamma.section(h1), gamma.section(h2)
             s12 = gamma.section(L.compose(h1, h2))
             w = gamma.compose(gamma.compose(s1, s2), gamma.invert(s12))
-            c = sigma.evaluate(s1, s2) * np.conj(sigma.evaluate(w, s12))
-            rho[(h1, h2)] = delta(K, w[0], c)
-    return TwistedSystem(gamma, sigma, K, sigma_k, alpha, rho, convention)
+            rho_index[i, j] = w[0]
+            rho_scalar[i, j] = sigma.evaluate(s1, s2) * np.conj(sigma.evaluate(w, s12))
+    return TwistedSystem(gamma, sigma, K, sigma_k, alpha_perm, alpha_scalar,
+                         rho_index, rho_scalar, convention)
 
 
 @dataclass
@@ -137,8 +147,24 @@ class ActionReport:
         }
 
 
-def _l2_vec(a: AlgebraElement) -> float:
-    return float(np.sqrt(sum(abs(c) ** 2 for c in a.coeffs.values())))
+def _mul(a, b):
+    """a b on complex arrays, rounded as Python's complex multiply rounds it."""
+    return as_complex(*complex_product(a.real, a.imag, b.real, b.imag))
+
+
+def _squares(c) -> np.ndarray:
+    """abs(c) ** 2 elementwise with Python's rounding: hypot, then libm pow."""
+    h = np.hypot(c.real, c.imag)
+    return np.array(list(map(math.pow, h.ravel().tolist(), itertools.repeat(2.0))),
+                    dtype=float).reshape(h.shape)
+
+
+def _distance(i1, c1, i2, c2) -> np.ndarray:
+    """||c1 u_i1 - c2 u_i2||_2 elementwise: |c1 - c2| on the same index, else
+    sqrt(|c1|^2 + |c2|^2), each square rounded as abs(c) ** 2."""
+    same = np.asarray(i1 == i2)
+    return np.sqrt(_squares(np.where(same, c1 - c2, c1))
+                   + np.where(same, 0.0, _squares(np.broadcast_to(c2, same.shape))))
 
 
 def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
@@ -147,64 +173,83 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
     Checked: alpha_e = id; rho(e, .) = rho(., e) = delta_e; every alpha_h a
     *-automorphism; every rho unitary; the composition rule
     alpha_h1 alpha_h2 = Ad(rho(h1, h2)) alpha_{h1 h2}; and the rho cocycle rule
-    alpha_h1(rho(h2, h3)) * rho(h1, h2 h3) = rho(h1, h2) * rho(h1 h2, h3)."""
-    K, L, sig = sys.K, sys.gamma.quotient, sys.sigma_k
-    hs = L.elements()
-    e = L.identity()
-    res = {
-        "unit": 0.0,
-        "rho_normalised": 0.0,
-        "automorphism": 0.0,
-        "involution": 0.0,
-        "rho_unitary": 0.0,
-        "composition": 0.0,
-        "rho_cocycle": 0.0,
-    }
+    alpha_h1(rho(h2, h3)) * rho(h1, h2 h3) = rho(h1, h2) * rho(h1 h2, h3).
 
-    res["unit"] = float(np.max(np.abs(sys.alpha[e] - np.eye(K.order))))
-    for h in hs:
-        for pair in ((e, h), (h, e)):
-            d = sys.rho[pair] - delta(K, 0)
-            res["rho_normalised"] = max(res["rho_normalised"], _l2_vec(d))
+    alpha and rho are monomial, so each side of an axiom is one term c u_i
+    and each axiom is one array expression over all (h, i, j), (h, i),
+    (h1, h2), (h1, h2, k) or (h1, h2, h3).  A twisted product of two terms is
+    (sigma(i1, i2) c1) c2 u_{i1 i2} and an adjoint conj(sigma(i^-1, i))
+    conj(c) u_{i^-1}, rounded as Python's complex multiply.  alpha_h(c u_k)
+    is read off the matrix-vector product alpha_h (c e_k), one np.matvec per
+    h: OpenBLAS's zgemv rounds a product with or without a fused
+    multiply-add depending on the row and the order of K, so only that
+    product keeps the bits of a check that applied alpha as a matrix.  A
+    residual is the l2 distance of the two sides (see _distance)."""
+    K, L = sys.K, sys.gamma.quotient
+    m = K.order
+    TK, TL = K.multiplication_table(), L.multiplication_table()
+    inv = np.array([K.invert(k) for k in range(m)])
+    S = sys.sigma_k.values
+    P, A, W, R = sys.alpha_perm, sys.alpha_scalar, sys.rho_index, sys.rho_scalar
+    nl = len(P)
+    e = L.elements().index(L.identity())
+    D = sys.alpha_matrices()
 
-    deltas = [delta(K, k) for k in range(K.order)]
-    for h in hs:
-        imgs = [sys.apply_alpha(h, dk) for dk in deltas]
-        res["unit"] = max(res["unit"], _l2_vec(imgs[0] - delta(K, 0)))
-        for i in range(K.order):
-            for j in range(K.order):
-                lhs = convolve(imgs[i], imgs[j], sig)
-                rhs = sys.apply_alpha(h, convolve(deltas[i], deltas[j], sig))
-                res["automorphism"] = max(res["automorphism"], _l2_vec(lhs - rhs))
-            lhs = involute(imgs[i], sig)
-            rhs = sys.apply_alpha(h, involute(deltas[i], sig))
-            res["involution"] = max(res["involution"], _l2_vec(lhs - rhs))
+    def alpha(h, k, c):
+        """alpha_h(c u_k) as (index, scalar) arrays."""
+        h, k, c = np.broadcast_arrays(h, k, c)
+        out = np.empty(h.shape, dtype=complex)
+        for x in range(nl):
+            at = h == x
+            V = np.zeros((np.count_nonzero(at), m), dtype=complex)
+            V[np.arange(len(V)), k[at]] = c[at]
+            out[at] = np.matvec(D[x], V)[np.arange(len(V)), P[x, k[at]]]
+        return P[h, k], out
 
-    for (h1, h2), u in sys.rho.items():
-        ustar = involute(u, sig)
-        res["rho_unitary"] = max(
-            res["rho_unitary"],
-            _l2_vec(convolve(u, ustar, sig) - delta(K, 0)),
-            _l2_vec(convolve(ustar, u, sig) - delta(K, 0)),
-        )
+    def times(i1, c1, i2, c2):
+        return TK[i1, i2], _mul(_mul(S[i1, i2], c1), c2)
 
-    for h1 in hs:
-        for h2 in hs:
-            u = sys.rho[(h1, h2)]
-            ustar = involute(u, sig)
-            h12 = L.compose(h1, h2)
-            for dk in deltas:
-                lhs = sys.apply_alpha(h1, sys.apply_alpha(h2, dk))
-                rhs = convolve(convolve(u, sys.apply_alpha(h12, dk), sig), ustar, sig)
-                res["composition"] = max(res["composition"], _l2_vec(lhs - rhs))
-            for h3 in hs:
-                lhs = convolve(sys.apply_alpha(h1, sys.rho[(h2, h3)]),
-                               sys.rho[(h1, L.compose(h2, h3))], sig)
-                rhs = convolve(sys.rho[(h1, h2)], sys.rho[(h12, h3)], sig)
-                res["rho_cocycle"] = max(res["rho_cocycle"], _l2_vec(lhs - rhs))
+    def star(i, c):
+        return inv[i], _mul(np.conj(S[inv[i], i]), np.conj(c))
 
-    worst = max(res.values())
-    return ActionReport(worst <= AXIOM_TOL, worst, res)
+    def worst(first, *distances):
+        # Python's max in loop order, as the dict check took it
+        return max([first, *np.stack(distances, axis=-1).ravel().tolist()])
+
+    unit = complex(1.0)
+    h = np.arange(nl)
+    res = {}
+    res["unit"] = worst(float(np.max(np.abs(D[e] - np.eye(m)))),
+                        _distance(P[:, 0], A[:, 0], 0, unit))
+    res["rho_normalised"] = worst(0.0, _distance(W[e], R[e], 0, unit),
+                                  _distance(W[:, e], R[:, e], 0, unit))
+
+    hh, i, j = h[:, None, None], np.arange(m)[:, None], np.arange(m)
+    res["automorphism"] = worst(0.0, _distance(
+        *times(P[hh, i], A[hh, i], P[hh, j], A[hh, j]), *alpha(hh, TK[i, j], S[i, j])))
+    hh, i = h[:, None], np.arange(m)
+    res["involution"] = worst(0.0, _distance(
+        *star(P[hh, i], A[hh, i]), *alpha(hh, inv[i], np.conj(S[inv[i], i]))))
+
+    ustar = star(W, R)
+    res["rho_unitary"] = worst(0.0, _distance(*times(W, R, *ustar), 0, unit),
+                               _distance(*times(*ustar, W, R), 0, unit))
+
+    h1, h2, k = h[:, None, None], h[:, None], np.arange(m)
+    h12 = TL[h1, h2]
+    u = (W[h1, h2], R[h1, h2])
+    res["composition"] = worst(0.0, _distance(
+        *alpha(h1, P[h2, k], A[h2, k]),
+        *times(*times(*u, P[h12, k], A[h12, k]), *star(*u))))
+
+    h3 = h
+    h23 = TL[h2, h3]
+    res["rho_cocycle"] = worst(0.0, _distance(
+        *times(*alpha(h1, W[h2, h3], R[h2, h3]), W[h1, h23], R[h1, h23]),
+        *times(*u, W[h12, h3], R[h12, h3])))
+
+    worst_all = max(res.values())
+    return ActionReport(worst_all <= AXIOM_TOL, worst_all, res)
 
 
 @dataclass
@@ -219,17 +264,6 @@ class BlockDecomposition:
             "projections": [p.to_json()["terms"] for p in self.projections],
             "residuals": self.residuals,
         }
-
-
-def _left(T, S, v, right=False):
-    """Matrix of b -> v *_sigma b on l2(G), whose column h holds S[g, h] v[g]
-    at row gh; with ``right``, of b -> b *_sigma v, column g holds S[g, h] v[h]."""
-    M = np.zeros(T.shape, dtype=complex)
-    if right:
-        M[T, np.arange(len(T))[:, None]] = S * v[None, :]
-    else:
-        M[T, np.arange(len(T))] = S * v[:, None]
-    return M
 
 
 def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> BlockDecomposition:
@@ -281,7 +315,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
         rng = np.random.default_rng((seed + 1) * 1000 + attempt)
         coeff = rng.standard_normal(zdim) + 1j * rng.standard_normal(zdim)
         wvec = coeff @ centre
-        C = _left(T, S, 0.5 * (wvec + star(wvec)))
+        C = regular_matrices(T, S, 0.5 * (wvec + star(wvec))[None])[0]
         C = 0.5 * (C + C.conj().T)
         ev, U = np.linalg.eigh(C)
         gap = CLUSTER_GAP * max(1.0, float(np.max(np.abs(ev))))
@@ -294,12 +328,12 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
 
         res = {"self_adjoint": [], "idempotent": [], "orthogonal": [0.0], "central": []}
         for i, p in enumerate(P):
-            Lp = _left(T, S, p)
+            Lp = regular_matrices(T, S, p[None])[0]
             prods = P[i:] @ Lp.T  # p times p, then times each later projection
             res["self_adjoint"].append(np.linalg.norm(p - star(p)))
             res["idempotent"].append(np.linalg.norm(prods[0] - p))
             res["orthogonal"].extend(np.linalg.norm(prods[1:], axis=1))
-            res["central"].append(np.max(np.abs(Lp - _left(T, S, p, right=True))))
+            res["central"].append(np.max(np.abs(Lp - regular_matrices(T.T, S.T, p[None])[0])))
         residuals = {key: float(max(values)) for key, values in res.items()}
         residuals["sum_to_unit"] = float(np.linalg.norm(P.sum(axis=0) - (idx == 0)))
         order = np.argsort([-s for s in sizes], kind="stable")
@@ -333,23 +367,18 @@ def orbit_decomposition(sys: TwistedSystem, blocks: BlockDecomposition):
     records its blocks, the stabilizer of the lowest-index block, and the
     index bookkeeping of the induced-algebra shape."""
     K, L = sys.K, sys.gamma.quotient
-    pvecs = [element_to_vector(K, p) for p in blocks.projections]
+    pvecs = np.array([element_to_vector(K, p) for p in blocks.projections])
     m = len(pvecs)
+    scale = 1e-8 * np.maximum(1.0, np.linalg.norm(pvecs, axis=1))
     perms = {}
-    for h in L.elements():
-        perm = []
-        for i, p in enumerate(pvecs):
-            img = sys.alpha[h] @ p
-            hit = None
-            for j, q in enumerate(pvecs):
-                if np.linalg.norm(img - q) <= 1e-8 * max(1.0, np.linalg.norm(q)):
-                    hit = j
-                    break
-            if hit is None:
-                raise NotPermuting(
-                    f"alpha at {h!r} does not map projection {i} to any projection")
-            perm.append(hit)
-        perms[h] = perm
+    for h, perm, scalar in zip(L.elements(), sys.alpha_perm, sys.alpha_scalar):
+        imgs = np.zeros_like(pvecs)
+        imgs[:, perm] = _mul(scalar, pvecs)
+        close = np.linalg.norm(imgs[:, None] - pvecs[None], axis=2) <= scale
+        if not close.any(axis=1).all():
+            i = int(np.argmin(close.any(axis=1)))
+            raise NotPermuting(f"alpha at {h!r} does not map projection {i} to any projection")
+        perms[h] = close.argmax(axis=1).tolist()
 
     unassigned = set(range(m))
     summands = []
@@ -389,17 +418,12 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     m = sys.K.order
     S = sys.sigma_k.values
     Ktab = sys.K.multiplication_table()
-    hs = sys.quotient_elements()
     omega = np.empty((whole.order, whole.order), dtype=complex)
-    for i, h1 in enumerate(hs):
-        A = sys.alpha[h1]
-        # alpha_h1(u_k) = A[img[k], k] u_{img[k]}, so
+    for i, (img, scalar) in enumerate(zip(sys.alpha_perm, sys.alpha_scalar)):
         # u_k1 alpha_h1(u_k2) = front[k1, k2] u_{mid[k1, k2]}
-        img = np.argmax(np.abs(A), axis=0)
-        front = S[:, img] * A[img, np.arange(m)]
+        front = S[:, img] * scalar
         mid = Ktab[:, img]
-        for j, h2 in enumerate(hs):
-            [(w, c)] = sys.rho[(h1, h2)].coeffs.items()
+        for j, (w, c) in enumerate(zip(sys.rho_index[i], sys.rho_scalar[i])):
             omega[i * m:(i + 1) * m, j * m:(j + 1) * m] = front * S[mid, w] * c
     return TableCocycle(whole, omega)
 
@@ -429,7 +453,7 @@ def attribute_blocks_to_summands(sys: TwistedSystem, kblocks: BlockDecomposition
         for i in s.block_indices:
             for k, c in kblocks.projections[i].coeffs.items():
                 z[gamma.element_index(gamma.embed_k(k))] += c
-        Lz = _left(T, omega.values, z)
+        Lz = regular_matrices(T, omega.values, z[None])[0]
         out.append(sorted(size for q, size in zip(qvecs, crossed_blocks.block_sizes)
                           if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q))))
     return out

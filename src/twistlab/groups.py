@@ -37,6 +37,7 @@ class Group:
     """Common backend interface; subclasses fix the element representation."""
 
     kind = "abstract"
+    _index_table = None
 
     def identity(self):
         raise NotImplementedError
@@ -62,10 +63,18 @@ class Group:
         raise NotFinite(f"{self.kind} backend is not finite")
 
     def multiplication_table(self):
-        """Index table of a finite group: [i, j] indexes elements()[i] * elements()[j]."""
+        """Index table of a finite group: [i, j] indexes elements()[i] * elements()[j].
+        Built on the first call and returned read-only from then on."""
+        if self._index_table is None:
+            T = self._build_index_table()
+            T.flags.writeable = False
+            self._index_table = T
+        return self._index_table
+
+    def _build_index_table(self):
         elems = self.elements()
         return np.array([[self.element_index(self.compose(a, b)) for b in elems]
-                         for a in elems])
+                         for a in elems], dtype=np.intp)
 
     def enumerate_ball(self, r):
         raise Unsupported(f"{self.kind} backend does not enumerate balls")
@@ -202,7 +211,7 @@ class FiniteTableGroup(Group):
     def element_index(self, a):
         return a
 
-    def multiplication_table(self):
+    def _build_index_table(self):
         return np.array(self.table, dtype=np.intp)
 
     def enumerate_ball(self, r):

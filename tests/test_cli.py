@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -364,3 +365,13 @@ def test_usage_errors_are_one_line(extra):
                                    "--cocycle", str(DATA / "cocycle_trivial.json"),
                                    "--element", str(DATA / "element_z2_ones.json"), *extra))
     assert extra[-1] in line
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_report_past_the_float_range_prints_nothing(value, capsys):
+    # json.dumps would print Infinity or NaN, which are not JSON
+    from twistlab import cli
+    from twistlab.errors import InvalidArgument
+    with pytest.raises(InvalidArgument, match="past the float range"):
+        cli._emit({"upper": value}, types.SimpleNamespace(seed=0), {}, {})
+    assert capsys.readouterr().out == ""

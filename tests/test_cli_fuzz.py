@@ -178,6 +178,9 @@ FOUND = {
                         with_node("element_f2_sphere1.json", ("terms", 0, "re"), 1e90), 2),
     "validate-sample-ball-past-the-cap": (("validate", *F2, "--cocycle", "cocycle_trivial.json"),
                                           2, '{"kind": "free", "rank": 40}', 4),
+    # the sum of two finite squares overflows: "upper" was Infinity, not JSON
+    "haagerup-sum-overflows": (INVOCATIONS[4], 6,
+                               (DATA / "element_f2_sphere1_huge.json").read_text(), 2),
 }
 
 

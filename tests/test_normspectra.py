@@ -6,8 +6,9 @@ import pytest
 import scipy.sparse as sp
 
 from twistlab import fixtures, normspectra
-from twistlab.algebra import AlgebraElement, delta, gauge
-from twistlab.cocycles import TableCocycle, TrivialCocycle
+from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
+from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
+                               TrivialCocycle, value_table)
 from twistlab.errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from twistlab.groups import FreeGroup
 from twistlab.normspectra import (certify_free_subsemigroup, exact_norm,
@@ -325,3 +326,123 @@ def test_truncated_norm_past_the_float_range_is_an_invalid_argument(f2):
     a = AlgebraElement(f2, {x: 1e308, y: 1e308})
     with pytest.raises(InvalidArgument):
         truncated_norm_lower(f2, TrivialCocycle(f2), a, 3)
+
+
+def loop_regular_rep(G, sigma, a):
+    """The sigma-regular matrix by the per-(g, h) loop that regular_matrices
+    replaced: the bit-for-bit reference."""
+    elems = G.elements()
+    index = {g: i for i, g in enumerate(elems)}
+    m = np.zeros((len(elems), len(elems)), dtype=complex)
+    for g in a.support():
+        c = a.coeffs[g]
+        for j, h in enumerate(elems):
+            m[index[G.compose(g, h)], j] += sigma.evaluate(g, h) * c
+    return m
+
+
+def _phase_table(G, seed):
+    """Unit phases on every pair, normalised at the identity: a table
+    cocycle's arithmetic, whether or not the table is a cocycle."""
+    n = len(G.elements())
+    return TableCocycle(G, np.exp(2j * np.pi * np.random.default_rng(seed).random((n, n))))
+
+
+def _finite_cases():
+    for name, G in fixtures.standard_groups().items():
+        table, cob = _phase_table(G, 1), fixtures.random_coboundary(G, 2)
+        for twist, sigma in (("trivial", TrivialCocycle(G)), ("table", table),
+                             ("coboundary", cob), ("product", ProductCocycle([table, cob])),
+                             ("conjugate", ConjugateCocycle(table))):
+            yield f"{name}-{twist}", G, sigma
+    for name, ext in fixtures.standard_extensions().items():
+        cob = fixtures.random_coboundary(ext, 3)
+        pullback = PullbackCocycle(ext, _phase_table(ext.quotient, 4))
+        for twist, sigma in (("trivial", TrivialCocycle(ext)), ("coboundary", cob),
+                             ("product", ProductCocycle([cob, pullback])),
+                             ("conjugate", ConjugateCocycle(cob)), ("pullback", pullback)):
+            yield f"{name}-{twist}", ext, sigma
+
+
+FINITE_CASES = list(_finite_cases())
+
+
+@pytest.mark.parametrize("case", FINITE_CASES, ids=lambda c: c[0])
+def test_regular_rep_has_the_bits_of_the_pair_loop(case):
+    _, G, sigma = case
+    elems = G.elements()
+    elements = [fixtures.random_element(G, support, seed) for seed, support
+                in enumerate((elems, elems[::3], elems[1:4], [elems[-1]], []))]
+    # sigma(g, h) a_g with a zero imaginary part of either sign: the loop
+    # adds it to +0.0
+    elements.append(AlgebraElement(G, {elems[0]: complex(-2.0, -0.0), elems[-1]: -1.0}))
+    for a in elements:
+        # tobytes also compares the signs of zeros
+        assert regular_rep(G, sigma, a).tobytes() == loop_regular_rep(G, sigma, a).tobytes()
+
+
+def test_regular_rep_evaluates_sigma_on_the_support_rows_only(s3):
+    calls = []
+    sigma = fixtures.random_coboundary(s3, 5)
+    evaluate = sigma.evaluate
+    sigma.evaluate = lambda x, y: calls.append((x, y)) or evaluate(x, y)
+    regular_rep(s3, sigma, delta(s3, 1) + delta(s3, 4, 2j))
+    assert sorted(calls) == [(g, h) for g in (1, 4) for h in s3.elements()]
+
+
+def test_trivial_value_table_evaluates_nothing(s3):
+    sigma = TrivialCocycle(s3)
+    ref = np.array([[sigma.evaluate(x, y) for y in range(6)] for x in range(6)])
+    sigma.evaluate = None
+    assert value_table(s3, sigma).tobytes() == ref.tobytes()
+    assert value_table(s3, sigma, [2, 5]).tobytes() == ref[[2, 5]].tobytes()
+
+
+def loop_transfer_check(G, S, sigmas, seed=0, n_random=50, tol=1e-9):
+    """transfer_check as it was: one regular matrix and one norm per sample
+    element and cocycle, by the pair loop."""
+    S = sorted(set(S), key=G.sort_key)
+    rng = np.random.default_rng(seed)
+    sample = [AlgebraElement(G, {g: 1.0 for g in S})]
+    sample.extend(delta(G, g) for g in S)
+    for _ in range(n_random):
+        sample.append(AlgebraElement(
+            G, {g: complex(rng.standard_normal(), rng.standard_normal()) for g in S}))
+    ratios = [[float(np.linalg.norm(loop_regular_rep(G, sigma, a), 2)) / l2_norm(a)
+               for a in sample] for sigma in [TrivialCocycle(G), *sigmas]]
+    C, *per_sigma = (max([0.0] + r) for r in ratios)
+    return {"constant": C, "untwisted_ratios_max": C, "per_sigma_max_ratio": per_sigma,
+            "passed": not any(w > C + tol for w in per_sigma), "sample_size": len(sample),
+            "seed": seed, "tol": tol}
+
+
+@pytest.mark.parametrize("case", [c for c in FINITE_CASES if c[0].startswith(("S3", "Q8/"))],
+                         ids=lambda c: c[0])
+def test_transfer_check_has_the_bits_of_the_loop(case):
+    _, G, sigma = case
+    elems = G.elements()
+    S = [elems[1], elems[2], elems[-1]]
+    sigmas = [sigma, ConjugateCocycle(sigma)]
+    assert (transfer_check(G, S, sigmas, seed=3, n_random=20).to_json()
+            == loop_transfer_check(G, S, sigmas, seed=3, n_random=20))
+
+
+def test_transfer_check_keeps_its_recorded_report():
+    # the benchmark's five cocycles on Z4 x Z4, as the pair loop reported them
+    G = fixtures.cyclic_product([4, 4])
+    S = [G.index_of_label(lab) for lab in [(1, 0), (0, 1), (1, 1)]]
+    sigmas = [ProductCocycle([fixtures.random_bicharacter_table(G, [4, 4], i),
+                              fixtures.random_coboundary(G, 10 + i)]) for i in range(5)]
+    assert transfer_check(G, S, sigmas, seed=0).to_json() == {
+        "constant": 1.7320508075688774, "untwisted_ratios_max": 1.7320508075688774,
+        "per_sigma_max_ratio": [1.6840882401600559, 1.4960670961614715, 1.4969166992715304,
+                                1.7114564575445776, 1.6818377430237226],
+        "passed": True, "sample_size": 54, "seed": 0, "tol": 1e-09}
+
+
+def test_haagerup_bound_past_the_float_range_is_an_invalid_argument(f2):
+    # each square is finite, their sum is not
+    x, y = f2.generator(1), f2.generator(2)
+    a = AlgebraElement(f2, {x: 1e154, f2.invert(x): 1e154, y: 1.0})
+    with pytest.raises(InvalidArgument, match="Haagerup bound overflows"):
+        haagerup_upper(f2, a)
