@@ -108,6 +108,14 @@ def invocations():
         ("norm", *F2, *TRIVIAL, "--element", "data/element_f2_sphere1_huge.json",
          "--mode", "haagerup"),
     ]
+    # a seeded coboundary (valid on any group) makes every product in the
+    # centre, the projections and omega inexact, so these three lines move if
+    # a complex product rounds differently, e.g. under another SIMD dispatch
+    out += [
+        ("decompose", "--group", "data/group_s3.json", *F2_COB),
+        ("decompose", "--group", "data/group_z4xz4.json", *F2_COB),
+        ("crossed", "--group", "data/group_s4_v4_extension.json", *F2_COB),
+    ]
     return out
 
 

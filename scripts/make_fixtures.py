@@ -53,25 +53,25 @@ def main():
          fixtures.random_coboundary(q8ext, seed=7).to_json())
 
     dump("element_z2_ones.json",
-         serialize.element_to_json(delta(z2, 0) + delta(z2, 1)))
+         (delta(z2, 0) + delta(z2, 1)).to_json())
     x, y = f2.generator(1), f2.generator(2)
     xi, yi = f2.invert(x), f2.invert(y)
     sphere1 = delta(f2, x) + delta(f2, xi) + delta(f2, y) + delta(f2, yi)
-    dump("element_f2_sphere1.json", serialize.element_to_json(sphere1))
+    dump("element_f2_sphere1.json", sphere1.to_json())
     dump("element_f2_ux.json",
-         serialize.element_to_json(delta(f2, x) + delta(f2, xi)))
-    dump("element_f2_t_x.json", serialize.element_to_json(delta(f2, x)))
-    dump("element_f2_t_e.json", serialize.element_to_json(delta(f2, f2.identity())))
+         (delta(f2, x) + delta(f2, xi)).to_json())
+    dump("element_f2_t_x.json", delta(f2, x).to_json())
+    dump("element_f2_t_e.json", delta(f2, f2.identity()).to_json())
     # multi-term elements for the finite exact paths: a clock-shift twist on
     # Z4 x Z4 and the Q8-extension coboundary
-    dump("element_z4sq_random.json", serialize.element_to_json(
-        fixtures.random_element(z4sq, [0, 1, 4, 6, 9, 15], seed=3)))
-    dump("element_q8ext_random.json", serialize.element_to_json(
-        fixtures.random_element(q8ext, q8ext.elements()[1:6], seed=4)))
+    dump("element_z4sq_random.json",
+         fixtures.random_element(z4sq, [0, 1, 4, 6, 9, 15], seed=3).to_json())
+    dump("element_q8ext_random.json",
+         fixtures.random_element(q8ext, q8ext.elements()[1:6], seed=4).to_json())
     # sphere 1 with two coefficients whose squares are finite but sum past
     # the float range
-    dump("element_f2_sphere1_huge.json", serialize.element_to_json(
-        AlgebraElement(f2, {x: 1e154, xi: 1e154, y: 1.0, yi: 1.0})))
+    dump("element_f2_sphere1_huge.json",
+         AlgebraElement(f2, {x: 1e154, xi: 1e154, y: 1.0, yi: 1.0}).to_json())
     dump("element_delta_e_ref.json",
          {"group": "ref", "terms": [{"g": "", "re": 1.0, "im": 0.0}]})
 

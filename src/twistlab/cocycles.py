@@ -51,9 +51,6 @@ class Cocycle:
     def evaluate(self, x, y) -> complex:
         raise NotImplementedError
 
-    def __call__(self, x, y) -> complex:
-        return self.evaluate(x, y)
-
     def pair_values(self, xs, ys, xys) -> np.ndarray:
         """sigma(x, y) for the elements at ball positions xs and ys (see
         Group.positions; on a free group the shortlex positions), whose
@@ -81,7 +78,8 @@ class TrivialCocycle(Cocycle):
 
 
 class TableCocycle(Cocycle):
-    """Dense value table over a finite group, auto-normalised by sigma(e, e)."""
+    """Dense value table over a finite group, auto-normalised by sigma(e, e).
+    The table is copied, so normalising never writes into the caller's array."""
 
     kind = "table"
 
@@ -89,7 +87,7 @@ class TableCocycle(Cocycle):
         super().__init__(group)
         if not group.is_finite:
             raise BackendMismatch("table cocycles need a finite group")
-        vals = np.asarray(values, dtype=complex)
+        vals = np.array(values, dtype=complex)
         n = group.order
         if vals.shape != (n, n):
             raise ValueError(f"value table shape {vals.shape} != ({n}, {n})")

@@ -40,15 +40,10 @@ CONVENTION_CONJUGATED = "conjugated"
 DEFAULT_CONVENTION = CONVENTION_CONJUGATED
 
 
-def restrict_to_k(gamma: ExtensionGroup, sigma: Cocycle) -> TableCocycle:
-    """The cocycle on K obtained by evaluating sigma on embedded pairs."""
-    embedded = [gamma.embed_k(k) for k in range(gamma.K.order)]
-    return TableCocycle(gamma.K, [[sigma.evaluate(x, y) for y in embedded] for x in embedded])
-
-
 @dataclass
 class TwistedSystem:
-    """The data (K, Lambda, sigma_K, alpha, rho) induced by a section.
+    """The data (K, Lambda, sigma_K, alpha, rho) induced by a section, and
+    the value table S = value_table(gamma, sigma) it was read from.
 
     alpha and rho are monomial, held as index and scalar arrays over the
     positions h of gamma.quotient.elements() and the indices k of K:
@@ -57,7 +52,7 @@ class TwistedSystem:
         rho(h1, h2) = rho_scalar[h1, h2] u_{rho_index[h1, h2]}"""
 
     gamma: ExtensionGroup
-    sigma: Cocycle
+    S: np.ndarray
     K: FiniteTableGroup
     sigma_k: TableCocycle
     alpha_perm: np.ndarray
@@ -87,48 +82,37 @@ def vector_to_element(K: FiniteTableGroup, v) -> AlgebraElement:
 
 def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
                         convention: str = DEFAULT_CONVENTION) -> TwistedSystem:
-    """Evaluate the section formulas for alpha and rho literally.
-
-    With s(h) = (e, h), alpha_h(u_k) is a scalar times u_{s(h) k s(h)^-1} and
-    rho(h1, h2) a scalar times u_{s(h1) s(h2) s(h1 h2)^-1}.  The convention
-    flag selects whether the second scalar factor of alpha is conjugated; no
-    axiom check happens here."""
+    """Evaluate the section formulas for alpha and rho literally, by gathers
+    on gamma's index table T and sigma's value table S, so sigma is evaluated
+    once per pair of gamma.  With s(h) = (e, h) at index |K| h and u_k at k,
+    alpha_h(u_k) = sigma(s(h), k) sigma(c, s(h)) u_c for c = s(h) k s(h)^-1 and
+    rho(h1, h2) = sigma(s1, s2) conj(sigma(w, s12)) u_w for w = s1 s2 s12^-1,
+    each product rounded as Python's.  The convention flag selects whether
+    the second factor of alpha is conjugated; no axiom check happens here."""
     if gamma.kind != "extension":
         raise BackendMismatch("induced_action_data needs an extension backend")
     if convention not in (CONVENTION_AS_PRINTED, CONVENTION_CONJUGATED):
         raise ValueError(f"unknown convention {convention!r}")
     sigma.group.check_same(gamma)
     K = gamma.K
-    L = gamma.quotient
-    hs = L.elements()
-    sigma_k = restrict_to_k(gamma, sigma)
+    m = K.order
+    T, S = gamma.multiplication_table(), value_table(gamma, sigma)
+    inv = np.nonzero(T == 0)[1]  # the identity has index 0
+    k = np.arange(m)
+    s1 = np.arange(len(T) // m)[:, None] * m
+    s2 = s1.T
 
-    alpha_perm = np.empty((len(hs), K.order), dtype=np.intp)
-    alpha_scalar = np.empty((len(hs), K.order), dtype=complex)
-    for i, h in enumerate(hs):
-        s_h = gamma.section(h)
-        s_h_inv = gamma.invert(s_h)
-        for k in range(K.order):
-            gk = gamma.embed_k(k)
-            conj_el = gamma.compose(gamma.compose(s_h, gk), s_h_inv)
-            c1 = sigma.evaluate(s_h, gk)
-            c2 = sigma.evaluate(conj_el, s_h)
-            if convention == CONVENTION_CONJUGATED:
-                c2 = np.conj(c2)
-            alpha_perm[i, k] = conj_el[0]
-            alpha_scalar[i, k] = c1 * c2
+    conj_el = T[T[s1, k], inv[s1]]
+    c2 = S[conj_el, s1]
+    if convention == CONVENTION_CONJUGATED:
+        c2 = np.conj(c2)
+    alpha_scalar = _mul(S[s1, k], c2)
 
-    rho_index = np.empty((len(hs), len(hs)), dtype=np.intp)
-    rho_scalar = np.empty((len(hs), len(hs)), dtype=complex)
-    for i, h1 in enumerate(hs):
-        for j, h2 in enumerate(hs):
-            s1, s2 = gamma.section(h1), gamma.section(h2)
-            s12 = gamma.section(L.compose(h1, h2))
-            w = gamma.compose(gamma.compose(s1, s2), gamma.invert(s12))
-            rho_index[i, j] = w[0]
-            rho_scalar[i, j] = sigma.evaluate(s1, s2) * np.conj(sigma.evaluate(w, s12))
-    return TwistedSystem(gamma, sigma, K, sigma_k, alpha_perm, alpha_scalar,
-                         rho_index, rho_scalar, convention)
+    s12 = T[s1, s2] // m * m
+    w = T[T[s1, s2], inv[s12]]
+    rho_scalar = _mul(S[s1, s2], np.conj(S[w, s12]))
+    return TwistedSystem(gamma, S, K, TableCocycle(K, S[:m, :m]), conj_el, alpha_scalar,
+                         w, rho_scalar, convention)
 
 
 @dataclass
@@ -294,7 +278,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     inv = np.array([G.invert(g) for g in idx])
     # conj[h, g] = h g h^-1 and phi[h, g] its scalar
     conj = T[T, inv[:, None]]
-    phi = S * S[T, inv[:, None]] * np.conj(S[inv, idx])[:, None]
+    phi = _mul(_mul(S, S[T, inv[:, None]]), np.conj(S[inv, idx])[:, None])
     # sums[g, k]: sum of phi(h, g) over the h with h g h^-1 = k
     flat = (idx[None, :] * n + conj).ravel()
     sums = (np.bincount(flat, phi.real.ravel(), n * n)
@@ -307,7 +291,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
 
     def star(vec):
         out = np.empty(n, dtype=complex)
-        out[inv] = np.conj(S[inv, idx]) * np.conj(vec)
+        out[inv] = _mul(np.conj(S[inv, idx]), np.conj(vec))
         return out
 
     last = None
@@ -350,7 +334,7 @@ class Summand:
     stabilizer_index: int
     orbit_size: int
 
-    def to_json(self, L=None):
+    def to_json(self):
         return {
             "block_indices": self.block_indices,
             "block_size": self.block_size,
@@ -413,19 +397,16 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     with (k3, h1 h2) = xy in the extension.  Returns omega as a table cocycle
     on the finite-table backend of the extension, indexed like
     gamma.elements()."""
-    gamma = sys.gamma
-    whole = FiniteTableGroup(gamma.multiplication_table().tolist(), validate=False)
-    m = sys.K.order
-    S = sys.sigma_k.values
-    Ktab = sys.K.multiplication_table()
-    omega = np.empty((whole.order, whole.order), dtype=complex)
-    for i, (img, scalar) in enumerate(zip(sys.alpha_perm, sys.alpha_scalar)):
-        # u_k1 alpha_h1(u_k2) = front[k1, k2] u_{mid[k1, k2]}
-        front = S[:, img] * scalar
-        mid = Ktab[:, img]
-        for j, (w, c) in enumerate(zip(sys.rho_index[i], sys.rho_scalar[i])):
-            omega[i * m:(i + 1) * m, j * m:(j + 1) * m] = front * S[mid, w] * c
-    return TableCocycle(whole, omega)
+    nl, m = sys.alpha_perm.shape
+    whole = FiniteTableGroup(sys.gamma.multiplication_table().tolist(), validate=False)
+    SK, TK = sys.sigma_k.values, sys.K.multiplication_table()
+    # axes [h1, k1, h2, k2]; u_k1 alpha_h1(u_k2) = front u_{TK[k1, img]}
+    h1, k1, h2, k2 = (np.arange(nl)[:, None, None, None], np.arange(m)[:, None, None],
+                      np.arange(nl)[:, None], np.arange(m))
+    img = sys.alpha_perm[h1, k2]
+    front = _mul(SK[k1, img], sys.alpha_scalar[h1, k2])
+    omega = _mul(_mul(front, SK[TK[k1, img], sys.rho_index[h1, h2]]), sys.rho_scalar[h1, h2])
+    return TableCocycle(whole, omega.reshape(nl * m, nl * m))
 
 
 def assemble_crossed_product(sys: TwistedSystem, seed: int = 0):
@@ -444,15 +425,16 @@ def attribute_blocks_to_summands(sys: TwistedSystem, kblocks: BlockDecomposition
                                  crossed_blocks: BlockDecomposition):
     """Match each assembled block to the summand whose central support
     contains it; returns one block-size list per summand."""
-    gamma, whole = sys.gamma, omega.group
+    whole = omega.group
     T = whole.multiplication_table()
     qvecs = [element_to_vector(whole, q) for q in crossed_blocks.projections]
     out = []
     for s in summands:
         z = np.zeros(whole.order, dtype=complex)
         for i in s.block_indices:
+            # u_k of K sits at index k of gamma
             for k, c in kblocks.projections[i].coeffs.items():
-                z[gamma.element_index(gamma.embed_k(k))] += c
+                z[k] += c
         Lz = regular_matrices(T, omega.values, z[None])[0]
         out.append(sorted(size for q, size in zip(qvecs, crossed_blocks.block_sizes)
                           if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q))))
@@ -490,8 +472,7 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
     basis, omega, crossed_blocks = assemble_crossed_product(sys, seed=seed)
     per_summand = attribute_blocks_to_summands(sys, kblocks, summands, omega, crossed_blocks)
     # the twisted algebra of the whole group, decomposed directly for comparison
-    direct_sigma = TableCocycle(omega.group, value_table(gamma, sigma))
-    direct = decompose_blocks(omega.group, direct_sigma, seed=seed)
+    direct = decompose_blocks(omega.group, TableCocycle(omega.group, sys.S), seed=seed)
     match, diff = compare_block_structure(crossed_blocks, direct)
     return {
         "convention": convention,

@@ -266,7 +266,7 @@ def random_cocycle_abelian(G: FiniteTableGroup, ns, seed):
     ])
 
 
-def random_element(G, support, seed, algebra_cls=None):
+def random_element(G, support, seed):
     """Seeded complex-Gaussian coefficients on the given support."""
     from .algebra import AlgebraElement
 

@@ -547,19 +547,24 @@ class IntLattice(Group):
 
 
 class ExtensionGroup(Group):
-    """Extension of a finite normal subgroup K by a quotient Lambda.
+    """Extension of a finite normal subgroup K by a finite quotient Lambda.
 
     Data: an action ``phi: h -> permutation of K indices`` and a factor set
     ``kappa: (h1, h2) -> K index``.  Elements are pairs (k, h) multiplying as
 
         (k1, h1)(k2, h2) = (k1 * phi_{h1}(k2) * kappa(h1, h2), h1 h2).
 
-    The section h -> (e, h) satisfies s(e) = e by the normalisation of kappa.
+    (k, h) has index |K| * index(h) + k, so K sits at 0 .. |K| - 1 and the
+    section h -> (e, h) at multiples of |K|; s(e) = e by the normalisation of
+    kappa.  An infinite quotient is refused: every exact path here needs the
+    element list.
     """
 
     kind = "extension"
 
     def __init__(self, K: FiniteTableGroup, quotient: Group, action, factor_set, validate=True):
+        if not quotient.is_finite:
+            raise Unsupported(f"extension quotients must be finite, got a {quotient.kind} group")
         self.K = K
         self.quotient = quotient
         self.action = {h: tuple(p) for h, p in action.items()}
@@ -575,7 +580,7 @@ class ExtensionGroup(Group):
 
     def _validate(self):
         K, L = self.K, self.quotient
-        hs = L.elements() if L.is_finite else list(self.action.keys())
+        hs = L.elements()
         e_l = L.identity()
         for h in hs:
             p = self.action.get(h)
@@ -648,47 +653,20 @@ class ExtensionGroup(Group):
     def quotient_map(self, a):
         return a[1]
 
-    def embed_k(self, k):
-        return (k, self.quotient.identity())
-
     def sort_key(self, a):
         return (self.quotient.sort_key(a[1]), a[0])
 
     @property
     def is_finite(self):
-        return self.quotient.is_finite
+        return True
 
     def elements(self):
-        if not self.is_finite:
-            raise NotFinite("quotient is infinite")
-        out = []
-        for h in self.quotient.elements():
-            for k in range(self.K.order):
-                out.append((k, h))
-        out.sort(key=self.sort_key)
-        return out
+        """Pairs in index order: the quotient's elements in its (sort) order,
+        K fastest."""
+        return [(k, h) for h in self.quotient.elements() for k in range(self.K.order)]
 
     def element_index(self, a):
-        if not self.is_finite:
-            raise NotFinite("quotient is infinite")
-        hs = self.quotient.elements()
-        return hs.index(a[1]) * self.K.order + a[0]
-
-    def word_length(self, a):
-        return self.quotient.word_length(a[1])
-
-    def ball_size(self, n):
-        return self.quotient.ball_size(n) * self.K.order
-
-    def enumerate_ball(self, r):
-        if self.is_finite:
-            return self.elements()
-        hball = self.quotient.enumerate_ball(r)
-        out = []
-        for h in hball:
-            for k in range(self.K.order):
-                out.append((k, h))
-        return out
+        return self.quotient.element_index(a[1]) * self.K.order + a[0]
 
     def contains(self, a):
         return (isinstance(a, tuple) and len(a) == 2
@@ -702,8 +680,7 @@ class ExtensionGroup(Group):
         return (self.K.element_from_json(k), self.quotient.element_from_json(h))
 
     def describe(self):
-        hs = self.quotient.elements() if self.quotient.is_finite else sorted(
-            self.action.keys(), key=self.quotient.sort_key)
+        hs = self.quotient.elements()
         return {
             "kind": self.kind,
             "k": self.K.describe(),

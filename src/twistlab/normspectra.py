@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, delta, is_normal, l2_norm, power_norms
-from .cocycles import Cocycle, TrivialCocycle, as_complex, complex_product, value_table
+from .algebra import AlgebraElement, delta, gauge, is_normal, l2_norm, power_norms
+from .cocycles import (CoboundaryCocycle, Cocycle, TrivialCocycle, as_complex, complex_product,
+                       value_table)
 from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from .groups import Group
 
@@ -432,7 +433,6 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
     if G.kind != "free":
         raise Unsupported("criterion_report supports free backends only")
     cfg = config or CriterionConfig()
-    from .cocycles import CoboundaryCocycle
     from .fixtures import random_element
 
     cert = certify_free_subsemigroup(G, t, F, cfg.length, cfg.mem_cap)
@@ -456,7 +456,6 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
             "gap_r2_vs_norm_lower": norm_lower - rep.r2_at_max_power,
         }
         if isinstance(sigma, CoboundaryCocycle):
-            from .algebra import gauge
             a0 = gauge(a, lambda g: np.conj(sigma.beta(g)))
             rep0 = l2_spectral_radius(a0, None, cfg.max_power, cfg.mem_cap)
             run["untwisted_gauge_transport"] = {

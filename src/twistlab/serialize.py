@@ -111,17 +111,23 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
     raise ParseError(f"unknown cocycle kind {kind!r}")
 
 
-def element_from_json(obj, G: Group | None = None) -> AlgebraElement:
-    _require(isinstance(obj, dict) and "terms" in obj, "element file needs 'terms'")
+def _resolve_group(obj, G: Group | None, what: str) -> Group:
+    """The group of an element or set file: embedded in it, checked against G
+    when G is given, or the "ref" placeholder for G."""
     gdesc = obj.get("group", "ref")
     if gdesc == "ref":
-        _require(G is not None, "element file uses a group ref but no group was supplied")
-    else:
-        loaded = group_from_json(gdesc)
-        if G is not None:
-            G.check_same(loaded)
-        else:
-            G = loaded
+        _require(G is not None, f"{what} file uses a group ref but no group was supplied")
+        return G
+    loaded = group_from_json(gdesc)
+    if G is None:
+        return loaded
+    G.check_same(loaded)
+    return G
+
+
+def element_from_json(obj, G: Group | None = None) -> AlgebraElement:
+    _require(isinstance(obj, dict) and "terms" in obj, "element file needs 'terms'")
+    G = _resolve_group(obj, G, "element")
     coeffs = {}
     for term in obj["terms"]:
         g = G.element_from_json(term["g"])
@@ -130,26 +136,10 @@ def element_from_json(obj, G: Group | None = None) -> AlgebraElement:
     return AlgebraElement(G, coeffs)
 
 
-def element_to_json(a: AlgebraElement, embed_group=True):
-    out = {"group": a.group.describe() if embed_group else "ref", "terms": []}
-    for g in a.support():
-        c = a.coeffs[g]
-        out["terms"].append({"g": a.group.element_to_json(g), "re": c.real, "im": c.imag})
-    return out
-
-
 def element_set_from_json(obj, G: Group | None = None):
     """A plain set of group elements: {"group": ..., "elements": [g, ...]}."""
     _require(isinstance(obj, dict) and "elements" in obj, "set file needs 'elements'")
-    gdesc = obj.get("group", "ref")
-    if gdesc == "ref":
-        _require(G is not None, "set file uses a group ref but no group was supplied")
-    else:
-        loaded = group_from_json(gdesc)
-        if G is not None:
-            G.check_same(loaded)
-        else:
-            G = loaded
+    G = _resolve_group(obj, G, "set")
     out = []
     for e in obj["elements"]:
         g = G.element_from_json(e)
@@ -158,9 +148,9 @@ def element_set_from_json(obj, G: Group | None = None):
     return G, out
 
 
-def element_set_to_json(G: Group, elements, embed_group=True):
+def element_set_to_json(G: Group, elements):
     return {
-        "group": G.describe() if embed_group else "ref",
+        "group": G.describe(),
         "elements": [G.element_to_json(g) for g in sorted(elements, key=G.sort_key)],
     }
 

@@ -171,7 +171,7 @@ def test_is_normal(s3):
 def test_serialization_roundtrip_exact(s3, f2):
     for G, seed in [(s3, 0), (f2, 1)]:
         a, _ = random_pair(G, seed)
-        back = serialize.element_from_json(serialize.element_to_json(a))
+        back = serialize.element_from_json(a.to_json())
         assert back.coeffs == a.coeffs
 
 

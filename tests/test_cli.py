@@ -318,6 +318,25 @@ def test_extension_map_given_as_a_list_is_a_parse_error(tmp_path, key):
     assert repr(key) in lines[0]
 
 
+@pytest.mark.parametrize("command", [
+    ("validate",),
+    ("norm", "--cocycle", str(DATA / "cocycle_trivial.json"),
+     "--element", str(DATA / "element_delta_e_ref.json"), "--mode", "truncate"),
+], ids=["validate", "norm-truncate"])
+def test_extension_over_an_infinite_quotient_exits_3(tmp_path, command):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({
+        "kind": "extension", "k": {"kind": "finite-table", "table": [[0, 1], [1, 0]]},
+        "lambda": {"kind": "free", "rank": 1}, "action": {"e": [0, 1]},
+        "factorSet": {"e|e": 0}}))
+    r = run_cli(command[0], "--group", str(path), *command[1:])
+    assert r.returncode == 3
+    assert r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert "finite" in lines[0]
+
+
 def test_decompose_reports_the_tolerances_it_applies():
     from twistlab import cocycles, crossed
 

@@ -44,6 +44,16 @@ def test_table_auto_normalized(s3):
     assert sigma.evaluate(3, 0) == 1.0
 
 
+def test_table_cocycle_leaves_the_callers_array_alone():
+    Z3 = fixtures.cyclic(3)
+    v = np.ones((3, 3), dtype=complex)
+    v[0, 1], v[2, 0] = 1j, -1
+    before = v.copy()
+    sigma = TableCocycle(Z3, v)
+    assert sigma.values[0, 1] == 1 and sigma.values[2, 0] == 1
+    assert np.array_equal(v, before) and not np.shares_memory(sigma.values, v)
+
+
 def test_non_unit_modulus_flagged_by_validate(s3):
     vals = np.ones((6, 6), dtype=complex)
     vals[2, 3] = 0.5

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -315,6 +320,126 @@ def test_axiom_residuals_have_the_bits_of_the_dict_check(name, twist, convention
     ext = fixtures.standard_extensions()[name]
     sys = induced_action_data(ext, _twists(ext)[twist], convention)
     assert verify_twisted_action(sys).residuals == dict_verify_twisted_action(sys)
+
+
+def loop_induced_action_data(ext, sigma, convention):
+    """alpha, rho and sigma_K as the per-pair loop over sections built them,
+    one evaluate per factor: the bit-for-bit reference for
+    induced_action_data's gathers."""
+    K, L = ext.K, ext.quotient
+    hs, e = L.elements(), L.identity()
+    embedded = [(k, e) for k in range(K.order)]
+    sigma_k = TableCocycle(K, [[sigma.evaluate(x, y) for y in embedded] for x in embedded])
+    alpha_perm = np.empty((len(hs), K.order), dtype=np.intp)
+    alpha_scalar = np.empty((len(hs), K.order), dtype=complex)
+    for i, h in enumerate(hs):
+        s_h = ext.section(h)
+        s_h_inv = ext.invert(s_h)
+        for k, gk in enumerate(embedded):
+            conj_el = ext.compose(ext.compose(s_h, gk), s_h_inv)
+            c2 = sigma.evaluate(conj_el, s_h)
+            if convention == "conjugated":
+                c2 = np.conj(c2)
+            alpha_perm[i, k] = conj_el[0]
+            alpha_scalar[i, k] = sigma.evaluate(s_h, gk) * c2
+    rho_index = np.empty((len(hs), len(hs)), dtype=np.intp)
+    rho_scalar = np.empty((len(hs), len(hs)), dtype=complex)
+    for i, h1 in enumerate(hs):
+        for j, h2 in enumerate(hs):
+            s1, s2 = ext.section(h1), ext.section(h2)
+            s12 = ext.section(L.compose(h1, h2))
+            w = ext.compose(ext.compose(s1, s2), ext.invert(s12))
+            rho_index[i, j] = w[0]
+            rho_scalar[i, j] = sigma.evaluate(s1, s2) * np.conj(sigma.evaluate(w, s12))
+    return sigma_k.values, alpha_perm, alpha_scalar, rho_index, rho_scalar
+
+
+@pytest.mark.parametrize("convention", ["conjugated", "as-printed"])
+@pytest.mark.parametrize("twist", ["trivial", "coboundary", "coboundary-2", "pullback",
+                                   "product"])
+@pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
+def test_action_data_has_the_bits_of_the_section_loop(name, twist, convention):
+    ext = fixtures.standard_extensions()[name]
+    sigma = _twists(ext)[twist]
+    sys = induced_action_data(ext, sigma, convention)
+    got = (sys.sigma_k.values, sys.alpha_perm, sys.alpha_scalar, sys.rho_index,
+           sys.rho_scalar)
+    for mine, ref in zip(got, loop_induced_action_data(ext, sigma, convention)):
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
+def test_pipeline_evaluates_sigma_once_per_pair(name):
+    ext = fixtures.standard_extensions()[name]
+    sigma = fixtures.random_coboundary(ext, 5)
+    calls = []
+    evaluate = sigma.evaluate
+    sigma.evaluate = lambda x, y: calls.append((x, y)) or evaluate(x, y)
+    rep = crossed.crossed_product_pipeline(ext, sigma)
+    assert rep["axioms"]["passed"] and rep["blocks_match"]
+    assert len(calls) == len(ext.elements()) ** 2
+
+
+def python_crossed_cocycle(sys):
+    """omega entry by entry in Python complex arithmetic, in the order of
+    crossed_cocycle's docstring: ((sigma_K(k1, img) a) sigma_K(k1 img, w)) r."""
+    SK, TK = sys.sigma_k.values, sys.K.table
+    nl, m = sys.alpha_perm.shape
+    raw = np.empty((nl * m, nl * m), dtype=complex)
+    for h1, k1, h2, k2 in np.ndindex(nl, m, nl, m):
+        img = sys.alpha_perm[h1, k2]
+        z = complex(SK[k1, img]) * complex(sys.alpha_scalar[h1, k2])
+        z = z * complex(SK[TK[k1][img], sys.rho_index[h1, h2]])
+        raw[h1 * m + k1, h2 * m + k2] = z * complex(sys.rho_scalar[h1, h2])
+    return raw
+
+
+@pytest.mark.parametrize("twist", ["coboundary", "pullback", "product"])
+@pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
+def test_crossed_cocycle_rounds_as_python_does(name, twist):
+    ext = fixtures.standard_extensions()[name]
+    sys = induced_action_data(ext, _twists(ext)[twist])
+    omega = crossed_cocycle(sys)
+    assert (omega.values == TableCocycle(omega.group, python_crossed_cocycle(sys)).values).all()
+
+
+DISPATCH_PROBE = """
+import hashlib
+from twistlab import crossed, fixtures
+for name, G in sorted(fixtures.standard_groups().items()):
+    dec = crossed.decompose_blocks(G, fixtures.random_coboundary(G, 4))
+    vecs = [crossed.element_to_vector(G, p).tobytes() for p in dec.projections]
+    print(name, hashlib.sha256(b"".join(vecs)).hexdigest())
+for name, ext in sorted(fixtures.standard_extensions().items()):
+    omega = crossed.crossed_cocycle(
+        crossed.induced_action_data(ext, fixtures.random_coboundary(ext, 5)))
+    print(name, hashlib.sha256(omega.values.tobytes()).hexdigest())
+"""
+
+
+def _enabled_dispatch_targets():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def test_projections_and_omega_do_not_depend_on_numpy_dispatch():
+    # numpy's SIMD complex multiply rounds with a fused multiply-add on some
+    # CPUs; every complex product here goes through complex_product instead
+    targets = _enabled_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target on this CPU")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
+        env = dict(os.environ, PYTHONPATH=str(src), **extra)
+        r = subprocess.run([sys.executable, "-c", DISPATCH_PROBE], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
 
 
 ZERO = dict.fromkeys(["unit", "rho_normalised", "automorphism", "involution", "rho_unitary",

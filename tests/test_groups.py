@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from twistlab import fixtures
 from twistlab.errors import (BackendMismatch, InvalidAction, InvalidFactorSet,
-                             InvalidGroupTable, MemoryBudgetExceeded)
+                             InvalidGroupTable, MemoryBudgetExceeded, Unsupported)
 from twistlab.groups import (ExtensionGroup, FiniteTableGroup, FreeGroup,
                              IntLattice, reduce_word)
 
@@ -122,6 +122,17 @@ def test_extension_rejects_broken_action():
     action[h][1], action[h][2] = action[h][2], action[h][1]
     with pytest.raises((InvalidAction, InvalidFactorSet)):
         ExtensionGroup(ext.K, ext.quotient, action, ext.factor_set)
+
+
+def test_extension_over_an_infinite_quotient_is_refused():
+    with pytest.raises(Unsupported, match="extension quotients must be finite"):
+        ExtensionGroup(fixtures.cyclic(2), FreeGroup(1), {(): (0, 1)}, {((), ()): 0})
+
+
+def test_extension_element_index_follows_elements():
+    for name, ext in fixtures.standard_extensions().items():
+        assert [ext.element_index(g) for g in ext.elements()] == list(range(len(ext.elements())))
+        assert ext.elements() == sorted(ext.elements(), key=ext.sort_key), name
 
 
 def test_q8_extension_is_q8(q8):
