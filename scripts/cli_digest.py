@@ -116,6 +116,8 @@ def invocations():
         ("decompose", "--group", "data/group_z4xz4.json", *F2_COB),
         ("crossed", "--group", "data/group_s4_v4_extension.json", *F2_COB),
     ]
+    # powers past n = 27 put F2 positions past int64, onto Python ints
+    out.append(("specrad", *F2, *F2_COB, *UX, "--powers", "30"))
     return out
 
 

@@ -6,9 +6,10 @@ supplied per operation.  Accumulation orders are fixed (sorted supports) so
 results are bit-reproducible.
 
 On a free group, convolution and powers run on terms (positions, re, im):
-shortlex positions (see FreeGroup._layout) in increasing order with float
-coefficient parts.  They do the dict loop's floating-point operations in its
-order, so the bits are the same.
+word positions (see FreeGroup.positions), which sort as the words do in
+shortlex, in increasing order with float coefficient parts.  They do the
+dict loop's floating-point operations in its order, so the bits are the
+same.
 """
 
 from __future__ import annotations

@@ -52,10 +52,11 @@ class Cocycle:
         raise NotImplementedError
 
     def pair_values(self, xs, ys, xys) -> np.ndarray:
-        """sigma(x, y) for the elements at ball positions xs and ys (see
-        Group.positions; on a free group the shortlex positions), whose
-        products sit at xys: a complex array with the bits of evaluate.  This
-        default decodes the elements and calls evaluate pair by pair."""
+        """sigma(x, y) for the elements at positions xs and ys (see
+        Group.positions; on a free group the numerals of
+        FreeGroup.positions), whose products sit at xys: a complex array with
+        the bits of evaluate.  This default decodes the elements and calls
+        evaluate pair by pair."""
         words = self.group.words
         return np.array([self.evaluate(x, y) for x, y in zip(words(xs), words(ys))],
                         dtype=complex)

@@ -29,7 +29,7 @@ from .errors import (
     Unsupported,
 )
 
-# free-group shortlex positions are int64 up to here and Python ints past it
+# free-group positions are int64 up to here and Python ints past it
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -84,22 +84,23 @@ class Group:
         return len(self.enumerate_ball(n))
 
     def ball_positions(self, gs, r):
-        """Positions of g * b in enumerate_ball(r + max |g|) for g in gs and b
-        in enumerate_ball(r): an int64 array with one row per g."""
+        """(ball, images): the positions of enumerate_ball(r), here its
+        indices, and an int64 array with one row per g in gs holding the
+        indices of g * b in enumerate_ball(r + max |g|)."""
         ball = self.enumerate_ball(r)
         cod = self.enumerate_ball(r + max(self.word_length(g) for g in gs))
         index = {h: i for i, h in enumerate(cod)}
-        out = np.empty((len(gs), len(ball)), dtype=np.int64)
+        images = np.empty((len(gs), len(ball)), dtype=np.int64)
         for i, g in enumerate(gs):
-            out[i] = [index[self.compose(g, b)] for b in ball]
-        return out
+            images[i] = [index[self.compose(g, b)] for b in ball]
+        return np.arange(len(ball), dtype=np.int64), images
 
     def positions(self, words):
         """Positions of words, an int64 array: ball_positions of w * e.  A
         ball is a prefix of the next, so a position is global."""
         if not words:
             return np.zeros(0, dtype=np.int64)
-        return self.ball_positions(words, 0)[:, 0]
+        return self.ball_positions(words, 0)[1][:, 0]
 
     def words(self, pos):
         """The elements at positions pos, the inverse of positions."""
@@ -270,6 +271,7 @@ class FreeGroup(Group):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
+        self._base = 2 * rank + 1
 
     def identity(self):
         return ()
@@ -295,16 +297,9 @@ class FreeGroup(Group):
     def enumerate_ball(self, r):
         """All reduced words of length <= r, shortlex ordered."""
         letters = [v for i in range(1, self.rank + 1) for v in (i, -i)]
-        ball = [()]
-        sphere = [()]
+        ball, sphere = [()], [()]
         for _ in range(r):
-            nxt = []
-            for w in sphere:
-                for v in letters:
-                    if w and w[-1] == -v:
-                        continue
-                    nxt.append(w + (v,))
-            sphere = nxt
+            sphere = [w + (v,) for w in sphere for v in letters if not w or w[-1] != -v]
             ball.extend(sphere)
         return ball
 
@@ -316,134 +311,95 @@ class FreeGroup(Group):
         return 1 + 2 * self.rank * (q ** n - 1) // (q - 1)
 
     def ball_positions(self, gs, r):
-        """Shortlex positions of g * b for g in gs and b in B_r, one row per g.
+        """(ball, images): the positions of B_r in shortlex order, and those
+        of g * b for g in gs (rows) and b in B_r (columns).
 
-        B_n is a prefix of B_{n+1}, so a position is global.  Each g acts
-        letter by letter, right to left, on arange(|B_r|); no ball is listed."""
+        B_r is built level by level; each g acts letter by letter, right to
+        left, either dropping b's leading digit or putting its own in front."""
         top = r + max(len(g) for g in gs)
         if self.ball_size(top) > INT64_MAX:
             raise MemoryBudgetExceeded(self.ball_size(top), INT64_MAX)
-        starts, powers = self._layout(top)
-        ball = np.arange(self.ball_size(r), dtype=np.int64)
-        out = np.empty((len(gs), ball.size), dtype=np.int64)
+        B = self._base
+        digits = np.arange(1, B, dtype=self._dtype(top))
+        levels = [np.zeros(1, dtype=digits.dtype)]
+        for _ in range(r):
+            last = levels[-1][:, None]
+            levels.append((last * B + digits)[last % B != ((digits - 1) ^ 1) + 1])
+        ball = np.concatenate(levels)
+        # B^n for each b of length n, the place value just above b's leading digit
+        scale = np.repeat(B ** np.arange(r + 1).astype(ball.dtype), [len(s) for s in levels])
+        images = np.empty((len(gs), ball.size), dtype=ball.dtype)
         for i, g in enumerate(gs):
-            pos = ball
+            pos, hi = ball, scale
             for s in reversed(g):
-                pos = self._times_letter(s, pos, starts, powers)
-            out[i] = pos
-        return out
+                rs = letter_rank(s)
+                lead = pos * B // hi
+                drop = lead == (rs ^ 1) + 1
+                pos = np.where(drop, pos - lead * (hi // B), pos + (rs + 1) * hi)
+                hi = np.where(drop, hi // B, hi * B)
+            images[i] = pos
+        return ball, images
 
-    def _layout(self, top):
-        """(starts, powers) for words of length <= top: starts[n] = |B_(n-1)|
-        is the first position of length n (starts[0] = 0), and powers[i] =
-        (2k - 1)^i.  int64 arrays while B_top (B_1 at least) fits in int64,
-        else arrays of Python ints, with which the same code runs exactly."""
-        dtype = np.int64 if self.ball_size(max(top, 1)) <= INT64_MAX else object
-        q = 2 * self.rank - 1
-        return (np.array([0] + [self.ball_size(n) for n in range(top + 1)], dtype=dtype),
-                np.array([q ** i for i in range(top + 1)], dtype=dtype))
+    def _digits(self, p):
+        """The number of base-B digits of the integer p >= 0."""
+        n, p = 0, int(p)
+        while p:
+            p //= self._base
+            n += 1
+        return n
+
+    def _dtype(self, top):
+        """int64 for words of up to top letters when the last such position,
+        B^top - 1, fits in it, that is when INT64_MAX has more than top
+        digits; else object, so that the same code runs on exact Python ints."""
+        return np.int64 if top < self._digits(INT64_MAX) else object
 
     def positions(self, words):
-        """Shortlex positions of reduced words (dtype as in _layout): the word
-        l_1 ... l_n sits at starts[n] + sum_i d_i q^(n-i) (see _times_letter)."""
-        q = 2 * self.rank - 1
-        starts, _ = self._layout(max(map(len, words), default=0))
+        """Positions of reduced words: l_1 ... l_n sits at the bijective
+        base-B numeral sum_i (letter_rank(l_i) + 1) B^(n-i), B = 2k + 1.
+        Every digit is nonzero, so these sort as the words do in shortlex."""
+        B = self._base
         out = []
         for w in words:
-            value, before = 0, None
+            p = 0
             for v in w:
-                rv = letter_rank(v)
-                value = value * q + (rv if before is None else rv - (rv > (before ^ 1)))
-                before = rv
-            out.append(int(starts[len(w)]) + value)
-        return np.array(out, dtype=starts.dtype)
-
-    def _digit_walk(self, pos):
-        """Lengths n, offsets pos - starts[n] and letter ranks of the words
-        at positions pos.  The ranks come from one column per letter, left to
-        right: letter i's digit re-ranked past the inverse of letter i - 1.
-        Columns past a word's length hold junk in [0, 2k)."""
-        top = self._radius(pos)
-        starts, powers = self._layout(top)
-        n = np.searchsorted(starts, pos, side="right") - 1
-        offset = pos - starts[n]
-        ranks = np.zeros((pos.size, max(top, 1)), dtype=starts.dtype)
-        for i in range(top):
-            d = offset // powers[np.maximum(n - 1 - i, 0)]
-            if i:
-                d %= 2 * self.rank - 1
-                d += d >= (ranks[:, i - 1] ^ 1)
-            ranks[:, i] = d
-        return n, offset, ranks
+                p = p * B + letter_rank(v) + 1
+            out.append(p)
+        return np.array(out, dtype=self._dtype(max(map(len, words), default=0)))
 
     def words(self, pos):
-        """The reduced words at shortlex positions pos, as tuples."""
-        n, _, ranks = self._digit_walk(np.asarray(pos))
+        """The reduced words at positions pos, as tuples.  The digits are
+        taken off the low end in chunks of as many as fit in int64, so a long
+        Python-int position is divided once per chunk, not once per letter."""
+        B, pos = self._base, np.asarray(pos)
+        top = self._digits(pos.max(initial=0))
+        c = max(self._digits(INT64_MAX) - 1, 1)
+        ranks = np.empty((pos.size, top), dtype=self._dtype(c))
+        for i in range(top):
+            if i % c == 0:
+                pos, chunk = pos // B ** c, (pos % B ** c).astype(ranks.dtype)
+            chunk, ranks[:, top - 1 - i] = chunk // B, chunk % B
+        n = (ranks > 0).sum(axis=1).tolist()
+        ranks -= 1  # from digits, in place; -1 where a short word leaves a column empty
         letters = (((ranks >> 1) + 1) * (1 - 2 * (ranks & 1))).tolist()
-        return [tuple(row[:k]) for row, k in zip(letters, n.tolist())]
+        return [tuple(row[top - k:]) for row, k in zip(letters, n)]
 
     def times_right(self, pos, words):
         """Positions of x w for the words x at positions pos (rows) and each
-        reduced word w in words (columns).
-
-        The c letters of w that cancel against the end of x are counted from
-        x's last letters; x loses its last c digits (an integer division, and
-        position 0 when nothing is left) and w's remaining letters are
-        appended, the first one re-ranked past the inverse of x's new last
-        letter."""
+        reduced word w in words (columns): each letter of w either cancels
+        x's last digit or is appended as a new one."""
+        B = self._base
         pos = np.asarray(pos)
-        if not pos.size:
-            return np.empty((0, len(words)), dtype=pos.dtype)
-        q = 2 * self.rank - 1
-        n, offset, ranks = self._digit_walk(pos)
-        starts, powers = self._layout(int(n.max()) + max(map(len, words), default=0))
-        out = np.empty((pos.size, len(words)), dtype=starts.dtype)
-        row = np.arange(pos.size)
-
-        def letter(k):
-            """Rank of each x's k-th letter (1-based); junk where k < 1."""
-            return ranks[row, np.maximum(k - 1, 0)]
-
+        pos = pos.astype(self._dtype(self._digits(pos.max(initial=0))
+                                     + max(map(len, words), default=0)))
+        out = np.empty((pos.size, len(words)), dtype=pos.dtype)
         for j, w in enumerate(words):
-            wr = [letter_rank(v) for v in w]
-            m = len(wr)
-            c = np.zeros(pos.size, dtype=np.int64)
-            alive = np.ones(pos.size, dtype=bool)
-            for i, rv in enumerate(wr):
-                alive &= (n > i) & (letter(n - i) == (rv ^ 1))
-                c += alive
-            # appended[c]: w's letters c + 2 .. m as the low digits of the product
-            appended = [0] * (m + 1)
-            for k in range(m - 2, -1, -1):
-                d = wr[k + 1] - (wr[k + 1] > (wr[k] ^ 1))
-                appended[k] = appended[k + 1] + d * q ** (m - 2 - k)
-            kept = n - c
-            t = m - c
-            prefix = np.where(kept > 0, offset // powers[c], 0)
-            first = np.asarray(wr + [0])[c]
-            first = np.where(kept > 0, first - (first > (letter(kept) ^ 1)), first)
-            grown = (prefix * q + first) * powers[np.maximum(t - 1, 0)] + np.asarray(appended)[c]
-            out[:, j] = starts[kept + t] + np.where(t > 0, grown, prefix)
+            p = pos
+            for v in w:
+                rv = letter_rank(v)
+                p = np.where(p % B == (rv ^ 1) + 1, p // B, p * B + rv + 1)
+            out[:, j] = p
         return out
-
-    def _times_letter(self, s, pos, starts, powers):
-        """Positions of s * w for the words w at positions pos.
-
-        A word l_1 ... l_n sits at starts[n] + sum_i d_i q^(n-i), q = 2k - 1,
-        where d_1 is the rank of l_1 and d_i (i >= 2) the rank of l_i among
-        the q letters allowed after l_{i-1}."""
-        rs = letter_rank(s)
-        ri = rs ^ 1
-        n = np.searchsorted(starts, pos, side="right") - 1
-        unit = powers[np.maximum(n - 1, 0)]
-        d1, rest = np.divmod(pos - starts[n], unit)
-        # w starts with s^-1: drop d_1 and re-rank l_2 among all 2k letters
-        sub = powers[np.maximum(n - 2, 0)]
-        d2, tail = np.divmod(rest, sub)
-        shrunk = np.where(n > 1, starts[n - 1] + (d2 + (d2 >= rs)) * sub + tail, 0)
-        # otherwise s leads and l_1 is re-ranked among the letters allowed after s
-        grown = starts[n + 1] + rs * powers[n] + np.where(n > 0, (d1 - (d1 > ri)) * unit + rest, 0)
-        return np.where((n > 0) & (d1 == ri), shrunk, grown)
 
     def contains(self, a):
         if not isinstance(a, tuple):

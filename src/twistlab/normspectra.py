@@ -99,10 +99,9 @@ def _truncation_matrix(G, sigma, a, r, cap):
     for n in (r, r + d):
         if G.ball_size(n) > cap:
             raise MemoryBudgetExceeded(G.ball_size(n), cap)
-    gb = G.ball_positions(supp, r)
-    m = gb.shape[1]
-    s = sigma.pair_values(np.repeat(G.positions(supp), m), np.tile(np.arange(m), len(supp)),
-                          gb.ravel())
+    ball, gb = G.ball_positions(supp, r)
+    m = len(ball)
+    s = sigma.pair_values(np.repeat(G.positions(supp), m), np.tile(ball, len(supp)), gb.ravel())
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)
     data = as_complex(*complex_product(s.real, s.imag, np.repeat(c.real, m),
                                        np.repeat(c.imag, m))).reshape(gb.shape)

@@ -259,11 +259,12 @@ def test_free_pair_values_equal_evaluate():
     for rank in FREE_RANKS:
         G = FreeGroup(rank)
         ball = G.enumerate_ball(3)
+        pos = G.positions(ball)
         xs, ys = np.meshgrid(np.arange(len(ball)), np.arange(len(ball)), indexing="ij")
         xs, ys = xs.ravel(), ys.ravel()
         xys = G.positions([G.compose(ball[i], ball[j]) for i, j in zip(xs, ys)])
         for sigma in free_cocycles(G).values():
-            got = sigma.pair_values(xs, ys, xys)
+            got = sigma.pair_values(pos[xs], pos[ys], xys)
             ref = [sigma.evaluate(ball[i], ball[j]) for i, j in zip(xs, ys)]
             assert got.tolist() == ref
 
@@ -274,7 +275,7 @@ def test_positions_round_trip_on_b6(rank):
     ball = G.enumerate_ball(6)
     pos = G.positions(ball)
     assert pos.dtype == np.int64
-    assert np.array_equal(pos, np.arange(len(ball)))
+    assert (np.diff(pos) > 0).all()
     assert G.words(pos) == ball
     assert G.words(pos[::-1]) == ball[::-1]
 
@@ -332,6 +333,28 @@ def test_free_r2_sequences_keep_their_recorded_bits(f2):
     ux = AlgebraElement(f2, {x: 1.0, f2.invert(x): 1.0})
     assert normspectra.l2_spectral_radius(sphere1, None, 10).r2_sequence == SPHERE1_R2_N10
     assert normspectra.l2_spectral_radius(ux, None, 24).r2_sequence == X_PLUS_XINV_R2_N24
+
+
+# (|supp a^n|, ||a^n||_2) for x + x^-1 under the seed-1 coboundary, recorded
+# from the dense-rank positions these numerals replaced; from n = 28 on the
+# positions pass F2's int64 limit and run on Python ints
+X_PLUS_XINV_COBOUNDARY_NORMS_N30 = [
+    (2, 1.4142135623730951), (3, 2.449489742783178), (4, 4.472135954999579),
+    (5, 8.366600265340752), (6, 15.874507866387535), (7, 30.39736830714131),
+    (8, 58.583274063507204), (9, 113.44602240713415), (10, 220.49943310584706),
+    (11, 429.8325255259305), (12, 839.8999940469097), (13, 1644.4318167683314),
+    (14, 3224.9961240286752), (15, 6333.766651843113), (16, 12454.618420489633),
+    (17, 24516.94087768698), (18, 48307.41371673705), (19, 95263.50455447237),
+    (20, 188003.36114016664), (21, 371276.88969285396), (22, 733660.598942044),
+    (23, 1450551.2620104104), (24, 2869395.533487842), (25, 5678697.357942216),
+    (26, 11243247.1482998), (27, 22269228.38690426), (28, 44124136.542805076),
+    (29, 87456792.76511583), (30, 173399153.68749908), (31, 343896178.4679513)]
+
+
+def test_free_power_norms_across_the_int64_limit_keep_their_bits(f2):
+    ux = AlgebraElement(f2, {(1,): 1.0, (-1,): 1.0})
+    sigma = fixtures.random_coboundary(f2, 1)
+    assert list(algebra.power_norms(ux, 30, sigma)) == X_PLUS_XINV_COBOUNDARY_NORMS_N30
 
 
 def test_free_l2_squares_round_as_python_does(f2):

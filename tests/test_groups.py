@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,16 +188,6 @@ def test_element_json_roundtrip_all_backends(s3, f2):
         assert G.element_from_json(G.element_to_json(g)) == g
 
 
-def shortlex_position(w, letters, starts):
-    # d_1 = rank of l_1 among all 2k letters, d_i = rank of l_i among the
-    # 2k - 1 letters allowed after l_{i-1}; starts[n] = |B_{n-1}|
-    pos = 0
-    for i, v in enumerate(w):
-        allowed = [u for u in letters if i == 0 or u != -w[i - 1]]
-        pos = pos * len(allowed) + allowed.index(v)
-    return starts[len(w)] + pos
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_free_ball_positions_roundtrip(k):
     G = FreeGroup(k)
@@ -204,12 +195,14 @@ def test_free_ball_positions_roundtrip(k):
     ball = G.enumerate_ball(r)
     sizes = [len(G.enumerate_ball(n)) for n in range(r + 1)]
     assert [G.ball_size(n) for n in range(r + 1)] == sizes
-    letters = [u for (u,) in G.enumerate_ball(1)[1:]]
-    positions = [shortlex_position(w, letters, [0] + sizes) for w in ball]
-    assert positions == list(range(len(ball)))
+    positions, _ = G.ball_positions([()], r)
+    # positions strictly increase along the shortlex ball, and words inverts them
+    assert (np.diff(positions) > 0).all()
+    assert G.words(positions) == ball
+    assert G.positions(ball).tolist() == positions.tolist()
     # each word is its own letters applied right to left to the identity
     short = ball[:sizes[4]]
-    assert G.ball_positions(short, 0)[:, 0].tolist() == positions[:len(short)]
+    assert G.ball_positions(short, 0)[1][:, 0].tolist() == positions[:len(short)].tolist()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -217,17 +210,74 @@ def test_free_letter_maps_match_compose(k):
     G = FreeGroup(k)
     r = 6
     ball = G.enumerate_ball(r)
-    index = {w: i for i, w in enumerate(G.enumerate_ball(r + 1))}
     letters = ball[1:2 * k + 1]
-    expected = [[index[G.compose(s, w)] for w in ball] for s in letters]
-    assert G.ball_positions(letters, r).tolist() == expected
+    positions, images = G.ball_positions(letters, r)
+    assert G.words(positions) == ball
+    for s, row in zip(letters, images):
+        assert G.words(row) == [G.compose(s, w) for w in ball]
 
 
 def test_free_ball_positions_agree_with_the_generic_path(f2):
     # the generic Group method lists both balls and indexes them with a dict
     from twistlab.groups import Group
     gs = [(), (1,), (-2, 1), (2, 2, -1, 2), (-1, -2, -1)]
-    assert (f2.ball_positions(gs, 4) == Group.ball_positions(f2, gs, 4)).all()
+    ball, images = f2.ball_positions(gs, 4)
+    indices, generic = Group.ball_positions(f2, gs, 4)
+    assert indices.tolist() == list(range(len(ball)))
+    assert f2.words(ball) == Group.words(f2, indices)
+    for row, generic_row in zip(images, generic):
+        assert f2.words(row) == Group.words(f2, generic_row)
+
+
+# the longest words whose positions, at most (2k + 1)^n - 1, fit in int64
+INT64_LETTERS = {1: 39, 2: 27, 3: 22}
+
+
+def random_reduced_word(k, n, rng):
+    letters = [v for i in range(1, k + 1) for v in (i, -i)]
+    word = []
+    while len(word) < n:
+        v = letters[rng.integers(len(letters))]
+        if not word or word[-1] != -v:
+            word.append(v)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_free_positions_at_the_int64_limit(k, extra):
+    G = FreeGroup(k)
+    n = INT64_LETTERS[k] + extra
+    dtype = np.dtype(np.int64 if extra <= 0 else object)
+    rng = np.random.default_rng(10 * k + extra)
+    # (-k,) * n has the last position of length n, (2k + 1)^n - 1
+    words = [(1,) * n, (-k,) * n] + [random_reduced_word(k, n, rng) for _ in range(6)]
+    pos = G.positions(words)
+    assert pos.dtype == dtype and G.words(pos) == words
+    assert int(pos[1]) == (2 * k + 1) ** n - 1
+    ordered = sorted(set(words) | {(-k,) * (n - 1)}, key=G.sort_key)
+    assert (np.diff(G.positions(ordered).astype(object)) > 0).all()
+    # x w and g b, both of length at most n: the same dtype switch
+    shorter = [w[:-1] for w in words]
+    ws = [(), (1,), (-1,), (k,), (-k,)]
+    got = G.times_right(G.positions(shorter), ws)
+    assert got.dtype == dtype
+    for j, w in enumerate(ws):
+        assert G.words(got[:, j]) == [G.compose(x, w) for x in shorter]
+    ball, images = G.ball_positions(shorter, 1)
+    assert images.dtype == dtype and G.words(ball) == G.enumerate_ball(1)
+    for g, row in zip(shorter, images):
+        assert G.words(row) == [G.compose(g, b) for b in G.enumerate_ball(1)]
+
+
+def test_free_words_decode_long_f1_positions_in_int64_chunks():
+    # F1's 201 words of up to 100 letters: up to three chunks of 39 digits
+    G = FreeGroup(1)
+    ball = G.enumerate_ball(100)
+    pos = G.positions(ball)
+    assert pos.dtype == object and (np.diff(pos) > 0).all()
+    assert G.ball_positions([()], 100)[0].tolist() == pos.tolist()
+    assert G.words(pos) == ball and G.words(pos[::-1]) == ball[::-1]
 
 
 def test_free_ball_positions_beyond_int64_are_refused(f2):

@@ -7,10 +7,10 @@ import scipy.sparse as sp
 
 from twistlab import fixtures, normspectra
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
-from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
-                               TrivialCocycle, value_table)
+from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
+                               PullbackCocycle, TableCocycle, TrivialCocycle, value_table)
 from twistlab.errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
-from twistlab.groups import FreeGroup
+from twistlab.groups import FreeGroup, IntLattice
 from twistlab.normspectra import (certify_free_subsemigroup, exact_norm,
                                   exact_spectrum, haagerup_upper,
                                   l2_spectral_radius, regular_rep,
@@ -233,6 +233,20 @@ def test_truncation_bit_equal_to_dict_reference(k, rmax):
                 got = truncated_norm_lower(G, sigma, a, r)
                 want = np.linalg.norm(kept.toarray(), 2)
                 assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("r, value", [(4, 2.601679131883149), (8, 2.682211377599001)])
+def test_lattice_truncation_matches_the_dict_matrix(r, value):
+    # the generic ball_positions path: u1 + u1* + u2 + u2* on Z^2 under the
+    # bicharacter theta = [[0, 1/3], [0, 0]]
+    G = IntLattice(2)
+    sigma = BicharacterCocycle(G, [[0.0, 1.0 / 3.0], [0.0, 0.0]])
+    a = AlgebraElement(G, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0})
+    want = np.linalg.norm(dict_reference_matrix(G, sigma, a, r).toarray(), 2)
+    got = truncated_norm_lower(G, sigma, a, r)
+    assert got <= want and want - got <= 1e-12
+    assert got <= 1 + math.sqrt(3)
+    assert got == value
 
 
 def mp_radial_jacobi_norm(r):
