@@ -54,9 +54,9 @@ class Cocycle:
     def pair_values(self, xs, ys, xys) -> np.ndarray:
         """sigma(x, y) for the elements at positions xs and ys (see
         Group.positions; on a free group the numerals of
-        FreeGroup.positions), whose products sit at xys: a complex array with
-        the bits of evaluate.  This default decodes the elements and calls
-        evaluate pair by pair."""
+        FreeGroup.positions, on a finite group the indices), whose products
+        sit at xys: a complex array with the bits of evaluate.  This default
+        decodes the elements and calls evaluate pair by pair."""
         words = self.group.words
         return np.array([self.evaluate(x, y) for x, y in zip(words(xs), words(ys))],
                         dtype=complex)
@@ -103,6 +103,9 @@ class TableCocycle(Cocycle):
 
     def evaluate(self, x, y):
         return complex(self.values[x, y])
+
+    def pair_values(self, xs, ys, xys):
+        return self.values[xs, ys]
 
     def to_json(self):
         return {
@@ -256,16 +259,15 @@ class ValidationReport:
 
 def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
     """sigma(x, y) for every y of a finite group and every x in ``rows``
-    (default: every element), indexed like G.elements(): the table's rows
-    at ``rows``.  Only a cocycle without a table of its own is evaluated."""
-    elems = G.elements()
-    xs = elems if rows is None else rows
-    if isinstance(sigma, TableCocycle):
-        return sigma.values if rows is None else sigma.values[[G.element_index(x) for x in xs]]
-    if isinstance(sigma, TrivialCocycle):
-        return np.ones((len(xs), len(elems)), dtype=complex)
-    return np.array([[sigma.evaluate(x, y) for y in elems] for x in xs],
-                    dtype=complex).reshape(len(xs), len(elems))
+    (default: every element), indexed like G.elements(): one pair_values
+    call on those rows of G's index table T, an element's position being
+    its index."""
+    T = G.multiplication_table()
+    n = len(T)
+    xs = (np.arange(n) if rows is None
+          else np.array([G.element_index(x) for x in rows], dtype=np.intp))
+    values = sigma.pair_values(np.repeat(xs, n), np.tile(np.arange(n), len(xs)), T[xs].ravel())
+    return values.reshape(len(xs), n)
 
 
 def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TRIPLES,

@@ -9,12 +9,9 @@ class BackendMismatch(TwistlabError):
     """Operands live over different (or incompatible) group backends."""
 
 
-class NotFinite(TwistlabError):
-    """An exact finite-group computation was requested on an infinite backend."""
-
-
 class Unsupported(TwistlabError):
-    """The backend does not support the requested operation."""
+    """The backend does not support the requested operation, such as an
+    exact finite-group computation on an infinite backend."""
 
 
 class InvalidArgument(TwistlabError, ValueError):

@@ -25,7 +25,6 @@ from .errors import (
     InvalidFactorSet,
     InvalidGroupTable,
     MemoryBudgetExceeded,
-    NotFinite,
     Unsupported,
 )
 
@@ -57,10 +56,10 @@ class Group:
         return False
 
     def elements(self):
-        raise NotFinite(f"{self.kind} backend is not finite")
+        raise Unsupported(f"{self.kind} backend is not finite")
 
     def element_index(self, a):
-        raise NotFinite(f"{self.kind} backend is not finite")
+        raise Unsupported(f"{self.kind} backend is not finite")
 
     def multiplication_table(self):
         """Index table of a finite group: [i, j] indexes elements()[i] * elements()[j].
@@ -103,9 +102,10 @@ class Group:
         return self.ball_positions(words, 0)[1][:, 0]
 
     def words(self, pos):
-        """The elements at positions pos, the inverse of positions."""
+        """The elements at positions pos, the inverse of positions; on a
+        finite group a position is an index into elements()."""
         pos = np.asarray(pos, dtype=np.int64)
-        ball = self.enumerate_ball(self._radius(pos))
+        ball = self.elements() if self.is_finite else self.enumerate_ball(self._radius(pos))
         return [ball[i] for i in pos.tolist()]
 
     def _radius(self, pos):
@@ -379,10 +379,17 @@ class FreeGroup(Group):
             if i % c == 0:
                 pos, chunk = pos // B ** c, (pos % B ** c).astype(ranks.dtype)
             chunk, ranks[:, top - 1 - i] = chunk // B, chunk % B
-        n = (ranks > 0).sum(axis=1).tolist()
-        ranks -= 1  # from digits, in place; -1 where a short word leaves a column empty
-        letters = (((ranks >> 1) + 1) * (1 - 2 * (ranks & 1))).tolist()
-        return [tuple(row[top - k:]) for row, k in zip(letters, n)]
+        # a short word leaves its first columns 0; keep the digits, row by row
+        filled = ranks > 0
+        n = filled.sum(axis=1)
+        ranks = ranks[filled]
+        ranks -= 1  # from digits to letter ranks to letters, in place
+        odd = (ranks & 1).astype(bool)
+        ranks >>= 1
+        ranks += 1
+        np.negative(ranks, out=ranks, where=odd)
+        letters = ranks.tolist()
+        return [tuple(letters[j - k:j]) for j, k in zip(np.cumsum(n).tolist(), n.tolist())]
 
     def times_right(self, pos, words):
         """Positions of x w for the words x at positions pos (rows) and each

@@ -45,11 +45,6 @@ class SpectralReport:
         }
 
 
-def _require_finite(G: Group):
-    if not G.is_finite:
-        raise Unsupported(f"{G.kind} backend is not finite")
-
-
 def regular_matrices(T_rows, S_rows, coeffs) -> np.ndarray:
     """The matrices of b -> a *_sigma b on l2(G), one per row a of ``coeffs``.
 
@@ -75,7 +70,6 @@ def regular_rep(G: Group, sigma: Cocycle, a: AlgebraElement) -> np.ndarray:
     """Matrix of left twisted convolution by a on l2(G), element enumeration
     basis: column h carries sigma(g, h) a_g at row gh.  sigma is evaluated
     on the rows of supp a only."""
-    _require_finite(G)
     a.group.check_same(G)
     supp = a.support()
     idx = [G.element_index(g) for g in supp]
@@ -299,7 +293,7 @@ def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
     C is the max untwisted ratio ||a|| / ||a||_2 over the sample (all-ones on
     S, every delta, and seeded random complex elements); the same sample is
     then tested against every twisted norm."""
-    _require_finite(G)
+    T = G.multiplication_table()  # first, so an infinite G is refused before an empty S
     S = sorted(set(S), key=G.sort_key)
     if not S:
         raise InvalidArgument("S must be nonempty")
@@ -311,7 +305,6 @@ def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
             G, {g: complex(rng.standard_normal(), rng.standard_normal()) for g in S}))
     l2 = [l2_norm(a) for a in sample]
     coeffs = np.array([[a[g] for g in S] for a in sample], dtype=complex)
-    T = G.multiplication_table()
     T_rows = T[[G.element_index(g) for g in S]]
     # norms of stacks of at most 2^20 matrix entries (16 MiB)
     step = max(1, 2 ** 20 // T.size)
@@ -354,7 +347,6 @@ def l2_spectral_radius(a: AlgebraElement, sigma: Cocycle | None, N: int,
 def exact_spectrum(G: Group, sigma: Cocycle, a: AlgebraElement):
     """Eigenvalue multiset of the sigma-regular representation of a, sorted by
     (real, imag), from LAPACK's general eigensolver for every element."""
-    _require_finite(G)
     vals = np.linalg.eigvals(regular_rep(G, sigma, a))
     return sorted((complex(z) for z in vals), key=lambda z: (z.real, z.imag))
 

@@ -31,3 +31,14 @@ def d4():
 @pytest.fixture(scope="session")
 def f2():
     return FreeGroup(2)
+
+
+@pytest.fixture
+def record_calls():
+    """record_calls(obj, name) wraps the method obj.name so that every call
+    appends its argument tuple to the list it returns."""
+    def wrap(obj, name):
+        calls, method = [], getattr(obj, name)
+        setattr(obj, name, lambda *args: calls.append(args) or method(*args))
+        return calls
+    return wrap

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -148,6 +149,52 @@ def test_byte_determinism_across_runs_and_threads():
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout == r3.stdout
     assert json.loads(r1.stdout)["seed"] == 11
+
+
+# stdout sha256 and exit code of the `scripts/cli_digest.py` lines whose
+# bytes hold under every OpenBLAS kernel and numpy SIMD dispatch on x86-64
+# (OPENBLAS_CORETYPE=Prescott or Haswell, NPY_DISABLE_CPU_FEATURES with every
+# target off): the crossed pipeline, semigroup certificates and Haagerup bounds
+PINNED_STDOUT = {
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode haagerup"):
+        ("6da5251d484e6a7f851c56888a82a612ba0ae3ed4195f04d39188e2d1cafed55", 0),
+    ("semigroup --group data/group_f2.json --element data/element_f2_t_x.json --set"
+     " data/set_f2_F_y_y2.json --length 8"):
+        ("ba695b125a88a333d392876bc8b887158c52e164b10627b70689ed5834c2b5b1", 0),
+    ("semigroup --group data/group_f2.json --element data/element_f2_t_e.json --set"
+     " data/set_f2_F_x_xinv.json --length 2"):
+        ("bf72ad3521c3d3e17522e85491e11634aa310280e69ac780b67f36b2440c7326", 0),
+    ("crossed --group data/group_q8_extension.json --cocycle data/cocycle_trivial.json"):
+        ("e161c9891f123af6f5e264e41de681792385f91e4d77cbd377ecc5d432607f7d", 0),
+    ("crossed --group data/group_q8_extension.json --cocycle"
+     " data/cocycle_q8ext_coboundary.json"):
+        ("8d671f822cc5d4c36d762b6bb59854fa338549c05e8d469f5cd12e1f6b958849", 0),
+    ("crossed --group data/group_q8_extension.json --cocycle"
+     " data/cocycle_q8ext_coboundary.json --convention as-printed"):
+        ("bbd1a698d73d154baa4084251b418a7ead25892d21067f81998e2ca2ef1cc569", 2),
+    ("crossed --group data/group_s4_v4_extension.json --cocycle data/cocycle_trivial.json"):
+        ("ad8a64751f9e24a0ad0be0f03f1591dab94bc49ea5965d340538f4a2c9c278cb", 0),
+    ("crossed --group data/group_s4_v4_extension.json --cocycle data/cocycle_trivial.json"
+     " --convention as-printed"):
+        ("4af4577d7ccaa285e33dd41891ccc237898ecf7573d6b16656e56bcca62304d4", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1_huge.json --mode haagerup"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("crossed --group data/group_s4_v4_extension.json --cocycle"
+     " data/cocycle_f2_random_coboundary.json"):
+        ("c7b8ebbb02ccc8649d02e04a3959cd71df6702660e8d9557817468e437c19a53", 0),
+}
+
+
+def test_stable_digests_keep_their_bytes():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    got = {}
+    for args in PINNED_STDOUT:
+        r = subprocess.run([sys.executable, "-m", "twistlab.cli", *args.split()],
+                           capture_output=True, env=env, cwd=ROOT)
+        got[args] = (hashlib.sha256(r.stdout).hexdigest(), r.returncode)
+    assert got == PINNED_STDOUT
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,

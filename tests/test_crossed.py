@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from twistlab import crossed, fixtures
-from twistlab.algebra import convolve, delta, involute
-from twistlab.cocycles import (ProductCocycle, PullbackCocycle, TableCocycle, TrivialCocycle,
-                               validate, value_table)
+from twistlab.algebra import AlgebraElement, convolve, delta, involute
+from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
+                               TrivialCocycle, validate, value_table)
 from twistlab.crossed import (assemble_crossed_product, crossed_cocycle, decompose_blocks,
                               element_to_vector, induced_action_data, orbit_decomposition,
                               vector_to_element, verify_twisted_action)
@@ -237,40 +237,48 @@ def test_decompose_needs_a_finite_table_group():
         decompose_blocks(ext, TrivialCocycle(ext))
 
 
-def test_decompose_evaluates_sigma_once_per_pair(s3):
-    calls = []
-    sigma = fixtures.random_coboundary(s3, 5)
-    evaluate = sigma.evaluate
-    sigma.evaluate = lambda x, y: calls.append((x, y)) or evaluate(x, y)
+def test_decompose_evaluates_sigma_once_per_pair(s3, record_calls):
+    # a conjugate reads sigma by the per-pair default of pair_values
+    sigma = ConjugateCocycle(fixtures.random_coboundary(s3, 5))
+    calls = record_calls(sigma, "evaluate")
     dec = decompose_blocks(s3, sigma)
     assert sorted(dec.block_sizes) == [1, 1, 2]
     assert len(calls) == s3.order ** 2
+    # a coboundary is read through beta, once per element
+    sigma = fixtures.random_coboundary(s3, 5)
+    calls, reads = record_calls(sigma, "evaluate"), record_calls(sigma, "beta")
+    decompose_blocks(s3, sigma)
+    assert calls == [] and sorted(reads) == [(g,) for g in s3.elements()]
 
 
 def dict_verify_twisted_action(sys):
     """The axiom check as it ran on algebra elements, one dict convolution
-    per product and alpha applied as a dense matrix: the bit-for-bit
-    reference for verify_twisted_action's residuals."""
+    per product and alpha applied as the monomial map, one Python complex
+    multiply per term: the bit-for-bit reference for verify_twisted_action's
+    residuals."""
     K, L, sig = sys.K, sys.gamma.quotient, sys.sigma_k
     hs = L.elements()
     e = L.identity()
-    alpha = dict(zip(hs, sys.alpha_matrices()))
+    alpha = {h: (sys.alpha_perm[i].tolist(), sys.alpha_scalar[i].tolist())
+             for i, h in enumerate(hs)}
     rho = {(h1, h2): delta(K, int(sys.rho_index[i, j]), sys.rho_scalar[i, j])
            for i, h1 in enumerate(hs) for j, h2 in enumerate(hs)}
 
     def apply_alpha(h, a):
-        return vector_to_element(K, alpha[h] @ element_to_vector(K, a))
+        perm, scalar = alpha[h]
+        return AlgebraElement(K, {perm[k]: scalar[k] * c for k, c in a.coeffs.items()})
 
     def l2(a):
         return float(np.sqrt(sum(abs(c) ** 2 for c in a.coeffs.values())))
 
     res = dict.fromkeys(["unit", "rho_normalised", "automorphism", "involution",
                          "rho_unitary", "composition", "rho_cocycle"], 0.0)
-    res["unit"] = float(np.max(np.abs(alpha[e] - np.eye(K.order))))
+    deltas = [delta(K, k) for k in range(K.order)]
+    for dk in deltas:
+        res["unit"] = max(res["unit"], l2(apply_alpha(e, dk) - dk))
     for h in hs:
         for pair in ((e, h), (h, e)):
             res["rho_normalised"] = max(res["rho_normalised"], l2(rho[pair] - delta(K, 0)))
-    deltas = [delta(K, k) for k in range(K.order)]
     for h in hs:
         imgs = [apply_alpha(h, dk) for dk in deltas]
         res["unit"] = max(res["unit"], l2(imgs[0] - delta(K, 0)))
@@ -369,15 +377,18 @@ def test_action_data_has_the_bits_of_the_section_loop(name, twist, convention):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
-def test_pipeline_evaluates_sigma_once_per_pair(name):
+def test_pipeline_evaluates_sigma_once_per_pair(name, record_calls):
     ext = fixtures.standard_extensions()[name]
-    sigma = fixtures.random_coboundary(ext, 5)
-    calls = []
-    evaluate = sigma.evaluate
-    sigma.evaluate = lambda x, y: calls.append((x, y)) or evaluate(x, y)
+    n = len(ext.elements())
+    sigma = ConjugateCocycle(fixtures.random_coboundary(ext, 5))
+    calls = record_calls(sigma, "evaluate")
     rep = crossed.crossed_product_pipeline(ext, sigma)
     assert rep["axioms"]["passed"] and rep["blocks_match"]
-    assert len(calls) == len(ext.elements()) ** 2
+    assert len(calls) == n ** 2
+    sigma = fixtures.random_coboundary(ext, 5)
+    calls, reads = record_calls(sigma, "evaluate"), record_calls(sigma, "beta")
+    crossed.crossed_product_pipeline(ext, sigma)
+    assert calls == [] and len(reads) == len(set(reads)) == n
 
 
 def python_crossed_cocycle(sys):

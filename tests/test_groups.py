@@ -136,6 +136,21 @@ def test_extension_element_index_follows_elements():
         assert ext.elements() == sorted(ext.elements(), key=ext.sort_key), name
 
 
+def test_finite_words_are_the_elements_at_their_indices():
+    groups = {**fixtures.standard_groups(), **fixtures.standard_extensions()}
+    for name, G in groups.items():
+        elems = G.elements()
+        assert G.words(np.arange(len(elems))) == elems, name
+        assert G.words(np.array([len(elems) - 1, 0, 0])) == [elems[-1], elems[0], elems[0]]
+
+
+@pytest.mark.parametrize("G", [FreeGroup(2), IntLattice(2)], ids=lambda G: G.kind)
+def test_infinite_backends_refuse_element_lists_as_unsupported(G):
+    for call in (G.elements, lambda: G.element_index(G.identity()), G.multiplication_table):
+        with pytest.raises(Unsupported, match=f"^{G.kind} backend is not finite$"):
+            call()
+
+
 def test_q8_extension_is_q8(q8):
     ext = fixtures.q8_extension()
     src = ext.source

@@ -395,13 +395,28 @@ def test_regular_rep_has_the_bits_of_the_pair_loop(case):
         assert regular_rep(G, sigma, a).tobytes() == loop_regular_rep(G, sigma, a).tobytes()
 
 
-def test_regular_rep_evaluates_sigma_on_the_support_rows_only(s3):
-    calls = []
-    sigma = fixtures.random_coboundary(s3, 5)
-    evaluate = sigma.evaluate
-    sigma.evaluate = lambda x, y: calls.append((x, y)) or evaluate(x, y)
-    regular_rep(s3, sigma, delta(s3, 1) + delta(s3, 4, 2j))
+def test_regular_rep_evaluates_sigma_on_the_support_rows_only(s3, record_calls):
+    a = delta(s3, 1) + delta(s3, 4, 2j)
+    # a conjugate reads sigma by the per-pair default of pair_values
+    sigma = ConjugateCocycle(fixtures.random_coboundary(s3, 5))
+    calls = record_calls(sigma, "evaluate")
+    regular_rep(s3, sigma, a)
     assert sorted(calls) == [(g, h) for g in (1, 4) for h in s3.elements()]
+    # a coboundary is read through beta, once per element
+    sigma = fixtures.random_coboundary(s3, 5)
+    calls, reads = record_calls(sigma, "evaluate"), record_calls(sigma, "beta")
+    regular_rep(s3, sigma, a)
+    assert calls == [] and sorted(reads) == [(g,) for g in s3.elements()]
+
+
+@pytest.mark.parametrize("case", FINITE_CASES, ids=lambda c: c[0])
+def test_value_table_has_the_bits_of_evaluate(case):
+    _, G, sigma = case
+    elems = G.elements()
+    ref = np.array([[sigma.evaluate(x, y) for y in elems] for x in elems], dtype=complex)
+    for rows, want in ((None, ref), (elems[1::3], ref[1::3]), ([], ref[:0])):
+        got = value_table(G, sigma, rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_trivial_value_table_evaluates_nothing(s3):
