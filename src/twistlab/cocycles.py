@@ -9,7 +9,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,8 +86,8 @@ class TableCocycle(Cocycle):
 
     def __init__(self, group: FiniteTableGroup, values):
         super().__init__(group)
-        if not group.is_finite:
-            raise BackendMismatch("table cocycles need a finite group")
+        if group.kind != "finite-table":
+            raise BackendMismatch("table cocycles need a finite-table group")
         vals = np.array(values, dtype=complex)
         n = group.order
         if vals.shape != (n, n):
@@ -246,15 +246,7 @@ class ValidationReport:
     witnesses: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "passed": self.passed,
-            "max_modulus_residual": self.max_modulus_residual,
-            "max_normalization_residual": self.max_normalization_residual,
-            "max_identity_residual": self.max_identity_residual,
-            "checked_triples": self.checked_triples,
-            "exhaustive": self.exhaustive,
-            "witnesses": self.witnesses[:10],
-        }
+        return asdict(self)
 
 
 def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
@@ -264,8 +256,7 @@ def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
     its index."""
     T = G.multiplication_table()
     n = len(T)
-    xs = (np.arange(n) if rows is None
-          else np.array([G.element_index(x) for x in rows], dtype=np.intp))
+    xs = np.arange(n) if rows is None else G.positions(rows)
     values = sigma.pair_values(np.repeat(xs, n), np.tile(np.arange(n), len(xs)), T[xs].ravel())
     return values.reshape(len(xs), n)
 

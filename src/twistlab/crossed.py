@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import DROP_TOL
 from .cocycles import (Cocycle, TableCocycle, as_complex, complex_product, validate,
                        value_table)
 from .errors import (BackendMismatch, DegenerateAfterRetries, NotACocycle, NotPermuting,
@@ -59,18 +59,6 @@ class TwistedSystem:
     alpha_scalar: np.ndarray
     rho_index: np.ndarray
     rho_scalar: np.ndarray
-    convention: str
-
-
-def element_to_vector(K: FiniteTableGroup, a: AlgebraElement) -> np.ndarray:
-    v = np.zeros(K.order, dtype=complex)
-    for g, c in a.coeffs.items():
-        v[g] = c
-    return v
-
-
-def vector_to_element(K: FiniteTableGroup, v) -> AlgebraElement:
-    return AlgebraElement(K, {i: v[i] for i in range(len(v)) if abs(v[i]) >= 1e-300})
 
 
 def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
@@ -105,7 +93,7 @@ def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
     w = T[T[s1, s2], inv[s12]]
     rho_scalar = _mul(S[s1, s2], np.conj(S[w, s12]))
     return TwistedSystem(gamma, S, K, TableCocycle(K, S[:m, :m]), conj_el, alpha_scalar,
-                         w, rho_scalar, convention)
+                         w, rho_scalar)
 
 
 @dataclass
@@ -116,12 +104,7 @@ class ActionReport:
     tol: float = AXIOM_TOL
 
     def to_json(self):
-        return {
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "residuals": self.residuals,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def _mul(a, b):
@@ -219,14 +202,19 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
 
 @dataclass
 class BlockDecomposition:
-    projections: list
+    """projections[i] holds the i-th minimal central projection, indexed like
+    G.elements(); its JSON keeps the entries of modulus at least DROP_TOL."""
+
+    projections: np.ndarray
     block_sizes: list
     residuals: dict = field(default_factory=dict)
 
     def to_json(self):
         return {
             "block_sizes": sorted(self.block_sizes),
-            "projections": [p.to_json()["terms"] for p in self.projections],
+            "projections": [[{"g": int(g), "re": float(p[g].real), "im": float(p[g].imag)}
+                             for g in np.flatnonzero(np.abs(p) >= DROP_TOL)]
+                            for p in self.projections],
             "residuals": self.residuals,
         }
 
@@ -302,8 +290,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
         residuals = {key: float(max(values)) for key, values in res.items()}
         residuals["sum_to_unit"] = float(np.linalg.norm(P.sum(axis=0) - (idx == 0)))
         order = np.argsort([-s for s in sizes], kind="stable")
-        return BlockDecomposition([vector_to_element(G, P[i]) for i in order],
-                                  [sizes[i] for i in order], residuals)
+        return BlockDecomposition(P[order], [sizes[i] for i in order], residuals)
     raise DegenerateAfterRetries(f"no clean decomposition after {MAX_RETRIES} tries: {last}")
 
 
@@ -331,8 +318,8 @@ def orbit_decomposition(sys: TwistedSystem, blocks: BlockDecomposition):
     Each alpha_h must permute the projections (within l2 tolerance); a summand
     records its blocks, the stabilizer of the lowest-index block, and the
     index bookkeeping of the induced-algebra shape."""
-    K, L = sys.K, sys.gamma.quotient
-    pvecs = np.array([element_to_vector(K, p) for p in blocks.projections])
+    L = sys.gamma.quotient
+    pvecs = blocks.projections
     m = len(pvecs)
     scale = 1e-8 * np.maximum(1.0, np.linalg.norm(pvecs, axis=1))
     perms = {}
@@ -401,23 +388,20 @@ def assemble_crossed_product(sys: TwistedSystem, seed: int = 0):
     return sys.gamma.elements(), omega, decompose_blocks(omega.group, omega, seed=seed)
 
 
-def attribute_blocks_to_summands(sys: TwistedSystem, kblocks: BlockDecomposition,
-                                 summands, omega: TableCocycle,
+def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, omega: TableCocycle,
                                  crossed_blocks: BlockDecomposition):
     """Match each assembled block to the summand whose central support
     contains it; returns one block-size list per summand."""
     whole = omega.group
     T = whole.multiplication_table()
-    qvecs = [element_to_vector(whole, q) for q in crossed_blocks.projections]
     out = []
     for s in summands:
+        # u_k of K sits at index k of gamma
         z = np.zeros(whole.order, dtype=complex)
-        for i in s.block_indices:
-            # u_k of K sits at index k of gamma
-            for k, c in kblocks.projections[i].coeffs.items():
-                z[k] += c
+        z[:kblocks.projections.shape[1]] = kblocks.projections[s.block_indices].sum(axis=0)
         Lz = regular_matrices(T, omega.values, z[None])[0]
-        out.append(sorted(size for q, size in zip(qvecs, crossed_blocks.block_sizes)
+        out.append(sorted(size for q, size in zip(crossed_blocks.projections,
+                                                  crossed_blocks.block_sizes)
                           if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q))))
     return out
 
@@ -451,7 +435,7 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
     kblocks = decompose_blocks(sys.K, sys.sigma_k, seed=seed)
     summands = orbit_decomposition(sys, kblocks)
     basis, omega, crossed_blocks = assemble_crossed_product(sys, seed=seed)
-    per_summand = attribute_blocks_to_summands(sys, kblocks, summands, omega, crossed_blocks)
+    per_summand = attribute_blocks_to_summands(kblocks, summands, omega, crossed_blocks)
     # the twisted algebra of the whole group, decomposed directly for comparison
     direct = decompose_blocks(omega.group, TableCocycle(omega.group, sys.S), seed=seed)
     match, diff = compare_block_structure(crossed_blocks, direct)

@@ -95,8 +95,11 @@ class Group:
         return np.arange(len(ball), dtype=np.int64), images
 
     def positions(self, words):
-        """Positions of words, an int64 array: ball_positions of w * e.  A
-        ball is a prefix of the next, so a position is global."""
+        """Positions of words, an int64 array: on a finite group their
+        indices, else ball_positions of w * e.  A ball is a prefix of the
+        next, so a position is global."""
+        if self.is_finite:
+            return np.array([self.element_index(w) for w in words], dtype=np.int64)
         if not words:
             return np.zeros(0, dtype=np.int64)
         return self.ball_positions(words, 0)[1][:, 0]

@@ -9,7 +9,7 @@ norm-transfer check, and free-subsemigroup certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,7 @@ class SpectralReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "r2_sequence": self.r2_sequence,
-            "r2_at_max_power": self.r2_at_max_power,
-            "r_sigma": self.r_sigma,
-            "normal": self.normal,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def regular_matrices(T_rows, S_rows, coeffs) -> np.ndarray:
@@ -72,10 +66,9 @@ def regular_rep(G: Group, sigma: Cocycle, a: AlgebraElement) -> np.ndarray:
     on the rows of supp a only."""
     a.group.check_same(G)
     supp = a.support()
-    idx = [G.element_index(g) for g in supp]
     S_rows = value_table(G, sigma, supp)
     coeffs = np.array([[a.coeffs[g] for g in supp]], dtype=complex).reshape(1, len(supp))
-    return regular_matrices(G.multiplication_table()[idx], S_rows, coeffs)[0]
+    return regular_matrices(G.multiplication_table()[G.positions(supp)], S_rows, coeffs)[0]
 
 
 def exact_norm(G: Group, sigma: Cocycle, a: AlgebraElement) -> float:
@@ -275,15 +268,7 @@ class TransferReport:
     tol: float
 
     def to_json(self):
-        return {
-            "constant": self.constant,
-            "untwisted_ratios_max": self.untwisted_ratios_max,
-            "per_sigma_max_ratio": self.per_sigma_max_ratio,
-            "passed": self.passed,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
@@ -305,7 +290,7 @@ def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
             G, {g: complex(rng.standard_normal(), rng.standard_normal()) for g in S}))
     l2 = [l2_norm(a) for a in sample]
     coeffs = np.array([[a[g] for g in S] for a in sample], dtype=complex)
-    T_rows = T[[G.element_index(g) for g in S]]
+    T_rows = T[G.positions(S)]
     # norms of stacks of at most 2^20 matrix entries (16 MiB)
     step = max(1, 2 ** 20 // T.size)
 
@@ -359,12 +344,7 @@ class SemigroupCertificate:
     collision: dict | None
 
     def to_json(self):
-        return {
-            "certified": self.certified,
-            "length": self.length,
-            "products_checked": self.products_checked,
-            "collision": self.collision,
-        }
+        return asdict(self)
 
 
 def certify_free_subsemigroup(G: Group, t, F, L: int,

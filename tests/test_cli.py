@@ -154,7 +154,8 @@ def test_byte_determinism_across_runs_and_threads():
 # stdout sha256 and exit code of the `scripts/cli_digest.py` lines whose
 # bytes hold under every OpenBLAS kernel and numpy SIMD dispatch on x86-64
 # (OPENBLAS_CORETYPE=Prescott or Haswell, NPY_DISABLE_CPU_FEATURES with every
-# target off): the crossed pipeline, semigroup certificates and Haagerup bounds
+# target off): the crossed pipeline, semigroup certificates, Haagerup bounds,
+# validation reports and free-group spectral reports
 PINNED_STDOUT = {
     ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
      " data/element_f2_sphere1.json --mode haagerup"):
@@ -184,6 +185,25 @@ PINNED_STDOUT = {
     ("crossed --group data/group_s4_v4_extension.json --cocycle"
      " data/cocycle_f2_random_coboundary.json"):
         ("c7b8ebbb02ccc8649d02e04a3959cd71df6702660e8d9557817468e437c19a53", 0),
+    ("validate --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --seed 5"):
+        ("d76d9b9f6348a9827fe7eb06b8dce57d870ab48f802393a4204575f2e421a215", 0),
+    ("specrad --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --powers 10"):
+        ("502958263c39f8b2dd78e8b2653411c3791e48251abd99a2b27e53b6a760c4cb", 0),
+    ("specrad --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --powers 8"):
+        ("c40acba1b523b8f61ff3a217b7fd702ea6baa24cf8406153824c437655f3f79b", 0),
+    ("specrad --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_ux.json --powers 24"):
+        ("52c7dc309f5f9f9b6b354290f561646d5538ad8bd1662d7ce3e958862480f71e", 0),
+    ("specrad --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_t_x.json --powers 5"):
+        ("229364325fed3b9076a3b330010ab09e2967860a9cf24253b65d8588bee0232b", 0),
+    ("validate --group data/group_s3.json --cocycle data/cocycle_trivial.json"):
+        ("e44e9e8f3aed65d9b43d9e3f2473f18d81724df95e7f9e48a493f68feb9100ef", 0),
+    ("validate --group data/group_s4_v4_extension.json"):
+        ("6388978304cfb639b3d2409aeab02403ab661bf8c25652ec75514ab2595f0c2c", 0),
 }
 
 

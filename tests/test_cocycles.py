@@ -1,3 +1,6 @@
+import cmath
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from twistlab import cocycles, fixtures
 from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle,
                                ProductCocycle, TableCocycle, TrivialCocycle)
-from twistlab.errors import NotASubgroup, NotUnitModulus
+from twistlab.errors import BackendMismatch, NotASubgroup, NotUnitModulus
 from twistlab.groups import IntLattice
 
 
@@ -211,3 +214,48 @@ def test_sampled_validation_refuses_a_sample_ball_past_the_cap():
     with pytest.raises(MemoryBudgetExceeded) as exc:
         cocycles.validate(G, TrivialCocycle(G))
     assert exc.value.needed == G.ball_size(cocycles.SAMPLE_RADIUS) == 5_631_277
+
+
+def test_table_cocycle_on_an_extension_is_a_backend_mismatch():
+    ext = fixtures.q8_extension()
+    with pytest.raises(BackendMismatch, match="table cocycles need a finite-table group"):
+        TableCocycle(ext, np.ones((16, 16)))
+
+
+class _LengthPhase(cocycles.Cocycle):
+    """exp(i |x| |y|^2): normalised and unit-modulus, but the identity fails
+    by a phase 2 |x| |y| |z| on reduced products."""
+
+    def evaluate(self, x, y):
+        return cmath.exp(1j * len(x) * len(y) ** 2)
+
+
+def _validation_reports(s3, f2):
+    broken = np.exp(2j * np.pi * np.arange(36).reshape(6, 6) / 7.0)
+    bad_f2 = _LengthPhase(f2)
+    return [cocycles.validate(s3, TrivialCocycle(s3)),
+            cocycles.validate(s3, TableCocycle(s3, broken)),
+            cocycles.validate(f2, fixtures.random_coboundary(f2, seed=3), sampled_triples=200),
+            cocycles.validate(f2, bad_f2, sampled_triples=200)]
+
+
+def test_validation_report_serializes_the_fields_of_the_hand_written_dict(s3, f2):
+    reps = _validation_reports(s3, f2)
+    assert [r.passed for r in reps] == [True, False, True, False]
+    for rep in reps:
+        hand_written = {
+            "passed": rep.passed,
+            "max_modulus_residual": rep.max_modulus_residual,
+            "max_normalization_residual": rep.max_normalization_residual,
+            "max_identity_residual": rep.max_identity_residual,
+            "checked_triples": rep.checked_triples,
+            "exhaustive": rep.exhaustive,
+            "witnesses": rep.witnesses[:10],
+        }
+        assert rep.to_json() == hand_written
+        assert json.dumps(rep.to_json()) == json.dumps(hand_written)
+
+
+def test_both_validate_paths_stop_at_ten_witnesses(s3, f2):
+    _, table, _, sampled = _validation_reports(s3, f2)
+    assert len(table.witnesses) == len(sampled.witnesses) == 10

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -11,9 +12,9 @@ from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
                                TrivialCocycle, validate, value_table)
 from twistlab.crossed import (assemble_crossed_product, crossed_cocycle, decompose_blocks,
-                              element_to_vector, induced_action_data, orbit_decomposition,
-                              vector_to_element, verify_twisted_action)
+                              induced_action_data, orbit_decomposition, verify_twisted_action)
 from twistlab.errors import DegenerateAfterRetries, Unsupported
+from twistlab.groups import FiniteTableGroup
 from twistlab.normspectra import regular_matrices
 
 
@@ -419,8 +420,7 @@ import hashlib
 from twistlab import crossed, fixtures
 for name, G in sorted(fixtures.standard_groups().items()):
     dec = crossed.decompose_blocks(G, fixtures.random_coboundary(G, 4))
-    vecs = [crossed.element_to_vector(G, p).tobytes() for p in dec.projections]
-    print(name, hashlib.sha256(b"".join(vecs)).hexdigest())
+    print(name, hashlib.sha256(dec.projections.tobytes()).hexdigest())
 for name, ext in sorted(fixtures.standard_extensions().items()):
     omega = crossed.crossed_cocycle(
         crossed.induced_action_data(ext, fixtures.random_coboundary(ext, 5)))
@@ -527,11 +527,52 @@ def test_right_regular_matrix_is_right_convolution(case):
     # column g of b -> b *_sigma v is delta_g *_sigma v, one term per entry
     _, G, sigma = case
     T, S = G.multiplication_table(), value_table(G, sigma)
-    v = element_to_vector(G, fixtures.random_element(G, G.elements()[::2], 7))
-    R = regular_matrices(T.T, S.T, v[None])[0]
-    b = vector_to_element(G, v)
+    b = fixtures.random_element(G, G.elements()[::2], 7)
+    R = regular_matrices(T.T, S.T, _vector(b)[None])[0]
     for g in G.elements():
-        assert np.array_equal(R[:, g], element_to_vector(G, convolve(delta(G, g), b, sigma)))
+        assert np.array_equal(R[:, g], _vector(convolve(delta(G, g), b, sigma)))
+
+
+def _vector(a):
+    """The coefficients of a on a finite-table group, indexed like its elements."""
+    v = np.zeros(a.group.order, dtype=complex)
+    v[list(a.coeffs)] = list(a.coeffs.values())
+    return v
+
+
+def _projection_cases():
+    for name, G in sorted(fixtures.standard_groups().items()):
+        yield name, G
+    for name, ext in sorted(fixtures.standard_extensions().items()):
+        yield name, FiniteTableGroup(ext.multiplication_table().tolist(), validate=False)
+
+
+@pytest.mark.parametrize("twist", ["trivial", "coboundary"])
+@pytest.mark.parametrize("case", list(_projection_cases()), ids=lambda c: c[0])
+def test_projection_terms_are_those_of_the_algebra_element(case, twist):
+    # the projections are one array indexed like G.elements(), in block order;
+    # their JSON is what the AlgebraElement of each row serialized
+    _, G = case
+    sigma = TrivialCocycle(G) if twist == "trivial" else fixtures.random_coboundary(G, seed=4)
+    dec = decompose_blocks(G, sigma)
+    assert isinstance(dec.projections, np.ndarray)
+    assert dec.projections.shape == (len(dec.block_sizes), G.order)
+    expected = [AlgebraElement(G, dict(enumerate(p.tolist()))).to_json()["terms"]
+                for p in dec.projections]
+    got = dec.to_json()["projections"]
+    assert got == expected
+    assert json.dumps(got) == json.dumps(expected)
+
+
+def test_action_report_serializes_the_fields_of_the_hand_written_dict():
+    ext = fixtures.q8_extension()
+    for convention in ("conjugated", "as-printed"):
+        rep = verify_twisted_action(induced_action_data(
+            ext, fixtures.random_coboundary(ext, seed=5), convention))
+        hand_written = {"passed": rep.passed, "max_residual": rep.max_residual,
+                  "residuals": rep.residuals, "tol": rep.tol}
+        assert rep.to_json() == hand_written
+        assert json.dumps(rep.to_json()) == json.dumps(hand_written)
 
 
 def test_multiplication_table_is_built_once_and_read_only():

@@ -351,3 +351,14 @@ def test_check_same_on_itself_reads_no_description(s3):
     G.describe = None  # any call would raise
     G.check_same(G)
     assert G.same_backend(G)
+
+
+@pytest.mark.parametrize("G", [fixtures.quaternion(), fixtures.q8_extension()],
+                         ids=["finite-table", "extension"])
+def test_finite_positions_are_element_indices(G):
+    elems = G.elements()
+    pos = G.positions(elems)
+    assert pos.dtype == np.int64 and pos.tolist() == list(range(len(elems)))
+    xs = elems[::-3]
+    assert G.words(G.positions(xs)) == xs
+    assert G.positions([]).tolist() == []

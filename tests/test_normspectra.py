@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -475,3 +476,28 @@ def test_haagerup_bound_past_the_float_range_is_an_invalid_argument(f2):
     a = AlgebraElement(f2, {x: 1e154, f2.invert(x): 1e154, y: 1.0})
     with pytest.raises(InvalidArgument, match="Haagerup bound overflows"):
         haagerup_upper(f2, a)
+
+
+def test_reports_serialize_the_fields_of_the_hand_written_dicts(f2):
+    # each pair: a report and the dict its hand-written to_json used to build
+    G, sigma = z2_sign()
+    x, y = f2.generator(1), f2.generator(2)
+    spectral = [l2_spectral_radius(delta(G, 0) + delta(G, 1), sigma, 4),
+                l2_spectral_radius(AlgebraElement(f2, {x: 1.0, y: 1.0}), None, 3)]
+    transfer = [transfer_check(G, [1], [sigma], seed=2, n_random=3)]
+    certs = [certify_free_subsemigroup(f2, x, [y, f2.compose(y, y)], 3),
+             certify_free_subsemigroup(f2, (), [x, f2.invert(x)], 2)]
+    assert [c.certified for c in certs] == [True, False]
+    pairs = [(r, {"r2_sequence": r.r2_sequence, "r2_at_max_power": r.r2_at_max_power,
+                  "r_sigma": r.r_sigma, "normal": r.normal, "metadata": r.metadata})
+             for r in spectral]
+    pairs += [(r, {"constant": r.constant, "untwisted_ratios_max": r.untwisted_ratios_max,
+                   "per_sigma_max_ratio": r.per_sigma_max_ratio, "passed": r.passed,
+                   "sample_size": r.sample_size, "seed": r.seed, "tol": r.tol})
+              for r in transfer]
+    pairs += [(r, {"certified": r.certified, "length": r.length,
+                   "products_checked": r.products_checked, "collision": r.collision})
+              for r in certs]
+    for rep, hand_written in pairs:
+        assert rep.to_json() == hand_written
+        assert json.dumps(rep.to_json()) == json.dumps(hand_written)
