@@ -118,6 +118,14 @@ def invocations():
     ]
     # powers past n = 27 put F2 positions past int64, onto Python ints
     out.append(("specrad", *F2, *F2_COB, *UX, "--powers", "30"))
+    # the generic product path of an integer lattice: a Harper-type element
+    # under the bicharacter theta = [[0, 1/3], [0, 0]]
+    lattice = ("--group", "data/group_z2_lattice.json",
+               "--cocycle", "data/cocycle_z2_bicharacter_third.json",
+               "--element", "data/element_z2_harper.json")
+    out += [("norm", *lattice, "--mode", "truncate", "--radius", "4"),
+            ("norm", *lattice, "--mode", "truncate", "--radius", "8"),
+            ("specrad", *lattice, "--powers", "6")]
     return out
 
 

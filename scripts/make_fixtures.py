@@ -10,8 +10,8 @@ import numpy as np
 
 from twistlab import fixtures, serialize
 from twistlab.algebra import AlgebraElement, delta
-from twistlab.cocycles import TableCocycle
-from twistlab.groups import FreeGroup, FiniteTableGroup
+from twistlab.cocycles import BicharacterCocycle, TableCocycle
+from twistlab.groups import FreeGroup, FiniteTableGroup, IntLattice
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "data"
 
@@ -74,6 +74,17 @@ def main():
          AlgebraElement(f2, {x: 1e154, xi: 1e154, y: 1.0, yi: 1.0}).to_json())
     dump("element_delta_e_ref.json",
          {"group": "ref", "terms": [{"g": "", "re": 1.0, "im": 0.0}]})
+
+    # the generic lattice path: u1 + u1* + u2 + u2* on Z^2 under the
+    # bicharacter theta = [[0, 1/3], [0, 0]]
+    zz = IntLattice(2)
+    dump("group_z2_lattice.json", zz.describe())
+    dump("cocycle_z2_bicharacter_third.json",
+         BicharacterCocycle(zz, [[0.0, 1.0 / 3.0], [0.0, 0.0]]).to_json())
+    u1, u2 = (1, 0), (0, 1)
+    harper = (delta(zz, u1) + delta(zz, zz.invert(u1))
+              + delta(zz, u2) + delta(zz, zz.invert(u2)))
+    dump("element_z2_harper.json", harper.to_json())
 
     dump("set_z4xz4_S.json", serialize.element_set_to_json(
         z4sq, [z4sq.index_of_label(l) for l in [(1, 0), (0, 1), (1, 1)]]))

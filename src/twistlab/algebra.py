@@ -106,8 +106,8 @@ def _from_terms(G, terms) -> AlgebraElement:
     return AlgebraElement(G, dict(zip(G.words(pos), map(complex, re.tolist(), im.tolist()))))
 
 
-def _convolve_terms(G, sigma, x, y, ywords):
-    """Terms of x *_sigma y; ywords are the words at y's positions.
+def _convolve_terms(G, sigma, x, y):
+    """Terms of x *_sigma y.
 
     The pairs run x-major and y in shortlex order, the order of the dict loop
     in convolve: each term is (sigma(x, y) a_x) b_y by complex_product, and
@@ -116,7 +116,7 @@ def _convolve_terms(G, sigma, x, y, ywords):
     Coefficients below DROP_TOL are dropped as AlgebraElement drops them."""
     (xs, xre, xim), (ys, yre, yim) = x, y
     nx, ny = len(xs), len(ys)
-    xys = G.times_right(xs, ywords).ravel()
+    xys = G.products(xs, ys).ravel()
     s = sigma.pair_values(np.repeat(xs, ny), np.tile(ys, nx), xys)
     pos, where = np.unique(xys, return_inverse=True)
     # an overflow is caught by the isfinite test below, not by a warning
@@ -135,12 +135,10 @@ def _free_powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
     """Yield the terms of a^1, ..., a^N, left-associated."""
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
-    base = _terms(a)
-    words = a.support()
-    p = base
+    base = p = _terms(a)
     for n in range(1, N + 1):
         if n > 1:
-            p = _convolve_terms(G, sigma, p, base, words)
+            p = _convolve_terms(G, sigma, p, base)
         yield p
 
 
@@ -150,7 +148,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement, sigma: Cocycle | None = None)
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
     if G.kind == "free":
-        return _from_terms(G, _convolve_terms(G, sigma, _terms(a), _terms(b), b.support()))
+        return _from_terms(G, _convolve_terms(G, sigma, _terms(a), _terms(b)))
     acc = {}
     bsupp = b.support()
     for x in a.support():

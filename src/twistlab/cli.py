@@ -96,20 +96,17 @@ def cmd_norm(args):
     G = _load_group(args, inputs)
     sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
     a = _load(args.element, inputs, "element", serialize.element_from_json, G)
-    mode = args.mode
-    if mode == "exact":
+    if args.mode == "exact":
         if not G.is_finite:
             raise Unsupported("exact norms need a finite group")
         est = {"mode": "exact", "value": exact_norm(G, sigma, a)}
-    elif mode == "truncate":
+    elif args.mode == "truncate":
         _progress(f"truncating at radius {args.radius}")
         est = {"mode": "truncate", "radius": args.radius,
                "lower": truncated_norm_lower(G, sigma, a, args.radius,
                                              mem_cap=args.mem_cap)}
-    elif mode == "haagerup":
+    else:  # haagerup, the last of the modes argparse admits
         est = {"mode": "haagerup", "upper": haagerup_upper(G, a)}
-    else:
-        raise Unsupported(f"unknown norm mode {mode!r}")
     return _emit(est, args, inputs, {})
 
 

@@ -311,24 +311,32 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
 
 def _validate_table(G: Group, T: np.ndarray, S: np.ndarray, tol: float) -> ValidationReport:
     """validate on a finite group from its index table T and value table S:
-    S[x, y] S[xy, z] against S[x, yz] S[y, z] one n x n slab of (y, z) per x."""
+    S[x, y] S[xy, z] against S[x, yz] S[y, z] on slabs of (x, y, z), x-major.
+    Products are complex_product and moduli np.hypot on the real and
+    imaginary parts, so no residual depends on numpy's complex kernels."""
     elems = G.elements()
     n = len(elems)
     e = G.element_index(G.identity())
-    norm_res = float(max(np.max(np.abs(S[e] - 1.0)), np.max(np.abs(S[:, e] - 1.0))))
-    mod_res = float(np.max(np.abs(np.abs(S) - 1.0)))
+    edge = np.concatenate([S[e], S[:, e]])
+    norm_res = float(np.max(np.hypot(edge.real - 1.0, edge.imag)))
+    re, im = S.real.copy(), S.imag.copy()
+    mod_res = float(np.max(np.abs(np.hypot(re, im) - 1.0)))
     id_res = 0.0
     witnesses = []
-    for x in range(n):
-        r = np.abs(S[x][:, None] * S[T[x]] - S[x][T] * S)
+    step = max(1, 2 ** 13 // n ** 2)  # slabs of about 8192 triples (64 KiB an array)
+    for x0 in range(0, n, step):
+        xs = np.arange(x0, min(x0 + step, n))
+        lr, li = complex_product(re[xs, :, None], im[xs, :, None], re[T[xs]], im[T[xs]])
+        rr, ri = complex_product(np.take(re[xs], T, axis=1), np.take(im[xs], T, axis=1), re, im)
+        r = np.hypot(lr - rr, li - ri)
         worst = float(np.max(r))
         id_res = max(id_res, worst)
         if worst <= tol:
             continue
-        for y, z in np.argwhere(r > tol)[:10 - len(witnesses)]:
+        for i, y, z in np.argwhere(r > tol)[:10 - len(witnesses)]:
             witnesses.append({
-                "triple": [G.element_to_json(elems[i]) for i in (x, y, z)],
-                "residual": float(r[y, z]),
+                "triple": [G.element_to_json(elems[j]) for j in (xs[i], y, z)],
+                "residual": float(r[i, y, z]),
             })
     passed = mod_res <= tol and norm_res <= tol and id_res <= tol
     return ValidationReport(passed, mod_res, norm_res, id_res, n ** 3, True, witnesses)

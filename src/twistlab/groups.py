@@ -82,27 +82,26 @@ class Group:
         """|B_n|, the length of enumerate_ball(n)."""
         return len(self.enumerate_ball(n))
 
-    def ball_positions(self, gs, r):
-        """(ball, images): the positions of enumerate_ball(r), here its
-        indices, and an int64 array with one row per g in gs holding the
-        indices of g * b in enumerate_ball(r + max |g|)."""
-        ball = self.enumerate_ball(r)
-        cod = self.enumerate_ball(r + max(self.word_length(g) for g in gs))
-        index = {h: i for i, h in enumerate(cod)}
-        images = np.empty((len(gs), len(ball)), dtype=np.int64)
-        for i, g in enumerate(gs):
-            images[i] = [index[self.compose(g, b)] for b in ball]
-        return np.arange(len(ball), dtype=np.int64), images
+    def ball_positions(self, r):
+        """The positions of enumerate_ball(r), here its indices."""
+        return np.arange(self.ball_size(r))
+
+    def products(self, xs, ys):
+        """Positions of x * y for the x at positions xs (rows) and the y at
+        positions ys (columns), composed word by word."""
+        xw, yw = self.words(xs), self.words(ys)
+        return self.positions([self.compose(x, y) for x in xw for y in yw]).reshape(
+            len(xw), len(yw))
 
     def positions(self, words):
         """Positions of words, an int64 array: on a finite group their
-        indices, else ball_positions of w * e.  A ball is a prefix of the
-        next, so a position is global."""
+        indices, else their indices in enumerate_ball(max |w|).  A ball is a
+        prefix of the next, so a position is global."""
         if self.is_finite:
             return np.array([self.element_index(w) for w in words], dtype=np.int64)
-        if not words:
-            return np.zeros(0, dtype=np.int64)
-        return self.ball_positions(words, 0)[1][:, 0]
+        ball = self.enumerate_ball(max(map(self.word_length, words), default=0))
+        index = {h: i for i, h in enumerate(ball)}
+        return np.array([index[w] for w in words], dtype=np.int64)
 
     def words(self, pos):
         """The elements at positions pos, the inverse of positions; on a
@@ -299,12 +298,7 @@ class FreeGroup(Group):
 
     def enumerate_ball(self, r):
         """All reduced words of length <= r, shortlex ordered."""
-        letters = [v for i in range(1, self.rank + 1) for v in (i, -i)]
-        ball, sphere = [()], [()]
-        for _ in range(r):
-            sphere = [w + (v,) for w in sphere for v in letters if not w or w[-1] != -v]
-            ball.extend(sphere)
-        return ball
+        return self.words(self.ball_positions(r))
 
     def ball_size(self, n):
         """|B_n| = 1 + 2k((2k-1)^n - 1)/(2k-2), and 2n + 1 when k = 1."""
@@ -313,35 +307,40 @@ class FreeGroup(Group):
             return 2 * n + 1
         return 1 + 2 * self.rank * (q ** n - 1) // (q - 1)
 
-    def ball_positions(self, gs, r):
-        """(ball, images): the positions of B_r in shortlex order, and those
-        of g * b for g in gs (rows) and b in B_r (columns).
-
-        B_r is built level by level; each g acts letter by letter, right to
-        left, either dropping b's leading digit or putting its own in front."""
-        top = r + max(len(g) for g in gs)
-        if self.ball_size(top) > INT64_MAX:
-            raise MemoryBudgetExceeded(self.ball_size(top), INT64_MAX)
+    def ball_positions(self, r):
+        """The positions of B_r in shortlex order, built level by level."""
+        if self.ball_size(r) > INT64_MAX:
+            raise MemoryBudgetExceeded(self.ball_size(r), INT64_MAX)
         B = self._base
-        digits = np.arange(1, B, dtype=self._dtype(top))
+        digits = np.arange(1, B, dtype=self._dtype(r))
         levels = [np.zeros(1, dtype=digits.dtype)]
         for _ in range(r):
             last = levels[-1][:, None]
             levels.append((last * B + digits)[last % B != ((digits - 1) ^ 1) + 1])
-        ball = np.concatenate(levels)
-        # B^n for each b of length n, the place value just above b's leading digit
-        scale = np.repeat(B ** np.arange(r + 1).astype(ball.dtype), [len(s) for s in levels])
-        images = np.empty((len(gs), ball.size), dtype=ball.dtype)
-        for i, g in enumerate(gs):
-            pos, hi = ball, scale
-            for s in reversed(g):
-                rs = letter_rank(s)
-                lead = pos * B // hi
-                drop = lead == (rs ^ 1) + 1
-                pos = np.where(drop, pos - lead * (hi // B), pos + (rs + 1) * hi)
-                hi = np.where(drop, hi // B, hi * B)
-            images[i] = pos
-        return ball, images
+        return np.concatenate(levels)
+
+    def products(self, xs, ys):
+        """Positions of x y for the words x at positions xs (rows) and y at
+        positions ys (columns).  While x's last digit is that of the inverse
+        of y's leading digit, both are dropped; then y's digits follow x's."""
+        B, xs, ys = self._base, np.asarray(xs), np.asarray(ys)
+        lx, ly = self._digits(xs.max(initial=0)), self._digits(ys.max(initial=0))
+        dtype = self._dtype(lx + ly)
+        x, y = xs.astype(dtype)[:, None], ys.astype(dtype)
+        powers = B ** np.arange(ly + 1).astype(dtype)
+        # a word of n letters sits in [(B^n - 1)/(B - 1), (B^(n+1) - 1)/(B - 1))
+        n = np.searchsorted((powers - 1) // (B - 1), y, side="right") - 1
+        for _ in range(min(lx, ly)):
+            # y's leading digit sits at B^(n-1); at n = 0, y = 0 and so is lead
+            place = powers[n - 1]
+            lead = y // place
+            drop = (n > 0) & (x % B == ((lead - 1) ^ 1) + 1)
+            if not drop.any():
+                break
+            x = np.where(drop, x // B, x)
+            y = np.where(drop, y - lead * place, y)
+            n = n - drop
+        return x * powers[n] + y
 
     def _digits(self, p):
         """The number of base-B digits of the integer p >= 0."""
@@ -393,23 +392,6 @@ class FreeGroup(Group):
         np.negative(ranks, out=ranks, where=odd)
         letters = ranks.tolist()
         return [tuple(letters[j - k:j]) for j, k in zip(np.cumsum(n).tolist(), n.tolist())]
-
-    def times_right(self, pos, words):
-        """Positions of x w for the words x at positions pos (rows) and each
-        reduced word w in words (columns): each letter of w either cancels
-        x's last digit or is appended as a new one."""
-        B = self._base
-        pos = np.asarray(pos)
-        pos = pos.astype(self._dtype(self._digits(pos.max(initial=0))
-                                     + max(map(len, words), default=0)))
-        out = np.empty((pos.size, len(words)), dtype=pos.dtype)
-        for j, w in enumerate(words):
-            p = pos
-            for v in w:
-                rv = letter_rank(v)
-                p = np.where(p % B == (rv ^ 1) + 1, p // B, p * B + rv + 1)
-            out[:, j] = p
-        return out
 
     def contains(self, a):
         if not isinstance(a, tuple):

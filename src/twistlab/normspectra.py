@@ -86,9 +86,9 @@ def _truncation_matrix(G, sigma, a, r, cap):
     for n in (r, r + d):
         if G.ball_size(n) > cap:
             raise MemoryBudgetExceeded(G.ball_size(n), cap)
-    ball, gb = G.ball_positions(supp, r)
-    m = len(ball)
-    s = sigma.pair_values(np.repeat(G.positions(supp), m), np.tile(ball, len(supp)), gb.ravel())
+    xs, ball = G.positions(supp), G.ball_positions(r)
+    gb, m = G.products(xs, ball), len(ball)
+    s = sigma.pair_values(np.repeat(xs, m), np.tile(ball, len(supp)), gb.ravel())
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)
     data = as_complex(*complex_product(s.real, s.imag, np.repeat(c.real, m),
                                        np.repeat(c.imag, m))).reshape(gb.shape)

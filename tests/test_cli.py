@@ -155,7 +155,9 @@ def test_byte_determinism_across_runs_and_threads():
 # bytes hold under every OpenBLAS kernel and numpy SIMD dispatch on x86-64
 # (OPENBLAS_CORETYPE=Prescott or Haswell, NPY_DISABLE_CPU_FEATURES with every
 # target off): the crossed pipeline, semigroup certificates, Haagerup bounds,
-# validation reports and free-group spectral reports
+# validation reports (finite ones included, whose residuals are formed from
+# real and imaginary parts), free-group spectral reports, and the Z^2 lattice
+# at truncation radius 8 and to the 6th power
 PINNED_STDOUT = {
     ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
      " data/element_f2_sphere1.json --mode haagerup"):
@@ -204,6 +206,23 @@ PINNED_STDOUT = {
         ("e44e9e8f3aed65d9b43d9e3f2473f18d81724df95e7f9e48a493f68feb9100ef", 0),
     ("validate --group data/group_s4_v4_extension.json"):
         ("6388978304cfb639b3d2409aeab02403ab661bf8c25652ec75514ab2595f0c2c", 0),
+    ("validate --group data/group_s3.json --cocycle data/cocycle_s3_broken.json"):
+        ("5b98300719b6a4f51ef0734852c900b7e2ed72520ed8993baae999f3fcf5ea58", 2),
+    ("validate --group data/group_q8_extension.json --cocycle"
+     " data/cocycle_q8ext_coboundary.json"):
+        ("bea471248186f031e2add18e39fcfcd90e1af5d7f363ddc92f4a19bb02a9172a", 0),
+    ("validate --group data/group_z3sq.json --cocycle data/cocycle_clock_shift_3.json"):
+        ("79b34802a7b3b4a945d67c9a8f89be33e490d26babad04d761888ca3c199186b", 0),
+    ("validate --group data/group_z5sq.json --cocycle data/cocycle_clock_shift_5.json"):
+        ("38c34e0825bc5280e72cc1a138d557d0d3092fbbd458200c6c44d940a9b4a3d2", 0),
+    ("validate --group data/group_z6sq.json --cocycle data/cocycle_clock_shift_6.json"):
+        ("35d78d065fb0b9a7495ad4d77c03b6e33bf9a34b62aa1f554e749e0706f2ebb9", 0),
+    ("norm --group data/group_z2_lattice.json --cocycle data/cocycle_z2_bicharacter_third.json"
+     " --element data/element_z2_harper.json --mode truncate --radius 8"):
+        ("e50aa81628836b222b4c98d4a089601716dbdcf715f15a2e6f5ef101596cf857", 0),
+    ("specrad --group data/group_z2_lattice.json --cocycle data/cocycle_z2_bicharacter_third.json"
+     " --element data/element_z2_harper.json --powers 6"):
+        ("7f69053c6acfe0dc1a213a779c045e2c20b984f0480f2a27640b3233f776e1e9", 0),
 }
 
 

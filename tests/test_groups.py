@@ -203,21 +203,33 @@ def test_element_json_roundtrip_all_backends(s3, f2):
         assert G.element_from_json(G.element_to_json(g)) == g
 
 
+def listed_ball(k, r):
+    """B_r of F_k in shortlex order, level by level: each word of the last
+    sphere followed by every letter that does not cancel its last one."""
+    letters = [v for i in range(1, k + 1) for v in (i, -i)]
+    ball, sphere = [()], [()]
+    for _ in range(r):
+        sphere = [w + (v,) for w in sphere for v in letters if not w or w[-1] != -v]
+        ball.extend(sphere)
+    return ball
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_free_ball_positions_roundtrip(k):
     G = FreeGroup(k)
     r = 6
-    ball = G.enumerate_ball(r)
-    sizes = [len(G.enumerate_ball(n)) for n in range(r + 1)]
+    ball = listed_ball(k, r)
+    sizes = [len(listed_ball(k, n)) for n in range(r + 1)]
     assert [G.ball_size(n) for n in range(r + 1)] == sizes
-    positions, _ = G.ball_positions([()], r)
+    positions = G.ball_positions(r)
     # positions strictly increase along the shortlex ball, and words inverts them
     assert (np.diff(positions) > 0).all()
-    assert G.words(positions) == ball
+    assert G.words(positions) == ball == G.enumerate_ball(r)
     assert G.positions(ball).tolist() == positions.tolist()
-    # each word is its own letters applied right to left to the identity
-    short = ball[:sizes[4]]
-    assert G.ball_positions(short, 0)[1][:, 0].tolist() == positions[:len(short)].tolist()
+    # each word of B_4 times the identity, on either side, is itself
+    short = positions[:sizes[4]]
+    assert G.products(short, [0])[:, 0].tolist() == short.tolist()
+    assert G.products([0], short)[0].tolist() == short.tolist()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -226,22 +238,23 @@ def test_free_letter_maps_match_compose(k):
     r = 6
     ball = G.enumerate_ball(r)
     letters = ball[1:2 * k + 1]
-    positions, images = G.ball_positions(letters, r)
-    assert G.words(positions) == ball
+    images = G.products(G.positions(letters), G.ball_positions(r))
     for s, row in zip(letters, images):
         assert G.words(row) == [G.compose(s, w) for w in ball]
 
 
 def test_free_ball_positions_agree_with_the_generic_path(f2):
-    # the generic Group method lists both balls and indexes them with a dict
+    # the generic Group.products decodes both sides, composes the words and
+    # encodes the products; the generic positions index enumerate_ball
     from twistlab.groups import Group
-    gs = [(), (1,), (-2, 1), (2, 2, -1, 2), (-1, -2, -1)]
-    ball, images = f2.ball_positions(gs, 4)
-    indices, generic = Group.ball_positions(f2, gs, 4)
+    gs = f2.positions([(), (1,), (-2, 1), (2, 2, -1, 2), (-1, -2, -1)])
+    ball = f2.ball_positions(4)
+    assert f2.products(gs, ball).tolist() == Group.products(f2, gs, ball).tolist()
+    assert f2.products(ball, gs).tolist() == Group.products(f2, ball, gs).tolist()
+    indices = Group.ball_positions(f2, 4)
     assert indices.tolist() == list(range(len(ball)))
+    assert Group.positions(f2, f2.words(ball)).tolist() == indices.tolist()
     assert f2.words(ball) == Group.words(f2, indices)
-    for row, generic_row in zip(images, generic):
-        assert f2.words(row) == Group.words(f2, generic_row)
 
 
 # the longest words whose positions, at most (2k + 1)^n - 1, fit in int64
@@ -275,11 +288,12 @@ def test_free_positions_at_the_int64_limit(k, extra):
     # x w and g b, both of length at most n: the same dtype switch
     shorter = [w[:-1] for w in words]
     ws = [(), (1,), (-1,), (k,), (-k,)]
-    got = G.times_right(G.positions(shorter), ws)
+    got = G.products(G.positions(shorter), G.positions(ws))
     assert got.dtype == dtype
     for j, w in enumerate(ws):
         assert G.words(got[:, j]) == [G.compose(x, w) for x in shorter]
-    ball, images = G.ball_positions(shorter, 1)
+    ball = G.ball_positions(1)
+    images = G.products(G.positions(shorter), ball)
     assert images.dtype == dtype and G.words(ball) == G.enumerate_ball(1)
     for g, row in zip(shorter, images):
         assert G.words(row) == [G.compose(g, b) for b in G.enumerate_ball(1)]
@@ -289,16 +303,38 @@ def test_free_words_decode_long_f1_positions_in_int64_chunks():
     # F1's 201 words of up to 100 letters: up to three chunks of 39 digits
     G = FreeGroup(1)
     ball = G.enumerate_ball(100)
+    assert ball == listed_ball(1, 100)
     pos = G.positions(ball)
     assert pos.dtype == object and (np.diff(pos) > 0).all()
-    assert G.ball_positions([()], 100)[0].tolist() == pos.tolist()
+    assert G.ball_positions(100).tolist() == pos.tolist()
     assert G.words(pos) == ball and G.words(pos[::-1]) == ball[::-1]
 
 
 def test_free_ball_positions_beyond_int64_are_refused(f2):
     # |B_40| = 2 * 3^40 - 1 > 2^63: its positions do not fit the int64 arithmetic
     with pytest.raises(MemoryBudgetExceeded):
-        f2.ball_positions([(1,) * 40], 0)
+        f2.ball_positions(40)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_free_products_are_the_positions_of_the_composed_words(k):
+    G = FreeGroup(k)
+    n = INT64_LETTERS[k]
+    rng = np.random.default_rng(k)
+    # lengths up to past the int64 limit, so some positions are Python ints
+    xw = [random_reduced_word(k, int(m), rng) for m in rng.integers(0, n + 6, 10)]
+    yw = [random_reduced_word(k, int(m), rng) for m in rng.integers(0, n + 6, 8)]
+    assert object in (G.positions(xw).dtype, G.positions(yw).dtype)
+    # x0 y = e, and x1 y cancelling all but the first letter of x1
+    yw += [G.invert(xw[0]), G.invert(xw[1][1:]), ()]
+    short = [w for w in xw if len(w) < n // 2]
+    for xs, ys in ((xw, yw), (yw, xw), (short, yw), (xw, short), ([], yw), (xw, [])):
+        got = G.products(G.positions(xs), G.positions(ys))
+        assert got.shape == (len(xs), len(ys))
+        want = G.positions([G.compose(x, y) for x in xs for y in ys])
+        assert got.ravel().tolist() == want.tolist()
+    for r in range(5):
+        assert G.enumerate_ball(r) == G.words(G.ball_positions(r)) == listed_ball(k, r)
 
 
 def test_backend_mismatch_names_what_differs():
