@@ -126,6 +126,10 @@ def invocations():
     out += [("norm", *lattice, "--mode", "truncate", "--radius", "4"),
             ("norm", *lattice, "--mode", "truncate", "--radius", "8"),
             ("specrad", *lattice, "--powers", "6")]
+    # a coboundary whose beta leaves an element out: one error line, exit 2
+    out += [("validate", "--group", "data/group_s3.json",
+             "--cocycle", "data/cocycle_s3_partial_beta.json"),
+            ("validate", *F2, "--cocycle", "data/cocycle_f2_partial_beta.json")]
     return out
 
 

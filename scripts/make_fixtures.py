@@ -51,6 +51,11 @@ def main():
          {"kind": "coboundary", "beta": {"random-seed": 1}})
     dump("cocycle_q8ext_coboundary.json",
          fixtures.random_coboundary(q8ext, seed=7).to_json())
+    # coboundaries whose beta leaves elements out: reading beta there is an error
+    dump("cocycle_s3_partial_beta.json",
+         {"kind": "coboundary", "beta": {"0": [1, 0], "1": [0, 1]}})
+    dump("cocycle_f2_partial_beta.json",
+         {"kind": "coboundary", "beta": {"e": [1, 0], "x1": [0, 1]}})
 
     dump("element_z2_ones.json",
          (delta(z2, 0) + delta(z2, 1)).to_json())

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BackendMismatch, MemoryBudgetExceeded, NotASubgroup, NotUnitModulus
+from .errors import (BackendMismatch, InvalidArgument, MemoryBudgetExceeded, NotASubgroup,
+                     NotUnitModulus)
 from .groups import FiniteTableGroup, Group, IntLattice
 
 MODULUS_TOL = 1e-12
@@ -137,13 +138,23 @@ class BicharacterCocycle(Cocycle):
 
 
 class CoboundaryCocycle(Cocycle):
-    """d beta for a unit-modulus beta with beta(e) = 1."""
+    """d beta for a unit-modulus beta with beta(e) = 1.
+
+    beta is a dict from elements to values or a callable; either is treated
+    as fixed after construction (a dict is not copied, and must not be
+    changed), because pair_values remembers beta by position: the int64
+    positions it has read sit in one sorted array and beta at them in a
+    parallel one, 24 bytes a position, so each position is read once per
+    cocycle.  A call that holds a position past int64 reads beta at all of
+    its positions and leaves the table alone."""
 
     kind = "coboundary"
 
     def __init__(self, group: Group, beta):
         super().__init__(group)
         self._beta = beta
+        self._known = np.empty(0, dtype=np.int64)
+        self._known_beta = np.empty(0, dtype=complex)
         e = group.identity()
         if abs(self.beta(e) - 1.0) > MODULUS_TOL:
             raise NotUnitModulus("beta(e) != 1")
@@ -153,21 +164,43 @@ class CoboundaryCocycle(Cocycle):
                     raise NotUnitModulus(f"|beta({g!r})| != 1")
 
     def beta(self, g) -> complex:
-        b = self._beta[g] if isinstance(self._beta, dict) else self._beta(g)
-        return complex(b)
+        if not isinstance(self._beta, dict):
+            return complex(self._beta(g))
+        if g not in self._beta:
+            raise InvalidArgument(f"beta is not given at {self.group.element_to_json(g)}")
+        return complex(self._beta[g])
 
     def evaluate(self, x, y):
         return complex(np.conj(self.beta(x)) * np.conj(self.beta(y))
                        * self.beta(self.group.compose(x, y)))
 
     def pair_values(self, xs, ys, xys):
-        """beta once per distinct position, then (conj beta(x) conj beta(y))
-        beta(xy) as evaluate rounds it."""
+        """beta at each distinct position, read only where it is not
+        remembered, then (conj beta(x) conj beta(y)) beta(xy) as evaluate
+        rounds it."""
         pos, inv = np.unique(np.concatenate([xs, ys, xys]), return_inverse=True)
-        b = np.array([self.beta(g) for g in self.group.words(pos)], dtype=complex)[inv]
+        b = self._beta_at(pos)[inv]
         bx, by, bxy = np.split(b, [len(xs), len(xs) + len(ys)])
         re, im = complex_product(bx.real, -bx.imag, by.real, -by.imag)
         return as_complex(*complex_product(re, im, bxy.real, bxy.imag))
+
+    def _beta_at(self, pos):
+        """beta at the sorted distinct positions pos.  A failed read leaves
+        the table as it was."""
+        if pos.dtype == object:
+            return self._read(pos)
+        at = np.searchsorted(self._known, pos)
+        new = at == len(self._known)
+        new[~new] = self._known[at[~new]] != pos[~new]
+        if new.any():
+            fresh = self._read(pos[new])
+            self._known = np.insert(self._known, at[new], pos[new])
+            self._known_beta = np.insert(self._known_beta, at[new], fresh)
+            at = np.searchsorted(self._known, pos)
+        return self._known_beta[at]
+
+    def _read(self, pos):
+        return np.array([self.beta(g) for g in self.group.words(pos)], dtype=complex)
 
     def to_json(self):
         if not isinstance(self._beta, dict):
@@ -198,6 +231,15 @@ class ProductCocycle(Cocycle):
             z *= f.evaluate(x, y)
         return z
 
+    def pair_values(self, xs, ys, xys):
+        """The factors' values multiplied into 1 + 0j one by one, as
+        evaluate's z *= rounds them, signed zeros included."""
+        re, im = np.ones(len(xs)), np.zeros(len(xs))
+        for f in self.factors:
+            v = f.pair_values(xs, ys, xys)
+            re, im = complex_product(re, im, v.real, v.imag)
+        return as_complex(re, im)
+
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
@@ -211,6 +253,9 @@ class ConjugateCocycle(Cocycle):
 
     def evaluate(self, x, y):
         return complex(np.conj(self.base.evaluate(x, y)))
+
+    def pair_values(self, xs, ys, xys):
+        return np.conj(self.base.pair_values(xs, ys, xys))
 
     def to_json(self):
         return {"kind": "conjugate", "base": self.base.to_json()}

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from twistlab import fixtures
+from twistlab.cocycles import Cocycle
 from twistlab.groups import FreeGroup
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -42,3 +43,19 @@ def record_calls():
         setattr(obj, name, lambda *args: calls.append(args) or method(*args))
         return calls
     return wrap
+
+
+class _PairByPair(Cocycle):
+    def __init__(self, base):
+        super().__init__(base.group)
+        self.base = base
+
+    def evaluate(self, x, y):
+        return self.base.evaluate(x, y)
+
+
+@pytest.fixture
+def pair_by_pair():
+    """pair_by_pair(sigma): sigma's values through evaluate alone, so that
+    they are read by the per-pair default of Cocycle.pair_values."""
+    return _PairByPair

@@ -454,6 +454,31 @@ def test_decompose_rejects_a_non_cocycle(tmp_path):
     assert "modulus residual 1" in line
 
 
+S3_PARTIAL = ("--group", str(DATA / "group_s3.json"),
+              "--cocycle", str(DATA / "cocycle_s3_partial_beta.json"))
+F2_PARTIAL = ("--group", str(DATA / "group_f2.json"),
+              "--cocycle", str(DATA / "cocycle_f2_partial_beta.json"),
+              "--element", str(DATA / "element_f2_sphere1.json"))
+
+
+@pytest.mark.parametrize("args, missing", [
+    (("validate", *S3_PARTIAL), "2"),
+    (("decompose", *S3_PARTIAL), "2"),
+    (("validate", *F2_PARTIAL[:4]), "x1 x1"),
+    (("specrad", *F2_PARTIAL, "--powers", "3"), "x1^-1"),
+], ids=["s3-validate", "s3-decompose", "f2-validate", "f2-specrad"])
+def test_a_beta_that_leaves_an_element_out_is_one_error_line(args, missing):
+    line = _one_error_line(run_cli(*args))
+    assert line == f"error: beta is not given at {missing}"
+
+
+def test_a_truncation_under_a_partial_beta_is_one_error_line():
+    r = run_cli("norm", *F2_PARTIAL, "--mode", "truncate", "--radius", "2")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == ["truncating at radius 2",
+                                     "error: beta is not given at x1^-1"]
+
+
 @pytest.mark.parametrize("table", ["[]", "[[0.0]]", "[[0, 1], [1, 0.0]]"],
                          ids=["empty", "float", "float-entry"])
 def test_malformed_group_table_is_a_validation_error(tmp_path, table):

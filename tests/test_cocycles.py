@@ -1,16 +1,18 @@
 import cmath
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import cocycles, fixtures
+from twistlab import cocycles, fixtures, normspectra
+from twistlab.algebra import delta
 from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle,
                                ProductCocycle, TableCocycle, TrivialCocycle)
-from twistlab.errors import BackendMismatch, NotASubgroup, NotUnitModulus
-from twistlab.groups import IntLattice
+from twistlab.errors import BackendMismatch, InvalidArgument, NotASubgroup, NotUnitModulus
+from twistlab.groups import FreeGroup, IntLattice
 
 
 def test_trivial_validates(s3):
@@ -259,3 +261,126 @@ def test_validation_report_serializes_the_fields_of_the_hand_written_dict(s3, f2
 def test_both_validate_paths_stop_at_ten_witnesses(s3, f2):
     _, table, _, sampled = _validation_reports(s3, f2)
     assert len(table.witnesses) == len(sampled.witnesses) == 10
+
+
+def _pair_positions(G, pairs):
+    xs, ys = zip(*pairs)
+    return (G.positions(xs), G.positions(ys),
+            G.positions([G.compose(x, y) for x, y in pairs]))
+
+
+def _evaluated(sigma, pairs):
+    return np.array([sigma.evaluate(x, y) for x, y in pairs], dtype=complex)
+
+
+@pytest.mark.parametrize("G", [FreeGroup(1), FreeGroup(2), FreeGroup(3), fixtures.symmetric(3)],
+                         ids=["F1", "F2", "F3", "S3"])
+def test_coboundary_pair_values_have_the_bits_of_evaluate_cold_warm_and_partly_warm(
+        G, record_calls):
+    rng = np.random.default_rng(5)
+    pool = G.elements() if G.is_finite else G.enumerate_ball(3)
+    # shuffled, with repeated pairs and repeated positions within a call
+    pairs = [(pool[i], pool[j]) for i, j in rng.integers(0, len(pool), size=(300, 2))]
+    sigma, ref = fixtures.random_coboundary(G, 8), fixtures.random_coboundary(G, 8)
+    reads, seen = record_calls(sigma, "beta"), set()
+    # cold, partly warm, warm, partly warm in reverse order
+    for chunk in (pairs[:100], pairs[50:200], pairs[:100], pairs[::-1]):
+        got = sigma.pair_values(*_pair_positions(G, chunk))
+        assert got.tobytes() == _evaluated(ref, chunk).tobytes()
+        new = {g for pair in chunk for g in (*pair, G.compose(*pair))} - seen
+        assert len(reads) == len(new) and {g for g, in reads} == new
+        reads.clear()
+        seen |= new
+
+
+def test_a_second_truncation_at_the_same_sigma_reads_beta_not_at_all(f2):
+    beta, reads = fixtures.random_beta(f2, 3), []
+    sigma = CoboundaryCocycle(f2, lambda g: reads.append(g) or beta(g))
+    x, y = f2.generator(1), f2.generator(2)
+    a = delta(f2, x) + delta(f2, f2.invert(y), 2j) + delta(f2, f2.compose(x, y))
+    reads.clear()
+    first = normspectra.truncated_norm_lower(f2, sigma, a, 4)
+    ball, supp = f2.enumerate_ball(4), a.support()
+    read_at = set(ball) | set(supp) | {f2.compose(g, b) for g in supp for b in ball}
+    assert len(reads) == len(read_at) and set(reads) == read_at
+    reads.clear()
+    assert normspectra.truncated_norm_lower(f2, sigma, a, 4) == first
+    assert reads == []
+
+
+def test_coboundary_positions_past_int64_keep_the_table_int64(f2):
+    x, y = f2.generator(1), f2.generator(2)
+    long = x * 20 + y * 10
+    words = [(), x, y + y, long, long[:-1], f2.invert(long)]
+    pairs = [(a, b) for a in words for b in words]
+    xs, ys, xys = _pair_positions(f2, pairs)
+    assert xs.dtype == object and max(xs) > np.iinfo(np.int64).max
+    sigma, ref = fixtures.random_coboundary(f2, 2), fixtures.random_coboundary(f2, 2)
+    short = [(a, b) for a in words[:3] for b in words[:3]]
+    sigma.pair_values(*_pair_positions(f2, short))
+    known = sigma._known.copy()
+    assert known.dtype == np.int64 and len(known) > 0
+    for _ in range(2):
+        got = sigma.pair_values(xs, ys, xys)
+        assert got.tobytes() == _evaluated(ref, pairs).tobytes()
+        # a call that holds a position past int64 reads beta without the
+        # table and leaves it as it was
+        assert sigma._known.dtype == np.int64
+        assert sigma._known.tolist() == known.tolist()
+        assert len(sigma._known_beta) == len(known)
+
+
+@pytest.mark.parametrize("G", [fixtures.symmetric(3), FreeGroup(2)], ids=["S3", "F2"])
+def test_a_failed_beta_read_leaves_the_table_usable(G):
+    pool = G.elements() if G.is_finite else G.enumerate_ball(1)
+    full = fixtures.random_beta(G, 6) if G.is_finite else {
+        g: fixtures.random_beta(G, 6)(g) for g in G.enumerate_ball(2)}
+    given = {g: v for g, v in full.items() if g in pool[:2]}
+    missing = G.element_to_json(pool[2])
+    sigma = CoboundaryCocycle(G, given)
+    everything = [(x, y) for x in pool for y in pool]
+    with pytest.raises(InvalidArgument, match=re.escape(f"beta is not given at {missing}")):
+        sigma.pair_values(*_pair_positions(G, everything))
+    some = [(pool[0], pool[1]), (pool[1], pool[0]), (pool[0], pool[0])]
+    ref = CoboundaryCocycle(G, full)
+    for _ in range(2):
+        assert sigma.pair_values(*_pair_positions(G, some)).tobytes() == \
+            _evaluated(ref, some).tobytes()
+    with pytest.raises(InvalidArgument, match="beta is not given"):
+        sigma.evaluate(pool[0], pool[2])
+
+
+def _signed_zero_table(G):
+    """A table cocycle off the first row and column whose values have zero
+    parts of both signs (not a cocycle; only its bits matter)."""
+    n = G.order
+    choices = [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(0.0, -1.0),
+               complex(-0.0, 1.0), complex(1.0, -0.0), cmath.exp(0.3j)]
+    values = [[choices[(i * n + j) % len(choices)] for j in range(n)] for i in range(n)]
+    return TableCocycle(G, values)
+
+
+def test_product_and_conjugate_pair_values_have_the_bits_of_evaluate():
+    G = fixtures.cyclic_product([4, 4])
+    elems = G.elements()
+    cob = fixtures.random_coboundary(G, 3)
+    signed = _signed_zero_table(G)
+    sigmas = [fixtures.random_cocycle_abelian(G, [4, 4], seed) for seed in range(3)]
+    sigmas += [ProductCocycle([signed, cob]), ProductCocycle([cob, signed]),
+               ProductCocycle([signed]), cocycles.conjugate(signed),
+               cocycles.conjugate(ProductCocycle([signed, cob, signed]))]
+    for sigma in sigmas:
+        want = np.array([[sigma.evaluate(x, y) for y in elems] for x in elems], dtype=complex)
+        assert cocycles.value_table(G, sigma).tobytes() == want.tobytes()
+    # a zero imaginary part of either sign comes out as the loop rounds it
+    got = cocycles.value_table(G, ProductCocycle([signed]))
+    assert {np.copysign(1.0, v) for v in got.imag[got.imag == 0]} == {1.0, -1.0}
+
+    f2 = FreeGroup(2)
+    ball = f2.enumerate_ball(2)
+    pairs = [(x, y) for x in ball for y in ball]
+    a, b = fixtures.random_coboundary(f2, 1), fixtures.random_coboundary(f2, 2)
+    for sigma in (cocycles.multiply(a, b), cocycles.conjugate(a),
+                  ProductCocycle([a, cocycles.conjugate(b), TrivialCocycle(f2)])):
+        got = sigma.pair_values(*_pair_positions(f2, pairs))
+        assert got.tobytes() == _evaluated(sigma, pairs).tobytes()

@@ -238,18 +238,20 @@ def test_decompose_needs_a_finite_table_group():
         decompose_blocks(ext, TrivialCocycle(ext))
 
 
-def test_decompose_evaluates_sigma_once_per_pair(s3, record_calls):
-    # a conjugate reads sigma by the per-pair default of pair_values
-    sigma = ConjugateCocycle(fixtures.random_coboundary(s3, 5))
+def test_decompose_evaluates_sigma_once_per_pair(s3, record_calls, pair_by_pair):
+    sigma = pair_by_pair(fixtures.random_coboundary(s3, 5))
     calls = record_calls(sigma, "evaluate")
     dec = decompose_blocks(s3, sigma)
     assert sorted(dec.block_sizes) == [1, 1, 2]
     assert len(calls) == s3.order ** 2
-    # a coboundary is read through beta, once per element
-    sigma = fixtures.random_coboundary(s3, 5)
-    calls, reads = record_calls(sigma, "evaluate"), record_calls(sigma, "beta")
-    decompose_blocks(s3, sigma)
-    assert calls == [] and sorted(reads) == [(g,) for g in s3.elements()]
+    # a coboundary, also under a conjugate, is read through beta, once per element
+    for sigma in (fixtures.random_coboundary(s3, 5),
+                  ConjugateCocycle(fixtures.random_coboundary(s3, 5))):
+        cob = getattr(sigma, "base", sigma)
+        calls = [record_calls(c, "evaluate") for c in (sigma, cob)]
+        reads = record_calls(cob, "beta")
+        decompose_blocks(s3, sigma)
+        assert calls == [[], []] and sorted(reads) == [(g,) for g in s3.elements()]
 
 
 def dict_verify_twisted_action(sys):
@@ -378,18 +380,21 @@ def test_action_data_has_the_bits_of_the_section_loop(name, twist, convention):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
-def test_pipeline_evaluates_sigma_once_per_pair(name, record_calls):
+def test_pipeline_evaluates_sigma_once_per_pair(name, record_calls, pair_by_pair):
     ext = fixtures.standard_extensions()[name]
     n = len(ext.elements())
-    sigma = ConjugateCocycle(fixtures.random_coboundary(ext, 5))
+    sigma = pair_by_pair(ConjugateCocycle(fixtures.random_coboundary(ext, 5)))
     calls = record_calls(sigma, "evaluate")
     rep = crossed.crossed_product_pipeline(ext, sigma)
     assert rep["axioms"]["passed"] and rep["blocks_match"]
     assert len(calls) == n ** 2
-    sigma = fixtures.random_coboundary(ext, 5)
-    calls, reads = record_calls(sigma, "evaluate"), record_calls(sigma, "beta")
-    crossed.crossed_product_pipeline(ext, sigma)
-    assert calls == [] and len(reads) == len(set(reads)) == n
+    for sigma in (fixtures.random_coboundary(ext, 5),
+                  ConjugateCocycle(fixtures.random_coboundary(ext, 5))):
+        cob = getattr(sigma, "base", sigma)
+        calls = [record_calls(c, "evaluate") for c in (sigma, cob)]
+        reads = record_calls(cob, "beta")
+        crossed.crossed_product_pipeline(ext, sigma)
+        assert calls == [[], []] and len(reads) == len(set(reads)) == n
 
 
 def python_crossed_cocycle(sys):
