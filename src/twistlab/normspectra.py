@@ -121,7 +121,7 @@ def _lanczos(gram, q, steps):
         q_prev, q = q, w / beta
 
 
-def _top_singular_rayleigh(data, rows, m) -> float:
+def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     """||T y|| / ||y|| for a Ritz vector y of T^H T's top eigenvalue, where
     T is the m-row operator with entries ``data`` in ``rows`` (column j of
     ``data`` is column j of T).
@@ -134,16 +134,18 @@ def _top_singular_rayleigh(data, rows, m) -> float:
     keeps it in the odd functions while ones is even), so a fixed
     pseudo-random vector starts.
 
-    Pass 1 runs Lanczos on T^H T until the Ritz residual beta_k |s_k| or
-    beta_k itself is at most LANCZOS_TOL times the Ritz value, or for
-    LANCZOS_MAX_STEPS steps.  Pass 2 repeats the recurrence and sums
-    y = sum_j s_j q_j, so no Lanczos basis is stored.  T and T^H are applied
-    by bincount and a sum over the rows of ``data``, both in a fixed order,
+    Lanczos runs on T^H T until the Ritz residual beta_k |s_k| or beta_k
+    itself is at most LANCZOS_TOL times the Ritz value, or for
+    LANCZOS_MAX_STEPS steps, and keeps its basis q_1..q_k while that holds at
+    most ``mem_cap`` complex entries (k n <= mem_cap for n columns); then
+    y = sum_j s_j q_j.  Past that count the basis is dropped and y sums a
+    second run of the recurrence, which yields the same bits, so memory stays
+    at a few vectors of lengths n and m.  T is applied by adding the rows of
+    data * v into zeros and T^H by a sum over them, both in a fixed order,
     inner products use numpy's pairwise sum and the final norms math.fsum:
-    the result is the same bits in every process and for every BLAS thread
-    count."""
+    the result is the same bits in every process, for every BLAS thread count
+    and whether or not the basis was kept."""
     n = data.shape[1]
-    flat = rows.ravel()
     conj = data.conj()
     if np.all(data.imag == 0) and np.all(data.real >= 0):
         start = np.ones(n)
@@ -152,17 +154,22 @@ def _top_singular_rayleigh(data, rows, m) -> float:
     start = (start / np.sqrt(_sum_squares(start))).astype(complex)
 
     def apply(v):
-        tv = (data * v).ravel()
-        out = np.empty(m, dtype=complex)
-        out.real = np.bincount(flat, tv.real, m)
-        out.imag = np.bincount(flat, tv.imag, m)
+        # each row of ``rows`` is injective (left multiplication is), so
+        # every entry of out adds its terms in row order, starting from +0.0
+        out = np.zeros(m, dtype=complex)
+        for r, t in zip(rows, data * v):
+            out[r] += t
         return out
 
     def gram(v):
         return (conj * apply(v)[rows]).sum(axis=0)
 
-    alphas, betas = [], []
-    for _, alpha, beta in _lanczos(gram, start, LANCZOS_MAX_STEPS):
+    alphas, betas, basis = [], [], []
+    for q, alpha, beta in _lanczos(gram, start, LANCZOS_MAX_STEPS):
+        if basis is not None and (len(basis) + 1) * n <= mem_cap:
+            basis.append(q)
+        else:
+            basis = None
         alphas.append(alpha)
         betas.append(beta)
         k = len(alphas)
@@ -178,8 +185,10 @@ def _top_singular_rayleigh(data, rows, m) -> float:
             theta, s = vals[-1], vecs[:, -1]
             if min(beta, beta * abs(s[-1])) <= LANCZOS_TOL * theta:
                 break
+    if basis is None:
+        basis = (q for q, _, _ in _lanczos(gram, start, len(s)))
     y = np.zeros(n, dtype=complex)
-    for (q, _, _), sj in zip(_lanczos(gram, start, len(s)), s):
+    for q, sj in zip(basis, s):
         y += sj * q
     return np.sqrt(_sum_squares(apply(y)) / _sum_squares(y))
 
@@ -212,6 +221,10 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     for the second-order terms, so the value is a genuine lower bound; it is
     clipped at 0.
 
+    ``mem_cap`` bounds |B_r| and |B_{r + diam supp a}| (MemoryBudgetExceeded
+    past it) and the Lanczos basis kept, at most mem_cap complex entries;
+    past that count the basis is recomputed instead, with the same bits.
+
     The truncated norm is monotone nondecreasing in r, and the value follows
     it to about 1e-14 relative; on finite backends it is the exact norm."""
     if r < 0:
@@ -227,7 +240,7 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in a.coeffs.values()))[1]
     a = AlgebraElement(G, {g: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
                            for g, c in a.coeffs.items()})
-    rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma, a, r, mem_cap))
+    rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma, a, r, mem_cap), mem_cap)
     l1 = math.fsum(abs(c) for c in a.coeffs.values())
     try:
         return math.ldexp(float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1)), e)

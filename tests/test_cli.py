@@ -223,6 +223,71 @@ PINNED_STDOUT = {
     ("specrad --group data/group_z2_lattice.json --cocycle data/cocycle_z2_bicharacter_third.json"
      " --element data/element_z2_harper.json --powers 6"):
         ("7f69053c6acfe0dc1a213a779c045e2c20b984f0480f2a27640b3233f776e1e9", 0),
+    # the free-group truncations whose bytes hold under every SIMD and BLAS
+    # dispatch tried (see README "Tests")
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 9 --mem-cap 50"):
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 4),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_ux.json --mode truncate --radius 6"):
+        ("6ddc86f489c7d1662ab0fe1b6d09946c2ab49b066352bf742f70ab0d58a6b7ab", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_t_e.json --mode truncate --radius 3"):
+        ("81dd0315398a3e7136aa1165f87dc9bdc1716d50fccac89177b60a0e699f1252", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 0"):
+        ("3accccf22bc7e7597622ccc58cafc6d303a4204ac7c5313a7884db9bd32b4769", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 1"):
+        ("d41e57b5511801f729ba998faf80e4d87dbe1c79f62a9d9a5765bbf1ca32a50e", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 2"):
+        ("0198cfdc30ce02261bd8e5d63052d3169d76991da0fce4839d9d6252d84a078d", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 3"):
+        ("b3e0a049bfdb8816e5270dbeeebadf52961553c4cf7203e389538d264ed6daa2", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 4"):
+        ("8e5f3d3cb2732f2b2d14fddeabc1a26dc7dc6fc701257ca13afd6d55055039c2", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 5"):
+        ("b592a4692753a344e8142599a0fab6cac9dd101d0fd7cd038c2b37140b9806a9", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 6"):
+        ("f91bd783e62f459f25e3c89fb2124d050e52e9466be0a5af50f7e043b97d3b5e", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 7"):
+        ("3b36f05c84e0fcf0cb3c04181edb325a00e62aec83784e13a76cfb4634626925", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 8"):
+        ("cf914ec754d5f7f22e044736e5d150e89e847cd9981d74c5e3e33f96c2ad09eb", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_sphere1.json --mode truncate --radius 9"):
+        ("88e6b2fd1ed8427b12c95189a90406ca8df79910fead45ddbdf5b39fe4c9e04d", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 0"):
+        ("340fd18d327cbe86c48e326b71fd9ea7003cd440ca9e04ae197f556c75304ab9", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 2"):
+        ("25b926f36b3dcea7907ebe3193857ff08d640f0439c2f742ae46019967b94a62", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 3"):
+        ("236428ed029e83e65aa0aa021a06f8b5dad6f53cbc69ef0c927b0399cc16cc56", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 4"):
+        ("c70d73934008749752bda8bd78d4b91f4920cd3c2eefd4fa1d38ad66a69e88a6", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 5"):
+        ("025055d9a85a8c1470eec6578d3cd9f96932b06a92faed1ddb1b338cd633711c", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 7"):
+        ("3a37e8bf163d7b2ee154a323a3f04fb8a4603d1c310dbeb8a53cfaee158adcc1", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 8"):
+        ("7052192ef3ae80773d0690784010df725bb505190cc68055225e309afdeb9a73", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 9"):
+        ("7c952dcaf80723e255ecd64622375bd60a994c998ab7c2993c2b7515ab6aea76", 0),
 }
 
 

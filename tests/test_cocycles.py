@@ -42,6 +42,32 @@ def test_broken_table_fails_with_witness(s3):
     assert w["residual"] > 1e-6
 
 
+def test_broken_table_past_order_90_matches_the_whole_cube():
+    # S5 has order 120, so validate slabs over one x and a block of 68 y;
+    # a coboundary table with three pairs perturbed breaks the identity on
+    # triples spread over both y blocks
+    G = fixtures.symmetric(5)
+    n = G.order
+    vals = cocycles.value_table(G, fixtures.random_coboundary(G, 1))
+    for x, y in ((3, 5), (70, 110), (100, 90)):
+        vals[x, y] *= np.exp(0.25j * (x + 1))
+    sigma = TableCocycle(G, vals)
+    rep = cocycles.validate(G, sigma)
+    # brute force: every triple at once, with the same rounding
+    T, S = G.multiplication_table(), cocycles.value_table(G, sigma)
+    lr, li = cocycles.complex_product(S.real[:, :, None], S.imag[:, :, None],
+                                      S.real[T], S.imag[T])
+    rr, ri = cocycles.complex_product(S.real[:, T], S.imag[:, T], S.real, S.imag)
+    r = np.hypot(lr - rr, li - ri)
+    assert not rep.passed and rep.checked_triples == n ** 3
+    assert rep.max_identity_residual == float(r.max())
+    elems = G.elements()
+    want = [{"triple": [G.element_to_json(elems[j]) for j in t], "residual": float(r[tuple(t)])}
+            for t in np.argwhere(r > cocycles.IDENTITY_TOL)[:10]]
+    assert rep.witnesses == want
+    assert len({w["triple"][1] for w in want}) > 1
+
+
 def test_table_auto_normalized(s3):
     vals = np.full((6, 6), -1.0, dtype=complex)
     sigma = TableCocycle(s3, vals)

@@ -343,6 +343,112 @@ def test_truncated_norm_past_the_float_range_is_an_invalid_argument(f2):
         truncated_norm_lower(f2, TrivialCocycle(f2), a, 3)
 
 
+def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
+    """The bit-for-bit reference for _top_singular_rayleigh, which keeps the
+    Lanczos basis and scatters T's rows one by one: here pass 1 finds the
+    Ritz coefficients s, pass 2 reruns the recurrence to sum
+    y = sum_j s_j q_j, and T is applied by bincount on the real and
+    imaginary parts.  mem_cap is ignored."""
+    n = data.shape[1]
+    flat = rows.ravel()
+    conj = data.conj()
+    if np.all(data.imag == 0) and np.all(data.real >= 0):
+        start = np.ones(n)
+    else:
+        start = np.random.default_rng(0).random(n)
+    start = (start / np.sqrt(normspectra._sum_squares(start))).astype(complex)
+
+    def apply(v):
+        tv = (data * v).ravel()
+        out = np.empty(m, dtype=complex)
+        out.real = np.bincount(flat, tv.real, m)
+        out.imag = np.bincount(flat, tv.imag, m)
+        return out
+
+    def gram(v):
+        return (conj * apply(v)[rows]).sum(axis=0)
+
+    alphas, betas = [], []
+    for _, alpha, beta in normspectra._lanczos(gram, start, normspectra.LANCZOS_MAX_STEPS):
+        alphas.append(alpha)
+        betas.append(beta)
+        k = len(alphas)
+        if (beta <= 1e-8 * max(alphas) or k % (k // 16 + 1) == 0
+                or k == normspectra.LANCZOS_MAX_STEPS):
+            off = np.diag(betas[:-1], 1)
+            vals, vecs = np.linalg.eigh(np.diag(alphas) + off + off.T)
+            theta, s = vals[-1], vecs[:, -1]
+            if min(beta, beta * abs(s[-1])) <= normspectra.LANCZOS_TOL * theta:
+                break
+    y = np.zeros(n, dtype=complex)
+    for (q, _, _), sj in zip(normspectra._lanczos(gram, start, len(s)), s):
+        y += sj * q
+    return np.sqrt(normspectra._sum_squares(apply(y)) / normspectra._sum_squares(y))
+
+
+def _truncation_cases(G):
+    # sphere-1 (ones start), seeded complex elements on words of B_1 and B_2
+    # (random start), coefficients with zero parts of either sign, each
+    # untwisted and under a random coboundary
+    ball = G.enumerate_ball(2)
+    sphere1 = ball[1:2 * G.rank + 1]
+    rng = np.random.default_rng(G.rank)
+    words = [ball[int(i)] for i in rng.choice(len(ball) - 1, 3, replace=False) + 1]
+    elements = [("sphere1", AlgebraElement(G, {g: 1.0 for g in sphere1})),
+                ("random-b1", fixtures.random_element(G, sphere1, seed=G.rank)),
+                ("random-b2", fixtures.random_element(G, words, seed=G.rank + 10)),
+                ("zero-parts", AlgebraElement(G, {
+                    g: c for g, c in zip(sphere1, (complex(-1.0, -0.0), 0.5j,
+                                                   complex(-0.0, -2.0), 1.0))}))]
+    for twist, sigma in (("trivial", TrivialCocycle(G)),
+                         ("coboundary", fixtures.random_coboundary(G, seed=G.rank))):
+        for name, a in elements:
+            yield f"{name}-{twist}", sigma, a
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_truncated_norm_has_the_bits_of_the_two_pass_solver(k, monkeypatch):
+    G = FreeGroup(k)
+    for case, sigma, a in _truncation_cases(G):
+        d = max(len(g) for g in a.coeffs)
+        for r in range(7):
+            with monkeypatch.context() as patched:
+                patched.setattr(normspectra, "_top_singular_rayleigh",
+                                two_pass_top_singular_rayleigh)
+                want = truncated_norm_lower(G, sigma, a, r).hex()
+            # the default cap keeps the basis; the least cap that admits the
+            # codomain ball drops it past about (2k - 1)^d steps
+            for cap in (normspectra.DEFAULT_MEM_CAP, G.ball_size(r + d)):
+                assert truncated_norm_lower(G, sigma, a, r, cap).hex() == want, (case, r, cap)
+
+
+def test_lanczos_runs_once_while_the_basis_fits(f2, monkeypatch):
+    runs, lanczos = [], normspectra._lanczos
+
+    def counted(gram, q, steps):
+        runs.append(0)
+        for step in lanczos(gram, q, steps):
+            runs[-1] += 1
+            yield step
+
+    monkeypatch.setattr(normspectra, "_lanczos", counted)
+    a = AlgebraElement(f2, {g: 1.0 for g in f2.enumerate_ball(1)[1:]})
+    b = fixtures.random_element(f2, f2.enumerate_ball(1)[1:], seed=3)
+    for x in (a, b):
+        for r in range(3, 7):
+            n = f2.ball_size(r)
+            for cap in (normspectra.DEFAULT_MEM_CAP, f2.ball_size(r + 1)):
+                runs.clear()
+                truncated_norm_lower(f2, TrivialCocycle(f2), x, r, cap)
+                steps = runs[0]
+                if steps * n <= cap:
+                    assert runs == [steps], (r, cap)
+                else:
+                    # the basis is dropped and the second run stops at k
+                    assert runs == [steps, steps], (r, cap)
+                assert (steps * n > cap) == (cap != normspectra.DEFAULT_MEM_CAP), (r, cap)
+
+
 def loop_regular_rep(G, sigma, a):
     """The sigma-regular matrix by the per-(g, h) loop that regular_matrices
     replaced: the bit-for-bit reference."""
