@@ -116,7 +116,7 @@ def _convolve_terms(G, sigma, x, y):
     Coefficients below DROP_TOL are dropped as AlgebraElement drops them."""
     (xs, xre, xim), (ys, yre, yim) = x, y
     nx, ny = len(xs), len(ys)
-    xys = G.products(xs, ys).ravel()
+    xys = G.products(xs[:, None], ys).ravel()
     s = sigma.pair_values(np.repeat(xs, ny), np.tile(ys, nx), xys)
     pos, where = np.unique(xys, return_inverse=True)
     # an overflow is caught by the isfinite test below, not by a warning

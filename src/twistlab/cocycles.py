@@ -21,9 +21,10 @@ MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 DEFAULT_SAMPLED_TRIPLES = 100_000
 SAMPLE_RADIUS = 6
-# largest sample ball the sampled check lists.  With a memoised random
-# coboundary the check holds about 420 bytes per word: F6's 2,125,873 words
-# peak at 0.9 GiB (22 s), so F7's 5,631,277 would need about 2.3 GiB
+# largest sample ball the sampled check lists.  Under a random coboundary
+# the check peaks at about 260 bytes per word, most of it the beta memo:
+# F6's 2,125,873 words peak at 522 MiB (33 s on a 2-core x86-64 VM), so
+# F7's 5,631,277 would need about 1.4 GiB
 SAMPLE_POOL_CAP = 4_000_000
 
 
@@ -142,19 +143,16 @@ class CoboundaryCocycle(Cocycle):
 
     beta is a dict from elements to values or a callable; either is treated
     as fixed after construction (a dict is not copied, and must not be
-    changed), because pair_values remembers beta by position: the int64
-    positions it has read sit in one sorted array and beta at them in a
-    parallel one, 24 bytes a position, so each position is read once per
-    cocycle.  A call that holds a position past int64 reads beta at all of
-    its positions and leaves the table alone."""
+    changed), because pair_values remembers beta in one dict keyed by
+    position, as a Python int whether it fits int64 or not, so each position
+    is read once per cocycle."""
 
     kind = "coboundary"
 
     def __init__(self, group: Group, beta):
         super().__init__(group)
         self._beta = beta
-        self._known = np.empty(0, dtype=np.int64)
-        self._known_beta = np.empty(0, dtype=complex)
+        self._memo = {}
         e = group.identity()
         if abs(self.beta(e) - 1.0) > MODULUS_TOL:
             raise NotUnitModulus("beta(e) != 1")
@@ -185,22 +183,17 @@ class CoboundaryCocycle(Cocycle):
         return as_complex(*complex_product(re, im, bxy.real, bxy.imag))
 
     def _beta_at(self, pos):
-        """beta at the sorted distinct positions pos.  A failed read leaves
-        the table as it was."""
-        if pos.dtype == object:
-            return self._read(pos)
-        at = np.searchsorted(self._known, pos)
-        new = at == len(self._known)
-        new[~new] = self._known[at[~new]] != pos[~new]
+        """beta at the distinct positions pos, read only where the memo lacks
+        them.  A failed read leaves the memo as it was."""
+        memo, keys = self._memo, pos.tolist()
+        new = np.array([p not in memo for p in keys], dtype=bool)
         if new.any():
-            fresh = self._read(pos[new])
-            self._known = np.insert(self._known, at[new], pos[new])
-            self._known_beta = np.insert(self._known_beta, at[new], fresh)
-            at = np.searchsorted(self._known, pos)
-        return self._known_beta[at]
+            fresh = pos[new]
+            memo.update(zip(fresh.tolist(), self._read(fresh)))
+        return np.array([memo[p] for p in keys], dtype=complex)
 
     def _read(self, pos):
-        return np.array([self.beta(g) for g in self.group.words(pos)], dtype=complex)
+        return [self.beta(g) for g in self.group.words(pos)]
 
     def to_json(self):
         if not isinstance(self._beta, dict):
@@ -312,41 +305,47 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
 
     Exhaustive over finite groups, on ``values`` when the caller already has
     value_table(G, sigma); otherwise seeded sampled triples drawn from the
-    radius-6 ball, which may hold at most SAMPLE_POOL_CAP elements.
+    radius-6 ball, which may hold at most SAMPLE_POOL_CAP elements.  The
+    sampled check reads sigma through pair_values, 2**13 ball elements or
+    triples at a time, with the bits of a loop over evaluate.
     """
     sigma.group.check_same(G)
     if G.is_finite:
         if values is None:
             values = value_table(G, sigma)
         return _validate_table(G, G.multiplication_table(), values, tol)
-    e = G.identity()
-    witnesses = []
     if G.ball_size(SAMPLE_RADIUS) > SAMPLE_POOL_CAP:
         raise MemoryBudgetExceeded(G.ball_size(SAMPLE_RADIUS), SAMPLE_POOL_CAP)
-    pool = G.enumerate_ball(SAMPLE_RADIUS)
+    pool = G.ball_positions(SAMPLE_RADIUS)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pool), size=(sampled_triples, 3))
+    e = G.positions([G.identity()])
+    slab = 2 ** 13
     norm_res = mod_res = id_res = 0.0
-    for g in pool:
-        norm_res = max(norm_res,
-                       abs(sigma.evaluate(e, g) - 1.0),
-                       abs(sigma.evaluate(g, e) - 1.0))
-        mod_res = max(mod_res, abs(abs(sigma.evaluate(g, g)) - 1.0))
-
-    for i, j, k in idx:
-        x, y, z = pool[i], pool[j], pool[k]
-        sxy = sigma.evaluate(x, y)
-        syz = sigma.evaluate(y, z)
-        mod_res = max(mod_res, abs(abs(sxy) - 1.0))
-        lhs = sxy * sigma.evaluate(G.compose(x, y), z)
-        rhs = sigma.evaluate(x, G.compose(y, z)) * syz
-        r = abs(lhs - rhs)
-        if r > id_res:
-            id_res = r
-        if r > tol and len(witnesses) < 10:
+    witnesses = []
+    for i in range(0, len(pool), slab):
+        g = pool[i:i + slab]
+        eg = np.full_like(g, e[0])
+        edge = np.concatenate([sigma.pair_values(eg, g, g), sigma.pair_values(g, eg, g)])
+        norm_res = max(norm_res, float(np.max(np.hypot(edge.real - 1.0, edge.imag))))
+        gg = sigma.pair_values(g, g, G.products(g, g))
+        mod_res = max(mod_res, float(np.max(np.abs(np.hypot(gg.real, gg.imag) - 1.0))))
+    for i in range(0, sampled_triples, slab):
+        x, y, z = pool[idx[i:i + slab]].T
+        xy, yz = G.products(x, y), G.products(y, z)
+        xyz = G.products(xy, z)
+        s = sigma.pair_values(np.concatenate([x, xy, x, y]), np.concatenate([y, z, yz, z]),
+                              np.concatenate([xy, xyz, xyz, yz]))
+        sxy, sxy_z, sx_yz, syz = np.split(s, 4)
+        mod_res = max(mod_res, float(np.max(np.abs(np.hypot(sxy.real, sxy.imag) - 1.0))))
+        lr, li = complex_product(sxy.real, sxy.imag, sxy_z.real, sxy_z.imag)
+        rr, ri = complex_product(sx_yz.real, sx_yz.imag, syz.real, syz.imag)
+        r = np.hypot(lr - rr, li - ri)
+        id_res = max(id_res, float(np.max(r)))
+        for j in np.flatnonzero(r > tol)[:10 - len(witnesses)]:
             witnesses.append({
-                "triple": [G.element_to_json(x), G.element_to_json(y), G.element_to_json(z)],
-                "residual": r,
+                "triple": [G.element_to_json(w) for w in G.words([x[j], y[j], z[j]])],
+                "residual": float(r[j]),
             })
 
     passed = mod_res <= tol and norm_res <= tol and id_res <= tol

@@ -214,8 +214,9 @@ def _hash_phase(seed, tag):
 def random_beta(G, seed):
     """Seeded unit-modulus phase function with beta(e) = 1.
 
-    For finite backends this is a dict; otherwise a cached callable keyed by
-    the serialized element, stable across runs.
+    For finite backends this is a dict; otherwise a callable that hashes the
+    serialized element on every call, stable across runs.  It keeps no
+    cache: a CoboundaryCocycle remembers beta by position.
     """
     e = G.identity()
     if G.is_finite:
@@ -224,14 +225,10 @@ def random_beta(G, seed):
             beta[g] = 1.0 + 0.0j if g == e else _hash_phase(seed, G.element_to_json(g))
         return beta
 
-    cache = {}
-
     def beta(g):
         if g == e:
             return 1.0 + 0.0j
-        if g not in cache:
-            cache[g] = _hash_phase(seed, str(G.element_to_json(g)))
-        return cache[g]
+        return _hash_phase(seed, str(G.element_to_json(g)))
 
     return beta
 

@@ -87,11 +87,12 @@ class Group:
         return np.arange(self.ball_size(r))
 
     def products(self, xs, ys):
-        """Positions of x * y for the x at positions xs (rows) and the y at
-        positions ys (columns), composed word by word."""
-        xw, yw = self.words(xs), self.words(ys)
-        return self.positions([self.compose(x, y) for x in xw for y in yw]).reshape(
-            len(xw), len(yw))
+        """Positions of x * y for the x at positions xs and the y at positions
+        ys, broadcast against each other as numpy broadcasts (xs[:, None]
+        gives every pair, x by rows), composed word by word."""
+        xs, ys = np.broadcast_arrays(xs, ys)
+        pairs = zip(self.words(xs.ravel()), self.words(ys.ravel()))
+        return self.positions([self.compose(x, y) for x, y in pairs]).reshape(xs.shape)
 
     def positions(self, words):
         """Positions of words, an int64 array: on a finite group their
@@ -320,13 +321,14 @@ class FreeGroup(Group):
         return np.concatenate(levels)
 
     def products(self, xs, ys):
-        """Positions of x y for the words x at positions xs (rows) and y at
-        positions ys (columns).  While x's last digit is that of the inverse
-        of y's leading digit, both are dropped; then y's digits follow x's."""
+        """Positions of x y for the words x at positions xs and y at positions
+        ys, broadcast as numpy broadcasts (xs[:, None] gives every pair).
+        While x's last digit is that of the inverse of y's leading digit, both
+        are dropped; then y's digits follow x's."""
         B, xs, ys = self._base, np.asarray(xs), np.asarray(ys)
         lx, ly = self._digits(xs.max(initial=0)), self._digits(ys.max(initial=0))
         dtype = self._dtype(lx + ly)
-        x, y = xs.astype(dtype)[:, None], ys.astype(dtype)
+        x, y = xs.astype(dtype), ys.astype(dtype)
         powers = B ** np.arange(ly + 1).astype(dtype)
         # a word of n letters sits in [(B^n - 1)/(B - 1), (B^(n+1) - 1)/(B - 1))
         n = np.searchsorted((powers - 1) // (B - 1), y, side="right") - 1

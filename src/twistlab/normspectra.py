@@ -87,7 +87,7 @@ def _truncation_matrix(G, sigma, a, r, cap):
         if G.ball_size(n) > cap:
             raise MemoryBudgetExceeded(G.ball_size(n), cap)
     xs, ball = G.positions(supp), G.ball_positions(r)
-    gb, m = G.products(xs, ball), len(ball)
+    gb, m = G.products(xs[:, None], ball), len(ball)
     s = sigma.pair_values(np.repeat(xs, m), np.tile(ball, len(supp)), gb.ravel())
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)
     data = as_complex(*complex_product(s.real, s.imag, np.repeat(c.real, m),

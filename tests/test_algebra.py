@@ -286,16 +286,16 @@ def test_right_multiplication_matches_compose(rank):
     ball = G.enumerate_ball(5)
     pos = G.positions(ball)
     ws = G.enumerate_ball(3)
-    got = G.products(pos, G.positions(ws))
+    got = G.products(pos[:, None], G.positions(ws))
     assert got.shape == (len(ball), len(ws))
     for j, w in enumerate(ws):
         assert G.words(got[:, j]) == [G.compose(x, w) for x in ball]
     for s in (1, -1, rank, -rank):
         # a length-1 word times its inverse lands on the identity, position 0
         one = G.positions([(s,)])
-        assert G.products(one, G.positions([(-s,)])).tolist() == [[0]]
-        assert G.products(one, one).tolist() == G.positions([(s, s)])[:, None].tolist()
-    assert G.products(np.zeros(0, dtype=np.int64), G.positions(ws)).shape == (0, len(ws))
+        assert G.products(one[:, None], G.positions([(-s,)])).tolist() == [[0]]
+        assert G.products(one[:, None], one).tolist() == G.positions([(s, s)])[:, None].tolist()
+    assert G.products(np.zeros((0, 1), dtype=np.int64), G.positions(ws)).shape == (0, len(ws))
 
 
 def test_free_words_past_int64_positions_run_on_python_ints(f2):
@@ -303,7 +303,7 @@ def test_free_words_past_int64_positions_run_on_python_ints(f2):
     long = (1, 2) * 20
     pos = f2.positions([long, (1,) * 39])
     assert pos.dtype == object and f2.words(pos) == [long, (1,) * 39]
-    for row, x in zip(f2.products(pos, f2.positions([(-2,), (1,)])), (long, (1,) * 39)):
+    for row, x in zip(f2.products(pos[:, None], f2.positions([(-2,), (1,)])), (long, (1,) * 39)):
         assert f2.words(row) == [x[:-1] if x == long else x + (-2,), x + (1,)]
     sigma = fixtures.random_coboundary(f2, 3)
     a = AlgebraElement(f2, {long: 1.5, (1,) * 39: -0.5j, (): 2.0})

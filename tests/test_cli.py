@@ -529,7 +529,7 @@ F2_PARTIAL = ("--group", str(DATA / "group_f2.json"),
 @pytest.mark.parametrize("args, missing", [
     (("validate", *S3_PARTIAL), "2"),
     (("decompose", *S3_PARTIAL), "2"),
-    (("validate", *F2_PARTIAL[:4]), "x1 x1"),
+    (("validate", *F2_PARTIAL[:4]), "x1^-1"),
     (("specrad", *F2_PARTIAL, "--powers", "3"), "x1^-1"),
 ], ids=["s3-validate", "s3-decompose", "f2-validate", "f2-specrad"])
 def test_a_beta_that_leaves_an_element_out_is_one_error_line(args, missing):

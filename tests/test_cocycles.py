@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import re
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlab import cocycles, fixtures, normspectra
-from twistlab.algebra import delta
+from twistlab import algebra, cocycles, fixtures, normspectra
+from twistlab.algebra import AlgebraElement, delta
 from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle,
                                ProductCocycle, TableCocycle, TrivialCocycle)
 from twistlab.errors import BackendMismatch, InvalidArgument, NotASubgroup, NotUnitModulus
@@ -289,6 +290,72 @@ def test_both_validate_paths_stop_at_ten_witnesses(s3, f2):
     assert len(table.witnesses) == len(sampled.witnesses) == 10
 
 
+def _sampled_loop(G, sigma, sampled_triples, seed, tol=cocycles.IDENTITY_TOL):
+    """validate's sampled report on an infinite group, one pair at a time
+    through evaluate over the listed radius-6 ball."""
+    e = G.identity()
+    witnesses = []
+    pool = G.enumerate_ball(cocycles.SAMPLE_RADIUS)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(pool), size=(sampled_triples, 3))
+    norm_res = mod_res = id_res = 0.0
+    for g in pool:
+        norm_res = max(norm_res,
+                       abs(sigma.evaluate(e, g) - 1.0),
+                       abs(sigma.evaluate(g, e) - 1.0))
+        mod_res = max(mod_res, abs(abs(sigma.evaluate(g, g)) - 1.0))
+
+    for i, j, k in idx:
+        x, y, z = pool[i], pool[j], pool[k]
+        sxy = sigma.evaluate(x, y)
+        syz = sigma.evaluate(y, z)
+        mod_res = max(mod_res, abs(abs(sxy) - 1.0))
+        lhs = sxy * sigma.evaluate(G.compose(x, y), z)
+        rhs = sigma.evaluate(x, G.compose(y, z)) * syz
+        r = abs(lhs - rhs)
+        if r > id_res:
+            id_res = r
+        if r > tol and len(witnesses) < 10:
+            witnesses.append({
+                "triple": [G.element_to_json(x), G.element_to_json(y), G.element_to_json(z)],
+                "residual": r,
+            })
+
+    passed = mod_res <= tol and norm_res <= tol and id_res <= tol
+    return cocycles.ValidationReport(passed, mod_res, norm_res, id_res, sampled_triples, False,
+                                     witnesses)
+
+
+def _sampled_cases(G, beta_of):
+    cob = CoboundaryCocycle(G, beta_of(G, 4))
+    return {"coboundary": CoboundaryCocycle(G, beta_of(G, 9)),
+            "conjugate-product": cocycles.conjugate(cocycles.multiply(cob, cob)),
+            "length-phase": _LengthPhase(G)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", ["coboundary", "conjugate-product", "length-phase"])
+def test_sampled_validate_has_the_bytes_of_the_triple_loop(k, case):
+    # slabs hold 8192 triples, so 8191 and 8193 sit on either side of the
+    # first slab edge; the length phase fails and gives 10 witnesses in order
+    G = FreeGroup(k)
+    sigma = _sampled_cases(G, fixtures.random_beta)[case]
+    # the oracle hashes each beta once, through a cache of its own
+    ref = _sampled_cases(G, lambda G, seed: functools.cache(fixtures.random_beta(G, seed)))[case]
+    for n in (1, 8191, 8193, 20000):
+        rep = cocycles.validate(G, sigma, sampled_triples=n, seed=k)
+        assert json.dumps(rep.to_json()) == json.dumps(_sampled_loop(G, ref, n, k).to_json())
+        if n > 1:
+            assert len(rep.witnesses) == (10 if case == "length-phase" else 0)
+
+
+def test_sampled_validate_on_a_lattice_has_the_bytes_of_the_triple_loop():
+    z2 = IntLattice(2)
+    sigma = BicharacterCocycle(z2, [[0, 1 / 3], [0, 0]])
+    rep = cocycles.validate(z2, sigma, sampled_triples=8193, seed=1)
+    assert json.dumps(rep.to_json()) == json.dumps(_sampled_loop(z2, sigma, 8193, 1).to_json())
+
+
 def _pair_positions(G, pairs):
     xs, ys = zip(*pairs)
     return (G.positions(xs), G.positions(ys),
@@ -305,6 +372,10 @@ def test_coboundary_pair_values_have_the_bits_of_evaluate_cold_warm_and_partly_w
         G, record_calls):
     rng = np.random.default_rng(5)
     pool = G.elements() if G.is_finite else G.enumerate_ball(3)
+    if G.describe() == {"kind": "free", "rank": 2}:
+        # words of 28 to 32 letters: their positions, and those of their
+        # products, are Python ints past int64
+        pool += [(1, 2) * 14, (-2, 1) * 14 + (1,), (1,) * 30, (2, -1) * 15 + (2,), (-1, -2) * 16]
     # shuffled, with repeated pairs and repeated positions within a call
     pairs = [(pool[i], pool[j]) for i, j in rng.integers(0, len(pool), size=(300, 2))]
     sigma, ref = fixtures.random_coboundary(G, 8), fixtures.random_coboundary(G, 8)
@@ -334,26 +405,18 @@ def test_a_second_truncation_at_the_same_sigma_reads_beta_not_at_all(f2):
     assert reads == []
 
 
-def test_coboundary_positions_past_int64_keep_the_table_int64(f2):
-    x, y = f2.generator(1), f2.generator(2)
-    long = x * 20 + y * 10
-    words = [(), x, y + y, long, long[:-1], f2.invert(long)]
-    pairs = [(a, b) for a in words for b in words]
-    xs, ys, xys = _pair_positions(f2, pairs)
-    assert xs.dtype == object and max(xs) > np.iinfo(np.int64).max
-    sigma, ref = fixtures.random_coboundary(f2, 2), fixtures.random_coboundary(f2, 2)
-    short = [(a, b) for a in words[:3] for b in words[:3]]
-    sigma.pair_values(*_pair_positions(f2, short))
-    known = sigma._known.copy()
-    assert known.dtype == np.int64 and len(known) > 0
-    for _ in range(2):
-        got = sigma.pair_values(xs, ys, xys)
-        assert got.tobytes() == _evaluated(ref, pairs).tobytes()
-        # a call that holds a position past int64 reads beta without the
-        # table and leaves it as it was
-        assert sigma._known.dtype == np.int64
-        assert sigma._known.tolist() == known.tolist()
-        assert len(sigma._known_beta) == len(known)
+def test_a_second_power_at_the_same_sigma_reads_beta_not_at_all(f2):
+    # powers 7 and 8 of x x y y pass 27 letters, so some of their positions
+    # are Python ints; the memo holds them as it holds the int64 ones
+    beta, reads = fixtures.random_beta(f2, 3), []
+    sigma = CoboundaryCocycle(f2, lambda g: reads.append(g) or beta(g))
+    a = AlgebraElement(f2, {(1, 1, 2): 1.0, (1, 1, 2, 2): 0.5 - 2j})
+    reads.clear()
+    first = algebra.power(a, 8, sigma)
+    assert len(reads) == len(set(reads)) and max(map(len, reads)) > 27
+    reads.clear()
+    assert algebra.power(a, 8, sigma).coeffs == first.coeffs
+    assert reads == []
 
 
 @pytest.mark.parametrize("G", [fixtures.symmetric(3), FreeGroup(2)], ids=["S3", "F2"])

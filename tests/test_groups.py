@@ -228,8 +228,8 @@ def test_free_ball_positions_roundtrip(k):
     assert G.positions(ball).tolist() == positions.tolist()
     # each word of B_4 times the identity, on either side, is itself
     short = positions[:sizes[4]]
-    assert G.products(short, [0])[:, 0].tolist() == short.tolist()
-    assert G.products([0], short)[0].tolist() == short.tolist()
+    assert G.products(short[:, None], [0])[:, 0].tolist() == short.tolist()
+    assert G.products([0], short).tolist() == short.tolist()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -238,7 +238,7 @@ def test_free_letter_maps_match_compose(k):
     r = 6
     ball = G.enumerate_ball(r)
     letters = ball[1:2 * k + 1]
-    images = G.products(G.positions(letters), G.ball_positions(r))
+    images = G.products(G.positions(letters)[:, None], G.ball_positions(r))
     for s, row in zip(letters, images):
         assert G.words(row) == [G.compose(s, w) for w in ball]
 
@@ -249,8 +249,12 @@ def test_free_ball_positions_agree_with_the_generic_path(f2):
     from twistlab.groups import Group
     gs = f2.positions([(), (1,), (-2, 1), (2, 2, -1, 2), (-1, -2, -1)])
     ball = f2.ball_positions(4)
-    assert f2.products(gs, ball).tolist() == Group.products(f2, gs, ball).tolist()
-    assert f2.products(ball, gs).tolist() == Group.products(f2, ball, gs).tolist()
+    assert f2.products(gs[:, None], ball).tolist() == Group.products(f2, gs[:, None], ball).tolist()
+    assert f2.products(ball[:, None], gs).tolist() == Group.products(f2, ball[:, None], gs).tolist()
+    # element-wise products are the diagonal of the outer ones, on both paths
+    xs, ys = ball[:60], ball[::-1][:60]
+    for products in (f2.products, lambda xs, ys: Group.products(f2, xs, ys)):
+        assert products(xs, ys).tolist() == np.diagonal(products(xs[:, None], ys)).tolist()
     indices = Group.ball_positions(f2, 4)
     assert indices.tolist() == list(range(len(ball)))
     assert Group.positions(f2, f2.words(ball)).tolist() == indices.tolist()
@@ -288,12 +292,12 @@ def test_free_positions_at_the_int64_limit(k, extra):
     # x w and g b, both of length at most n: the same dtype switch
     shorter = [w[:-1] for w in words]
     ws = [(), (1,), (-1,), (k,), (-k,)]
-    got = G.products(G.positions(shorter), G.positions(ws))
+    got = G.products(G.positions(shorter)[:, None], G.positions(ws))
     assert got.dtype == dtype
     for j, w in enumerate(ws):
         assert G.words(got[:, j]) == [G.compose(x, w) for x in shorter]
     ball = G.ball_positions(1)
-    images = G.products(G.positions(shorter), ball)
+    images = G.products(G.positions(shorter)[:, None], ball)
     assert images.dtype == dtype and G.words(ball) == G.enumerate_ball(1)
     for g, row in zip(shorter, images):
         assert G.words(row) == [G.compose(g, b) for b in G.enumerate_ball(1)]
@@ -329,7 +333,7 @@ def test_free_products_are_the_positions_of_the_composed_words(k):
     yw += [G.invert(xw[0]), G.invert(xw[1][1:]), ()]
     short = [w for w in xw if len(w) < n // 2]
     for xs, ys in ((xw, yw), (yw, xw), (short, yw), (xw, short), ([], yw), (xw, [])):
-        got = G.products(G.positions(xs), G.positions(ys))
+        got = G.products(G.positions(xs)[:, None], G.positions(ys))
         assert got.shape == (len(xs), len(ys))
         want = G.positions([G.compose(x, y) for x in xs for y in ys])
         assert got.ravel().tolist() == want.tolist()
