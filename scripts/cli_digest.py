@@ -130,6 +130,9 @@ def invocations():
     out += [("validate", "--group", "data/group_s3.json",
              "--cocycle", "data/cocycle_s3_partial_beta.json"),
             ("validate", *F2, "--cocycle", "data/cocycle_f2_partial_beta.json")]
+    # a cocycle kind on the wrong backend: one error line, exit 3
+    out += [("validate", *F2, "--cocycle", f"data/cocycle_{c}.json")
+            for c in ("z2_sign", "pullback_trivial", "z2_bicharacter_third")]
     return out
 
 

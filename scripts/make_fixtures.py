@@ -56,6 +56,8 @@ def main():
          {"kind": "coboundary", "beta": {"0": [1, 0], "1": [0, 1]}})
     dump("cocycle_f2_partial_beta.json",
          {"kind": "coboundary", "beta": {"e": [1, 0], "x1": [0, 1]}})
+    # valid only on an extension: given with another group it exits 3
+    dump("cocycle_pullback_trivial.json", {"kind": "pullback", "quotient": {"kind": "trivial"}})
 
     dump("element_z2_ones.json",
          (delta(z2, 0) + delta(z2, 1)).to_json())

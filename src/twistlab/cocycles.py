@@ -291,7 +291,8 @@ def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
     """sigma(x, y) for every y of a finite group and every x in ``rows``
     (default: every element), indexed like G.elements(): one pair_values
     call on those rows of G's index table T, an element's position being
-    its index."""
+    its index.  sigma must live on G (BackendMismatch otherwise)."""
+    sigma.group.check_same(G)
     T = G.multiplication_table()
     n = len(T)
     xs = np.arange(n) if rows is None else G.positions(rows)

@@ -74,7 +74,6 @@ def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
         raise BackendMismatch("induced_action_data needs an extension backend")
     if convention not in (CONVENTION_AS_PRINTED, CONVENTION_CONJUGATED):
         raise ValueError(f"unknown convention {convention!r}")
-    sigma.group.check_same(gamma)
     K = gamma.K
     m = K.order
     T, S = gamma.multiplication_table(), value_table(gamma, sigma)
@@ -233,7 +232,6 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     fresh element when clusters merge."""
     if G.kind != "finite-table":
         raise Unsupported("decompose needs a finite-table group")
-    sigma.group.check_same(G)
     T, S = G.multiplication_table(), value_table(G, sigma)
     rep = validate(G, sigma, values=S)
     if not rep.passed:

@@ -134,7 +134,7 @@ def extension_from_subgroup(G: FiniteTableGroup, k_indices, name=""):
             prod = G.compose(r1, r2)
             r12 = reps[quotient.compose(h1, h2)]
             factor[(h1, h2)] = k_index[G.compose(prod, G.invert(r12))]
-    ext = ExtensionGroup(K, quotient, action, factor, validate=True)
+    ext = ExtensionGroup(K, quotient, action, factor)
     ext.source = G
     ext.source_k_indices = k_list
     ext.source_reps = reps
@@ -176,7 +176,7 @@ def z3sq_extension():
 def direct_product_extension(K: FiniteTableGroup, L: FiniteTableGroup):
     action = {h: tuple(range(K.order)) for h in range(L.order)}
     factor = {(h1, h2): 0 for h1 in range(L.order) for h2 in range(L.order)}
-    return ExtensionGroup(K, L, action, factor, validate=True)
+    return ExtensionGroup(K, L, action, factor)
 
 
 def clock_shift_group(n):

@@ -496,6 +496,19 @@ class IntLattice(Group):
         return f"IntLattice(dim={self.dim})"
 
 
+def _first_nonassociative(T, xs, ys, zs):
+    """The first (i, j, l), row-major, with (x_i y_j) z_l != x_i (y_j z_l) in
+    the index table T, or None; about 2**16 triples at a time."""
+    yz = T[ys[:, None], zs]
+    step = max(1, 2 ** 16 // yz.size)
+    for i in range(0, len(xs), step):
+        x = xs[i:i + step, None, None]
+        bad = np.argwhere(T[T[x, ys[:, None]], zs] != T[x, yz])
+        if len(bad):
+            return tuple(map(int, bad[0] + (i, 0, 0)))
+    return None
+
+
 class ExtensionGroup(Group):
     """Extension of a finite normal subgroup K by a finite quotient Lambda.
 
@@ -507,20 +520,20 @@ class ExtensionGroup(Group):
     (k, h) has index |K| * index(h) + k, so K sits at 0 .. |K| - 1 and the
     section h -> (e, h) at multiples of |K|; s(e) = e by the normalisation of
     kappa.  An infinite quotient is refused: every exact path here needs the
-    element list.
+    element list.  The data are checked when it is built, the group law as
+    associativity on section triples of the index table.
     """
 
     kind = "extension"
 
-    def __init__(self, K: FiniteTableGroup, quotient: Group, action, factor_set, validate=True):
+    def __init__(self, K: FiniteTableGroup, quotient: Group, action, factor_set):
         if not quotient.is_finite:
             raise Unsupported(f"extension quotients must be finite, got a {quotient.kind} group")
         self.K = K
         self.quotient = quotient
         self.action = {h: tuple(p) for h, p in action.items()}
         self.factor_set = dict(factor_set)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _phi(self, h, k):
         return self.action[h][k]
@@ -532,18 +545,20 @@ class ExtensionGroup(Group):
         K, L = self.K, self.quotient
         hs = L.elements()
         e_l = L.identity()
+        TK = K.multiplication_table()
         for h in hs:
             p = self.action.get(h)
             if p is None or sorted(p) != list(range(K.order)):
                 raise InvalidAction(f"action value at {h!r} is not a permutation of K", witness=h)
-            for x in range(K.order):
-                for y in range(K.order):
-                    if p[K.compose(x, y)] != K.compose(p[x], p[y]):
-                        raise InvalidAction(
-                            f"action at {h!r} is not an automorphism: phi(xy) != phi(x)phi(y) "
-                            f"at (x, y) = ({x}, {y})",
-                            witness=(h, x, y),
-                        )
+            p = np.array(p, dtype=np.intp)
+            bad = np.argwhere(p[TK] != TK[p[:, None], p])
+            if len(bad):
+                x, y = map(int, bad[0])
+                raise InvalidAction(
+                    f"action at {h!r} is not an automorphism: phi(xy) != phi(x)phi(y) "
+                    f"at (x, y) = ({x}, {y})",
+                    witness=(h, x, y),
+                )
         if self.action[e_l] != tuple(range(K.order)):
             raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
         for (h1, h2), k in self.factor_set.items():
@@ -553,33 +568,24 @@ class ExtensionGroup(Group):
         for h in hs:
             if self._kappa(e_l, h) != 0 or self._kappa(h, e_l) != 0:
                 raise InvalidFactorSet(f"kappa is not normalised at {h!r}", witness=h)
-        for h1 in hs:
-            for h2 in hs:
-                for h3 in hs:
-                    lhs = K.compose(self._phi(h1, self._kappa(h2, h3)),
-                                    self._kappa(h1, L.compose(h2, h3)))
-                    rhs = K.compose(self._kappa(h1, h2),
-                                    self._kappa(L.compose(h1, h2), h3))
-                    if lhs != rhs:
-                        raise InvalidFactorSet(
-                            f"factor set fails the cocycle condition at ({h1!r}, {h2!r}, {h3!r})",
-                            witness=(h1, h2, h3),
-                        )
-        # compatibility phi_{h1} phi_{h2} = Ad(kappa(h1,h2)) phi_{h1 h2};
-        # needed for associativity of the pair product
-        for h1 in hs:
-            for h2 in hs:
-                kap = self._kappa(h1, h2)
-                p12 = self.action[L.compose(h1, h2)]
-                p1, p2 = self.action[h1], self.action[h2]
-                for k in range(K.order):
-                    lhs = p1[p2[k]]
-                    rhs = K.compose(K.compose(kap, p12[k]), K.invert(kap))
-                    if lhs != rhs:
-                        raise InvalidAction(
-                            f"action incompatible with factor set at ({h1!r}, {h2!r}), k = {k}",
-                            witness=(h1, h2, k),
-                        )
+        # given the checks above, the product is associative iff it is on (s(h1), s(h2), s(h3)),
+        # kappa's cocycle condition, and on (s(h1), s(h2), k), phi_h1 phi_h2 = Ad kappa phi_h1h2
+        T = self.multiplication_table()
+        s = np.arange(len(hs)) * K.order
+        bad = _first_nonassociative(T, s, s, s)
+        if bad:
+            h1, h2, h3 = (hs[i] for i in bad)
+            raise InvalidFactorSet(
+                f"factor set fails the cocycle condition at ({h1!r}, {h2!r}, {h3!r})",
+                witness=(h1, h2, h3),
+            )
+        bad = _first_nonassociative(T, s, s, np.arange(K.order))
+        if bad:
+            h1, h2, k = hs[bad[0]], hs[bad[1]], bad[2]
+            raise InvalidAction(
+                f"action incompatible with factor set at ({h1!r}, {h2!r}), k = {k}",
+                witness=(h1, h2, k),
+            )
 
     def identity(self):
         return (0, self.quotient.identity())

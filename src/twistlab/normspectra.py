@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, delta, gauge, is_normal, l2_norm, power_norms
+from .algebra import (AlgebraElement, _sigma_or_trivial, delta, gauge, is_normal, l2_norm,
+                      power_norms)
 from .cocycles import (CoboundaryCocycle, Cocycle, TrivialCocycle, as_complex, complex_product,
                        value_table)
 from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
@@ -81,6 +82,7 @@ def _truncation_matrix(G, sigma, a, r, cap):
     per g in supp a, one column per b in B_r) holding sigma(g, b) a_g,
     ``rows`` (same shape) holding the kept row of g b, and the kept row
     count."""
+    sigma.group.check_same(G)
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
@@ -203,7 +205,8 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
                          mem_cap: int = DEFAULT_MEM_CAP) -> float:
     """Certified lower bound for the reduced twisted norm from the operator
     T: b -> a *_sigma b restricted to l2(B_r), codomain B_{r + diam supp a},
-    with sigma as the cocycle evaluates it.
+    with sigma as the cocycle evaluates it; sigma must live on G
+    (BackendMismatch otherwise).
 
     The value is the Rayleigh quotient rho = ||T y|| / ||y|| of a Lanczos
     Ritz vector y (see _top_singular_rayleigh), less a rounding allowance.
@@ -335,8 +338,7 @@ def l2_spectral_radius(a: AlgebraElement, sigma: Cocycle | None, N: int,
         seq.append(float(l2 ** (1.0 / n)))
     r_sigma = None
     if G.is_finite:
-        sig = sigma if sigma is not None else TrivialCocycle(G)
-        spec = exact_spectrum(G, sig, a)
+        spec = exact_spectrum(G, _sigma_or_trivial(G, sigma), a)
         r_sigma = float(max(abs(z) for z in spec))
     return SpectralReport(seq, seq[-1], r_sigma, is_normal(a, sigma),
                           {"max_power": N})
@@ -428,7 +430,7 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
     runs = []
     for a in elements:
         rep = l2_spectral_radius(a, sigma, cfg.max_power, cfg.mem_cap)
-        norm_lower = truncated_norm_lower(G, sigma or TrivialCocycle(G), a,
+        norm_lower = truncated_norm_lower(G, _sigma_or_trivial(G, sigma), a,
                                           cfg.radius, cfg.mem_cap)
         upper = haagerup_upper(G, a)
         run = {

@@ -17,7 +17,7 @@ from .algebra import AlgebraElement
 from .cocycles import (BicharacterCocycle, Cocycle, CoboundaryCocycle,
                        ConjugateCocycle, ProductCocycle, PullbackCocycle,
                        TableCocycle, TrivialCocycle)
-from .errors import TwistlabError
+from .errors import BackendMismatch, TwistlabError
 from .groups import ExtensionGroup, FiniteTableGroup, FreeGroup, Group, IntLattice
 
 
@@ -88,7 +88,6 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
     if kind == "trivial":
         return TrivialCocycle(G)
     if kind == "table":
-        _require(G.kind == "finite-table", "table cocycles need a finite-table group")
         values = np.array([[_as_complex(v) for v in row] for row in obj["values"]])
         return TableCocycle(G, values)
     if kind == "bicharacter":
@@ -106,7 +105,9 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
     if kind == "conjugate":
         return ConjugateCocycle(cocycle_from_json(obj["base"], G))
     if kind == "pullback":
-        _require(G.kind == "extension", "pullback cocycles need an extension group")
+        # G.quotient is read before PullbackCocycle can check G's kind
+        if G.kind != "extension":
+            raise BackendMismatch("pullback cocycles need an extension group")
         return PullbackCocycle(G, cocycle_from_json(obj["quotient"], G.quotient))
     raise ParseError(f"unknown cocycle kind {kind!r}")
 

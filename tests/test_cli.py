@@ -508,6 +508,17 @@ def _one_error_line(r, code=2):
     return lines[0]
 
 
+@pytest.mark.parametrize("kind, cocycle", [
+    ("table", "cocycle_z2_sign.json"),
+    ("pullback", "cocycle_pullback_trivial.json"),
+    ("bicharacter", "cocycle_z2_bicharacter_third.json"),
+])
+def test_a_cocycle_kind_on_the_wrong_backend_exits_3(kind, cocycle):
+    line = _one_error_line(run_cli("validate", "--group", str(DATA / "group_f2.json"),
+                                   "--cocycle", str(DATA / cocycle)), code=3)
+    assert line.startswith(f"error: {kind} cocycles need ")
+
+
 def test_decompose_rejects_a_non_cocycle(tmp_path):
     line = _one_error_line(run_cli("decompose", "--group", str(DATA / "group_s3.json"),
                                    "--cocycle", str(DATA / "cocycle_s3_broken.json")))

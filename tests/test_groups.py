@@ -125,6 +125,114 @@ def test_extension_rejects_broken_action():
         ExtensionGroup(ext.K, ext.quotient, action, ext.factor_set)
 
 
+def _extension_axioms_by_loops(K, L, action, factor_set):
+    """The per-element checks ExtensionGroup made before it read its index
+    table, kept as an oracle: the same errors, in the same order."""
+    hs = L.elements()
+    e_l = L.identity()
+    for h in hs:
+        p = action.get(h)
+        if p is None or sorted(p) != list(range(K.order)):
+            raise InvalidAction(f"action value at {h!r} is not a permutation of K", witness=h)
+        for x in range(K.order):
+            for y in range(K.order):
+                if p[K.compose(x, y)] != K.compose(p[x], p[y]):
+                    raise InvalidAction(
+                        f"action at {h!r} is not an automorphism: phi(xy) != phi(x)phi(y) "
+                        f"at (x, y) = ({x}, {y})",
+                        witness=(h, x, y),
+                    )
+    if tuple(action[e_l]) != tuple(range(K.order)):
+        raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
+    for (h1, h2), k in factor_set.items():
+        if not K.contains(k):
+            raise InvalidFactorSet(f"kappa({h1!r}, {h2!r}) = {k!r} is not an element of K",
+                                   witness=(h1, h2))
+    for h in hs:
+        if factor_set[(e_l, h)] != 0 or factor_set[(h, e_l)] != 0:
+            raise InvalidFactorSet(f"kappa is not normalised at {h!r}", witness=h)
+    for h1 in hs:
+        for h2 in hs:
+            for h3 in hs:
+                lhs = K.compose(action[h1][factor_set[(h2, h3)]],
+                                factor_set[(h1, L.compose(h2, h3))])
+                rhs = K.compose(factor_set[(h1, h2)],
+                                factor_set[(L.compose(h1, h2), h3)])
+                if lhs != rhs:
+                    raise InvalidFactorSet(
+                        f"factor set fails the cocycle condition at ({h1!r}, {h2!r}, {h3!r})",
+                        witness=(h1, h2, h3),
+                    )
+    for h1 in hs:
+        for h2 in hs:
+            kap = factor_set[(h1, h2)]
+            p12 = action[L.compose(h1, h2)]
+            p1, p2 = action[h1], action[h2]
+            for k in range(K.order):
+                lhs = p1[p2[k]]
+                rhs = K.compose(K.compose(kap, p12[k]), K.invert(kap))
+                if lhs != rhs:
+                    raise InvalidAction(
+                        f"action incompatible with factor set at ({h1!r}, {h2!r}), k = {k}",
+                        witness=(h1, h2, k),
+                    )
+
+
+def _mutate_extension(ext, rng):
+    """A copy of ext's action and factor set with one to three faults: two
+    action entries swapped (half the time, when |K| > 2, two off the
+    identity, which may leave an automorphism), a factor value moved within
+    K, or one outside K."""
+    action = {h: list(p) for h, p in ext.action.items()}
+    factor_set = dict(ext.factor_set)
+    hs, keys, m = ext.quotient.elements(), list(factor_set), ext.K.order
+    for _ in range(1 if rng.random() < 0.5 else int(rng.integers(2, 4))):
+        fault = int(rng.integers(3))
+        if fault == 0 and m > 1:
+            p = action[hs[int(rng.integers(len(hs)))]]
+            pool = np.arange(1, m) if m > 2 and rng.random() < 0.5 else np.arange(m)
+            i, j = rng.choice(pool, size=2, replace=False)
+            p[i], p[j] = p[j], p[i]
+        elif fault == 1 and m > 1:
+            key = keys[int(rng.integers(len(keys)))]
+            factor_set[key] = (factor_set[key] + int(rng.integers(1, m))) % m
+        else:
+            key = keys[int(rng.integers(len(keys)))]
+            factor_set[key] = int(rng.choice([-2, -1, m, m + 1, m + 2]))
+    return action, factor_set
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except (InvalidAction, InvalidFactorSet) as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def _s4_over_a4():
+    """S4 over A4, the squares of S4: unlike in the five standard extensions,
+    K is nonabelian, so phi(x)phi(y) and phi(y)phi(x) differ."""
+    S4 = fixtures.symmetric(4)
+    squares = sorted({S4.compose(g, g) for g in range(S4.order)})
+    return fixtures.extension_from_subgroup(S4, squares)
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.standard_extensions()), "S4/A4"])
+def test_extension_errors_keep_their_class_message_and_witness(name):
+    ext = _s4_over_a4() if name == "S4/A4" else fixtures.standard_extensions()[name]
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for _ in range(300):
+        action, factor_set = _mutate_extension(ext, rng)
+        args = (ext.K, ext.quotient, action, factor_set)
+        outcome = _outcome(_extension_axioms_by_loops, *args)
+        assert _outcome(ExtensionGroup, *args) == outcome
+        outcomes.append(outcome and outcome[0])
+    # the corpus reaches every kind of check the oracle makes
+    assert {InvalidAction, InvalidFactorSet} <= set(outcomes)
+
+
 def test_extension_over_an_infinite_quotient_is_refused():
     with pytest.raises(Unsupported, match="extension quotients must be finite"):
         ExtensionGroup(fixtures.cyclic(2), FreeGroup(1), {(): (0, 1)}, {((), ()): 0})

@@ -10,7 +10,7 @@ from twistlab import fixtures, normspectra
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
                                PullbackCocycle, TableCocycle, TrivialCocycle, value_table)
-from twistlab.errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
+from twistlab.errors import BackendMismatch, InvalidArgument, MemoryBudgetExceeded, Unsupported
 from twistlab.groups import FreeGroup, IntLattice
 from twistlab.normspectra import (certify_free_subsemigroup, exact_norm,
                                   exact_spectrum, haagerup_upper,
@@ -609,3 +609,21 @@ def test_reports_serialize_the_fields_of_the_hand_written_dicts(f2):
     for rep, hand_written in pairs:
         assert rep.to_json() == hand_written
         assert json.dumps(rep.to_json()) == json.dumps(hand_written)
+
+
+@pytest.mark.parametrize("fn", ["value_table", "regular_rep", "exact_norm", "exact_spectrum",
+                                "transfer_check", "truncated_norm_lower"])
+def test_a_sigma_over_another_group_is_refused(fn):
+    G, sigma = fixtures.symmetric(3), fixtures.random_coboundary(fixtures.dihedral(3), 2)
+    a = delta(G, 1) + delta(G, 2)
+    F2 = FreeGroup(2)
+    sphere = AlgebraElement(F2, {g: 1.0 for g in F2.enumerate_ball(1)[1:]})
+    call = {"value_table": lambda: value_table(G, sigma),
+            "regular_rep": lambda: regular_rep(G, sigma, a),
+            "exact_norm": lambda: exact_norm(G, sigma, a),
+            "exact_spectrum": lambda: exact_spectrum(G, sigma, a),
+            "transfer_check": lambda: transfer_check(G, [1, 2], [sigma]),
+            "truncated_norm_lower": lambda: truncated_norm_lower(
+                F2, fixtures.random_coboundary(FreeGroup(3), 1), sphere, 4)}[fn]
+    with pytest.raises(BackendMismatch):
+        call()
