@@ -133,6 +133,11 @@ def invocations():
     # a cocycle kind on the wrong backend: one error line, exit 3
     out += [("validate", *F2, "--cocycle", f"data/cocycle_{c}.json")
             for c in ("z2_sign", "pullback_trivial", "z2_bicharacter_third")]
+    # crossed on a group that is not an extension (exit 3), and on a cocycle
+    # whose residuals leave the float range (exit 2): one error line each
+    out += [("crossed", "--group", "data/group_s3.json", *TRIVIAL),
+            ("crossed", "--group", "data/group_q8_extension.json",
+             "--cocycle", "data/cocycle_q8ext_pullback_huge.json")]
     return out
 
 

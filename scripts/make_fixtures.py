@@ -10,7 +10,7 @@ import numpy as np
 
 from twistlab import fixtures, serialize
 from twistlab.algebra import AlgebraElement, delta
-from twistlab.cocycles import BicharacterCocycle, TableCocycle
+from twistlab.cocycles import BicharacterCocycle, PullbackCocycle, TableCocycle
 from twistlab.groups import FreeGroup, FiniteTableGroup, IntLattice
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -58,6 +58,12 @@ def main():
          {"kind": "coboundary", "beta": {"e": [1, 0], "x1": [0, 1]}})
     # valid only on an extension: given with another group it exits 3
     dump("cocycle_pullback_trivial.json", {"kind": "pullback", "quotient": {"kind": "trivial"}})
+    # quotient values of 1e200 off the identity row and column: the crossed
+    # pipeline's residuals leave the float range, one error line, exit 2
+    huge = np.full((4, 4), 1e200)
+    huge[0] = huge[:, 0] = 1.0
+    dump("cocycle_q8ext_pullback_huge.json",
+         PullbackCocycle(q8ext, TableCocycle(q8ext.quotient, huge)).to_json())
 
     dump("element_z2_ones.json",
          (delta(z2, 0) + delta(z2, 1)).to_json())

@@ -180,14 +180,19 @@ def l1_norm(a: AlgebraElement) -> float:
                                                key=lambda kv: a.group.sort_key(kv[0]))))
 
 
-def _root_sum_squares(moduli) -> float:
-    """sqrt of the sum of squares, added one by one in the given order.  Each
-    square is h ** 2 (libm pow, as Python squares a float), which differs from
-    h * h in the last bit for about one h in 1200."""
+def _squares(moduli) -> list:
+    """h ** 2 for each float h in moduli, in order: libm pow, as Python
+    squares a float, which differs from h * h in the last bit for about one h
+    in 1200.  A square past the float range is an InvalidArgument."""
     try:
-        return float(np.sqrt(sum(map(math.pow, moduli, itertools.repeat(2.0)))))
+        return list(map(math.pow, moduli, itertools.repeat(2.0)))
     except OverflowError:
         raise InvalidArgument("the square of a coefficient overflows") from None
+
+
+def _root_sum_squares(moduli) -> float:
+    """sqrt of the sum of the _squares, added one by one in the given order."""
+    return float(np.sqrt(sum(_squares(moduli))))
 
 
 def l2_norm(a: AlgebraElement) -> float:

@@ -178,8 +178,6 @@ def cmd_crossed(args):
 
     inputs = {}
     G = _load_group(args, inputs)
-    if G.kind != "extension":
-        raise Unsupported("crossed needs an extension group")
     sigma = _load(args.cocycle, inputs, "cocycle", serialize.cocycle_from_json, G)
     rep = crossed_product_pipeline(G, sigma, convention=args.convention,
                                    seed=args.seed)

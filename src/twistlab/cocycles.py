@@ -35,7 +35,10 @@ def complex_product(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def as_complex(re, im) -> np.ndarray:
+def complex_mul(a, b) -> np.ndarray:
+    """a b elementwise (broadcast) on complex arrays, rounded as Python's
+    complex multiply: complex_product on the parts."""
+    re, im = complex_product(a.real, a.imag, b.real, b.imag)
     out = np.empty(np.shape(re), dtype=complex)
     out.real = re
     out.imag = im
@@ -177,10 +180,10 @@ class CoboundaryCocycle(Cocycle):
         remembered, then (conj beta(x) conj beta(y)) beta(xy) as evaluate
         rounds it."""
         pos, inv = np.unique(np.concatenate([xs, ys, xys]), return_inverse=True)
-        b = self._beta_at(pos)[inv]
-        bx, by, bxy = np.split(b, [len(xs), len(xs) + len(ys)])
-        re, im = complex_product(bx.real, -bx.imag, by.real, -by.imag)
-        return as_complex(*complex_product(re, im, bxy.real, bxy.imag))
+        b = self._beta_at(pos)
+        ix, iy, ixy = np.split(inv, [len(xs), len(xs) + len(ys)])
+        conj = b.conj()
+        return complex_mul(complex_mul(conj[ix], conj[iy]), b[ixy])
 
     def _beta_at(self, pos):
         """beta at the distinct positions pos, read only where the memo lacks
@@ -227,11 +230,10 @@ class ProductCocycle(Cocycle):
     def pair_values(self, xs, ys, xys):
         """The factors' values multiplied into 1 + 0j one by one, as
         evaluate's z *= rounds them, signed zeros included."""
-        re, im = np.ones(len(xs)), np.zeros(len(xs))
+        z = np.ones(len(xs), dtype=complex)
         for f in self.factors:
-            v = f.pair_values(xs, ys, xys)
-            re, im = complex_product(re, im, v.real, v.imag)
-        return as_complex(re, im)
+            z = complex_mul(z, f.pair_values(xs, ys, xys))
+        return z
 
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
@@ -329,8 +331,7 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
         eg = np.full_like(g, e[0])
         edge = np.concatenate([sigma.pair_values(eg, g, g), sigma.pair_values(g, eg, g)])
         norm_res = max(norm_res, float(np.max(np.hypot(edge.real - 1.0, edge.imag))))
-        gg = sigma.pair_values(g, g, G.products(g, g))
-        mod_res = max(mod_res, float(np.max(np.abs(np.hypot(gg.real, gg.imag) - 1.0))))
+        mod_res = max(mod_res, _modulus_residual(sigma.pair_values(g, g, G.products(g, g))))
     for i in range(0, sampled_triples, slab):
         x, y, z = pool[idx[i:i + slab]].T
         xy, yz = G.products(x, y), G.products(y, z)
@@ -338,59 +339,66 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
         s = sigma.pair_values(np.concatenate([x, xy, x, y]), np.concatenate([y, z, yz, z]),
                               np.concatenate([xy, xyz, xyz, yz]))
         sxy, sxy_z, sx_yz, syz = np.split(s, 4)
-        mod_res = max(mod_res, float(np.max(np.abs(np.hypot(sxy.real, sxy.imag) - 1.0))))
-        lr, li = complex_product(sxy.real, sxy.imag, sxy_z.real, sxy_z.imag)
-        rr, ri = complex_product(sx_yz.real, sx_yz.imag, syz.real, syz.imag)
-        r = np.hypot(lr - rr, li - ri)
-        id_res = max(id_res, float(np.max(r)))
-        for j in np.flatnonzero(r > tol)[:10 - len(witnesses)]:
-            witnesses.append({
-                "triple": [G.element_to_json(w) for w in G.words([x[j], y[j], z[j]])],
-                "residual": float(r[j]),
-            })
-
-    passed = mod_res <= tol and norm_res <= tol and id_res <= tol
-    return ValidationReport(passed, mod_res, norm_res, id_res, sampled_triples, False,
-                            witnesses)
+        mod_res = max(mod_res, _modulus_residual(sxy))
+        id_res = max(id_res, _identity_residual(G, sxy, sxy_z, sx_yz, syz, (x, y, z), tol,
+                                                witnesses))
+    return _report(mod_res, norm_res, id_res, sampled_triples, False, witnesses, tol)
 
 
 def _validate_table(G: Group, T: np.ndarray, S: np.ndarray, tol: float) -> ValidationReport:
     """validate on a finite group from its index table T and value table S:
-    S[x, y] S[xy, z] against S[x, yz] S[y, z] on slabs of (x, y, z), x-major.
-    Products are complex_product and moduli np.hypot on the real and
-    imaginary parts, so no residual depends on numpy's complex kernels."""
-    elems = G.elements()
-    n = len(elems)
+    S[x, y] S[xy, z] against S[x, yz] S[y, z] on slabs of (x, y, z), x-major."""
+    n = len(T)
     e = G.element_index(G.identity())
     edge = np.concatenate([S[e], S[:, e]])
     norm_res = float(np.max(np.hypot(edge.real - 1.0, edge.imag)))
-    re, im = S.real.copy(), S.imag.copy()
-    mod_res = float(np.max(np.abs(np.hypot(re, im) - 1.0)))
+    mod_res = _modulus_residual(S)
     id_res = 0.0
     witnesses = []
-    # slabs of about 8192 triples (64 KiB an array): blocks of x with every y
-    # while n <= 90, one x and a block of y past that; x-major either way
+    # slabs of about 8192 triples (128 KiB an array): blocks of x with every
+    # y while n <= 90, one x and a block of y past that; x-major either way
     x_step, y_step = max(1, 2 ** 13 // n ** 2), max(1, 2 ** 13 // n)
     for x0 in range(0, n, x_step):
         xs = np.arange(x0, min(x0 + x_step, n))
         for y0 in range(0, n, y_step):
             ys = slice(y0, y0 + y_step)
-            xy = T[xs, ys]
-            lr, li = complex_product(re[xs, ys, None], im[xs, ys, None], re[xy], im[xy])
-            rr, ri = complex_product(np.take(re[xs], T[ys], axis=1),
-                                     np.take(im[xs], T[ys], axis=1), re[ys], im[ys])
-            r = np.hypot(lr - rr, li - ri)
-            worst = float(np.max(r))
-            id_res = max(id_res, worst)
-            if worst <= tol:
-                continue
-            for i, y, z in np.argwhere(r > tol)[:10 - len(witnesses)]:
-                witnesses.append({
-                    "triple": [G.element_to_json(elems[j]) for j in (xs[i], y0 + y, z)],
-                    "residual": float(r[i, y, z]),
-                })
+            xyz = xs[:, None, None], np.arange(n)[ys, None], np.arange(n)
+            id_res = max(id_res, _identity_residual(
+                G, S[xs, ys, None], S[T[xs, ys]], np.take(S[xs], T[ys], axis=1), S[ys], xyz,
+                tol, witnesses))
+    return _report(mod_res, norm_res, id_res, n ** 3, True, witnesses, tol)
+
+
+def _modulus_residual(values) -> float:
+    """max ||sigma| - 1| over the values, the modulus by np.hypot."""
+    return float(np.max(np.abs(np.hypot(values.real, values.imag) - 1.0)))
+
+
+def _identity_residual(G, sxy, sxy_z, sx_yz, syz, xyz, tol, witnesses) -> float:
+    """The largest |sigma(x, y) sigma(xy, z) - sigma(x, yz) sigma(y, z)| on a
+    slab of triples, from those four value arrays.  Products are
+    complex_product and moduli np.hypot on the real and imaginary parts, so
+    no residual depends on numpy's complex kernels.  xyz holds the positions
+    of x, y and z, each broadcastable to the slab; a witness is appended to
+    ``witnesses`` for each residual above tol, in C order, while there are
+    fewer than ten."""
+    lr, li = complex_product(sxy.real, sxy.imag, sxy_z.real, sxy_z.imag)
+    rr, ri = complex_product(sx_yz.real, sx_yz.imag, syz.real, syz.imag)
+    r = np.hypot(lr - rr, li - ri)
+    worst = float(np.max(r))
+    if not worst <= tol:  # a NaN in r still lets the residuals above tol through
+        xyz = np.broadcast_arrays(*xyz)
+        for i in map(tuple, np.argwhere(r > tol)[:10 - len(witnesses)]):
+            witnesses.append({
+                "triple": [G.element_to_json(w) for w in G.words([p[i] for p in xyz])],
+                "residual": float(r[i]),
+            })
+    return worst
+
+
+def _report(mod_res, norm_res, id_res, checked, exhaustive, witnesses, tol) -> ValidationReport:
     passed = mod_res <= tol and norm_res <= tol and id_res <= tol
-    return ValidationReport(passed, mod_res, norm_res, id_res, n ** 3, True, witnesses)
+    return ValidationReport(passed, mod_res, norm_res, id_res, checked, exhaustive, witnesses)
 
 
 def restrict(sigma: Cocycle, subgroup_elements) -> TableCocycle:

@@ -11,18 +11,14 @@ block structures.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import DROP_TOL
-from .cocycles import (Cocycle, TableCocycle, as_complex, complex_product, validate,
-                       value_table)
-from .errors import (BackendMismatch, DegenerateAfterRetries, NotACocycle, NotPermuting,
-                     Unsupported)
+from .algebra import DROP_TOL, _squares
+from .cocycles import Cocycle, TableCocycle, complex_mul, validate, value_table
+from .errors import DegenerateAfterRetries, NotACocycle, NotPermuting, Unsupported
 from .groups import ExtensionGroup, FiniteTableGroup
 from .normspectra import regular_matrices
 
@@ -71,7 +67,7 @@ def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
     each product rounded as Python's.  The convention flag selects whether
     the second factor of alpha is conjugated; no axiom check happens here."""
     if gamma.kind != "extension":
-        raise BackendMismatch("induced_action_data needs an extension backend")
+        raise Unsupported("induced_action_data needs an extension group")
     if convention not in (CONVENTION_AS_PRINTED, CONVENTION_CONJUGATED):
         raise ValueError(f"unknown convention {convention!r}")
     K = gamma.K
@@ -86,11 +82,11 @@ def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
     c2 = S[conj_el, s1]
     if convention == CONVENTION_CONJUGATED:
         c2 = np.conj(c2)
-    alpha_scalar = _mul(S[s1, k], c2)
+    alpha_scalar = complex_mul(S[s1, k], c2)
 
     s12 = T[s1, s2] // m * m
     w = T[T[s1, s2], inv[s12]]
-    rho_scalar = _mul(S[s1, s2], np.conj(S[w, s12]))
+    rho_scalar = complex_mul(S[s1, s2], np.conj(S[w, s12]))
     return TwistedSystem(gamma, S, K, TableCocycle(K, S[:m, :m]), conj_el, alpha_scalar,
                          w, rho_scalar)
 
@@ -106,26 +102,18 @@ class ActionReport:
         return asdict(self)
 
 
-def _mul(a, b):
-    """a b on complex arrays, rounded as Python's complex multiply rounds it."""
-    return as_complex(*complex_product(a.real, a.imag, b.real, b.imag))
-
-
-def _squares(c) -> np.ndarray:
-    """abs(c) ** 2 elementwise with Python's rounding: hypot, then libm pow."""
-    h = np.hypot(c.real, c.imag)
-    return np.array(list(map(math.pow, h.ravel().tolist(), itertools.repeat(2.0))),
-                    dtype=float).reshape(h.shape)
-
-
 def _distance(i1, c1, i2, c2) -> np.ndarray:
     """||c1 u_i1 - c2 u_i2||_2 elementwise: |c1 - c2| on the same index, else
-    sqrt(|c1|^2 + |c2|^2), each square rounded as abs(c) ** 2."""
+    sqrt(|c1|^2 + |c2|^2), each square abs(c) ** 2 as hypot and _squares
+    round it."""
     same = np.asarray(i1 == i2)
-    return np.sqrt(_squares(np.where(same, c1 - c2, c1))
-                   + np.where(same, 0.0, _squares(np.broadcast_to(c2, same.shape))))
+    c = np.stack(np.broadcast_arrays(np.where(same, c1 - c2, c1), np.where(same, 0.0, c2)))
+    h = np.hypot(c.real, c.imag)
+    first, second = np.reshape(_squares(h.ravel().tolist()), h.shape)
+    return np.sqrt(first + second)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
     """Residuals of the twisted-action axioms over all quotient triples.
 
@@ -140,7 +128,9 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
     (sigma(i1, i2) c1) c2 u_{i1 i2} and an adjoint conj(sigma(i^-1, i))
     conj(c) u_{i^-1}, and alpha_h(c u_k) is alpha_scalar[h, k] c
     u_{alpha_perm[h, k]}, each rounded as Python's complex multiply.  A
-    residual is the l2 distance of the two sides (see _distance)."""
+    residual is the l2 distance of the two sides (see _distance); a product
+    past the float range warns of nothing, and a square past it is an
+    InvalidArgument."""
     K, L = sys.K, sys.gamma.quotient
     m = K.order
     TK, TL = K.multiplication_table(), L.multiplication_table()
@@ -151,13 +141,13 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
 
     def alpha(h, k, c):
         """alpha_h(c u_k) as (index, scalar) arrays."""
-        return P[h, k], _mul(A[h, k], c)
+        return P[h, k], complex_mul(A[h, k], c)
 
     def times(i1, c1, i2, c2):
-        return TK[i1, i2], _mul(_mul(S[i1, i2], c1), c2)
+        return TK[i1, i2], complex_mul(complex_mul(S[i1, i2], c1), c2)
 
     def star(i, c):
-        return inv[i], _mul(np.conj(S[inv[i], i]), np.conj(c))
+        return inv[i], complex_mul(np.conj(S[inv[i], i]), np.conj(c))
 
     def worst(first, *distances):
         # Python's max in loop order, as the dict check took it
@@ -245,7 +235,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     inv = np.nonzero(T == 0)[1]  # the identity has index 0
     # conj[h, g] = h g h^-1 and phi[h, g] its scalar
     conj = T[T, inv[:, None]]
-    phi = _mul(_mul(S, S[T, inv[:, None]]), np.conj(S[inv, idx])[:, None])
+    phi = complex_mul(complex_mul(S, S[T, inv[:, None]]), np.conj(S[inv, idx])[:, None])
     # sums[g, k]: sum of phi(h, g) over the h with h g h^-1 = k
     flat = (idx[None, :] * n + conj).ravel()
     sums = (np.bincount(flat, phi.real.ravel(), n * n)
@@ -258,7 +248,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
 
     def star(vec):
         out = np.empty(n, dtype=complex)
-        out[inv] = _mul(np.conj(S[inv, idx]), np.conj(vec))
+        out[inv] = complex_mul(np.conj(S[inv, idx]), np.conj(vec))
         return out
 
     last = None
@@ -323,7 +313,7 @@ def orbit_decomposition(sys: TwistedSystem, blocks: BlockDecomposition):
     perms = {}
     for h, perm, scalar in zip(L.elements(), sys.alpha_perm, sys.alpha_scalar):
         imgs = np.zeros_like(pvecs)
-        imgs[:, perm] = _mul(scalar, pvecs)
+        imgs[:, perm] = complex_mul(scalar, pvecs)
         close = np.linalg.norm(imgs[:, None] - pvecs[None], axis=2) <= scale
         if not close.any(axis=1).all():
             i = int(np.argmin(close.any(axis=1)))
@@ -370,8 +360,9 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     h1, k1, h2, k2 = (np.arange(nl)[:, None, None, None], np.arange(m)[:, None, None],
                       np.arange(nl)[:, None], np.arange(m))
     img = sys.alpha_perm[h1, k2]
-    front = _mul(SK[k1, img], sys.alpha_scalar[h1, k2])
-    omega = _mul(_mul(front, SK[TK[k1, img], sys.rho_index[h1, h2]]), sys.rho_scalar[h1, h2])
+    front = complex_mul(SK[k1, img], sys.alpha_scalar[h1, k2])
+    omega = complex_mul(complex_mul(front, SK[TK[k1, img], sys.rho_index[h1, h2]]),
+                        sys.rho_scalar[h1, h2])
     return TableCocycle(whole, omega.reshape(nl * m, nl * m))
 
 

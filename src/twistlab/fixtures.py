@@ -136,8 +136,6 @@ def extension_from_subgroup(G: FiniteTableGroup, k_indices, name=""):
             factor[(h1, h2)] = k_index[G.compose(prod, G.invert(r12))]
     ext = ExtensionGroup(K, quotient, action, factor)
     ext.source = G
-    ext.source_k_indices = k_list
-    ext.source_reps = reps
     return ext
 
 

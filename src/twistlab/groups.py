@@ -186,12 +186,10 @@ class FiniteTableGroup(Group):
         for i in range(n):
             if 0 not in self.table[i]:
                 raise InvalidGroupTable(f"element {i} has no inverse")
-        for i in range(n):
-            # (ij)k against i(jk) for every j, k at once
-            bad = np.argwhere(T[T[i]] != T[i][T])
-            if len(bad):
-                j, k = bad[0]
-                raise InvalidGroupTable(f"associativity fails at ({i}, {j}, {k})")
+        idx = np.arange(n)
+        bad = _first_nonassociative(T, idx, idx, idx)
+        if bad:
+            raise InvalidGroupTable(f"associativity fails at {bad}")
 
     def identity(self):
         return 0
@@ -498,14 +496,16 @@ class IntLattice(Group):
 
 def _first_nonassociative(T, xs, ys, zs):
     """The first (i, j, l), row-major, with (x_i y_j) z_l != x_i (y_j z_l) in
-    the index table T, or None; about 2**16 triples at a time."""
-    yz = T[ys[:, None], zs]
-    step = max(1, 2 ** 16 // yz.size)
+    the index table T, or None; about 2**13 triples at a time, each side
+    gathered along one axis: rows of T[:, zs], and row x of T at y z."""
+    Tz = T[:, zs]
+    yz = Tz[ys]
+    step = max(1, 2 ** 13 // yz.size)
     for i in range(0, len(xs), step):
-        x = xs[i:i + step, None, None]
-        bad = np.argwhere(T[T[x, ys[:, None]], zs] != T[x, yz])
-        if len(bad):
-            return tuple(map(int, bad[0] + (i, 0, 0)))
+        x = xs[i:i + step]
+        bad = Tz[T[x[:, None], ys]] != np.take(T[x], yz, axis=1)
+        if bad.any():
+            return tuple(map(int, np.argwhere(bad)[0] + (i, 0, 0)))
     return None
 
 

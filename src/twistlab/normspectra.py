@@ -13,10 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgebraElement, _sigma_or_trivial, delta, gauge, is_normal, l2_norm,
-                      power_norms)
-from .cocycles import (CoboundaryCocycle, Cocycle, TrivialCocycle, as_complex, complex_product,
-                       value_table)
+from .algebra import (AlgebraElement, _root_sum_squares, _sigma_or_trivial, delta, gauge,
+                      is_normal, l2_norm, power_norms)
+from .cocycles import CoboundaryCocycle, Cocycle, TrivialCocycle, complex_mul, value_table
 from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from .groups import Group
 
@@ -47,17 +46,15 @@ def regular_matrices(T_rows, S_rows, coeffs) -> np.ndarray:
     T_rows[i] and S_rows[i] are the rows at g_i of G's index table and of
     sigma's value table.  Column h holds sigma(g_i, h) a_{g_i} at row g_i h,
     formed as a per-pair loop accumulating into zeros forms it: the product
-    by complex_product, which rounds as Python's complex multiply, added to
+    by complex_mul, which rounds as Python's complex multiply, added to
     0.0.  Left multiplication is injective, so no entry receives two terms,
     and a zero coefficient leaves its entries +0.0.
 
     The columns at the support, T[:, supp].T and S[:, supp].T, in place of
     the rows give the matrices of b -> b *_sigma a instead."""
     n = T_rows.shape[1]
-    re, im = complex_product(S_rows.real, S_rows.imag,
-                             coeffs.real[:, :, None], coeffs.imag[:, :, None])
     out = np.zeros((len(coeffs), n, n), dtype=complex)
-    out[:, T_rows, np.arange(n)] = as_complex(0.0 + re, 0.0 + im)
+    out[:, T_rows, np.arange(n)] = 0.0 + complex_mul(S_rows, coeffs[:, :, None])
     return out
 
 
@@ -81,8 +78,7 @@ def _truncation_matrix(G, sigma, a, r, cap):
     codomain rows it reaches, in shortlex order.  Returns ``data`` (one row
     per g in supp a, one column per b in B_r) holding sigma(g, b) a_g,
     ``rows`` (same shape) holding the kept row of g b, and the kept row
-    count."""
-    sigma.group.check_same(G)
+    count.  The caller checks that sigma lives on G."""
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
@@ -92,8 +88,7 @@ def _truncation_matrix(G, sigma, a, r, cap):
     gb, m = G.products(xs[:, None], ball), len(ball)
     s = sigma.pair_values(np.repeat(xs, m), np.tile(ball, len(supp)), gb.ravel())
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)
-    data = as_complex(*complex_product(s.real, s.imag, np.repeat(c.real, m),
-                                       np.repeat(c.imag, m))).reshape(gb.shape)
+    data = complex_mul(s, np.repeat(c, m)).reshape(gb.shape)
     positions, rows = np.unique(gb.ravel(), return_inverse=True)
     return data, rows.reshape(data.shape), len(positions)
 
@@ -235,6 +230,7 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     a.group.check_same(G)
     if G.is_finite:
         return exact_norm(G, sigma, a)
+    sigma.group.check_same(G)
     if not a.coeffs:
         return 0.0
     # a power of two scales T exactly: with every part of a's coefficients
@@ -260,17 +256,14 @@ def haagerup_upper(G: Group, a: AlgebraElement) -> float:
         raise Unsupported("haagerup_upper needs a free group")
     a.group.check_same(G)
     by_len = {}
-    try:
-        for g, c in a.coeffs.items():
-            by_len.setdefault(len(g), []).append(abs(c) ** 2)
-    except OverflowError:
-        raise InvalidArgument("the square of a coefficient overflows") from None
+    for g, c in a.coeffs.items():
+        by_len.setdefault(len(g), []).append(abs(c))
     total = 0.0
     for n in sorted(by_len):
-        total += (n + 1) * np.sqrt(sum(sorted(by_len[n])))
+        total += (n + 1) * _root_sum_squares(sorted(by_len[n]))
     if not math.isfinite(total):
         raise InvalidArgument("the Haagerup bound overflows")
-    return float(total)
+    return total
 
 
 @dataclass

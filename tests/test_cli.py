@@ -530,6 +530,23 @@ def test_decompose_rejects_a_non_cocycle(tmp_path):
     assert "modulus residual 1" in line
 
 
+def test_crossed_on_a_group_that_is_not_an_extension_exits_3():
+    line = _one_error_line(run_cli("crossed", "--group", str(DATA / "group_s3.json"),
+                                   "--cocycle", str(DATA / "cocycle_trivial.json")), code=3)
+    assert line == "error: induced_action_data needs an extension group"
+
+
+def test_crossed_residuals_past_the_float_range_are_one_error_line(tmp_path):
+    # a pullback from Z2 x Z2 with 1e200 off the identity row and column
+    values = [[[1.0, 0.0] if 0 in (i, j) else [1e200, 0.0] for j in range(4)]
+              for i in range(4)]
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"kind": "pullback",
+                                "quotient": {"kind": "table", "values": values}}))
+    _one_error_line(run_cli("crossed", "--group", str(DATA / "group_q8_extension.json"),
+                            "--cocycle", str(path)))
+
+
 S3_PARTIAL = ("--group", str(DATA / "group_s3.json"),
               "--cocycle", str(DATA / "cocycle_s3_partial_beta.json"))
 F2_PARTIAL = ("--group", str(DATA / "group_f2.json"),

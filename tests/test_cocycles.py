@@ -16,6 +16,19 @@ from twistlab.errors import BackendMismatch, InvalidArgument, NotASubgroup, NotU
 from twistlab.groups import FreeGroup, IntLattice
 
 
+def test_complex_mul_rounds_as_python_does():
+    # signed zeros, parts near 1e300 (whose products overflow) and
+    # subnormals, each pair multiplied by Python and by complex_mul
+    parts = [0.0, -0.0, 1.0, -1.5, 0.1, 1e300, -3e299, 1e-300, 5e-324, -2.5e-320]
+    z = [complex(re, im) for re in parts for im in parts]
+    a, b = np.array(z)[:, None], np.array(z)[None, :]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got = cocycles.complex_mul(a, b)
+    want = np.array([[x * y for y in z] for x in z])
+    assert got.shape == want.shape == (100, 100)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_trivial_validates(s3):
     rep = cocycles.validate(s3, TrivialCocycle(s3))
     assert rep.passed

@@ -7,13 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from twistlab import crossed, fixtures
+from twistlab import algebra, crossed, fixtures
 from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
                                TrivialCocycle, validate, value_table)
 from twistlab.crossed import (assemble_crossed_product, crossed_cocycle, decompose_blocks,
                               induced_action_data, orbit_decomposition, verify_twisted_action)
-from twistlab.errors import DegenerateAfterRetries, Unsupported
+from twistlab.errors import DegenerateAfterRetries, InvalidArgument, Unsupported
 from twistlab.groups import FiniteTableGroup
 from twistlab.normspectra import regular_matrices
 
@@ -596,4 +596,18 @@ def test_residual_squares_round_as_python_does():
     h = np.abs(z)
     if np.array_equal(h * h, [abs(c) ** 2 for c in z.tolist()]):
         pytest.skip("libm pow rounds h ** 2 as h * h here")
-    assert crossed._squares(z).tolist() == [abs(c) ** 2 for c in z.tolist()]
+    assert algebra._squares(np.hypot(re, im).tolist()) == [abs(c) ** 2 for c in z.tolist()]
+    # on different indices the distance is sqrt(|c1|^2 + |c2|^2)
+    got = crossed._distance(0, z[:2000], 1, z[2000:])
+    assert got.tolist() == [float(np.sqrt(abs(a) ** 2 + abs(b) ** 2))
+                            for a, b in zip(z[:2000].tolist(), z[2000:].tolist())]
+
+
+def test_a_residual_square_past_the_float_range_is_an_invalid_argument():
+    with pytest.raises(InvalidArgument, match="square of a coefficient overflows"):
+        crossed._distance(0, np.array([1e200 + 0j]), 1, complex(1.0))
+
+
+def test_induced_action_data_needs_an_extension_group(s3):
+    with pytest.raises(Unsupported, match="induced_action_data needs an extension group"):
+        induced_action_data(s3, TrivialCocycle(s3))

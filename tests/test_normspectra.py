@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from twistlab import fixtures, normspectra
+from twistlab import fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
                                PullbackCocycle, TableCocycle, TrivialCocycle, value_table)
@@ -578,6 +578,35 @@ def test_transfer_check_keeps_its_recorded_report():
         "passed": True, "sample_size": 54, "seed": 0, "tol": 1e-09}
 
 
+def _haagerup_by_the_squares(a):
+    """sum (n + 1) sqrt(sum of the sorted |c| ** 2 on sphere n), as
+    haagerup_upper formed it from its own squares."""
+    by_len = {}
+    for g, c in a.coeffs.items():
+        by_len.setdefault(len(g), []).append(abs(c) ** 2)
+    total = 0.0
+    for n in sorted(by_len):
+        total += (n + 1) * np.sqrt(sum(sorted(by_len[n])))
+    return float(total)
+
+
+def test_haagerup_upper_keeps_the_bits_of_squaring_each_coefficient(f2, data_dir):
+    ball = f2.enumerate_ball(4)
+    # moduli whose pow(h, 2) and h * h differ, so an h * h square would show
+    rng = np.random.default_rng(6)
+    hs = [h for h in rng.standard_normal(100_000).tolist() if h ** 2 != h * h]
+    elements = [fixtures.random_element(f2, ball[:k], seed) for seed, k in
+                enumerate((1, 5, 17, 60, len(ball)))]
+    elements.append(AlgebraElement(f2, dict(zip(ball, hs))))
+    for a in elements:
+        assert haagerup_upper(f2, a) == _haagerup_by_the_squares(a)
+    huge = serialize.element_from_json(
+        serialize.load_json(data_dir / "element_f2_sphere1_huge.json"), f2)
+    assert _haagerup_by_the_squares(huge) == math.inf
+    with pytest.raises(InvalidArgument, match="Haagerup bound overflows"):
+        haagerup_upper(f2, huge)
+
+
 def test_haagerup_bound_past_the_float_range_is_an_invalid_argument(f2):
     # each square is finite, their sum is not
     x, y = f2.generator(1), f2.generator(2)
@@ -612,7 +641,8 @@ def test_reports_serialize_the_fields_of_the_hand_written_dicts(f2):
 
 
 @pytest.mark.parametrize("fn", ["value_table", "regular_rep", "exact_norm", "exact_spectrum",
-                                "transfer_check", "truncated_norm_lower"])
+                                "transfer_check", "truncated_norm_lower",
+                                "truncated_norm_lower_empty"])
 def test_a_sigma_over_another_group_is_refused(fn):
     G, sigma = fixtures.symmetric(3), fixtures.random_coboundary(fixtures.dihedral(3), 2)
     a = delta(G, 1) + delta(G, 2)
@@ -624,6 +654,8 @@ def test_a_sigma_over_another_group_is_refused(fn):
             "exact_spectrum": lambda: exact_spectrum(G, sigma, a),
             "transfer_check": lambda: transfer_check(G, [1, 2], [sigma]),
             "truncated_norm_lower": lambda: truncated_norm_lower(
-                F2, fixtures.random_coboundary(FreeGroup(3), 1), sphere, 4)}[fn]
+                F2, fixtures.random_coboundary(FreeGroup(3), 1), sphere, 4),
+            "truncated_norm_lower_empty": lambda: truncated_norm_lower(
+                F2, fixtures.random_coboundary(FreeGroup(3), 1), AlgebraElement(F2, {}), 4)}[fn]
     with pytest.raises(BackendMismatch):
         call()
