@@ -138,6 +138,9 @@ def invocations():
     out += [("crossed", "--group", "data/group_s3.json", *TRIVIAL),
             ("crossed", "--group", "data/group_q8_extension.json",
              "--cocycle", "data/cocycle_q8ext_pullback_huge.json")]
+    # validate on the same cocycle: one error line and no numpy warning, exit 2
+    out.append(("validate", "--group", "data/group_q8_extension.json",
+                "--cocycle", "data/cocycle_q8ext_pullback_huge.json"))
     return out
 
 

@@ -241,6 +241,10 @@ def main(argv=None) -> int:
             flag = "--" + dest.replace("_", "-")
             print(f"error: {flag} must be >= {low}, got {value}", file=sys.stderr)
             return EXIT_VALIDATION
+    tol = getattr(args, "tol", 0.0)
+    if not 0 <= tol <= sys.float_info.max:
+        print(f"error: --tol must be a finite number >= 0, got {tol}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.fn(args)
     except (serialize.ParseError, OSError) as exc:

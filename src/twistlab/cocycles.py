@@ -302,6 +302,7 @@ def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
     return values.reshape(len(xs), n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TRIPLES,
              seed: int = 0, tol: float = IDENTITY_TOL, values=None) -> ValidationReport:
     """Check unit modulus, normalisation, and the cocycle identity.
@@ -310,7 +311,9 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
     value_table(G, sigma); otherwise seeded sampled triples drawn from the
     radius-6 ball, which may hold at most SAMPLE_POOL_CAP elements.  The
     sampled check reads sigma through pair_values, 2**13 ball elements or
-    triples at a time, with the bits of a loop over evaluate.
+    triples at a time, with the bits of a loop over evaluate.  Values past
+    the float range print no numpy warning: their residuals are inf or NaN,
+    and either fails the report.
     """
     sigma.group.check_same(G)
     if G.is_finite:

@@ -32,6 +32,14 @@ from .errors import (
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def json_int(v, what):
+    """v when it is a JSON integer, an int that is not a bool; ValueError
+    naming ``what`` otherwise.  Every integer a descriptor holds is read so."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 class Group:
     """Common backend interface; subclasses fix the element representation."""
 
@@ -121,13 +129,12 @@ class Group:
     def word_length(self, a):
         raise Unsupported(f"{self.kind} backend has no word length")
 
-    def contains(self, a):
-        raise NotImplementedError
-
     def element_to_json(self, a):
         raise NotImplementedError
 
     def element_from_json(self, obj):
+        """The element whose JSON form is obj; ValueError unless obj is
+        exactly that form of an element of this group."""
         raise NotImplementedError
 
     def describe(self):
@@ -219,17 +226,13 @@ class FiniteTableGroup(Group):
     def enumerate_ball(self, r):
         return self.elements()
 
-    def contains(self, a):
-        return isinstance(a, int) and 0 <= a < self.order
-
     def element_to_json(self, a):
         return int(a)
 
     def element_from_json(self, obj):
-        a = int(obj)
-        if not self.contains(a):
-            raise BackendMismatch(f"index {a} out of range for order {self.order}")
-        return a
+        if not 0 <= json_int(obj, "an element index") < self.order:
+            raise ValueError(f"index {obj} out of range for order {self.order}")
+        return obj
 
     def describe(self):
         return {"kind": self.kind, "order": self.order, "table": [list(r) for r in self.table]}
@@ -254,6 +257,15 @@ def reduce_word(letters):
         else:
             out.append(v)
     return tuple(out)
+
+
+def _letter(token):
+    """The letter of a token x<i> or x<i>^-1, i a decimal numeral: i or -i."""
+    inverse = token.endswith("^-1")
+    digits = token[1:-3] if inverse else token[1:]
+    if not (token.startswith("x") and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad generator token {token!r}")
+    return -int(digits) if inverse else int(digits)
 
 
 def letter_rank(v):
@@ -393,35 +405,21 @@ class FreeGroup(Group):
         letters = ranks.tolist()
         return [tuple(letters[j - k:j]) for j, k in zip(np.cumsum(n).tolist(), n.tolist())]
 
-    def contains(self, a):
-        if not isinstance(a, tuple):
-            return False
-        if any(not isinstance(v, int) or v == 0 or abs(v) > self.rank for v in a):
-            return False
-        return all(a[i] != -a[i + 1] for i in range(len(a) - 1))
-
     def element_to_json(self, a):
         return " ".join(f"x{v}" if v > 0 else f"x{-v}^-1" for v in a)
 
     def element_from_json(self, obj):
-        if isinstance(obj, (list, tuple)):
-            return reduce_word(int(v) for v in obj)
-        s = str(obj).strip()
-        if not s or s == "e":
-            return ()
-        letters = []
-        for tok in s.split():
-            if not tok.startswith("x"):
-                raise ValueError(f"bad generator token {tok!r}")
-            body = tok[1:]
-            inv = body.endswith("^-1")
-            if inv:
-                body = body[:-3]
-            i = int(body)
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"generator x{i} out of rank {self.rank}")
-            letters.append(-i if inv else i)
-        return reduce_word(letters)
+        """The reduced word of obj: text of tokens x<i> and x<i>^-1 ("" or
+        "e" for the identity), or a list of letters i and -i, 1 <= i <= rank."""
+        if isinstance(obj, str):
+            tokens = obj.split()
+            obj = [] if tokens == ["e"] else list(map(_letter, tokens))
+        if not isinstance(obj, list):
+            raise ValueError(f"a free-group element is a string or a list, got {obj!r}")
+        for v in obj:
+            if not 1 <= abs(json_int(v, "a letter")) <= self.rank:
+                raise ValueError(f"generator x{abs(v)} out of rank {self.rank}")
+        return reduce_word(obj)
 
     def describe(self):
         return {"kind": self.kind, "rank": self.rank}
@@ -475,17 +473,13 @@ class IntLattice(Group):
         return sum(2 ** j * math.comb(self.dim, j) * math.comb(n, j)
                    for j in range(min(self.dim, n) + 1))
 
-    def contains(self, a):
-        return isinstance(a, tuple) and len(a) == self.dim and all(isinstance(x, int) for x in a)
-
     def element_to_json(self, a):
         return list(a)
 
     def element_from_json(self, obj):
-        v = tuple(int(x) for x in obj)
-        if len(v) != self.dim:
-            raise ValueError(f"vector length {len(v)} != dim {self.dim}")
-        return v
+        if not isinstance(obj, list) or len(obj) != self.dim:
+            raise ValueError(f"a lattice element is a list of {self.dim} integers, got {obj!r}")
+        return tuple(json_int(x, "a coordinate") for x in obj)
 
     def describe(self):
         return {"kind": self.kind, "dim": self.dim}
@@ -562,7 +556,7 @@ class ExtensionGroup(Group):
         if self.action[e_l] != tuple(range(K.order)):
             raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
         for (h1, h2), k in self.factor_set.items():
-            if not K.contains(k):
+            if not 0 <= k < K.order:
                 raise InvalidFactorSet(f"kappa({h1!r}, {h2!r}) = {k!r} is not an element of K",
                                        witness=(h1, h2))
         for h in hs:
@@ -624,16 +618,13 @@ class ExtensionGroup(Group):
     def element_index(self, a):
         return self.quotient.element_index(a[1]) * self.K.order + a[0]
 
-    def contains(self, a):
-        return (isinstance(a, tuple) and len(a) == 2
-                and self.K.contains(a[0]) and self.quotient.contains(a[1]))
-
     def element_to_json(self, a):
         return [self.K.element_to_json(a[0]), self.quotient.element_to_json(a[1])]
 
     def element_from_json(self, obj):
-        k, h = obj
-        return (self.K.element_from_json(k), self.quotient.element_from_json(h))
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise ValueError(f"an extension element is a [k, h] pair, got {obj!r}")
+        return (self.K.element_from_json(obj[0]), self.quotient.element_from_json(obj[1]))
 
     def describe(self):
         hs = self.quotient.elements()

@@ -11,14 +11,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .algebra import AlgebraElement
 from .cocycles import (BicharacterCocycle, Cocycle, CoboundaryCocycle,
                        ConjugateCocycle, ProductCocycle, PullbackCocycle,
                        TableCocycle, TrivialCocycle)
 from .errors import BackendMismatch, TwistlabError
-from .groups import ExtensionGroup, FiniteTableGroup, FreeGroup, Group, IntLattice
+from .groups import (ExtensionGroup, FiniteTableGroup, FreeGroup, Group, IntLattice,
+                     json_int)
 
 
 class ParseError(TwistlabError):
@@ -35,51 +34,55 @@ def _require(cond, msg):
         raise ParseError(msg)
 
 
+def _number(v, what):
+    """v when it is a JSON number, an int or a float that is not a bool;
+    ValueError naming ``what`` otherwise."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return v
+
+
+def _complex(v, what):
+    """A complex value: a number, or a [re, im] pair of numbers."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+    return complex(*(_number(x, what) for x in parts))
+
+
 def group_from_json(obj) -> Group:
     _require(isinstance(obj, dict) and "kind" in obj, "group descriptor needs a 'kind'")
     kind = obj["kind"]
     if kind == "finite-table":
         _require("table" in obj, "finite-table descriptor needs 'table'")
         g = FiniteTableGroup(obj["table"])
-        _require("order" not in obj or obj["order"] == g.order,
+        _require("order" not in obj or json_int(obj["order"], "order") == g.order,
                  "declared order disagrees with the table")
         return g
     if kind == "free":
-        return FreeGroup(int(obj["rank"]))
+        return FreeGroup(json_int(obj["rank"], "rank"))
     if kind == "int-lattice":
-        return IntLattice(int(obj["dim"]))
+        return IntLattice(json_int(obj["dim"], "dim"))
     if kind == "extension":
         K = group_from_json(obj["k"])
         _require(isinstance(K, FiniteTableGroup), "extension kernel must be finite-table")
         quotient = group_from_json(obj["lambda"])
         for key in ("action", "factorSet"):
             _require(isinstance(obj.get(key), dict), f"extension {key!r} must be a JSON object")
-        action = {_element_from_key(quotient, h): tuple(p)
+        action = {_element_from_key(quotient, h): [json_int(k, "an action entry") for k in p]
                   for h, p in obj["action"].items()}
         factor_set = {}
         for key, k in obj["factorSet"].items():
             h1s, h2s = key.split("|")
             factor_set[(_element_from_key(quotient, h1s),
-                        _element_from_key(quotient, h2s))] = int(k)
+                        _element_from_key(quotient, h2s))] = json_int(k, "a factor-set value")
         return ExtensionGroup(K, quotient, action, factor_set)
     raise ParseError(f"unknown group kind {kind!r}")
 
 
 def _element_from_key(G: Group, key: str):
-    """Inverse of str(element_to_json(g)) for use as a JSON map key."""
-    if G.kind == "finite-table":
-        return int(key)
-    if G.kind == "free":
-        return G.element_from_json(key)
-    # int-lattice and extension serialize to lists; str() of those is JSON
-    return G.element_from_json(json.loads(key))
-
-
-def _as_complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    _require(isinstance(v, (list, tuple)) and len(v) == 2, f"bad complex value {v!r}")
-    return complex(v[0], v[1])
+    """Inverse of str(element_to_json(g)), the form of g as a JSON map key:
+    the key itself on a free group, whose elements are text, else its JSON
+    value (str() of an index or a list of indices is JSON)."""
+    return G.element_from_json(key if G.kind == "free" else json.loads(key))
 
 
 def cocycle_from_json(obj, G: Group) -> Cocycle:
@@ -88,17 +91,20 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
     if kind == "trivial":
         return TrivialCocycle(G)
     if kind == "table":
-        values = np.array([[_as_complex(v) for v in row] for row in obj["values"]])
-        return TableCocycle(G, values)
+        return TableCocycle(G, [[_complex(v, "a table value") for v in row]
+                                for row in obj["values"]])
     if kind == "bicharacter":
-        return BicharacterCocycle(G, np.array(obj["theta"], dtype=float))
+        return BicharacterCocycle(G, [[_number(v, "a theta entry") for v in row]
+                                      for row in obj["theta"]])
     if kind == "coboundary":
         beta = obj["beta"]
         _require(isinstance(beta, dict), "a coboundary's 'beta' must be an object")
         if set(beta) == {"random-seed"}:
             from .fixtures import random_beta
-            return CoboundaryCocycle(G, random_beta(G, int(beta["random-seed"])))
-        bmap = {_element_from_key(G, key): _as_complex(v) for key, v in beta.items()}
+            return CoboundaryCocycle(G, random_beta(G, json_int(beta["random-seed"],
+                                                                 "random-seed")))
+        bmap = {_element_from_key(G, key): _complex(v, "a beta value")
+                for key, v in beta.items()}
         return CoboundaryCocycle(G, bmap)
     if kind == "product":
         return ProductCocycle([cocycle_from_json(f, G) for f in obj["factors"]])
@@ -131,9 +137,8 @@ def element_from_json(obj, G: Group | None = None) -> AlgebraElement:
     G = _resolve_group(obj, G, "element")
     coeffs = {}
     for term in obj["terms"]:
-        g = G.element_from_json(term["g"])
-        _require(G.contains(g), f"element term {term['g']!r} is not a group element")
-        coeffs[g] = complex(term.get("re", 0.0), term.get("im", 0.0))
+        coeffs[G.element_from_json(term["g"])] = _complex(
+            [term.get("re", 0.0), term.get("im", 0.0)], "a coefficient")
     return AlgebraElement(G, coeffs)
 
 
@@ -141,12 +146,7 @@ def element_set_from_json(obj, G: Group | None = None):
     """A plain set of group elements: {"group": ..., "elements": [g, ...]}."""
     _require(isinstance(obj, dict) and "elements" in obj, "set file needs 'elements'")
     G = _resolve_group(obj, G, "set")
-    out = []
-    for e in obj["elements"]:
-        g = G.element_from_json(e)
-        _require(G.contains(g), f"set entry {e!r} is not a group element")
-        out.append(g)
-    return G, out
+    return G, [G.element_from_json(e) for e in obj["elements"]]
 
 
 def element_set_to_json(G: Group, elements):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -301,6 +302,18 @@ def test_stable_digests_keep_their_bytes():
     assert got == PINNED_STDOUT
 
 
+def test_make_fixtures_writes_the_committed_data(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("make_fixtures",
+                                                  ROOT / "scripts" / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert written == {p.name: p.read_bytes() for p in DATA.iterdir()}
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status") or (os.cpu_count() or 1) < 2,
                     reason="needs /proc and at least two CPUs")
 def test_blas_pinned_to_one_thread_on_import():
@@ -380,27 +393,65 @@ def test_validate_uses_the_seed_on_infinite_groups():
     assert expected != cocycles.validate(G, sigma, seed=0, tol=1e-9).to_json()
 
 
+def _term(g, re=1):
+    return json.dumps({"group": "ref", "terms": [{"g": g, "re": re}]})
+
+
+def _q8_extension_with(key, value):
+    desc = json.loads((DATA / "group_q8_extension.json").read_text())
+    desc["factorSet"][key] = value
+    return json.dumps(desc)
+
+
+S3_BETA = {str(i): [1, 0] for i in range(6)}
+# (slot, group file, text): the malformed file fills ``slot`` and the group
+# file, if any, is --group.  Integer fields take JSON integers only and
+# number fields JSON numbers only; every group element is read by its
+# backend, and one outside the group is malformed too
 MALFORMED = {
-    "free-without-rank": ("group", '{"kind": "free"}'),
-    "free-rank-0": ("group", '{"kind": "free", "rank": 0}'),
-    "generator-out-of-rank": ("element", '{"group": "ref", "terms": [{"g": "x3", "re": 1}]}'),
-    "table-cocycle-wrong-shape": ("cocycle", '{"kind": "table", "values": [[[1, 0]]]}'),
+    "free-without-rank": ("group", None, '{"kind": "free"}'),
+    "free-rank-0": ("group", None, '{"kind": "free", "rank": 0}'),
+    "free-rank-float": ("group", None, '{"kind": "free", "rank": 2.5}'),
+    "free-rank-bool": ("group", None, '{"kind": "free", "rank": true}'),
+    "lattice-dim-string": ("group", None, '{"kind": "int-lattice", "dim": "2"}'),
+    "factor-set-value-float": ("group", None, _q8_extension_with("1|1", 1.25)),
+    "generator-out-of-rank": ("element", "group_f2.json", _term("x3")),
+    "f2-letter-out-of-rank": ("element", "group_f2.json", _term([5])),
+    "coefficient-bool": ("element", "group_f2.json", _term("x1", re=True)),
+    "s3-index-float": ("element", "group_s3.json", _term(1.5)),
+    "s3-index-bool": ("element", "group_s3.json", _term(True)),
+    "s3-index-string": ("element", "group_s3.json", _term("2")),
+    "s3-index-out-of-range": ("element", "group_s3.json", _term(7)),
+    "lattice-coordinate-float": ("element", "group_z2_lattice.json", _term([1.7, 0])),
+    "table-cocycle-wrong-shape": ("cocycle", "group_z2.json",
+                                  '{"kind": "table", "values": [[[1, 0]]]}'),
+    "beta-key-out-of-range": ("cocycle", "group_s3.json",
+                              json.dumps({"kind": "coboundary",
+                                          "beta": {**S3_BETA, "9": [1, 0]}})),
+    "random-seed-float": ("cocycle", "group_s3.json",
+                          '{"kind": "coboundary", "beta": {"random-seed": 2.5}}'),
+    "theta-strings": ("cocycle", "group_z2_lattice.json",
+                      '{"kind": "bicharacter", "theta": [["0", "0.5"], ["0", "0"]]}'),
+    "set-entry-out-of-range": ("set", "group_z4xz4.json", '{"group": "ref", "elements": [16]}'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_descriptor_is_a_parse_error(tmp_path, case):
-    slot, text = MALFORMED[case]
+    slot, group, text = MALFORMED[case]
     path = tmp_path / f"{slot}.json"
     path.write_text(text)
     if slot == "group":
         args = ("validate", "--group", str(path))
     elif slot == "element":
-        args = ("norm", "--group", str(DATA / "group_f2.json"),
+        args = ("norm", "--group", str(DATA / group),
                 "--cocycle", str(DATA / "cocycle_trivial.json"),
                 "--element", str(path), "--mode", "haagerup")
+    elif slot == "set":
+        args = ("transfer", "--group", str(DATA / group), "--set", str(path),
+                "--cocycle", str(DATA / "cocycle_trivial.json"))
     else:
-        args = ("validate", "--group", str(DATA / "group_z2.json"), "--cocycle", str(path))
+        args = ("validate", "--group", str(DATA / group), "--cocycle", str(path))
     r = run_cli(*args)
     assert r.returncode == 1
     assert r.stdout == ""
@@ -435,6 +486,8 @@ F2_SPHERE1 = ("--group", str(DATA / "group_f2.json"),
 SEMIGROUP = ("semigroup", "--group", str(DATA / "group_f2.json"),
              "--element", str(DATA / "element_f2_t_x.json"),
              "--set", str(DATA / "set_f2_F_y_y2.json"))
+S3_VALIDATE = ("validate", "--group", str(DATA / "group_s3.json"),
+               "--cocycle", str(DATA / "cocycle_trivial.json"))
 OUT_OF_RANGE = {
     "radius": (("norm", *F2_SPHERE1, "--mode", "truncate", "--radius", "-1"),
                "--radius must be >= 0"),
@@ -442,6 +495,10 @@ OUT_OF_RANGE = {
     "length": ((*SEMIGROUP, "--length", "0"), "--length must be >= 1"),
     "mem-cap": (("norm", *F2_SPHERE1, "--mode", "truncate", "--mem-cap", "0"),
                 "--mem-cap must be >= 1"),
+    "tol-nan": ((*S3_VALIDATE, "--tol", "nan"), "--tol must be a finite number >= 0, got nan"),
+    "tol-inf": ((*S3_VALIDATE, "--tol", "inf"), "--tol must be a finite number >= 0, got inf"),
+    "tol-negative": ((*S3_VALIDATE, "--tol", "-1"),
+                     "--tol must be a finite number >= 0, got -1.0"),
 }
 
 

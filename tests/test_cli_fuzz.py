@@ -160,9 +160,13 @@ FOUND = {
     "huge-coefficient-truncate": (INVOCATIONS[3], 6,
                                   with_node("element_f2_sphere1.json", ("terms", 0, "im"),
                                             7.158622063548468e+84), 0),
+    # a rank must be a JSON integer; an integer rank other than the group's exits 3
     "huge-rank-in-element": (INVOCATIONS[3], 6,
                              with_node("element_f2_sphere1.json", ("group", "rank"),
-                                       7.158622063548468e+84), 3),
+                                       7.158622063548468e+84), 1),
+    "huge-integer-rank-in-element": (INVOCATIONS[3], 6,
+                                     with_node("element_f2_sphere1.json", ("group", "rank"),
+                                               10 ** 85), 3),
     "coboundary-beta-null": (INVOCATIONS[3], 4,
                              with_node("cocycle_f2_random_coboundary.json", ("beta",), None), 1),
     "empty-generating-set": (INVOCATIONS[7], 6,
@@ -181,6 +185,10 @@ FOUND = {
     # the sum of two finite squares overflows: "upper" was Infinity, not JSON
     "haagerup-sum-overflows": (INVOCATIONS[4], 6,
                                (DATA / "element_f2_sphere1_huge.json").read_text(), 2),
+    # residuals past the float range printed numpy warnings before the error line
+    "validate-residuals-overflow": (("validate", "--group", "group_q8_extension.json",
+                                     "--cocycle", "cocycle_q8ext_pullback_huge.json"), 4,
+                                    (DATA / "cocycle_q8ext_pullback_huge.json").read_text(), 2),
 }
 
 

@@ -145,7 +145,7 @@ def _extension_axioms_by_loops(K, L, action, factor_set):
     if tuple(action[e_l]) != tuple(range(K.order)):
         raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
     for (h1, h2), k in factor_set.items():
-        if not K.contains(k):
+        if not 0 <= k < K.order:
             raise InvalidFactorSet(f"kappa({h1!r}, {h2!r}) = {k!r} is not an element of K",
                                    witness=(h1, h2))
     for h in hs:
@@ -478,7 +478,8 @@ def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
 def test_free_group_of_huge_rank_stores_nothing_per_generator():
     G = FreeGroup(10 ** 30)
     w = (10 ** 30, -7)
-    assert G.contains(w) and G.compose(w, G.invert(w)) == ()
+    assert G.element_from_json(G.element_to_json(w)) == w
+    assert G.compose(w, G.invert(w)) == ()
     assert G.sort_key((-1,)) > G.sort_key((1,))
     # its ball of radius 1 already has more than 2^63 words
     pos = G.positions([w, (), (-1,)])
