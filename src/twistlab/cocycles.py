@@ -146,9 +146,9 @@ class CoboundaryCocycle(Cocycle):
 
     beta is a dict from elements to values or a callable; either is treated
     as fixed after construction (a dict is not copied, and must not be
-    changed), because pair_values remembers beta in one dict keyed by
-    position, as a Python int whether it fits int64 or not, so each position
-    is read once per cocycle."""
+    changed), because beta_at, and so pair_values, remembers beta in one
+    dict keyed by position, as a Python int whether it fits int64 or not, so
+    each position is read once per cocycle."""
 
     kind = "coboundary"
 
@@ -180,12 +180,12 @@ class CoboundaryCocycle(Cocycle):
         remembered, then (conj beta(x) conj beta(y)) beta(xy) as evaluate
         rounds it."""
         pos, inv = np.unique(np.concatenate([xs, ys, xys]), return_inverse=True)
-        b = self._beta_at(pos)
+        b = self.beta_at(pos)
         ix, iy, ixy = np.split(inv, [len(xs), len(xs) + len(ys)])
         conj = b.conj()
         return complex_mul(complex_mul(conj[ix], conj[iy]), b[ixy])
 
-    def _beta_at(self, pos):
+    def beta_at(self, pos):
         """beta at the distinct positions pos, read only where the memo lacks
         them.  A failed read leaves the memo as it was."""
         memo, keys = self._memo, pos.tolist()
@@ -432,6 +432,30 @@ def restrict(sigma: Cocycle, subgroup_elements) -> TableCocycle:
     out.subgroup = sub
     out.embedding = elems
     return out
+
+
+def gauge_factors(sigma: Cocycle):
+    """sigma as a product of coboundaries, when it is one by construction:
+    a list of pairs (d beta, conjugated) with sigma the product of the d beta
+    and, where conjugated, of conj d beta = d conj(beta), in the order the
+    product and conjugate cocycles hold them.  The list is empty for a
+    trivial sigma; any other cocycle, or a product or conjugate holding one,
+    gives None."""
+    if isinstance(sigma, TrivialCocycle):
+        return []
+    if isinstance(sigma, CoboundaryCocycle):
+        return [(sigma, False)]
+    if isinstance(sigma, ConjugateCocycle):
+        base = gauge_factors(sigma.base)
+        return None if base is None else [(f, not conj) for f, conj in base]
+    if isinstance(sigma, ProductCocycle):
+        out = []
+        for factor in map(gauge_factors, sigma.factors):
+            if factor is None:
+                return None
+            out += factor
+        return out
+    return None
 
 
 def multiply(sigma1: Cocycle, sigma2: Cocycle) -> ProductCocycle:

@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import (AlgebraElement, _root_sum_squares, _sigma_or_trivial, delta, gauge,
+from .algebra import (AlgebraElement, _root_sum_squares, _sigma_or_trivial, delta,
                       is_normal, l2_norm, power_norms)
-from .cocycles import CoboundaryCocycle, Cocycle, TrivialCocycle, complex_mul, value_table
+from .cocycles import Cocycle, TrivialCocycle, complex_mul, gauge_factors, value_table
 from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from .groups import Group
 
@@ -141,7 +141,11 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     data * v into zeros and T^H by a sum over them, both in a fixed order,
     inner products use numpy's pairwise sum and the final norms math.fsum:
     the result is the same bits in every process, for every BLAS thread count
-    and whether or not the basis was kept."""
+    and whether or not the basis was kept.  Products with complex data go
+    through complex_mul, since numpy's complex multiply may fuse a product
+    with a sum under some SIMD targets; real data keeps numpy's multiply,
+    where one of each pair of products is an exact zero, so it rounds the
+    same under every target."""
     n = data.shape[1]
     conj = data.conj()
     if np.all(data.imag == 0) and np.all(data.real >= 0):
@@ -149,17 +153,18 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     else:
         start = np.random.default_rng(0).random(n)
     start = (start / np.sqrt(_sum_squares(start))).astype(complex)
+    mul = complex_mul if np.any(data.imag) else np.multiply
 
     def apply(v):
         # each row of ``rows`` is injective (left multiplication is), so
         # every entry of out adds its terms in row order, starting from +0.0
         out = np.zeros(m, dtype=complex)
-        for r, t in zip(rows, data * v):
+        for r, t in zip(rows, mul(data, v)):
             out[r] += t
         return out
 
     def gram(v):
-        return (conj * apply(v)[rows]).sum(axis=0)
+        return mul(conj, apply(v)[rows]).sum(axis=0)
 
     alphas, betas, basis = [], [], []
     for q, alpha, beta in _lanczos(gram, start, LANCZOS_MAX_STEPS):
@@ -196,12 +201,40 @@ def _sum_squares(x) -> float:
     return math.fsum(np.square(x.view(np.float64)).tolist())
 
 
+def _untwist(G: Group, sigma: Cocycle, a: AlgebraElement):
+    """(TrivialCocycle(G), a0, k) with a0 = conj(beta) a when sigma = d beta
+    by construction for k > 0 coboundary factors (see
+    cocycles.gauge_factors), else (sigma, a, 0).  beta is read through each
+    coboundary's memo at supp a only, and each coefficient of a0 is a_g
+    times conj(beta_i(g)), or beta_i(g) for a conjugated factor, one
+    complex_mul for each factor."""
+    factors = gauge_factors(sigma)
+    if not factors:
+        return sigma, a, 0
+    supp = a.support()
+    pos = G.positions(supp)
+    c = np.array([a.coeffs[g] for g in supp], dtype=complex)
+    for cob, conjugated in factors:
+        b = cob.beta_at(pos)
+        c = complex_mul(b if conjugated else b.conj(), c)
+    return TrivialCocycle(G), AlgebraElement(G, dict(zip(supp, c.tolist()))), len(factors)
+
+
 def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
                          mem_cap: int = DEFAULT_MEM_CAP) -> float:
     """Certified lower bound for the reduced twisted norm from the operator
-    T: b -> a *_sigma b restricted to l2(B_r), codomain B_{r + diam supp a},
-    with sigma as the cocycle evaluates it; sigma must live on G
-    (BackendMismatch otherwise).
+    T: b -> a *_sigma b restricted to l2(B_r), codomain B_{r + diam supp a};
+    sigma must live on G (BackendMismatch otherwise).
+
+    When sigma is d beta by construction (a coboundary, or a product or
+    conjugate of coboundaries and trivial cocycles), T is not formed: with
+    M_beta the diagonal operator beta(g) on each ball, T = M_beta T0 M_beta*
+    for the untwisted truncation T0 of a0 = conj(beta) a, since
+    d beta(g, b) a_g = beta(g b) (conj(beta(g)) a_g) conj(beta(b)).  M_beta
+    is unitary and commutes with the ball projections, so ||T|| = ||T0||;
+    beta is read at supp a only, and T0 is bounded below in its place.  Any
+    other sigma (a bicharacter on a lattice, say) is read into T as the
+    cocycle evaluates it.
 
     The value is the Rayleigh quotient rho = ||T y|| / ||y|| of a Lanczos
     Ritz vector y (see _top_singular_rayleigh), less a rounding allowance.
@@ -216,8 +249,12 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     truncation of convolution by |a|.  The squares, one fsum for each norm,
     the quotient and the square root add at most 3.5 u relative to
     rho <= ||a||_1.  Subtracting (p + 8) u ||a||_1 covers both, with room
-    for the second-order terms, so the value is a genuine lower bound; it is
-    clipped at 0.
+    for the second-order terms.  Through the gauge, each coefficient of a0
+    is formed by k complex products with unit-modulus beta values, one for
+    each coboundary factor, so the computed a0 is within k sqrt(5) u |a_g|
+    of the exact one and its truncation within k sqrt(5) u ||a||_1 in norm:
+    the allowance is (p + 8 + k sqrt 5) u ||a||_1, and k = 0 under a trivial
+    sigma.  So the value is a genuine lower bound; it is clipped at 0.
 
     ``mem_cap`` bounds |B_r| and |B_{r + diam supp a}| (MemoryBudgetExceeded
     past it) and the Lanczos basis kept, at most mem_cap complex entries;
@@ -239,10 +276,12 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     e = math.frexp(max(max(abs(c.real), abs(c.imag)) for c in a.coeffs.values()))[1]
     a = AlgebraElement(G, {g: complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
                            for g, c in a.coeffs.items()})
-    rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma, a, r, mem_cap), mem_cap)
+    sigma0, a0, k = _untwist(G, sigma, a)
+    rho = _top_singular_rayleigh(*_truncation_matrix(G, sigma0, a0, r, mem_cap), mem_cap)
     l1 = math.fsum(abs(c) for c in a.coeffs.values())
+    allowance = (len(a.coeffs) + 8 + k * math.sqrt(5)) * UNIT_ROUNDOFF * l1
     try:
-        return math.ldexp(float(max(0.0, rho - (len(a.coeffs) + 8) * UNIT_ROUNDOFF * l1)), e)
+        return math.ldexp(float(max(0.0, rho - allowance)), e)
     except OverflowError:
         raise InvalidArgument("the truncated norm overflows") from None
 
@@ -407,8 +446,12 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
                      config: CriterionConfig | None = None) -> dict:
     """Numeric evidence bundle for the spectral-radius criterion on elements
     supported on tF: free-subsemigroup certificate, r2 sequences, truncated
-    norm bounds (an upper proxy for the spectral radius), and, for coboundary
-    twists, the gauge-transported untwisted data.  Claims no equality."""
+    norm bounds (an upper proxy for the spectral radius), and, for a twist
+    sigma = d beta of coboundary type (see cocycles.gauge_factors), the
+    untwisted data of a0 = conj(beta) a: the r2 sequence of its untwisted
+    powers, computed apart from the twisted ones as a check, and the
+    truncated bound, which is the run's own, since truncated_norm_lower
+    bounds a0's untwisted operator for such a sigma.  Claims no equality."""
     if G.kind != "free":
         raise Unsupported("criterion_report supports free backends only")
     cfg = config or CriterionConfig()
@@ -420,11 +463,11 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
     for i in range(cfg.n_elements):
         elements.append(random_element(G, tF, cfg.seed + i))
 
+    twist = _sigma_or_trivial(G, sigma)
     runs = []
     for a in elements:
         rep = l2_spectral_radius(a, sigma, cfg.max_power, cfg.mem_cap)
-        norm_lower = truncated_norm_lower(G, _sigma_or_trivial(G, sigma), a,
-                                          cfg.radius, cfg.mem_cap)
+        norm_lower = truncated_norm_lower(G, twist, a, cfg.radius, cfg.mem_cap)
         upper = haagerup_upper(G, a)
         run = {
             "element": a.to_json()["terms"],
@@ -434,13 +477,13 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
             "norm_upper_haagerup": upper,
             "gap_r2_vs_norm_lower": norm_lower - rep.r2_at_max_power,
         }
-        if isinstance(sigma, CoboundaryCocycle):
-            a0 = gauge(a, lambda g: np.conj(sigma.beta(g)))
+        _, a0, k = _untwist(G, twist, a)
+        if k:
+            # norm_lower is a0's untwisted bound: the truncation is gauged
             rep0 = l2_spectral_radius(a0, None, cfg.max_power, cfg.mem_cap)
             run["untwisted_gauge_transport"] = {
                 "r2_sequence": rep0.r2_sequence,
-                "norm_lower_truncated": truncated_norm_lower(
-                    G, TrivialCocycle(G), a0, cfg.radius, cfg.mem_cap),
+                "norm_lower_truncated": norm_lower,
             }
         runs.append(run)
     return {

@@ -48,6 +48,17 @@ def _complex(v, what):
     return complex(*(_number(x, what) for x in parts))
 
 
+def _unique(pairs, what):
+    """dict(pairs), with a ValueError naming the key by ``what(key)`` when a
+    key comes twice, where dict() would keep the last value silently."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{what(key)} is given twice")
+        out[key] = value
+    return out
+
+
 def group_from_json(obj) -> Group:
     _require(isinstance(obj, dict) and "kind" in obj, "group descriptor needs a 'kind'")
     kind = obj["kind"]
@@ -67,22 +78,35 @@ def group_from_json(obj) -> Group:
         quotient = group_from_json(obj["lambda"])
         for key in ("action", "factorSet"):
             _require(isinstance(obj.get(key), dict), f"extension {key!r} must be a JSON object")
-        action = {_element_from_key(quotient, h): [json_int(k, "an action entry") for k in p]
-                  for h, p in obj["action"].items()}
-        factor_set = {}
-        for key, k in obj["factorSet"].items():
-            h1s, h2s = key.split("|")
-            factor_set[(_element_from_key(quotient, h1s),
-                        _element_from_key(quotient, h2s))] = json_int(k, "a factor-set value")
+        action = _unique(((_element_from_key(quotient, h),
+                           [json_int(k, "an action entry") for k in p])
+                          for h, p in obj["action"].items()),
+                         lambda h: f"the action at {_key(quotient, h)}")
+        factor_set = _unique(((_pair_from_key(quotient, key), json_int(k, "a factor-set value"))
+                              for key, k in obj["factorSet"].items()),
+                             lambda pair: "the factor-set value at "
+                                          + "|".join(_key(quotient, h) for h in pair))
         return ExtensionGroup(K, quotient, action, factor_set)
     raise ParseError(f"unknown group kind {kind!r}")
 
 
+def _key(G: Group, g) -> str:
+    """g as a JSON map key: str(element_to_json(g))."""
+    return str(G.element_to_json(g))
+
+
 def _element_from_key(G: Group, key: str):
-    """Inverse of str(element_to_json(g)), the form of g as a JSON map key:
-    the key itself on a free group, whose elements are text, else its JSON
-    value (str() of an index or a list of indices is JSON)."""
+    """Inverse of _key: the key itself on a free group, whose elements are
+    text, else its JSON value (str() of an index or a list of indices is
+    JSON).  Two keys can name one element ("1" and " 1", or "x1" and
+    "x1 x2 x2^-1"); the maps read with it refuse that through _unique."""
     return G.element_from_json(key if G.kind == "free" else json.loads(key))
+
+
+def _pair_from_key(G: Group, key: str):
+    """The pair (h1, h2) of a factor-set key "h1|h2"."""
+    h1, h2 = key.split("|")
+    return _element_from_key(G, h1), _element_from_key(G, h2)
 
 
 def cocycle_from_json(obj, G: Group) -> Cocycle:
@@ -103,8 +127,9 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
             from .fixtures import random_beta
             return CoboundaryCocycle(G, random_beta(G, json_int(beta["random-seed"],
                                                                  "random-seed")))
-        bmap = {_element_from_key(G, key): _complex(v, "a beta value")
-                for key, v in beta.items()}
+        bmap = _unique(((_element_from_key(G, key), _complex(v, "a beta value"))
+                        for key, v in beta.items()),
+                       lambda g: f"beta at {_key(G, g)}")
         return CoboundaryCocycle(G, bmap)
     if kind == "product":
         return ProductCocycle([cocycle_from_json(f, G) for f in obj["factors"]])
@@ -135,10 +160,10 @@ def _resolve_group(obj, G: Group | None, what: str) -> Group:
 def element_from_json(obj, G: Group | None = None) -> AlgebraElement:
     _require(isinstance(obj, dict) and "terms" in obj, "element file needs 'terms'")
     G = _resolve_group(obj, G, "element")
-    coeffs = {}
-    for term in obj["terms"]:
-        coeffs[G.element_from_json(term["g"])] = _complex(
-            [term.get("re", 0.0), term.get("im", 0.0)], "a coefficient")
+    coeffs = _unique(((G.element_from_json(term["g"]),
+                       _complex([term.get("re", 0.0), term.get("im", 0.0)], "a coefficient"))
+                      for term in obj["terms"]),
+                     lambda g: f"a term at {_key(G, g)}")
     return AlgebraElement(G, coeffs)
 
 
@@ -174,13 +199,19 @@ def _float_sized_int(text):
     return value
 
 
+def _object(pairs):
+    return _unique(pairs, lambda key: f"the key {json.dumps(key)}")
+
+
 def load_json(path):
-    """Parse a descriptor file.  NaN, Infinity and numbers too large for a
-    float are rejected here, so every loader downstream sees finite values."""
+    """Parse a descriptor file.  NaN, Infinity, numbers too large for a
+    float and a key repeated in one object are rejected here, so every loader
+    downstream sees finite values and each key once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant,
-                             parse_float=_finite_float, parse_int=_float_sized_int)
+                             parse_float=_finite_float, parse_int=_float_sized_int,
+                             object_pairs_hook=_object)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -234,7 +234,7 @@ PINNED_STDOUT = {
         ("6ddc86f489c7d1662ab0fe1b6d09946c2ab49b066352bf742f70ab0d58a6b7ab", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_t_e.json --mode truncate --radius 3"):
-        ("81dd0315398a3e7136aa1165f87dc9bdc1716d50fccac89177b60a0e699f1252", 0),
+        ("2af1d4b1d6778a1bd2325de64a54ccb00ed081f7b63ad3e53fb5e2649aa3a062", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
      " data/element_f2_sphere1.json --mode truncate --radius 0"):
         ("3accccf22bc7e7597622ccc58cafc6d303a4204ac7c5313a7884db9bd32b4769", 0),
@@ -267,28 +267,34 @@ PINNED_STDOUT = {
         ("88e6b2fd1ed8427b12c95189a90406ca8df79910fead45ddbdf5b39fe4c9e04d", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 0"):
-        ("340fd18d327cbe86c48e326b71fd9ea7003cd440ca9e04ae197f556c75304ab9", 0),
+        ("8fb5a9d384aa7e16d71bc9dcf0cc0efa94df8a94a12172e6f53af07a1469bafc", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 1"):
+        ("2fd305e67a0b83a56852813134d406bcc4d7ed8d36e10d333a24a87b7d38e08c", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 2"):
-        ("25b926f36b3dcea7907ebe3193857ff08d640f0439c2f742ae46019967b94a62", 0),
+        ("5f69067374f316f64e48c1dabe96c2a5d2357280649636657194e89bed11f35f", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 3"):
-        ("236428ed029e83e65aa0aa021a06f8b5dad6f53cbc69ef0c927b0399cc16cc56", 0),
+        ("c78c8ce5756e839937f184c3d75c5711e7a586cef876032f3c37e8d0b4f0a2d1", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 4"):
-        ("c70d73934008749752bda8bd78d4b91f4920cd3c2eefd4fa1d38ad66a69e88a6", 0),
+        ("81a71d88f074a6c2281a892dd52cca778f06522a72a497cb43cf3e81447efb0e", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 5"):
-        ("025055d9a85a8c1470eec6578d3cd9f96932b06a92faed1ddb1b338cd633711c", 0),
+        ("bbce6167745b885351ea54c51202443d3ca8a15bc5f452c32a8770562ad24017", 0),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
+     " --element data/element_f2_sphere1.json --mode truncate --radius 6"):
+        ("ccbb76ccd7935c0d8b433b576698a4a6d4f714ddf9a9f7290f5384f5135324c4", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 7"):
-        ("3a37e8bf163d7b2ee154a323a3f04fb8a4603d1c310dbeb8a53cfaee158adcc1", 0),
+        ("d653491ca285d7b6552606f2774c7306920ab33310e14fea312f2cfbd807f0b1", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 8"):
-        ("7052192ef3ae80773d0690784010df725bb505190cc68055225e309afdeb9a73", 0),
+        ("ae31541e2d63fdaeb22d95e4b7a336437f7e81cc5b8f35f4b8f303dca3f7da9c", 0),
     ("norm --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --mode truncate --radius 9"):
-        ("7c952dcaf80723e255ecd64622375bd60a994c998ab7c2993c2b7515ab6aea76", 0),
+        ("855c98beea7f13a158547fbca40beff57429a7756f9bb3479bfdb2afd7b6a558", 0),
 }
 
 
@@ -300,6 +306,28 @@ def test_stable_digests_keep_their_bytes():
                            capture_output=True, env=env, cwd=ROOT)
         got[args] = (hashlib.sha256(r.stdout).hexdigest(), r.returncode)
     assert got == PINNED_STDOUT
+
+
+# the numpy SIMD targets on x86-64 whose complex multiply may round with a
+# fused multiply-add; switched off, numpy runs its baseline kernels
+FUSED_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+F2_SPHERE1_TRUNCATION = ("norm --group data/group_f2.json --cocycle data/cocycle_{}.json"
+                         " --element data/element_f2_sphere1.json --mode truncate --radius {}")
+
+
+@pytest.mark.parametrize("cocycle, r", [("f2_random_coboundary", 4),
+                                        ("f2_random_coboundary", 6), ("trivial", 9)])
+def test_pinned_truncations_keep_their_bytes_without_simd_targets(cocycle, r):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    off = [t for t in FUSED_TARGETS if __cpu_features__.get(t)]
+    if not off:
+        pytest.skip("no x86-64 SIMD target with fused kernels is enabled here")
+    args = F2_SPHERE1_TRUNCATION.format(cocycle, r)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), NPY_DISABLE_CPU_FEATURES=" ".join(off))
+    run = subprocess.run([sys.executable, "-m", "twistlab.cli", *args.split()],
+                         capture_output=True, env=env, cwd=ROOT)
+    assert (hashlib.sha256(run.stdout).hexdigest(), run.returncode) == PINNED_STDOUT[args]
 
 
 def test_make_fixtures_writes_the_committed_data(tmp_path, monkeypatch):
@@ -397,9 +425,9 @@ def _term(g, re=1):
     return json.dumps({"group": "ref", "terms": [{"g": g, "re": re}]})
 
 
-def _q8_extension_with(key, value):
+def _q8_extension_with(key, value, part="factorSet"):
     desc = json.loads((DATA / "group_q8_extension.json").read_text())
-    desc["factorSet"][key] = value
+    desc[part][key] = value
     return json.dumps(desc)
 
 
@@ -433,6 +461,15 @@ MALFORMED = {
     "theta-strings": ("cocycle", "group_z2_lattice.json",
                       '{"kind": "bicharacter", "theta": [["0", "0.5"], ["0", "0"]]}'),
     "set-entry-out-of-range": ("set", "group_z4xz4.json", '{"group": "ref", "elements": [16]}'),
+    # a second term at one element, and two map keys that name one element
+    "repeated-term": ("element", "group_f2.json",
+                      '{"group": "ref", "terms": [{"g": "x1", "re": 1}, {"g": "x1", "re": 2}]}'),
+    "beta-keys-naming-one-element": ("cocycle", "group_s3.json",
+                                     json.dumps({"kind": "coboundary",
+                                                 "beta": {**S3_BETA, " 1": [0, 1]}})),
+    "action-keys-naming-one-element": ("group", None, _q8_extension_with(" 1", [0, 1], "action")),
+    "factor-set-keys-naming-one-element": ("group", None, _q8_extension_with("1| 1", 1)),
+    "repeated-json-key": ("group", None, '{"kind": "free", "rank": 2, "rank": 3}'),
 }
 
 
@@ -627,6 +664,15 @@ def test_a_truncation_under_a_partial_beta_is_one_error_line():
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.splitlines() == ["truncating at radius 2",
                                      "error: beta is not given at x1^-1"]
+
+
+def test_a_truncation_under_a_beta_that_covers_the_support_prints_a_value():
+    # beta is read at supp a only, here at x1, so the balls need no beta
+    r = run_cli("norm", *F2_PARTIAL[:4], "--element", str(DATA / "element_f2_t_x.json"),
+                "--mode", "truncate", "--radius", "2")
+    assert r.returncode == 0, r.stderr
+    # the norm of delta_x1 is 1, less (1 + 8 + sqrt 5) 2^-53 of allowance
+    assert 1 - 2e-15 < json.loads(r.stdout)["lower"] < 1
 
 
 @pytest.mark.parametrize("table", ["[]", "[[0.0]]", "[[0, 1], [1, 0.0]]"],

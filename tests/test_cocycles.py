@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from twistlab import algebra, cocycles, fixtures, normspectra
 from twistlab.algebra import AlgebraElement, delta
-from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle,
+from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle, ConjugateCocycle,
                                ProductCocycle, TableCocycle, TrivialCocycle)
 from twistlab.errors import BackendMismatch, InvalidArgument, NotASubgroup, NotUnitModulus
 from twistlab.groups import FreeGroup, IntLattice
@@ -403,19 +403,41 @@ def test_coboundary_pair_values_have_the_bits_of_evaluate_cold_warm_and_partly_w
         seen |= new
 
 
-def test_a_second_truncation_at_the_same_sigma_reads_beta_not_at_all(f2):
-    beta, reads = fixtures.random_beta(f2, 3), []
-    sigma = CoboundaryCocycle(f2, lambda g: reads.append(g) or beta(g))
+def test_gauge_factors_resolve_the_cocycles_of_coboundary_type(f2, pair_by_pair):
+    a, b = fixtures.random_coboundary(f2, 1), fixtures.random_coboundary(f2, 2)
+    trivial = TrivialCocycle(f2)
+    assert cocycles.gauge_factors(trivial) == []
+    assert cocycles.gauge_factors(a) == [(a, False)]
+    assert cocycles.gauge_factors(ConjugateCocycle(ConjugateCocycle(a))) == [(a, False)]
+    nested = ProductCocycle([a, trivial, ConjugateCocycle(ProductCocycle([b, a]))])
+    assert cocycles.gauge_factors(nested) == [(a, False), (b, True), (a, True)]
+    # a cocycle that is not built from coboundaries, alone or as a factor
+    Z2 = IntLattice(2)
+    theta = BicharacterCocycle(Z2, [[0.0, 0.5], [0.0, 0.0]])
+    assert cocycles.gauge_factors(theta) is None
+    assert cocycles.gauge_factors(ProductCocycle([fixtures.random_coboundary(Z2, 1),
+                                                  theta])) is None
+    assert cocycles.gauge_factors(pair_by_pair(a)) is None
+
+
+def test_one_truncation_reads_beta_once_at_each_element_of_the_support(f2):
+    # the truncation runs through the gauge: conj(beta) a is formed on
+    # supp a, and sigma is read nowhere on the balls
     x, y = f2.generator(1), f2.generator(2)
     a = delta(f2, x) + delta(f2, f2.invert(y), 2j) + delta(f2, f2.compose(x, y))
-    reads.clear()
-    first = normspectra.truncated_norm_lower(f2, sigma, a, 4)
-    ball, supp = f2.enumerate_ball(4), a.support()
-    read_at = set(ball) | set(supp) | {f2.compose(g, b) for g in supp for b in ball}
-    assert len(reads) == len(read_at) and set(reads) == read_at
-    reads.clear()
-    assert normspectra.truncated_norm_lower(f2, sigma, a, 4) == first
-    assert reads == []
+
+    def logged(seed):
+        beta, reads = fixtures.random_beta(f2, seed), []
+        return CoboundaryCocycle(f2, lambda g: reads.append(g) or beta(g)), reads
+
+    for product in (False, True):
+        (cob, reads), (other, other_reads) = logged(3), logged(4)
+        sigma = ProductCocycle([cob, ConjugateCocycle(other)]) if product else cob
+        reads.clear()
+        other_reads.clear()
+        normspectra.truncated_norm_lower(f2, sigma, a, 4)
+        assert reads == a.support()
+        assert other_reads == (a.support() if product else [])
 
 
 def test_a_second_power_at_the_same_sigma_reads_beta_not_at_all(f2):

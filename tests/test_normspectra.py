@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from twistlab import fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
-                               PullbackCocycle, TableCocycle, TrivialCocycle, value_table)
+                               PullbackCocycle, TableCocycle, TrivialCocycle, complex_mul,
+                               value_table)
 from twistlab.errors import BackendMismatch, InvalidArgument, MemoryBudgetExceeded, Unsupported
 from twistlab.groups import FreeGroup, IntLattice
 from twistlab.normspectra import (certify_free_subsemigroup, exact_norm,
@@ -236,7 +237,7 @@ def test_truncation_bit_equal_to_dict_reference(k, rmax):
                 assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("r, value", [(4, 2.601679131883149), (8, 2.682211377599001)])
+@pytest.mark.parametrize("r, value", [(4, 2.6016791318831487), (8, 2.682211377599001)])
 def test_lattice_truncation_matches_the_dict_matrix(r, value):
     # the generic ball_positions path: u1 + u1* + u2 + u2* on Z^2 under the
     # bicharacter theta = [[0, 1/3], [0, 0]]
@@ -261,18 +262,69 @@ def mp_radial_jacobi_norm(r):
         return mpmath.sqrt(max(mpmath.eigsy(J.T * J, eigvals_only=True)))
 
 
+def _gauged_sphere1_cases(G):
+    # (sigma, sphere-1 gauged by sigma's beta): d beta-twisted convolution by
+    # beta a is untwisted convolution by a, conjugated by a diagonal unitary
+    sphere1 = AlgebraElement(G, {g: 1.0 for g in G.enumerate_ball(1)[1:]})
+    cobs = [fixtures.random_coboundary(G, seed) for seed in range(4)]
+    for cob in cobs:
+        yield cob, gauge(sphere1, cob.beta)
+    yield (ProductCocycle([cobs[0], cobs[1]]),
+           gauge(gauge(sphere1, cobs[0].beta), cobs[1].beta))
+    yield ConjugateCocycle(cobs[2]), gauge(sphere1, lambda g: np.conj(cobs[2].beta(g)))
+
+
 def test_truncated_norm_is_a_genuine_lower_bound(f2):
-    # sphere-1 untwisted and gauged under a coboundary: the same operator up
-    # to diagonal phases, so both are bounded by the exact Jacobi norm
+    # sphere-1 untwisted and gauged under coboundaries, a product and a
+    # conjugate: the same operator up to diagonal phases, so each is bounded
+    # by the exact Jacobi norm, itself below 2 sqrt 3
     a = AlgebraElement(f2, {g: 1.0 for g in f2.enumerate_ball(1)[1:]})
-    cob = fixtures.random_coboundary(f2, seed=7)
-    cases = [(TrivialCocycle(f2), a), (cob, gauge(a, cob.beta))]
+    cases = [(TrivialCocycle(f2), a), *_gauged_sphere1_cases(f2)]
     for r in range(11):
         exact = mp_radial_jacobi_norm(r)
         for sigma, b in cases:
             lo = truncated_norm_lower(f2, sigma, b, r)
             assert mpmath.mpf(lo) <= exact, (r, lo)
             assert lo >= exact - 1e-13, (r, lo)
+
+
+def twisted_truncation(G, sigma, a, r):
+    """The truncated bound as it was formed before the gauge: sigma read into
+    T pair by pair by _truncation_matrix, the same solver, and the allowance
+    (p + 8) u ||a||_1 for elements of moderate scale."""
+    cap = normspectra.DEFAULT_MEM_CAP
+    rho = normspectra._top_singular_rayleigh(
+        *normspectra._truncation_matrix(G, sigma, a, r, cap), cap)
+    l1 = math.fsum(abs(c) for c in a.coeffs.values())
+    return max(0.0, rho - (len(a.coeffs) + 8) * normspectra.UNIT_ROUNDOFF * l1)
+
+
+@pytest.mark.parametrize("G, radii", [(FreeGroup(1), range(7)), (FreeGroup(2), (0, 1, 3, 6)),
+                                      (FreeGroup(3), (0, 2, 4)), (IntLattice(2), (0, 3, 6))],
+                         ids=["F1", "F2", "F3", "Z2"])
+def test_gauged_truncation_agrees_with_the_twisted_operator(G, radii):
+    # within the sum of the two rounding allowances, on seeded elements of
+    # B_1 and B_2 under a coboundary, a product of two and a conjugate.  On
+    # a support that is a free basis the norm is the same under every twist
+    # and would hide a wrong gauge, so the last element fills B_2
+    ball = G.enumerate_ball(2)
+    sphere1 = G.enumerate_ball(1)[1:]
+    rng = np.random.default_rng(len(sphere1))
+    words = [ball[int(i)] for i in rng.choice(len(ball) - 1, 3, replace=False) + 1]
+    elements = [fixtures.random_element(G, sphere1, seed=1),
+                fixtures.random_element(G, words, seed=2),
+                fixtures.random_element(G, ball, seed=3)]
+    cob, other = fixtures.random_coboundary(G, 10), fixtures.random_coboundary(G, 11)
+    sigmas = [(cob, 1), (ProductCocycle([cob, TrivialCocycle(G), other]), 2),
+              (ConjugateCocycle(ProductCocycle([other, cob])), 2)]
+    for a in elements:
+        p, l1 = len(a.coeffs), math.fsum(abs(c) for c in a.coeffs.values())
+        for sigma, gauges in sigmas:
+            slack = (2 * p + 16 + gauges * math.sqrt(5)) * normspectra.UNIT_ROUNDOFF * l1
+            for r in radii:
+                got = truncated_norm_lower(G, sigma, a, r)
+                want = twisted_truncation(G, sigma, a, r)
+                assert abs(got - want) <= slack, (sigma.kind, r, got, want)
 
 
 def test_truncated_norm_is_reproducible_within_one_process():
@@ -348,7 +400,8 @@ def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
     Lanczos basis and scatters T's rows one by one: here pass 1 finds the
     Ritz coefficients s, pass 2 reruns the recurrence to sum
     y = sum_j s_j q_j, and T is applied by bincount on the real and
-    imaginary parts.  mem_cap is ignored."""
+    imaginary parts, with the products of _top_singular_rayleigh.  mem_cap
+    is ignored."""
     n = data.shape[1]
     flat = rows.ravel()
     conj = data.conj()
@@ -357,16 +410,17 @@ def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
     else:
         start = np.random.default_rng(0).random(n)
     start = (start / np.sqrt(normspectra._sum_squares(start))).astype(complex)
+    mul = complex_mul if np.any(data.imag) else np.multiply
 
     def apply(v):
-        tv = (data * v).ravel()
+        tv = mul(data, v).ravel()
         out = np.empty(m, dtype=complex)
         out.real = np.bincount(flat, tv.real, m)
         out.imag = np.bincount(flat, tv.imag, m)
         return out
 
     def gram(v):
-        return (conj * apply(v)[rows]).sum(axis=0)
+        return mul(conj, apply(v)[rows]).sum(axis=0)
 
     alphas, betas = [], []
     for _, alpha, beta in normspectra._lanczos(gram, start, normspectra.LANCZOS_MAX_STEPS):
