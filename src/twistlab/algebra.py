@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .cocycles import Cocycle, TrivialCocycle, complex_product
+from .cocycles import Cocycle, TrivialCocycle, complex_product, pair_grid
 from .errors import InvalidArgument
 from .groups import Group
 
@@ -115,16 +115,15 @@ def _convolve_terms(G, sigma, x, y):
     and imaginary parts apart, starting from 0.0 as the dict loop does.
     Coefficients below DROP_TOL are dropped as AlgebraElement drops them."""
     (xs, xre, xim), (ys, yre, yim) = x, y
-    nx, ny = len(xs), len(ys)
-    xys = G.products(xs[:, None], ys).ravel()
-    s = sigma.pair_values(np.repeat(xs, ny), np.tile(ys, nx), xys)
+    xys = G.products(xs[:, None], ys)
+    s = sigma.pair_values(*pair_grid(xs, ys), xys.ravel()).reshape(xys.shape)
     pos, where = np.unique(xys, return_inverse=True)
     # an overflow is caught by the isfinite test below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        re, im = complex_product(s.real, s.imag, np.repeat(xre, ny), np.repeat(xim, ny))
-        re, im = complex_product(re, im, np.tile(yre, nx), np.tile(yim, nx))
-        re = np.bincount(where, re, len(pos))
-        im = np.bincount(where, im, len(pos))
+        re, im = complex_product(s.real, s.imag, xre[:, None], xim[:, None])
+        re, im = complex_product(re, im, yre, yim)
+        re = np.bincount(where.ravel(), re.ravel(), len(pos))
+        im = np.bincount(where.ravel(), im.ravel(), len(pos))
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise InvalidArgument("a coefficient of the product overflows")
     keep = ~(np.hypot(re, im) < DROP_TOL)
@@ -149,13 +148,16 @@ def convolve(a: AlgebraElement, b: AlgebraElement, sigma: Cocycle | None = None)
     sigma = _sigma_or_trivial(G, sigma)
     if G.kind == "free":
         return _from_terms(G, _convolve_terms(G, sigma, _terms(a), _terms(b)))
+    asupp, bsupp = a.support(), b.support()
+    xs, ys = pair_grid(G.positions(asupp), G.positions(bsupp))
+    xys = G.products(xs, ys)
+    terms = zip(G.words(xys), sigma.pair_values(xs, ys, xys).tolist())
     acc = {}
-    bsupp = b.support()
-    for x in a.support():
+    for x in asupp:
         ax = a.coeffs[x]
         for y in bsupp:
-            g = G.compose(x, y)
-            acc[g] = acc.get(g, 0.0 + 0.0j) + sigma.evaluate(x, y) * ax * b.coeffs[y]
+            g, s = next(terms)
+            acc[g] = acc.get(g, 0.0 + 0.0j) + s * ax * b.coeffs[y]
     return AlgebraElement(G, acc)
 
 
@@ -164,11 +166,12 @@ def involute(a: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
     sigma-regular representation."""
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
-    out = {}
-    for g, c in a.coeffs.items():
-        h = G.invert(g)
-        out[h] = np.conj(sigma.evaluate(h, g)) * np.conj(c)
-    return AlgebraElement(G, out)
+    gs = list(a.coeffs)
+    hs = [G.invert(g) for g in gs]
+    hpos, gpos = G.positions(hs), G.positions(gs)
+    s = sigma.pair_values(hpos, gpos, G.positions([G.identity()]).repeat(len(gs))).tolist()
+    return AlgebraElement(G, {h: np.conj(shg) * np.conj(a.coeffs[g])
+                              for h, g, shg in zip(hs, gs, s)})
 
 
 def positive_part(a: AlgebraElement) -> AlgebraElement:

@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (BackendMismatch, InvalidArgument, MemoryBudgetExceeded, NotASubgroup,
-                     NotUnitModulus)
+from .errors import BackendMismatch, InvalidArgument, MemoryBudgetExceeded, NotUnitModulus
 from .groups import FiniteTableGroup, Group, IntLattice
 
 MODULUS_TOL = 1e-12
@@ -46,25 +45,20 @@ def complex_mul(a, b) -> np.ndarray:
 
 
 class Cocycle:
-    """Base class; subclasses implement evaluate(x, y) -> unit-modulus complex."""
+    """Base class.  A subclass implements pair_values, the one way sigma is
+    read, and to_json."""
 
     kind = "abstract"
 
     def __init__(self, group: Group):
         self.group = group
 
-    def evaluate(self, x, y) -> complex:
-        raise NotImplementedError
-
     def pair_values(self, xs, ys, xys) -> np.ndarray:
         """sigma(x, y) for the elements at positions xs and ys (see
         Group.positions; on a free group the numerals of
         FreeGroup.positions, on a finite group the indices), whose products
-        sit at xys: a complex array with the bits of evaluate.  This default
-        decodes the elements and calls evaluate pair by pair."""
-        words = self.group.words
-        return np.array([self.evaluate(x, y) for x, y in zip(words(xs), words(ys))],
-                        dtype=complex)
+        sit at xys: a complex array, one value per pair."""
+        raise NotImplementedError
 
     def to_json(self):
         raise NotImplementedError
@@ -72,9 +66,6 @@ class Cocycle:
 
 class TrivialCocycle(Cocycle):
     kind = "trivial"
-
-    def evaluate(self, x, y):
-        return 1.0 + 0.0j
 
     def pair_values(self, xs, ys, xys):
         return np.ones(len(xs), dtype=complex)
@@ -106,9 +97,6 @@ class TableCocycle(Cocycle):
         vals[:, 0] = 1.0
         self.values = vals
 
-    def evaluate(self, x, y):
-        return complex(self.values[x, y])
-
     def pair_values(self, xs, ys, xys):
         return self.values[xs, ys]
 
@@ -133,9 +121,23 @@ class BicharacterCocycle(Cocycle):
             raise ValueError(f"theta shape {th.shape} != ({group.dim}, {group.dim})")
         self.theta = th
 
-    def evaluate(self, x, y):
-        expo = float(np.asarray(x) @ self.theta @ np.asarray(y))
-        return complex(np.exp(2j * np.pi * expo))
+    def pair_values(self, xs, ys, xys):
+        """exp(2 pi i e) for e = <x, Theta y> summed in one fixed order, by
+        elementwise products: the columns x Theta, each summed over i from
+        left to right, then their dot with y, summed over j from left to
+        right.  No BLAS call, so the bits do not depend on its kernels."""
+        X, Y = self._coordinates(xs), self._coordinates(ys)
+        d, th = self.group.dim, self.theta
+        xt = X[:, :1] * th[0]
+        for i in range(1, d):
+            xt = xt + X[:, i:i + 1] * th[i]
+        e = xt[:, 0] * Y[:, 0]
+        for j in range(1, d):
+            e = e + xt[:, j] * Y[:, j]
+        return np.exp(2j * np.pi * e)
+
+    def _coordinates(self, pos):
+        return np.array(self.group.words(pos), dtype=float).reshape(len(pos), self.group.dim)
 
     def to_json(self):
         return {"kind": "bicharacter", "theta": self.theta.tolist()}
@@ -171,14 +173,10 @@ class CoboundaryCocycle(Cocycle):
             raise InvalidArgument(f"beta is not given at {self.group.element_to_json(g)}")
         return complex(self._beta[g])
 
-    def evaluate(self, x, y):
-        return complex(np.conj(self.beta(x)) * np.conj(self.beta(y))
-                       * self.beta(self.group.compose(x, y)))
-
     def pair_values(self, xs, ys, xys):
         """beta at each distinct position, read only where it is not
-        remembered, then (conj beta(x) conj beta(y)) beta(xy) as evaluate
-        rounds it."""
+        remembered, then (conj beta(x) conj beta(y)) beta(xy) as Python's
+        complex multiply rounds it."""
         pos, inv = np.unique(np.concatenate([xs, ys, xys]), return_inverse=True)
         b = self.beta_at(pos)
         ix, iy, ixy = np.split(inv, [len(xs), len(xs) + len(ys)])
@@ -221,15 +219,9 @@ class ProductCocycle(Cocycle):
         super().__init__(g0)
         self.factors = list(factors)
 
-    def evaluate(self, x, y):
-        z = 1.0 + 0.0j
-        for f in self.factors:
-            z *= f.evaluate(x, y)
-        return z
-
     def pair_values(self, xs, ys, xys):
         """The factors' values multiplied into 1 + 0j one by one, as
-        evaluate's z *= rounds them, signed zeros included."""
+        Python's z *= f rounds them, signed zeros included."""
         z = np.ones(len(xs), dtype=complex)
         for f in self.factors:
             z = complex_mul(z, f.pair_values(xs, ys, xys))
@@ -245,9 +237,6 @@ class ConjugateCocycle(Cocycle):
     def __init__(self, base: Cocycle):
         super().__init__(base.group)
         self.base = base
-
-    def evaluate(self, x, y):
-        return complex(np.conj(self.base.evaluate(x, y)))
 
     def pair_values(self, xs, ys, xys):
         return np.conj(self.base.pair_values(xs, ys, xys))
@@ -268,8 +257,11 @@ class PullbackCocycle(Cocycle):
         super().__init__(group)
         self.quotient_cocycle = quotient_cocycle
 
-    def evaluate(self, x, y):
-        return self.quotient_cocycle.evaluate(x[1], y[1])
+    def pair_values(self, xs, ys, xys):
+        """The quotient cocycle at the images: (k, h) has index
+        |K| index(h) + k, so h sits at the index floor-divided by |K|."""
+        m = self.group.K.order
+        return self.quotient_cocycle.pair_values(xs // m, ys // m, xys // m)
 
     def to_json(self):
         return {"kind": "pullback", "quotient": self.quotient_cocycle.to_json()}
@@ -289,6 +281,12 @@ class ValidationReport:
         return asdict(self)
 
 
+def pair_grid(xs, ys):
+    """Every pair of an x in xs and a y in ys, x-major, as two flat arrays:
+    each x repeated len(ys) times, and the row ys repeated len(xs) times."""
+    return xs.repeat(len(ys)), ys[None, :].repeat(len(xs), axis=0).ravel()
+
+
 def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
     """sigma(x, y) for every y of a finite group and every x in ``rows``
     (default: every element), indexed like G.elements(): one pair_values
@@ -298,7 +296,7 @@ def value_table(G: Group, sigma: Cocycle, rows=None) -> np.ndarray:
     T = G.multiplication_table()
     n = len(T)
     xs = np.arange(n) if rows is None else G.positions(rows)
-    values = sigma.pair_values(np.repeat(xs, n), np.tile(np.arange(n), len(xs)), T[xs].ravel())
+    values = sigma.pair_values(*pair_grid(xs, np.arange(n)), T[xs].ravel())
     return values.reshape(len(xs), n)
 
 
@@ -311,9 +309,8 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
     value_table(G, sigma); otherwise seeded sampled triples drawn from the
     radius-6 ball, which may hold at most SAMPLE_POOL_CAP elements.  The
     sampled check reads sigma through pair_values, 2**13 ball elements or
-    triples at a time, with the bits of a loop over evaluate.  Values past
-    the float range print no numpy warning: their residuals are inf or NaN,
-    and either fails the report.
+    triples at a time.  Values past the float range print no numpy warning:
+    their residuals are inf or NaN, and either fails the report.
     """
     sigma.group.check_same(G)
     if G.is_finite:
@@ -404,36 +401,6 @@ def _report(mod_res, norm_res, id_res, checked, exhaustive, witnesses, tol) -> V
     return ValidationReport(passed, mod_res, norm_res, id_res, checked, exhaustive, witnesses)
 
 
-def restrict(sigma: Cocycle, subgroup_elements) -> TableCocycle:
-    """Restrict to a finite subgroup, given as an explicit closed element set.
-
-    Returns a table cocycle over a fresh finite-table group; the new group and
-    the element embedding are attached as ``.subgroup`` / ``.embedding``.
-    """
-    G = sigma.group
-    e = G.identity()
-    elems = list(subgroup_elements)
-    if e not in elems:
-        elems.append(e)
-    elems = sorted(set(elems), key=G.sort_key)
-    elems.remove(e)
-    elems.insert(0, e)
-    index = {g: i for i, g in enumerate(elems)}
-    for a in elems:
-        if G.invert(a) not in index:
-            raise NotASubgroup(f"inverse of {a!r} missing", witness=a)
-        for b in elems:
-            if G.compose(a, b) not in index:
-                raise NotASubgroup(f"product {a!r} * {b!r} escapes the set", witness=(a, b))
-    table = [[index[G.compose(a, b)] for b in elems] for a in elems]
-    sub = FiniteTableGroup(table, labels=None, name="subgroup")
-    vals = np.array([[sigma.evaluate(a, b) for b in elems] for a in elems], dtype=complex)
-    out = TableCocycle(sub, vals)
-    out.subgroup = sub
-    out.embedding = elems
-    return out
-
-
 def gauge_factors(sigma: Cocycle):
     """sigma as a product of coboundaries, when it is one by construction:
     a list of pairs (d beta, conjugated) with sigma the product of the d beta
@@ -457,10 +424,3 @@ def gauge_factors(sigma: Cocycle):
         return out
     return None
 
-
-def multiply(sigma1: Cocycle, sigma2: Cocycle) -> ProductCocycle:
-    return ProductCocycle([sigma1, sigma2])
-
-
-def conjugate(sigma: Cocycle) -> ConjugateCocycle:
-    return ConjugateCocycle(sigma)

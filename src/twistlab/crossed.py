@@ -59,9 +59,10 @@ class TwistedSystem:
 
 def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
                         convention: str = DEFAULT_CONVENTION) -> TwistedSystem:
-    """Evaluate the section formulas for alpha and rho literally, by gathers
-    on gamma's index table T and sigma's value table S, so sigma is evaluated
-    once per pair of gamma.  With s(h) = (e, h) at index |K| h and u_k at k,
+    """The section formulas for alpha and rho, taken literally by gathers on
+    gamma's index table T and sigma's value table S, so sigma is read once
+    per pair of gamma and restricted to K as S[:|K|, :|K|].  With
+    s(h) = (e, h) at index |K| h and u_k at k,
     alpha_h(u_k) = sigma(s(h), k) sigma(c, s(h)) u_c for c = s(h) k s(h)^-1 and
     rho(h1, h2) = sigma(s1, s2) conj(sigma(w, s12)) u_w for w = s1 s2 s12^-1,
     each product rounded as Python's.  The convention flag selects whether

@@ -52,12 +52,6 @@ class NotUnitModulus(TwistlabError):
     pass
 
 
-class NotASubgroup(TwistlabError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class NotPermuting(TwistlabError):
     """An automorphism failed to permute the minimal central projections."""
 

@@ -15,6 +15,7 @@ tuple, pair) so they can key coefficient maps directly:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -97,34 +98,25 @@ class Group:
     def products(self, xs, ys):
         """Positions of x * y for the x at positions xs and the y at positions
         ys, broadcast against each other as numpy broadcasts (xs[:, None]
-        gives every pair, x by rows), composed word by word."""
+        gives every pair, x by rows): on a finite group one gather on the
+        index table, else composed word by word."""
+        if self.is_finite:
+            return self.multiplication_table()[xs, ys]
         xs, ys = np.broadcast_arrays(xs, ys)
         pairs = zip(self.words(xs.ravel()), self.words(ys.ravel()))
         return self.positions([self.compose(x, y) for x, y in pairs]).reshape(xs.shape)
 
     def positions(self, words):
         """Positions of words, an int64 array: on a finite group their
-        indices, else their indices in enumerate_ball(max |w|).  A ball is a
-        prefix of the next, so a position is global."""
-        if self.is_finite:
-            return np.array([self.element_index(w) for w in words], dtype=np.int64)
-        ball = self.enumerate_ball(max(map(self.word_length, words), default=0))
-        index = {h: i for i, h in enumerate(ball)}
-        return np.array([index[w] for w in words], dtype=np.int64)
+        indices.  An infinite backend numbers its elements itself, in the
+        order of its balls, so that a ball's positions are a prefix of the
+        next ball's."""
+        return np.array([self.element_index(w) for w in words], dtype=np.int64)
 
     def words(self, pos):
-        """The elements at positions pos, the inverse of positions; on a
-        finite group a position is an index into elements()."""
-        pos = np.asarray(pos, dtype=np.int64)
-        ball = self.elements() if self.is_finite else self.enumerate_ball(self._radius(pos))
-        return [ball[i] for i in pos.tolist()]
-
-    def _radius(self, pos):
-        """The smallest n with every position in pos inside B_n."""
-        top, last = 0, int(pos.max()) if pos.size else 0
-        while self.ball_size(top) <= last:
-            top += 1
-        return top
+        """The elements at positions pos, the inverse of positions."""
+        elems = self.elements()
+        return [elems[i] for i in np.asarray(pos, dtype=np.int64).tolist()]
 
     def word_length(self, a):
         raise Unsupported(f"{self.kind} backend has no word length")
@@ -468,10 +460,26 @@ class IntLattice(Group):
         return sorted((p for p, _ in pts), key=self.sort_key)
 
     def ball_size(self, n):
-        """|B_n| = sum_j 2^j C(d, j) C(n, j): j nonzero coordinates, their
-        signs and their positive values summing to at most n."""
-        return sum(2 ** j * math.comb(self.dim, j) * math.comb(n, j)
-                   for j in range(min(self.dim, n) + 1))
+        return _lattice_ball_size(self.dim, n)
+
+    def positions(self, words):
+        """Positions of points, their indices in enumerate_ball(r) for any r
+        that holds them, in closed form, so no ball is listed: |B_{n-1}| for
+        n = |w|, plus the points of the sphere |w| = n before w.  Positions
+        past int64 are Python ints in an object array, as on a free group."""
+        out = []
+        for w in words:
+            left = self.word_length(w)
+            p = _lattice_ball_size(self.dim, left - 1)
+            for k, x in zip(range(self.dim - 1, -1, -1), w):
+                p += _sphere_points_before(k, left, x)
+                left -= abs(x)
+            out.append(p)
+        return np.array(out, dtype=np.int64 if max(out, default=0) <= INT64_MAX else object)
+
+    def words(self, pos):
+        """The points at positions pos, the inverse of positions."""
+        return [_lattice_point(self.dim, p) for p in np.asarray(pos).tolist()]
 
     def element_to_json(self, a):
         return list(a)
@@ -486,6 +494,52 @@ class IntLattice(Group):
 
     def __repr__(self):
         return f"IntLattice(dim={self.dim})"
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _lattice_ball_size(d, n):
+    """|B_n| of Z^d = sum_j 2^j C(d, j) C(n, j): j nonzero coordinates, their
+    signs and their positive values summing to at most n; 0 for n < 0."""
+    return sum(2 ** j * math.comb(d, j) * math.comb(n, j) for j in range(min(d, n) + 1))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _lattice_point(d, p):
+    """The point of Z^d at position p (see IntLattice.positions): its norm n
+    and then each coordinate, by bisection on the counts positions adds."""
+    left = _first_true(0, p + 1, lambda n: _lattice_ball_size(d, n) > p)
+    p -= _lattice_ball_size(d, left - 1)
+    point = []
+    for k in range(d - 1, -1, -1):
+        # the last x in [-left, left] with at most p sphere points before it
+        x = _first_true(-left, left + 1, lambda v: _sphere_points_before(k, left, v) > p) - 1
+        p -= _sphere_points_before(k, left, x)
+        left -= abs(x)
+        point.append(x)
+    return tuple(point)
+
+
+def _sphere_points_before(k, left, x):
+    """How many points of norm left in Z^(k+1) have a first coordinate
+    v < x: each v in [-left, left] brings the |B| difference of Z^k at
+    left - |v|, so the v <= 0 sum to |B_(left + min(x, 1) - 1)| and the
+    v in [1, x - 1] to |B_(left - 1)| - |B_(left - x)|."""
+    before = _lattice_ball_size(k, left + min(x, 1) - 1)
+    if x > 1:
+        before += _lattice_ball_size(k, left - 1) - _lattice_ball_size(k, left - x)
+    return before
+
+
+def _first_true(lo, hi, test):
+    """The first n in [lo, hi) with test(n), for a test false then true on
+    that range; hi if it is nowhere true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _first_nonassociative(T, xs, ys, zs):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .algebra import (AlgebraElement, _root_sum_squares, _sigma_or_trivial, delta,
                       is_normal, l2_norm, power_norms)
-from .cocycles import Cocycle, TrivialCocycle, complex_mul, gauge_factors, value_table
+from .cocycles import (Cocycle, TrivialCocycle, complex_mul, gauge_factors, pair_grid,
+                       value_table)
 from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
 from .groups import Group
 
@@ -60,8 +61,8 @@ def regular_matrices(T_rows, S_rows, coeffs) -> np.ndarray:
 
 def regular_rep(G: Group, sigma: Cocycle, a: AlgebraElement) -> np.ndarray:
     """Matrix of left twisted convolution by a on l2(G), element enumeration
-    basis: column h carries sigma(g, h) a_g at row gh.  sigma is evaluated
-    on the rows of supp a only."""
+    basis: column h carries sigma(g, h) a_g at row gh.  sigma is read on
+    the rows of supp a only."""
     a.group.check_same(G)
     supp = a.support()
     S_rows = value_table(G, sigma, supp)
@@ -85,10 +86,10 @@ def _truncation_matrix(G, sigma, a, r, cap):
         if G.ball_size(n) > cap:
             raise MemoryBudgetExceeded(G.ball_size(n), cap)
     xs, ball = G.positions(supp), G.ball_positions(r)
-    gb, m = G.products(xs[:, None], ball), len(ball)
-    s = sigma.pair_values(np.repeat(xs, m), np.tile(ball, len(supp)), gb.ravel())
+    gb = G.products(xs[:, None], ball)
+    s = sigma.pair_values(*pair_grid(xs, ball), gb.ravel())
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)
-    data = complex_mul(s, np.repeat(c, m)).reshape(gb.shape)
+    data = complex_mul(s.reshape(gb.shape), c[:, None])
     positions, rows = np.unique(gb.ravel(), return_inverse=True)
     return data, rows.reshape(data.shape), len(positions)
 
@@ -233,8 +234,8 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     d beta(g, b) a_g = beta(g b) (conj(beta(g)) a_g) conj(beta(b)).  M_beta
     is unitary and commutes with the ball projections, so ||T|| = ||T0||;
     beta is read at supp a only, and T0 is bounded below in its place.  Any
-    other sigma (a bicharacter on a lattice, say) is read into T as the
-    cocycle evaluates it.
+    other sigma (a bicharacter on a lattice, say) is read into T by one
+    pair_values call.
 
     The value is the Rayleigh quotient rho = ||T y|| / ||y|| of a Lanczos
     Ritz vector y (see _top_singular_rayleigh), less a rounding allowance.

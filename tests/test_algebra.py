@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate
 from twistlab import algebra, cocycles, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
-from twistlab.cocycles import TrivialCocycle
+from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
+                               PullbackCocycle, TableCocycle, TrivialCocycle)
 from twistlab.errors import BackendMismatch, InvalidArgument
-from twistlab.groups import FreeGroup
+from twistlab.groups import FreeGroup, IntLattice
 from twistlab.normspectra import regular_rep
 
 
@@ -20,7 +22,7 @@ def naive_convolve(a, b, sigma):
     for x, ca in a.coeffs.items():
         for y, cb in b.coeffs.items():
             g = G.compose(x, y)
-            out[g] = out.get(g, 0.0) + sigma.evaluate(x, y) * ca * cb
+            out[g] = out.get(g, 0.0) + evaluate(sigma, x, y) * ca * cb
     return AlgebraElement(G, out)
 
 
@@ -34,7 +36,7 @@ def dict_convolve(a, b, sigma):
     for x in a.support():
         for y in bsupp:
             g = G.compose(x, y)
-            acc[g] = acc.get(g, 0.0 + 0.0j) + sigma.evaluate(x, y) * a.coeffs[x] * b.coeffs[y]
+            acc[g] = acc.get(g, 0.0 + 0.0j) + evaluate(sigma, x, y) * a.coeffs[x] * b.coeffs[y]
     return AlgebraElement(G, acc)
 
 
@@ -63,7 +65,7 @@ def test_convolution_is_twisted(s3):
     for x in s3.elements():
         for y in s3.elements():
             prod = convolve(delta(s3, x), delta(s3, y), sigma)
-            expect = delta(s3, s3.compose(x, y), sigma.evaluate(x, y))
+            expect = delta(s3, s3.compose(x, y), evaluate(sigma, x, y))
             assert algebra.l1_norm(prod - expect) <= 1e-14
 
 
@@ -168,6 +170,66 @@ def test_is_normal(s3):
     assert not algebra.is_normal(b, sigma)
 
 
+def test_a_second_is_normal_reads_beta_not_at_all(f2, record_calls):
+    # involute reads sigma(g^-1, g) through pair_values, so the beta memo
+    # serves it as it serves the two convolutions
+    a = AlgebraElement(f2, {(1,): 1.0, (1, 2): 2j, (-2, -2, 1): 0.5 - 1j})
+    cob = fixtures.random_coboundary(f2, 6)
+    reads = record_calls(cob, "beta")
+    assert algebra.is_normal(a, cob) is False
+    supp = set(a.coeffs)
+    inverses = {f2.invert(g) for g in supp}
+    products = {f2.compose(x, y) for x in supp for y in inverses}
+    products |= {f2.compose(y, x) for x in supp for y in inverses}
+    assert len(reads) == len(set(reads))
+    assert {g for g, in reads} == supp | inverses | products
+    reads.clear()
+    assert algebra.is_normal(a, cob) is False
+    assert reads == []
+
+
+@pytest.mark.parametrize("G", [fixtures.symmetric(3), fixtures.q8_extension()],
+                         ids=["S3", "Q8-extension"])
+def test_finite_convolve_and_involute_have_the_bits_of_the_pair_loop(G):
+    cob = fixtures.random_coboundary(G, 2)
+    # a table on S3, a quotient coboundary pulled back on the extension
+    other = (PullbackCocycle(G, fixtures.random_coboundary(G.quotient, 4))
+             if G.kind == "extension" else
+             TableCocycle(G, cocycles.value_table(G, fixtures.random_coboundary(G, 3))))
+    sigmas = [TrivialCocycle(G), cob, other, ProductCocycle([other, cob]), ConjugateCocycle(cob)]
+    elems = G.elements()
+    cases = [random_pair(G, seed) for seed in range(3)]
+    # an empty factor, and a zero imaginary part of either sign
+    cases += [(AlgebraElement(G, {}), delta(G, elems[1])),
+              (AlgebraElement(G, {elems[0]: complex(-2.0, -0.0), elems[-1]: -1.0}), cases[0][0])]
+    for sigma in sigmas:
+        for a, b in cases:
+            got = convolve(a, b, sigma)
+            assert list(got.coeffs.items()) == list(dict_convolve(a, b, sigma).coeffs.items())
+            want = {G.invert(g): np.conj(evaluate(sigma, G.invert(g), g)) * np.conj(c)
+                    for g, c in a.coeffs.items()}
+            assert involute(a, sigma).coeffs == AlgebraElement(G, want).coeffs
+
+
+def test_lattice_convolve_and_involute_far_from_the_origin_list_no_ball(record_calls):
+    # lattice positions are counted in closed form: a term at (200, 0, 0),
+    # whose ball holds about 10^7 points, lists no ball
+    G = IntLattice(3)
+    sigma = BicharacterCocycle(G, [[0.0, 1 / 3, 0.25], [0.0, 0.0, 1 / 7], [0.5, 0.0, 0.0]])
+    a = AlgebraElement(G, {(200, 0, 0): 1.0, (0, -1, 3): 2j, (1, 1, 1): -0.5})
+    b = AlgebraElement(G, {(0, 0, -150): 1 - 1j, (-1, 0, 0): 0.25, (0, 0, 0): 3.0})
+    balls = record_calls(G, "enumerate_ball")
+    for x, y in ((a, b), (b, a), (a, a)):
+        got = convolve(x, y, sigma)
+        assert list(got.coeffs.items()) == list(dict_convolve(x, y, sigma).coeffs.items())
+    want = {G.invert(g): np.conj(evaluate(sigma, G.invert(g), g)) * np.conj(c)
+            for g, c in a.coeffs.items()}
+    assert involute(a, sigma).coeffs == AlgebraElement(G, want).coeffs
+    assert algebra.is_normal(a, sigma) is False
+    assert len(normspectra.l2_spectral_radius(a, sigma, 2).r2_sequence) == 2
+    assert balls == []
+
+
 def test_serialization_roundtrip_exact(s3, f2):
     for G, seed in [(s3, 0), (f2, 1)]:
         a, _ = random_pair(G, seed)
@@ -206,8 +268,8 @@ FREE_RANKS = (1, 2, 3)
 def free_cocycles(G):
     cob = fixtures.random_coboundary(G, 11)
     return {"trivial": TrivialCocycle(G), "coboundary": cob,
-            "product": cocycles.multiply(cob, fixtures.random_coboundary(G, 12)),
-            "conjugate": cocycles.conjugate(cob)}
+            "product": ProductCocycle([cob, fixtures.random_coboundary(G, 12)]),
+            "conjugate": ConjugateCocycle(cob)}
 
 
 def random_free_element(G, seed, size=5, radius=4):
@@ -265,7 +327,7 @@ def test_free_pair_values_equal_evaluate():
         xys = G.positions([G.compose(ball[i], ball[j]) for i, j in zip(xs, ys)])
         for sigma in free_cocycles(G).values():
             got = sigma.pair_values(pos[xs], pos[ys], xys)
-            ref = [sigma.evaluate(ball[i], ball[j]) for i, j in zip(xs, ys)]
+            ref = [evaluate(sigma, ball[i], ball[j]) for i, j in zip(xs, ys)]
             assert got.tolist() == ref
 
 

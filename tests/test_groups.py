@@ -252,6 +252,21 @@ def test_finite_words_are_the_elements_at_their_indices():
         assert G.words(np.array([len(elems) - 1, 0, 0])) == [elems[-1], elems[0], elems[0]]
 
 
+@pytest.mark.parametrize("G", [fixtures.symmetric(3), fixtures.q8_extension()],
+                         ids=["S3", "Q8-extension"])
+def test_finite_products_gather_on_the_index_table(G):
+    T = G.multiplication_table()
+    xs, ys = np.array([0, 5, 3, 3, 1]), np.array([4, 0, 2, 5])
+    got = G.products(xs[:, None], ys)
+    assert got.shape == (5, 4) and np.array_equal(got, T[xs[:, None], ys])
+    for x, y in np.ndindex(got.shape):
+        assert G.words([got[x, y]]) == [G.compose(*G.words([xs[x], ys[y]]))]
+    # broadcast as numpy broadcasts: a row against a column, and flat pairs
+    assert np.array_equal(G.products(xs[:4], ys[:, None]), T[xs[:4], ys[:, None]])
+    assert G.products(xs[:4], ys).tolist() == [int(T[x, y]) for x, y in zip(xs, ys)]
+    assert G.products(xs[:0, None], ys).shape == (0, 4)
+
+
 @pytest.mark.parametrize("G", [FreeGroup(2), IntLattice(2)], ids=lambda G: G.kind)
 def test_infinite_backends_refuse_element_lists_as_unsupported(G):
     for call in (G.elements, lambda: G.element_index(G.identity()), G.multiplication_table):
@@ -353,7 +368,7 @@ def test_free_letter_maps_match_compose(k):
 
 def test_free_ball_positions_agree_with_the_generic_path(f2):
     # the generic Group.products decodes both sides, composes the words and
-    # encodes the products; the generic positions index enumerate_ball
+    # encodes the products
     from twistlab.groups import Group
     gs = f2.positions([(), (1,), (-2, 1), (2, 2, -1, 2), (-1, -2, -1)])
     ball = f2.ball_positions(4)
@@ -363,10 +378,6 @@ def test_free_ball_positions_agree_with_the_generic_path(f2):
     xs, ys = ball[:60], ball[::-1][:60]
     for products in (f2.products, lambda xs, ys: Group.products(f2, xs, ys)):
         assert products(xs, ys).tolist() == np.diagonal(products(xs[:, None], ys)).tolist()
-    indices = Group.ball_positions(f2, 4)
-    assert indices.tolist() == list(range(len(ball)))
-    assert Group.positions(f2, f2.words(ball)).tolist() == indices.tolist()
-    assert f2.words(ball) == Group.words(f2, indices)
 
 
 # the longest words whose positions, at most (2k + 1)^n - 1, fit in int64
@@ -473,6 +484,28 @@ def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
             assert Z.ball_size(r) == len(box)
     # the box of Z^40 at r = 1 has 3^40 points; the ball has 81
     assert len(IntLattice(40).enumerate_ball(1)) == IntLattice(40).ball_size(1) == 81
+
+
+def test_lattice_positions_are_the_ball_indices_in_closed_form(record_calls):
+    for d in (1, 2, 3, 4):
+        Z = IntLattice(d)
+        ball = Z.enumerate_ball(6 if d < 4 else 4)
+        assert Z.positions(ball).tolist() == list(range(len(ball)))
+        assert Z.words(np.arange(len(ball))[::-1]) == ball[::-1]
+    # far points: no ball is listed, and the positions keep the ball order
+    Z = IntLattice(3)
+    balls = record_calls(Z, "enumerate_ball")
+    far = sorted([(200, 0, 0), (-200, 0, 0), (0, 0, -200), (3, -97, 100), (0, 1, -199),
+                  (10 ** 5, -1, 0), (0, 0, 0)], key=Z.sort_key)
+    pos = Z.positions(far)
+    assert pos.dtype == np.int64 and (np.diff(pos) > 0).all() and Z.words(pos) == far
+    assert pos[1] == Z.ball_size(199) and pos[-2] == Z.ball_size(200) - 1
+    # past int64 the positions are Python ints, as on a free group
+    huge = far + [(-1, 10 ** 7, 0), (10 ** 7 + 1, 0, 0)]
+    pos = Z.positions(huge)
+    assert pos.dtype == object and pos[-1] == Z.ball_size(10 ** 7 + 1) - 1 > 2 ** 63
+    assert (np.diff(pos) > 0).all() and Z.words(pos) == huge
+    assert balls == []
 
 
 def test_free_group_of_huge_rank_stores_nothing_per_generator():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import evaluate
 from twistlab import fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -198,7 +199,7 @@ def dict_reference_matrix(G, sigma, a, r):
     index = {w: i for i, w in enumerate(cod)}
     rows = [index[G.compose(g, b)] for g in supp for b in dom]
     cols = [j for _ in supp for j in range(len(dom))]
-    data = [sigma.evaluate(g, b) * a.coeffs[g] for g in supp for b in dom]
+    data = [evaluate(sigma, g, b) * a.coeffs[g] for g in supp for b in dom]
     return sp.csr_matrix((data, (rows, cols)), shape=(len(cod), len(dom)), dtype=complex)
 
 
@@ -512,7 +513,7 @@ def loop_regular_rep(G, sigma, a):
     for g in a.support():
         c = a.coeffs[g]
         for j, h in enumerate(elems):
-            m[index[G.compose(g, h)], j] += sigma.evaluate(g, h) * c
+            m[index[G.compose(g, h)], j] += evaluate(sigma, g, h) * c
     return m
 
 
@@ -556,38 +557,39 @@ def test_regular_rep_has_the_bits_of_the_pair_loop(case):
         assert regular_rep(G, sigma, a).tobytes() == loop_regular_rep(G, sigma, a).tobytes()
 
 
-def test_regular_rep_evaluates_sigma_on_the_support_rows_only(s3, record_calls, pair_by_pair):
+def test_regular_rep_evaluates_sigma_on_the_support_rows_only(s3, record_calls):
     a = delta(s3, 1) + delta(s3, 4, 2j)
-    sigma = pair_by_pair(fixtures.random_coboundary(s3, 5))
-    calls = record_calls(sigma, "evaluate")
-    regular_rep(s3, sigma, a)
-    assert sorted(calls) == [(g, h) for g in (1, 4) for h in s3.elements()]
     # a coboundary, also under a conjugate, is read through beta, once per element
     for sigma in (fixtures.random_coboundary(s3, 5),
                   ConjugateCocycle(fixtures.random_coboundary(s3, 5))):
         cob = getattr(sigma, "base", sigma)
-        calls = [record_calls(c, "evaluate") for c in (sigma, cob)]
+        calls = record_calls(sigma, "pair_values")
         reads = record_calls(cob, "beta")
         regular_rep(s3, sigma, a)
-        assert calls == [[], []] and sorted(reads) == [(g,) for g in s3.elements()]
+        (xs, ys, _), = calls
+        assert sorted(zip(xs.tolist(), ys.tolist())) == [(g, h) for g in (1, 4)
+                                                         for h in s3.elements()]
+        assert sorted(reads) == [(g,) for g in s3.elements()]
 
 
 @pytest.mark.parametrize("case", FINITE_CASES, ids=lambda c: c[0])
 def test_value_table_has_the_bits_of_evaluate(case):
     _, G, sigma = case
     elems = G.elements()
-    ref = np.array([[sigma.evaluate(x, y) for y in elems] for x in elems], dtype=complex)
+    ref = np.array([[evaluate(sigma, x, y) for y in elems] for x in elems], dtype=complex)
     for rows, want in ((None, ref), (elems[1::3], ref[1::3]), ([], ref[:0])):
         got = value_table(G, sigma, rows)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_trivial_value_table_evaluates_nothing(s3):
-    sigma = TrivialCocycle(s3)
-    ref = np.array([[sigma.evaluate(x, y) for y in range(6)] for x in range(6)])
-    sigma.evaluate = None
-    assert value_table(s3, sigma).tobytes() == ref.tobytes()
-    assert value_table(s3, sigma, [2, 5]).tobytes() == ref[[2, 5]].tobytes()
+def test_trivial_value_table_evaluates_nothing(record_calls):
+    G = fixtures.symmetric(3)
+    sigma = TrivialCocycle(G)
+    ref = np.array([[evaluate(sigma, x, y) for y in range(6)] for x in range(6)])
+    decoded = record_calls(G, "words")
+    assert value_table(G, sigma).tobytes() == ref.tobytes()
+    assert value_table(G, sigma, [2, 5]).tobytes() == ref[[2, 5]].tobytes()
+    assert decoded == []
 
 
 def loop_transfer_check(G, S, sigmas, seed=0, n_random=50, tol=1e-9):
