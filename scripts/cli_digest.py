@@ -141,6 +141,10 @@ def invocations():
     # validate on the same cocycle: one error line and no numpy warning, exit 2
     out.append(("validate", "--group", "data/group_q8_extension.json",
                 "--cocycle", "data/cocycle_q8ext_pullback_huge.json"))
+    # decompose on the two extensions, finite-table groups like any other
+    out += [("decompose", "--group", "data/group_q8_extension.json",
+             "--cocycle", "data/cocycle_q8ext_coboundary.json"),
+            ("decompose", "--group", "data/group_s4_v4_extension.json", *TRIVIAL)]
     return out
 
 

@@ -55,7 +55,7 @@ class Cocycle:
 
     def pair_values(self, xs, ys, xys) -> np.ndarray:
         """sigma(x, y) for the elements at positions xs and ys (see
-        Group.positions; on a free group the numerals of
+        Group.ball_positions; on a free group the numerals of
         FreeGroup.positions, on a finite group the indices), whose products
         sit at xys: a complex array, one value per pair."""
         raise NotImplementedError
@@ -82,7 +82,7 @@ class TableCocycle(Cocycle):
 
     def __init__(self, group: FiniteTableGroup, values):
         super().__init__(group)
-        if group.kind != "finite-table":
+        if not group.is_finite:
             raise BackendMismatch("table cocycles need a finite-table group")
         vals = np.array(values, dtype=complex)
         n = group.order
@@ -246,7 +246,8 @@ class ConjugateCocycle(Cocycle):
 
 
 class PullbackCocycle(Cocycle):
-    """Cocycle on an extension pulled back from its quotient through (k, h) -> h."""
+    """Cocycle on an extension pulled back from its quotient through the
+    quotient map, which sends the element at index |K| h + k to h."""
 
     kind = "pullback"
 
@@ -258,8 +259,8 @@ class PullbackCocycle(Cocycle):
         self.quotient_cocycle = quotient_cocycle
 
     def pair_values(self, xs, ys, xys):
-        """The quotient cocycle at the images: (k, h) has index
-        |K| index(h) + k, so h sits at the index floor-divided by |K|."""
+        """The quotient cocycle at the images, the indices floor-divided
+        by |K|."""
         m = self.group.K.order
         return self.quotient_cocycle.pair_values(xs // m, ys // m, xys // m)
 

@@ -39,10 +39,11 @@ DEFAULT_CONVENTION = CONVENTION_CONJUGATED
 @dataclass
 class TwistedSystem:
     """The data (K, Lambda, sigma_K, alpha, rho) induced by a section, and
-    the value table S = value_table(gamma, sigma) it was read from.
+    the value table S = value_table(gamma, sigma) it was read from, indexed
+    like gamma's elements: the pair (k, h) at |K| h + k.
 
     alpha and rho are monomial, held as index and scalar arrays over the
-    positions h of gamma.quotient.elements() and the indices k of K:
+    indices h of gamma.quotient and k of K:
 
         alpha_h(u_k) = alpha_scalar[h, k] u_{alpha_perm[h, k]}
         rho(h1, h2) = rho_scalar[h1, h2] u_{rho_index[h1, h2]}"""
@@ -193,8 +194,10 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
 @dataclass
 class BlockDecomposition:
     """projections[i] holds the i-th minimal central projection, indexed like
-    G.elements(); its JSON keeps the entries of modulus at least DROP_TOL."""
+    G.elements(); its JSON keeps the entries of modulus at least DROP_TOL,
+    each at the JSON form of its element of G."""
 
+    group: FiniteTableGroup
     projections: np.ndarray
     block_sizes: list
     residuals: dict = field(default_factory=dict)
@@ -202,7 +205,8 @@ class BlockDecomposition:
     def to_json(self):
         return {
             "block_sizes": sorted(self.block_sizes),
-            "projections": [[{"g": int(g), "re": float(p[g].real), "im": float(p[g].imag)}
+            "projections": [[{"g": self.group.element_to_json(g), "re": float(p[g].real),
+                              "im": float(p[g].imag)}
                              for g in np.flatnonzero(np.abs(p) >= DROP_TOL)]
                             for p in self.projections],
             "residuals": self.residuals,
@@ -221,7 +225,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     is spectrally decomposed; its eigenvalue clusters give the projections p,
     and the canonical trace p_e = d^2 / |G| the block sizes d.  Retries with a
     fresh element when clusters merge."""
-    if G.kind != "finite-table":
+    if not G.is_finite:
         raise Unsupported("decompose needs a finite-table group")
     T, S = G.multiplication_table(), value_table(G, sigma)
     rep = validate(G, sigma, values=S)
@@ -279,7 +283,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
         residuals = {key: float(max(values)) for key, values in res.items()}
         residuals["sum_to_unit"] = float(np.linalg.norm(P.sum(axis=0) - (idx == 0)))
         order = np.argsort([-s for s in sizes], kind="stable")
-        return BlockDecomposition(P[order], [sizes[i] for i in order], residuals)
+        return BlockDecomposition(G, P[order], [sizes[i] for i in order], residuals)
     raise DegenerateAfterRetries(f"no clean decomposition after {MAX_RETRIES} tries: {last}")
 
 
@@ -352,10 +356,8 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
                                       = omega(x, y) u_{k3} v_{h1 h2}
 
     with (k3, h1 h2) = xy in the extension.  Returns omega as a table cocycle
-    on the finite-table backend of the extension, indexed like
-    gamma.elements()."""
+    on gamma, indexed like its elements: x = (k1, h1) at |K| h1 + k1."""
     nl, m = sys.alpha_perm.shape
-    whole = FiniteTableGroup(sys.gamma.multiplication_table().tolist(), validate=False)
     SK, TK = sys.sigma_k.values, sys.K.multiplication_table()
     # axes [h1, k1, h2, k2]; u_k1 alpha_h1(u_k2) = front u_{TK[k1, img]}
     h1, k1, h2, k2 = (np.arange(nl)[:, None, None, None], np.arange(m)[:, None, None],
@@ -364,18 +366,18 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     front = complex_mul(SK[k1, img], sys.alpha_scalar[h1, k2])
     omega = complex_mul(complex_mul(front, SK[TK[k1, img], sys.rho_index[h1, h2]]),
                         sys.rho_scalar[h1, h2])
-    return TableCocycle(whole, omega.reshape(nl * m, nl * m))
+    return TableCocycle(sys.gamma, omega.reshape(nl * m, nl * m))
 
 
 def assemble_crossed_product(sys: TwistedSystem, seed: int = 0):
     """Build the crossed product as the twisted group algebra of the whole
     extension under crossed_cocycle and decompose it into blocks.
 
-    Returns (basis, omega, blocks): basis is gamma.elements(), basis[i] = (k, h)
-    standing for u_k v_h; omega is the table cocycle on the finite-table
-    backend; blocks its BlockDecomposition."""
+    Returns (basis, omega, blocks): basis is gamma.elements(), the index
+    |K| h + k standing for u_k v_h; omega is the table cocycle on gamma;
+    blocks its BlockDecomposition."""
     omega = crossed_cocycle(sys)
-    return sys.gamma.elements(), omega, decompose_blocks(omega.group, omega, seed=seed)
+    return sys.gamma.elements(), omega, decompose_blocks(sys.gamma, omega, seed=seed)
 
 
 def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, omega: TableCocycle,
@@ -427,7 +429,7 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
     basis, omega, crossed_blocks = assemble_crossed_product(sys, seed=seed)
     per_summand = attribute_blocks_to_summands(kblocks, summands, omega, crossed_blocks)
     # the twisted algebra of the whole group, decomposed directly for comparison
-    direct = decompose_blocks(omega.group, TableCocycle(omega.group, sys.S), seed=seed)
+    direct = decompose_blocks(gamma, TableCocycle(gamma, sys.S), seed=seed)
     match, diff = compare_block_structure(crossed_blocks, direct)
     return {
         "convention": convention,

@@ -1,16 +1,17 @@
 """Computable group backends with a uniform interface.
 
-Four backends: finite multiplication tables, free groups on reduced words,
-integer lattices, and extensions of a finite normal subgroup by an enumerable
-quotient.  Elements are plain hashable values (index, word tuple, vector
-tuple, pair) so they can key coefficient maps directly:
+Three backends: finite multiplication tables, free groups on reduced words,
+and integer lattices.  An extension of a finite normal subgroup by a finite
+quotient is a finite table that keeps its data.  Elements are plain hashable
+values (index, word tuple, vector tuple) so they can key coefficient maps
+directly:
 
   finite-table  -> int index, identity at 0
   free          -> tuple of nonzero ints, +i / -i for the i-th generator
                    and its inverse, freely reduced
   int-lattice   -> tuple of ints
-  extension     -> (k, h) with k an index into K and h an element of the
-                   quotient backend
+  extension     -> int index |K| h + k of the pair (k, h), whose JSON form
+                   is [k, h]
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Group:
     """Common backend interface; subclasses fix the element representation."""
 
     kind = "abstract"
-    _index_table = None
+    is_finite = False
 
     def identity(self):
         raise NotImplementedError
@@ -60,10 +61,6 @@ class Group:
         """Total order on elements; shortlex where word length makes sense."""
         raise NotImplementedError
 
-    @property
-    def is_finite(self):
-        return False
-
     def elements(self):
         raise Unsupported(f"{self.kind} backend is not finite")
 
@@ -71,18 +68,7 @@ class Group:
         raise Unsupported(f"{self.kind} backend is not finite")
 
     def multiplication_table(self):
-        """Index table of a finite group: [i, j] indexes elements()[i] * elements()[j].
-        Built on the first call and returned read-only from then on."""
-        if self._index_table is None:
-            T = self._build_index_table()
-            T.flags.writeable = False
-            self._index_table = T
-        return self._index_table
-
-    def _build_index_table(self):
-        elems = self.elements()
-        return np.array([[self.element_index(self.compose(a, b)) for b in elems]
-                         for a in elems], dtype=np.intp)
+        raise Unsupported(f"{self.kind} backend is not finite")
 
     def enumerate_ball(self, r):
         raise Unsupported(f"{self.kind} backend does not enumerate balls")
@@ -92,31 +78,19 @@ class Group:
         return len(self.enumerate_ball(n))
 
     def ball_positions(self, r):
-        """The positions of enumerate_ball(r), here its indices."""
+        """The positions of enumerate_ball(r), here its indices.  Each backend
+        numbers its elements itself (positions, and words their inverse), an
+        infinite one in the order of its balls, so that a ball's positions
+        are a prefix of the next ball's."""
         return np.arange(self.ball_size(r))
 
     def products(self, xs, ys):
         """Positions of x * y for the x at positions xs and the y at positions
         ys, broadcast against each other as numpy broadcasts (xs[:, None]
-        gives every pair, x by rows): on a finite group one gather on the
-        index table, else composed word by word."""
-        if self.is_finite:
-            return self.multiplication_table()[xs, ys]
+        gives every pair, x by rows): composed word by word."""
         xs, ys = np.broadcast_arrays(xs, ys)
         pairs = zip(self.words(xs.ravel()), self.words(ys.ravel()))
         return self.positions([self.compose(x, y) for x, y in pairs]).reshape(xs.shape)
-
-    def positions(self, words):
-        """Positions of words, an int64 array: on a finite group their
-        indices.  An infinite backend numbers its elements itself, in the
-        order of its balls, so that a ball's positions are a prefix of the
-        next ball's."""
-        return np.array([self.element_index(w) for w in words], dtype=np.int64)
-
-    def words(self, pos):
-        """The elements at positions pos, the inverse of positions."""
-        elems = self.elements()
-        return [elems[i] for i in np.asarray(pos, dtype=np.int64).tolist()]
 
     def word_length(self, a):
         raise Unsupported(f"{self.kind} backend has no word length")
@@ -158,6 +132,8 @@ class FiniteTableGroup(Group):
     """
 
     kind = "finite-table"
+    is_finite = True
+    _index_table = None
 
     def __init__(self, table, labels=None, name="", validate=True):
         self.table = [tuple(row) for row in table]
@@ -202,18 +178,31 @@ class FiniteTableGroup(Group):
     def sort_key(self, a):
         return a
 
-    @property
-    def is_finite(self):
-        return True
-
     def elements(self):
         return list(range(self.order))
 
     def element_index(self, a):
         return a
 
-    def _build_index_table(self):
-        return np.array(self.table, dtype=np.intp)
+    def multiplication_table(self):
+        """Index table: [i, j] is the index of i * j.  Built on the first call
+        and returned read-only from then on."""
+        if self._index_table is None:
+            T = np.array(self.table, dtype=np.intp)
+            T.flags.writeable = False
+            self._index_table = T
+        return self._index_table
+
+    def products(self, xs, ys):
+        """One gather on the index table (see Group.products)."""
+        return self.multiplication_table()[xs, ys]
+
+    def positions(self, words):
+        """An element's position is its index."""
+        return np.array(words, dtype=np.int64)
+
+    def words(self, pos):
+        return np.asarray(pos, dtype=np.int64).tolist()
 
     def enumerate_ball(self, r):
         return self.elements()
@@ -557,19 +546,22 @@ def _first_nonassociative(T, xs, ys, zs):
     return None
 
 
-class ExtensionGroup(Group):
-    """Extension of a finite normal subgroup K by a finite quotient Lambda.
+class ExtensionGroup(FiniteTableGroup):
+    """Extension of a finite normal subgroup K by a finite quotient Lambda,
+    held as the finite table of its elements.
 
     Data: an action ``phi: h -> permutation of K indices`` and a factor set
-    ``kappa: (h1, h2) -> K index``.  Elements are pairs (k, h) multiplying as
+    ``kappa: (h1, h2) -> K index``.  The pair (k, h) is the element at index
+    |K| * index(h) + k, and pairs multiply as
 
-        (k1, h1)(k2, h2) = (k1 * phi_{h1}(k2) * kappa(h1, h2), h1 h2).
+        (k1, h1)(k2, h2) = (k1 * phi_{h1}(k2) * kappa(h1, h2), h1 h2),
 
-    (k, h) has index |K| * index(h) + k, so K sits at 0 .. |K| - 1 and the
-    section h -> (e, h) at multiples of |K|; s(e) = e by the normalisation of
-    kappa.  An infinite quotient is refused: every exact path here needs the
-    element list.  The data are checked when it is built, the group law as
-    associativity on section triples of the index table.
+    so K sits at 0 .. |K| - 1 and the section h -> (e, h) at multiples of
+    |K|; s(e) = e by the normalisation of kappa.  The JSON form of an
+    element is its pair [k, h].  An infinite quotient is refused: every exact
+    path here needs the element list.  The data are checked when it is
+    built, then the index table is gathered from those of K and Lambda, and
+    the group law is checked as associativity on its section triples.
     """
 
     kind = "extension"
@@ -581,18 +573,21 @@ class ExtensionGroup(Group):
         self.quotient = quotient
         self.action = {h: tuple(p) for h, p in action.items()}
         self.factor_set = dict(factor_set)
-        self._validate()
+        hs = quotient.elements()
+        self._validate_data(hs)
+        # T[|K| h1 + k1, |K| h2 + k2] = |K| h1h2 + k1 phi_h1(k2) kappa(h1, h2)
+        m, nl = K.order, len(hs)
+        phi = np.array([self.action[h] for h in hs], dtype=np.intp)
+        kappa = np.array([[self.factor_set[(h1, h2)] for h2 in hs] for h1 in hs], dtype=np.intp)
+        TK, TL = K.multiplication_table(), quotient.multiplication_table()
+        h1, k1, h2, k2 = (np.arange(nl)[:, None, None, None], np.arange(m)[:, None, None],
+                          np.arange(nl)[:, None], np.arange(m))
+        T = m * TL[h1, h2] + TK[TK[k1, phi[h1, k2]], kappa[h1, h2]]
+        super().__init__(T.reshape(nl * m, nl * m).tolist(), validate=False)
+        self._validate_law(hs)
 
-    def _phi(self, h, k):
-        return self.action[h][k]
-
-    def _kappa(self, h1, h2):
-        return self.factor_set[(h1, h2)]
-
-    def _validate(self):
-        K, L = self.K, self.quotient
-        hs = L.elements()
-        e_l = L.identity()
+    def _validate_data(self, hs):
+        K, e_l = self.K, self.quotient.identity()
         TK = K.multiplication_table()
         for h in hs:
             p = self.action.get(h)
@@ -614,12 +609,14 @@ class ExtensionGroup(Group):
                 raise InvalidFactorSet(f"kappa({h1!r}, {h2!r}) = {k!r} is not an element of K",
                                        witness=(h1, h2))
         for h in hs:
-            if self._kappa(e_l, h) != 0 or self._kappa(h, e_l) != 0:
+            if self.factor_set[(e_l, h)] != 0 or self.factor_set[(h, e_l)] != 0:
                 raise InvalidFactorSet(f"kappa is not normalised at {h!r}", witness=h)
-        # given the checks above, the product is associative iff it is on (s(h1), s(h2), s(h3)),
+
+    def _validate_law(self, hs):
+        # given the data checks, the product is associative iff it is on (s(h1), s(h2), s(h3)),
         # kappa's cocycle condition, and on (s(h1), s(h2), k), phi_h1 phi_h2 = Ad kappa phi_h1h2
         T = self.multiplication_table()
-        s = np.arange(len(hs)) * K.order
+        s = np.arange(len(hs)) * self.K.order
         bad = _first_nonassociative(T, s, s, s)
         if bad:
             h1, h2, h3 = (hs[i] for i in bad)
@@ -627,7 +624,7 @@ class ExtensionGroup(Group):
                 f"factor set fails the cocycle condition at ({h1!r}, {h2!r}, {h3!r})",
                 witness=(h1, h2, h3),
             )
-        bad = _first_nonassociative(T, s, s, np.arange(K.order))
+        bad = _first_nonassociative(T, s, s, np.arange(self.K.order))
         if bad:
             h1, h2, k = hs[bad[0]], hs[bad[1]], bad[2]
             raise InvalidAction(
@@ -635,50 +632,15 @@ class ExtensionGroup(Group):
                 witness=(h1, h2, k),
             )
 
-    def identity(self):
-        return (0, self.quotient.identity())
-
-    def compose(self, a, b):
-        k1, h1 = a
-        k2, h2 = b
-        k = self.K.compose(self.K.compose(k1, self._phi(h1, k2)), self._kappa(h1, h2))
-        return (k, self.quotient.compose(h1, h2))
-
-    def invert(self, a):
-        k, h = a
-        hi = self.quotient.invert(h)
-        # kappa(h^-1, h)^-1 * phi_{h^-1}(k^-1); the order matters for nonabelian K
-        ki = self.K.compose(self.K.invert(self._kappa(hi, h)), self._phi(hi, self.K.invert(k)))
-        return (ki, hi)
-
-    def section(self, h):
-        return (0, h)
-
-    def quotient_map(self, a):
-        return a[1]
-
-    def sort_key(self, a):
-        return (self.quotient.sort_key(a[1]), a[0])
-
-    @property
-    def is_finite(self):
-        return True
-
-    def elements(self):
-        """Pairs in index order: the quotient's elements in its (sort) order,
-        K fastest."""
-        return [(k, h) for h in self.quotient.elements() for k in range(self.K.order)]
-
-    def element_index(self, a):
-        return self.quotient.element_index(a[1]) * self.K.order + a[0]
-
     def element_to_json(self, a):
-        return [self.K.element_to_json(a[0]), self.quotient.element_to_json(a[1])]
+        h, k = divmod(a, self.K.order)
+        return [self.K.element_to_json(k), self.quotient.element_to_json(h)]
 
     def element_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != 2:
             raise ValueError(f"an extension element is a [k, h] pair, got {obj!r}")
-        return (self.K.element_from_json(obj[0]), self.quotient.element_from_json(obj[1]))
+        k = self.K.element_from_json(obj[0])
+        return self.quotient.element_from_json(obj[1]) * self.K.order + k
 
     def describe(self):
         hs = self.quotient.elements()

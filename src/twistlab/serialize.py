@@ -74,7 +74,7 @@ def group_from_json(obj) -> Group:
         return IntLattice(json_int(obj["dim"], "dim"))
     if kind == "extension":
         K = group_from_json(obj["k"])
-        _require(isinstance(K, FiniteTableGroup), "extension kernel must be finite-table")
+        _require(K.kind == "finite-table", "extension kernel must be finite-table")
         quotient = group_from_json(obj["lambda"])
         for key in ("action", "factorSet"):
             _require(isinstance(obj.get(key), dict), f"extension {key!r} must be a JSON object")

@@ -58,6 +58,59 @@ class LengthPhase(Cocycle):
                          for x, y in zip(words(xs), words(ys))], dtype=complex)
 
 
+class PairLaw:
+    """The group law of an extension on (k, h) pairs, from its action phi
+    and factor set kappa alone: the reference its gathered index table is
+    held to.
+
+        (k1, h1)(k2, h2) = (k1 phi_h1(k2) kappa(h1, h2), h1 h2)
+        (k, h)^-1 = (kappa(h^-1, h)^-1 phi_h^-1(k^-1), h^-1)
+
+    with the section s(h) = (e, h).  A pair and the extension's index are
+    matched through the JSON form [k, h], not through the index formula.
+    compose and invert act on indices, through the pairs, so the law stands
+    in for the extension in a reference loop (see law)."""
+
+    def __init__(self, ext):
+        self.ext, self.K, self.L = ext, ext.K, ext.quotient
+
+    def times(self, a, b):
+        (k1, h1), (k2, h2) = a, b
+        K = self.K
+        k = K.compose(K.compose(k1, self.ext.action[h1][k2]), self.ext.factor_set[(h1, h2)])
+        return k, self.L.compose(h1, h2)
+
+    def inverse(self, a):
+        k, h = a
+        K, hi = self.K, self.L.invert(h)
+        # the order of the two factors matters for a nonabelian K
+        return (K.compose(K.invert(self.ext.factor_set[(hi, h)]),
+                          self.ext.action[hi][K.invert(k)]), hi)
+
+    def section(self, h):
+        return self.K.identity(), h
+
+    def pair(self, x):
+        k, h = self.ext.element_to_json(x)
+        return self.K.element_from_json(k), self.L.element_from_json(h)
+
+    def index(self, a):
+        k, h = a
+        return self.ext.element_from_json([self.K.element_to_json(k), self.L.element_to_json(h)])
+
+    def compose(self, x, y):
+        return self.index(self.times(self.pair(x), self.pair(y)))
+
+    def invert(self, x):
+        return self.index(self.inverse(self.pair(x)))
+
+
+def law(G):
+    """compose and invert for a reference loop on G: the pair law on an
+    extension, G's own on any other group."""
+    return PairLaw(G) if G.kind == "extension" else G
+
+
 def evaluate(sigma, x, y) -> complex:
     """sigma(x, y) on the elements x and y, from the definition of sigma's
     class in Python arithmetic: the reference Cocycle.pair_values is held
@@ -81,7 +134,8 @@ def evaluate(sigma, x, y) -> complex:
             e = e + xt[j] * y[j]
         return complex(np.exp(2j * np.pi * e))
     if isinstance(sigma, CoboundaryCocycle):
-        return sigma.beta(x).conjugate() * sigma.beta(y).conjugate() * sigma.beta(G.compose(x, y))
+        return (sigma.beta(x).conjugate() * sigma.beta(y).conjugate()
+                * sigma.beta(law(G).compose(x, y)))
     if isinstance(sigma, ProductCocycle):
         z = 1.0 + 0.0j
         for f in sigma.factors:
@@ -90,5 +144,7 @@ def evaluate(sigma, x, y) -> complex:
     if isinstance(sigma, ConjugateCocycle):
         return evaluate(sigma.base, x, y).conjugate()
     if isinstance(sigma, PullbackCocycle):
-        return evaluate(sigma.quotient_cocycle, x[1], y[1])
+        # h read off the JSON form [k, h], apart from pair_values' x // |K|
+        pair = PairLaw(G).pair
+        return evaluate(sigma.quotient_cocycle, pair(x)[1], pair(y)[1])
     raise TypeError(f"no reference for {type(sigma).__name__}")

@@ -129,6 +129,31 @@ def test_crossed_as_printed_fails_axioms():
     assert json.loads(r.stdout)["axioms"]["passed"] is False
 
 
+@pytest.mark.parametrize("group, cocycle", [
+    ("group_q8_extension.json", "cocycle_q8ext_coboundary.json"),
+    ("group_s4_v4_extension.json", "cocycle_trivial.json"),
+], ids=["q8-extension", "s4-v4-extension"])
+def test_decompose_on_an_extension_has_the_direct_blocks_of_crossed(group, cocycle):
+    args = ("--group", str(DATA / group), "--cocycle", str(DATA / cocycle))
+    r, c = run_cli("decompose", *args), run_cli("crossed", *args)
+    assert r.returncode == c.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["block_sizes"] == json.loads(c.stdout)["direct_block_sizes"]
+
+
+def test_table_cocycle_on_an_extension_validates(tmp_path):
+    from twistlab import cocycles, serialize
+
+    group = DATA / "group_q8_extension.json"
+    G = serialize.group_from_json(serialize.load_json(group))
+    sigma = serialize.cocycle_from_json(
+        serialize.load_json(DATA / "cocycle_q8ext_coboundary.json"), G)
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cocycles.TableCocycle(G, cocycles.value_table(G, sigma)).to_json()))
+    r = run_cli("validate", "--group", str(group), "--cocycle", str(path))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["cocycle"]["passed"] is True
+
+
 def test_transfer_z4xz4():
     r = run_cli("transfer", "--group", str(DATA / "group_z4xz4.json"),
                 "--set", str(DATA / "set_z4xz4_S.json"),
@@ -431,6 +456,7 @@ def _q8_extension_with(key, value, part="factorSet"):
     return json.dumps(desc)
 
 
+Q8_EXTENSION = json.loads((DATA / "group_q8_extension.json").read_text())
 S3_BETA = {str(i): [1, 0] for i in range(6)}
 # (slot, group file, text): the malformed file fills ``slot`` and the group
 # file, if any, is --group.  Integer fields take JSON integers only and
@@ -469,6 +495,8 @@ MALFORMED = {
                                                  "beta": {**S3_BETA, " 1": [0, 1]}})),
     "action-keys-naming-one-element": ("group", None, _q8_extension_with(" 1", [0, 1], "action")),
     "factor-set-keys-naming-one-element": ("group", None, _q8_extension_with("1| 1", 1)),
+    # an extension is a finite-table group, but the kernel must be a plain one
+    "kernel-is-an-extension": ("group", None, json.dumps({**Q8_EXTENSION, "k": Q8_EXTENSION})),
     "repeated-json-key": ("group", None, '{"kind": "free", "rank": 2, "rank": 3}'),
 }
 

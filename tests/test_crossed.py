@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import evaluate
+from conftest import PairLaw, evaluate
 from twistlab import algebra, crossed, fixtures
 from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
@@ -153,15 +153,16 @@ def test_crossed_cocycle_is_gauge_equivalent_to_sigma(name, twist):
     omega = crossed_cocycle(sys)
     rep = validate(omega.group, omega)
     assert rep.passed and rep.exhaustive, rep.to_json()
-    elems = ext.elements()
+    law = PairLaw(ext)
+    pairs = [law.pair(x) for x in ext.elements()]
     e = ext.quotient.identity()
-    beta = [evaluate(sigma, (k, e), (0, h)) for k, h in elems]
+    beta = [evaluate(sigma, law.index((k, e)), law.index(law.section(h))) for k, h in pairs]
     worst = 0.0
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            xy = ext.element_index(ext.compose(x, y))
+    for i, x in enumerate(pairs):
+        for j, y in enumerate(pairs):
+            xy = law.index(law.times(x, y))
             dbeta = np.conj(beta[i]) * np.conj(beta[j]) * beta[xy]
-            worst = max(worst, abs(evaluate(omega, i, j) * dbeta - evaluate(sigma, x, y)))
+            worst = max(worst, abs(evaluate(omega, i, j) * dbeta - evaluate(sigma, i, j)))
     assert worst <= 1e-12
 
 
@@ -233,10 +234,16 @@ def test_s5_block_sizes():
     assert max(dec.residuals.values()) <= 1e-10
 
 
-def test_decompose_needs_a_finite_table_group():
-    ext = fixtures.q8_extension()
-    with pytest.raises(Unsupported, match="decompose needs a finite-table group"):
-        decompose_blocks(ext, TrivialCocycle(ext))
+@pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
+def test_decompose_on_an_extension_has_the_bits_of_its_plain_table(name):
+    ext = fixtures.standard_extensions()[name]
+    plain = FiniteTableGroup(ext.table)
+    for sigma in (TrivialCocycle(ext), fixtures.random_coboundary(ext, seed=5)):
+        S = value_table(ext, sigma)
+        got = decompose_blocks(ext, TableCocycle(ext, S))
+        want = decompose_blocks(plain, TableCocycle(plain, S))
+        assert got.projections.tobytes() == want.projections.tobytes()
+        assert (got.block_sizes, got.residuals) == (want.block_sizes, want.residuals)
 
 
 def test_decompose_evaluates_sigma_once_per_pair(s3, record_calls):
@@ -333,33 +340,37 @@ def test_axiom_residuals_have_the_bits_of_the_dict_check(name, twist, convention
 
 def loop_induced_action_data(ext, sigma, convention):
     """alpha, rho and sigma_K as the per-pair loop over sections built them,
-    one evaluate per factor: the bit-for-bit reference for
-    induced_action_data's gathers."""
-    K, L = ext.K, ext.quotient
+    one evaluate per factor, with the pair law for the group law: the
+    bit-for-bit reference for induced_action_data's gathers."""
+    K, L, law = ext.K, ext.quotient, PairLaw(ext)
     hs, e = L.elements(), L.identity()
+
+    def ev(x, y):
+        return evaluate(sigma, law.index(x), law.index(y))
+
     embedded = [(k, e) for k in range(K.order)]
-    sigma_k = TableCocycle(K, [[evaluate(sigma, x, y) for y in embedded] for x in embedded])
+    sigma_k = TableCocycle(K, [[ev(x, y) for y in embedded] for x in embedded])
     alpha_perm = np.empty((len(hs), K.order), dtype=np.intp)
     alpha_scalar = np.empty((len(hs), K.order), dtype=complex)
     for i, h in enumerate(hs):
-        s_h = ext.section(h)
-        s_h_inv = ext.invert(s_h)
+        s_h = law.section(h)
+        s_h_inv = law.inverse(s_h)
         for k, gk in enumerate(embedded):
-            conj_el = ext.compose(ext.compose(s_h, gk), s_h_inv)
-            c2 = evaluate(sigma, conj_el, s_h)
+            conj_el = law.times(law.times(s_h, gk), s_h_inv)
+            c2 = ev(conj_el, s_h)
             if convention == "conjugated":
                 c2 = np.conj(c2)
             alpha_perm[i, k] = conj_el[0]
-            alpha_scalar[i, k] = evaluate(sigma, s_h, gk) * c2
+            alpha_scalar[i, k] = ev(s_h, gk) * c2
     rho_index = np.empty((len(hs), len(hs)), dtype=np.intp)
     rho_scalar = np.empty((len(hs), len(hs)), dtype=complex)
     for i, h1 in enumerate(hs):
         for j, h2 in enumerate(hs):
-            s1, s2 = ext.section(h1), ext.section(h2)
-            s12 = ext.section(L.compose(h1, h2))
-            w = ext.compose(ext.compose(s1, s2), ext.invert(s12))
+            s1, s2 = law.section(h1), law.section(h2)
+            s12 = law.section(L.compose(h1, h2))
+            w = law.times(law.times(s1, s2), law.inverse(s12))
             rho_index[i, j] = w[0]
-            rho_scalar[i, j] = evaluate(sigma, s1, s2) * np.conj(evaluate(sigma, w, s12))
+            rho_scalar[i, j] = ev(s1, s2) * np.conj(ev(w, s12))
     return sigma_k.values, alpha_perm, alpha_scalar, rho_index, rho_scalar
 
 
@@ -544,7 +555,7 @@ def _projection_cases():
     for name, G in sorted(fixtures.standard_groups().items()):
         yield name, G
     for name, ext in sorted(fixtures.standard_extensions().items()):
-        yield name, FiniteTableGroup(ext.multiplication_table().tolist(), validate=False)
+        yield name, ext
 
 
 @pytest.mark.parametrize("twist", ["trivial", "coboundary"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PairLaw
 from twistlab import fixtures
 from twistlab.errors import (BackendMismatch, InvalidAction, InvalidFactorSet,
                              InvalidGroupTable, MemoryBudgetExceeded, Unsupported)
@@ -300,13 +301,29 @@ def test_q8_extension_is_q8(q8):
             == profile(ext, pairs, ext.compose))
 
 
-def test_extension_section_and_quotient_map():
-    ext = fixtures.s4_v4_extension()
-    L = ext.quotient
-    for h in L.elements():
-        s = ext.section(h)
-        assert ext.quotient_map(s) == h
-    assert ext.section(L.identity()) == ext.identity()
+def _s3_by_z2_off_the_centre():
+    """S3 by Z2 with phi_1 = Ad c and kappa(1, 1) = c^-1 for a 3-cycle c:
+    kappa takes a value off the centre of K, so k1 phi(k2) kappa and
+    k1 kappa phi(k2) differ."""
+    K = fixtures.symmetric(3)
+    c = next(g for g in range(1, K.order) if K.compose(K.compose(g, g), g) == 0)
+    ad = tuple(K.compose(K.compose(c, k), K.invert(c)) for k in range(K.order))
+    return ExtensionGroup(K, fixtures.cyclic(2), {0: tuple(range(K.order)), 1: ad},
+                          {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): K.invert(c)})
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.standard_extensions()), "S4/A4", "S3.Z2"])
+def test_extension_table_is_the_pair_law(name):
+    ext = {"S4/A4": _s4_over_a4, "S3.Z2": _s3_by_z2_off_the_centre}.get(
+        name, lambda: fixtures.standard_extensions()[name])()
+    K, L, law = ext.K, ext.quotient, PairLaw(ext)
+    elems = ext.elements()
+    # the pairs in index order: the quotient's elements in order, K fastest
+    assert [law.pair(x) for x in elems] == [(k, h) for h in L.elements() for k in K.elements()]
+    assert law.index(law.section(L.identity())) == ext.identity()
+    assert ext.multiplication_table().tolist() == [[law.compose(x, y) for y in elems]
+                                                   for x in elems]
+    assert [ext.invert(x) for x in elems] == [law.invert(x) for x in elems]
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import evaluate
+from conftest import evaluate, law
 from twistlab import fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -513,7 +513,7 @@ def loop_regular_rep(G, sigma, a):
     for g in a.support():
         c = a.coeffs[g]
         for j, h in enumerate(elems):
-            m[index[G.compose(g, h)], j] += evaluate(sigma, g, h) * c
+            m[index[law(G).compose(g, h)], j] += evaluate(sigma, g, h) * c
     return m
 
 
