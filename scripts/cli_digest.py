@@ -145,6 +145,9 @@ def invocations():
     out += [("decompose", "--group", "data/group_q8_extension.json",
              "--cocycle", "data/cocycle_q8ext_coboundary.json"),
             ("decompose", "--group", "data/group_s4_v4_extension.json", *TRIVIAL)]
+    # an extension by an extension whose action is bad at the quotient key
+    # [1, 1]: one error line naming that key, exit 2
+    out.append(("validate", "--group", "data/group_nested_bad_action.json"))
     return out
 
 

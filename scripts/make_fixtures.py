@@ -37,6 +37,14 @@ def main():
                     ("group_s4_v4_extension", s4ext)]:
         dump(f"{name}.json", g.describe())
 
+    # Z2 by the Q8 extension, whose action at [1, 1] is not a permutation:
+    # one error line naming that key, exit 2
+    keys = [str(q8ext.element_to_json(h)) for h in q8ext.elements()]
+    dump("group_nested_bad_action.json", {
+        "kind": "extension", "k": z2.describe(), "lambda": q8ext.describe(),
+        "action": {h: [0, 0] if h == "[1, 1]" else [0, 1] for h in keys},
+        "factorSet": {f"{h1}|{h2}": 0 for h1 in keys for h2 in keys}})
+
     dump("cocycle_trivial.json", {"kind": "trivial"})
     sign = TableCocycle(z2, np.array([[1, 1], [1, -1]], dtype=complex))
     dump("cocycle_z2_sign.json", sign.to_json())

@@ -169,7 +169,8 @@ def involute(a: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
     gs = list(a.coeffs)
     hs = [G.invert(g) for g in gs]
     hpos, gpos = G.positions(hs), G.positions(gs)
-    s = sigma.pair_values(hpos, gpos, G.positions([G.identity()]).repeat(len(gs))).tolist()
+    # h g is the identity, at position 0
+    s = sigma.pair_values(hpos, gpos, np.zeros(len(gs), dtype=np.int64)).tolist()
     return AlgebraElement(G, {h: np.conj(shg) * np.conj(a.coeffs[g])
                               for h, g, shg in zip(hs, gs, s)})
 

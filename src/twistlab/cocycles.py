@@ -323,13 +323,12 @@ def validate(G: Group, sigma: Cocycle, sampled_triples: int = DEFAULT_SAMPLED_TR
     pool = G.ball_positions(SAMPLE_RADIUS)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(pool), size=(sampled_triples, 3))
-    e = G.positions([G.identity()])
     slab = 2 ** 13
     norm_res = mod_res = id_res = 0.0
     witnesses = []
     for i in range(0, len(pool), slab):
         g = pool[i:i + slab]
-        eg = np.full_like(g, e[0])
+        eg = np.zeros_like(g)  # the identity's position
         edge = np.concatenate([sigma.pair_values(eg, g, g), sigma.pair_values(g, eg, g)])
         norm_res = max(norm_res, float(np.max(np.hypot(edge.real - 1.0, edge.imag))))
         mod_res = max(mod_res, _modulus_residual(sigma.pair_values(g, g, G.products(g, g))))
@@ -350,8 +349,7 @@ def _validate_table(G: Group, T: np.ndarray, S: np.ndarray, tol: float) -> Valid
     """validate on a finite group from its index table T and value table S:
     S[x, y] S[xy, z] against S[x, yz] S[y, z] on slabs of (x, y, z), x-major."""
     n = len(T)
-    e = G.element_index(G.identity())
-    edge = np.concatenate([S[e], S[:, e]])
+    edge = np.concatenate([S[0], S[:, 0]])  # the identity's row and column
     norm_res = float(np.max(np.hypot(edge.real - 1.0, edge.imag)))
     mod_res = _modulus_residual(S)
     id_res = 0.0

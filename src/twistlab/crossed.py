@@ -46,7 +46,10 @@ class TwistedSystem:
     indices h of gamma.quotient and k of K:
 
         alpha_h(u_k) = alpha_scalar[h, k] u_{alpha_perm[h, k]}
-        rho(h1, h2) = rho_scalar[h1, h2] u_{rho_index[h1, h2]}"""
+        rho(h1, h2) = rho_scalar[h1, h2] u_{rho_index[h1, h2]}
+
+    alpha_perm and rho_index are gamma.phi and gamma.kappa themselves, so
+    they are read-only."""
 
     gamma: ExtensionGroup
     S: np.ndarray
@@ -61,36 +64,32 @@ class TwistedSystem:
 def induced_action_data(gamma: ExtensionGroup, sigma: Cocycle,
                         convention: str = DEFAULT_CONVENTION) -> TwistedSystem:
     """The section formulas for alpha and rho, taken literally by gathers on
-    gamma's index table T and sigma's value table S, so sigma is read once
-    per pair of gamma and restricted to K as S[:|K|, :|K|].  With
-    s(h) = (e, h) at index |K| h and u_k at k,
-    alpha_h(u_k) = sigma(s(h), k) sigma(c, s(h)) u_c for c = s(h) k s(h)^-1 and
-    rho(h1, h2) = sigma(s1, s2) conj(sigma(w, s12)) u_w for w = s1 s2 s12^-1,
+    sigma's value table S, so sigma is read once per pair of gamma and
+    restricted to K as S[:|K|, :|K|].  With s(h) = (e, h) at index |K| h and
+    u_k at k, s(h) k s(h)^-1 = phi_h(k) and s1 s2 s12^-1 = kappa(h1, h2), so
+    alpha_h(u_k) = sigma(s(h), k) sigma(c, s(h)) u_c for c = gamma.phi[h, k] and
+    rho(h1, h2) = sigma(s1, s2) conj(sigma(w, s12)) u_w for w = gamma.kappa[h1, h2],
     each product rounded as Python's.  The convention flag selects whether
     the second factor of alpha is conjugated; no axiom check happens here."""
     if gamma.kind != "extension":
         raise Unsupported("induced_action_data needs an extension group")
     if convention not in (CONVENTION_AS_PRINTED, CONVENTION_CONJUGATED):
         raise ValueError(f"unknown convention {convention!r}")
-    K = gamma.K
+    K, phi, kappa = gamma.K, gamma.phi, gamma.kappa
     m = K.order
-    T, S = gamma.multiplication_table(), value_table(gamma, sigma)
-    inv = np.nonzero(T == 0)[1]  # the identity has index 0
-    k = np.arange(m)
-    s1 = np.arange(len(T) // m)[:, None] * m
+    S = value_table(gamma, sigma)
+    s1 = np.arange(len(phi))[:, None] * m
     s2 = s1.T
 
-    conj_el = T[T[s1, k], inv[s1]]
-    c2 = S[conj_el, s1]
+    c2 = S[phi, s1]
     if convention == CONVENTION_CONJUGATED:
         c2 = np.conj(c2)
-    alpha_scalar = complex_mul(S[s1, k], c2)
+    alpha_scalar = complex_mul(S[s1, np.arange(m)], c2)
 
-    s12 = T[s1, s2] // m * m
-    w = T[T[s1, s2], inv[s12]]
-    rho_scalar = complex_mul(S[s1, s2], np.conj(S[w, s12]))
-    return TwistedSystem(gamma, S, K, TableCocycle(K, S[:m, :m]), conj_el, alpha_scalar,
-                         w, rho_scalar)
+    s12 = gamma.quotient.multiplication_table() * m
+    rho_scalar = complex_mul(S[s1, s2], np.conj(S[kappa, s12]))
+    return TwistedSystem(gamma, S, K, TableCocycle(K, S[:m, :m]), phi, alpha_scalar,
+                         kappa, rho_scalar)
 
 
 @dataclass
@@ -139,7 +138,7 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
     inv = np.nonzero(TK == 0)[1]  # the identity has index 0
     S = sys.sigma_k.values
     P, A, W, R = sys.alpha_perm, sys.alpha_scalar, sys.rho_index, sys.rho_scalar
-    e = L.elements().index(L.identity())
+    e = 0  # the identity's position
 
     def alpha(h, k, c):
         """alpha_h(c u_k) as (index, scalar) arrays."""
@@ -322,7 +321,8 @@ def orbit_decomposition(sys: TwistedSystem, blocks: BlockDecomposition):
         close = np.linalg.norm(imgs[:, None] - pvecs[None], axis=2) <= scale
         if not close.any(axis=1).all():
             i = int(np.argmin(close.any(axis=1)))
-            raise NotPermuting(f"alpha at {h!r} does not map projection {i} to any projection")
+            raise NotPermuting(f"alpha at {L.element_to_json(h)} does not map projection {i} "
+                               "to any projection")
         perms[h] = close.argmax(axis=1).tolist()
 
     unassigned = set(range(m))

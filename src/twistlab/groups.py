@@ -64,24 +64,18 @@ class Group:
     def elements(self):
         raise Unsupported(f"{self.kind} backend is not finite")
 
-    def element_index(self, a):
-        raise Unsupported(f"{self.kind} backend is not finite")
-
     def multiplication_table(self):
         raise Unsupported(f"{self.kind} backend is not finite")
 
     def enumerate_ball(self, r):
-        raise Unsupported(f"{self.kind} backend does not enumerate balls")
-
-    def ball_size(self, n):
-        """|B_n|, the length of enumerate_ball(n)."""
-        return len(self.enumerate_ball(n))
+        """The elements of B_r, listed from their positions."""
+        return self.words(self.ball_positions(r))
 
     def ball_positions(self, r):
-        """The positions of enumerate_ball(r), here its indices.  Each backend
-        numbers its elements itself (positions, and words their inverse), an
-        infinite one in the order of its balls, so that a ball's positions
-        are a prefix of the next ball's."""
+        """The positions of B_r, here 0 .. |B_r| - 1.  Each backend numbers
+        its elements itself (positions, and words their inverse), an infinite
+        one in the order of its balls, so that a ball's positions are a
+        prefix of the next ball's; the identity is at position 0."""
         return np.arange(self.ball_size(r))
 
     def products(self, xs, ys):
@@ -181,8 +175,8 @@ class FiniteTableGroup(Group):
     def elements(self):
         return list(range(self.order))
 
-    def element_index(self, a):
-        return a
+    def ball_size(self, n):
+        return self.order
 
     def multiplication_table(self):
         """Index table: [i, j] is the index of i * j.  Built on the first call
@@ -203,9 +197,6 @@ class FiniteTableGroup(Group):
 
     def words(self, pos):
         return np.asarray(pos, dtype=np.int64).tolist()
-
-    def enumerate_ball(self, r):
-        return self.elements()
 
     def element_to_json(self, a):
         return int(a)
@@ -287,10 +278,6 @@ class FreeGroup(Group):
 
     def word_length(self, a):
         return len(a)
-
-    def enumerate_ball(self, r):
-        """All reduced words of length <= r, shortlex ordered."""
-        return self.words(self.ball_positions(r))
 
     def ball_size(self, n):
         """|B_n| = 1 + 2k((2k-1)^n - 1)/(2k-2), and 2n + 1 when k = 1."""
@@ -440,22 +427,14 @@ class IntLattice(Group):
     def word_length(self, a):
         return sum(abs(x) for x in a)
 
-    def enumerate_ball(self, r):
-        """Points of l1 norm <= r in (norm, tuple) order, built coordinate by
-        coordinate within the remaining norm, so the work is that of the ball."""
-        pts = [((), r)]
-        for _ in range(self.dim):
-            pts = [(p + (x,), left - abs(x)) for p, left in pts for x in range(-left, left + 1)]
-        return sorted((p for p, _ in pts), key=self.sort_key)
-
     def ball_size(self, n):
         return _lattice_ball_size(self.dim, n)
 
     def positions(self, words):
-        """Positions of points, their indices in enumerate_ball(r) for any r
-        that holds them, in closed form, so no ball is listed: |B_{n-1}| for
-        n = |w|, plus the points of the sphere |w| = n before w.  Positions
-        past int64 are Python ints in an object array, as on a free group."""
+        """Positions of points, their indices in (norm, tuple) order, in
+        closed form, so no ball is listed: |B_{n-1}| for n = |w|, plus the
+        points of the sphere |w| = n before w.  Positions past int64 are
+        Python ints in an object array, as on a free group."""
         out = []
         for w in words:
             left = self.word_length(w)
@@ -551,8 +530,9 @@ class ExtensionGroup(FiniteTableGroup):
     held as the finite table of its elements.
 
     Data: an action ``phi: h -> permutation of K indices`` and a factor set
-    ``kappa: (h1, h2) -> K index``.  The pair (k, h) is the element at index
-    |K| * index(h) + k, and pairs multiply as
+    ``kappa: (h1, h2) -> K index``, also held as the read-only index arrays
+    ``phi[h, k]`` and ``kappa[h1, h2]`` over Lambda's indices.  The pair
+    (k, h) is the element at index |K| * index(h) + k, and pairs multiply as
 
         (k1, h1)(k2, h2) = (k1 * phi_{h1}(k2) * kappa(h1, h2), h1 h2),
 
@@ -561,7 +541,8 @@ class ExtensionGroup(FiniteTableGroup):
     element is its pair [k, h].  An infinite quotient is refused: every exact
     path here needs the element list.  The data are checked when it is
     built, then the index table is gathered from those of K and Lambda, and
-    the group law is checked as associativity on its section triples.
+    the group law is checked as associativity on its section triples.  An
+    error names an element of Lambda by its JSON form, the descriptor's key.
     """
 
     kind = "extension"
@@ -579,6 +560,8 @@ class ExtensionGroup(FiniteTableGroup):
         m, nl = K.order, len(hs)
         phi = np.array([self.action[h] for h in hs], dtype=np.intp)
         kappa = np.array([[self.factor_set[(h1, h2)] for h2 in hs] for h1 in hs], dtype=np.intp)
+        phi.flags.writeable = kappa.flags.writeable = False
+        self.phi, self.kappa = phi, kappa
         TK, TL = K.multiplication_table(), quotient.multiplication_table()
         h1, k1, h2, k2 = (np.arange(nl)[:, None, None, None], np.arange(m)[:, None, None],
                           np.arange(nl)[:, None], np.arange(m))
@@ -587,18 +570,19 @@ class ExtensionGroup(FiniteTableGroup):
         self._validate_law(hs)
 
     def _validate_data(self, hs):
-        K, e_l = self.K, self.quotient.identity()
+        K, e_l, name = self.K, self.quotient.identity(), self.quotient.element_to_json
         TK = K.multiplication_table()
         for h in hs:
             p = self.action.get(h)
             if p is None or sorted(p) != list(range(K.order)):
-                raise InvalidAction(f"action value at {h!r} is not a permutation of K", witness=h)
+                raise InvalidAction(f"action value at {name(h)} is not a permutation of K",
+                                    witness=h)
             p = np.array(p, dtype=np.intp)
             bad = np.argwhere(p[TK] != TK[p[:, None], p])
             if len(bad):
                 x, y = map(int, bad[0])
                 raise InvalidAction(
-                    f"action at {h!r} is not an automorphism: phi(xy) != phi(x)phi(y) "
+                    f"action at {name(h)} is not an automorphism: phi(xy) != phi(x)phi(y) "
                     f"at (x, y) = ({x}, {y})",
                     witness=(h, x, y),
                 )
@@ -606,29 +590,30 @@ class ExtensionGroup(FiniteTableGroup):
             raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
         for (h1, h2), k in self.factor_set.items():
             if not 0 <= k < K.order:
-                raise InvalidFactorSet(f"kappa({h1!r}, {h2!r}) = {k!r} is not an element of K",
-                                       witness=(h1, h2))
+                raise InvalidFactorSet(
+                    f"kappa({name(h1)}, {name(h2)}) = {k!r} is not an element of K",
+                    witness=(h1, h2))
         for h in hs:
             if self.factor_set[(e_l, h)] != 0 or self.factor_set[(h, e_l)] != 0:
-                raise InvalidFactorSet(f"kappa is not normalised at {h!r}", witness=h)
+                raise InvalidFactorSet(f"kappa is not normalised at {name(h)}", witness=h)
 
     def _validate_law(self, hs):
         # given the data checks, the product is associative iff it is on (s(h1), s(h2), s(h3)),
         # kappa's cocycle condition, and on (s(h1), s(h2), k), phi_h1 phi_h2 = Ad kappa phi_h1h2
-        T = self.multiplication_table()
+        T, name = self.multiplication_table(), self.quotient.element_to_json
         s = np.arange(len(hs)) * self.K.order
         bad = _first_nonassociative(T, s, s, s)
         if bad:
             h1, h2, h3 = (hs[i] for i in bad)
             raise InvalidFactorSet(
-                f"factor set fails the cocycle condition at ({h1!r}, {h2!r}, {h3!r})",
+                f"factor set fails the cocycle condition at ({name(h1)}, {name(h2)}, {name(h3)})",
                 witness=(h1, h2, h3),
             )
         bad = _first_nonassociative(T, s, s, np.arange(self.K.order))
         if bad:
             h1, h2, k = hs[bad[0]], hs[bad[1]], bad[2]
             raise InvalidAction(
-                f"action incompatible with factor set at ({h1!r}, {h2!r}), k = {k}",
+                f"action incompatible with factor set at ({name(h1)}, {name(h2)}), k = {k}",
                 witness=(h1, h2, k),
             )
 

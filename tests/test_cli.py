@@ -154,6 +154,28 @@ def test_table_cocycle_on_an_extension_validates(tmp_path):
     assert json.loads(r.stdout)["cocycle"]["passed"] is True
 
 
+def _nested_extension(case):
+    """Z2 by the Q8 extension with one fault at the quotient element of
+    index 3, whose JSON form, the descriptor's key, is [1, 1]."""
+    desc = json.loads((DATA / "group_nested_bad_action.json").read_text())
+    if case == "kappa-off-normal":
+        desc["action"]["[1, 1]"] = [0, 1]
+        desc["factorSet"]["[0, 0]|[1, 1]"] = 1
+    return desc
+
+
+@pytest.mark.parametrize("case, message", [
+    ("action-not-a-permutation", "action value at [1, 1] is not a permutation of K"),
+    ("kappa-off-normal", "kappa is not normalised at [1, 1]"),
+])
+def test_nested_extension_errors_name_the_quotient_key(tmp_path, case, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(_nested_extension(case)))
+    r = run_cli("validate", "--group", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_transfer_z4xz4():
     r = run_cli("transfer", "--group", str(DATA / "group_z4xz4.json"),
                 "--set", str(DATA / "set_z4xz4_S.json"),

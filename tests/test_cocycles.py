@@ -163,7 +163,7 @@ def test_pullback_from_quotient():
     rep = cocycles.validate(ext, sigma)
     assert rep.passed
     # each element's row and column are its image's in the quotient's table
-    h = np.array([ext.quotient.element_index(PairLaw(ext).pair(g)[1]) for g in ext.elements()])
+    h = np.array([PairLaw(ext).pair(g)[1] for g in ext.elements()])
     Q = cocycles.value_table(ext.quotient, qsigma)
     assert np.array_equal(cocycles.value_table(ext, sigma), Q[h[:, None], h])
 

@@ -591,7 +591,7 @@ def test_multiplication_table_is_built_once_and_read_only():
     T = ext.multiplication_table()
     assert T is ext.multiplication_table() and not T.flags.writeable
     elems = ext.elements()
-    assert T.tolist() == [[ext.element_index(ext.compose(x, y)) for y in elems] for x in elems]
+    assert T.tolist() == [[ext.compose(x, y) for y in elems] for x in elems]
 
 
 def test_residual_squares_round_as_python_does():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,9 +241,9 @@ def test_extension_over_an_infinite_quotient_is_refused():
         ExtensionGroup(fixtures.cyclic(2), FreeGroup(1), {(): (0, 1)}, {((), ()): 0})
 
 
-def test_extension_element_index_follows_elements():
+def test_extension_elements_are_their_indices():
     for name, ext in fixtures.standard_extensions().items():
-        assert [ext.element_index(g) for g in ext.elements()] == list(range(len(ext.elements())))
+        assert ext.elements() == list(range(ext.order)), name
         assert ext.elements() == sorted(ext.elements(), key=ext.sort_key), name
 
 
@@ -268,9 +270,17 @@ def test_finite_products_gather_on_the_index_table(G):
     assert G.products(xs[:0, None], ys).shape == (0, 4)
 
 
+@pytest.mark.parametrize("G", [fixtures.symmetric(3), fixtures.q8_extension(),
+                               *map(FreeGroup, (1, 2, 3)), *map(IntLattice, (1, 2, 3, 4))],
+                         ids=["S3", "Q8-extension", "F1", "F2", "F3", "Z1", "Z2", "Z3", "Z4"])
+def test_the_identity_is_at_position_0(G):
+    assert G.positions([G.identity()]).tolist() == [0]
+    assert G.words([0]) == [G.identity()] and G.ball_positions(2)[0] == 0
+
+
 @pytest.mark.parametrize("G", [FreeGroup(2), IntLattice(2)], ids=lambda G: G.kind)
 def test_infinite_backends_refuse_element_lists_as_unsupported(G):
-    for call in (G.elements, lambda: G.element_index(G.identity()), G.multiplication_table):
+    for call in (G.elements, G.multiplication_table):
         with pytest.raises(Unsupported, match=f"^{G.kind} backend is not finite$"):
             call()
 
@@ -312,10 +322,17 @@ def _s3_by_z2_off_the_centre():
                           {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): K.invert(c)})
 
 
-@pytest.mark.parametrize("name", [*sorted(fixtures.standard_extensions()), "S4/A4", "S3.Z2"])
-def test_extension_table_is_the_pair_law(name):
-    ext = {"S4/A4": _s4_over_a4, "S3.Z2": _s3_by_z2_off_the_centre}.get(
+EXTENSIONS = [*sorted(fixtures.standard_extensions()), "S4/A4", "S3.Z2"]
+
+
+def _extension(name):
+    return {"S4/A4": _s4_over_a4, "S3.Z2": _s3_by_z2_off_the_centre}.get(
         name, lambda: fixtures.standard_extensions()[name])()
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+def test_extension_table_is_the_pair_law(name):
+    ext = _extension(name)
     K, L, law = ext.K, ext.quotient, PairLaw(ext)
     elems = ext.elements()
     # the pairs in index order: the quotient's elements in order, K fastest
@@ -324,6 +341,20 @@ def test_extension_table_is_the_pair_law(name):
     assert ext.multiplication_table().tolist() == [[law.compose(x, y) for y in elems]
                                                    for x in elems]
     assert [ext.invert(x) for x in elems] == [law.invert(x) for x in elems]
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+def test_extension_phi_and_kappa_are_read_off_the_section(name):
+    # with s(h) = (e, h) at |K| h: s(h) k s(h)^-1 = phi_h(k) and
+    # s(h1) s(h2) s(h1 h2)^-1 = kappa(h1, h2), gathered on the index table
+    ext = _extension(name)
+    T, m = ext.multiplication_table(), ext.K.order
+    inv = np.nonzero(T == 0)[1]
+    s1 = np.arange(ext.quotient.order)[:, None] * m
+    s2, k = s1.T, np.arange(m)
+    assert np.array_equal(T[T[s1, k], inv[s1]], ext.phi)
+    assert np.array_equal(T[T[s1, s2], inv[T[s1, s2] // m * m]], ext.kappa)
+    assert not ext.phi.flags.writeable and not ext.kappa.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,14 +520,18 @@ def test_backend_mismatch_names_what_differs():
         fixtures.cyclic(4).check_same(fixtures.klein_four())
 
 
-def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
-    import itertools
+def lattice_box(Z, r):
+    """B_r of Z: the points of the box [-r, r]^d of norm at most r, sorted
+    by Z.sort_key."""
+    return sorted((p for p in itertools.product(range(-r, r + 1), repeat=Z.dim)
+                   if sum(map(abs, p)) <= r), key=Z.sort_key)
 
+
+def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
     for d in (1, 2, 3, 4):
         Z = IntLattice(d)
         for r in range(5):
-            box = sorted((p for p in itertools.product(range(-r, r + 1), repeat=d)
-                          if sum(map(abs, p)) <= r), key=Z.sort_key)
+            box = lattice_box(Z, r)
             assert Z.enumerate_ball(r) == box
             assert Z.ball_size(r) == len(box)
     # the box of Z^40 at r = 1 has 3^40 points; the ball has 81
@@ -506,7 +541,7 @@ def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
 def test_lattice_positions_are_the_ball_indices_in_closed_form(record_calls):
     for d in (1, 2, 3, 4):
         Z = IntLattice(d)
-        ball = Z.enumerate_ball(6 if d < 4 else 4)
+        ball = lattice_box(Z, 4)
         assert Z.positions(ball).tolist() == list(range(len(ball)))
         assert Z.words(np.arange(len(ball))[::-1]) == ball[::-1]
     # far points: no ball is listed, and the positions keep the ball order
