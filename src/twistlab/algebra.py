@@ -39,7 +39,7 @@ class AlgebraElement:
             raise InvalidArgument("coefficients must be finite")
 
     def support(self):
-        return sorted(self.coeffs, key=self.group.sort_key)
+        return self.group.in_order(self.coeffs)
 
     def __getitem__(self, g):
         return self.coeffs.get(g, 0.0 + 0.0j)
@@ -66,19 +66,18 @@ class AlgebraElement:
                 and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        terms = ", ".join(f"{self.group.element_to_json(g)!r}: {c:.4g}"
-                          for g, c in list(sorted(self.coeffs.items(),
-                                                  key=lambda kv: self.group.sort_key(kv[0])))[:8])
+        terms = ", ".join(f"{self.group.element_to_json(g)!r}: {self.coeffs[g]:.4g}"
+                          for g in self.support()[:8])
         more = "..." if len(self.coeffs) > 8 else ""
         return f"AlgebraElement({terms}{more})"
 
     def to_json(self):
+        support = self.support()
         return {
             "group": self.group.describe(),
             "terms": [
                 {"g": self.group.element_to_json(g), "re": c.real, "im": c.imag}
-                for g, c in sorted(self.coeffs.items(),
-                                   key=lambda kv: self.group.sort_key(kv[0]))
+                for g, c in zip(support, map(self.coeffs.get, support))
             ],
         }
 
@@ -180,8 +179,7 @@ def positive_part(a: AlgebraElement) -> AlgebraElement:
 
 
 def l1_norm(a: AlgebraElement) -> float:
-    return float(sum(abs(c) for _, c in sorted(a.coeffs.items(),
-                                               key=lambda kv: a.group.sort_key(kv[0]))))
+    return float(sum(abs(a.coeffs[g]) for g in a.support()))
 
 
 def _squares(moduli) -> list:

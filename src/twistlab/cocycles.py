@@ -164,7 +164,7 @@ class CoboundaryCocycle(Cocycle):
         if isinstance(beta, dict):
             for g, v in beta.items():
                 if abs(abs(v) - 1.0) > MODULUS_TOL:
-                    raise NotUnitModulus(f"|beta({g!r})| != 1")
+                    raise NotUnitModulus(f"|beta({group.element_to_json(g)})| != 1")
 
     def beta(self, g) -> complex:
         if not isinstance(self._beta, dict):
@@ -199,11 +199,11 @@ class CoboundaryCocycle(Cocycle):
     def to_json(self):
         if not isinstance(self._beta, dict):
             raise ValueError("only dict-backed coboundaries serialize")
+        order = self.group.in_order(self._beta)
         return {
             "kind": "coboundary",
             "beta": {str(self.group.element_to_json(g)): [v.real, v.imag]
-                     for g, v in sorted(self._beta.items(),
-                                        key=lambda kv: self.group.sort_key(kv[0]))},
+                     for g, v in zip(order, map(self._beta.get, order))},
         }
 
 

@@ -135,7 +135,7 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
     K, L = sys.K, sys.gamma.quotient
     m = K.order
     TK, TL = K.multiplication_table(), L.multiplication_table()
-    inv = np.nonzero(TK == 0)[1]  # the identity has index 0
+    inv = K.inverses
     S = sys.sigma_k.values
     P, A, W, R = sys.alpha_perm, sys.alpha_scalar, sys.rho_index, sys.rho_scalar
     e = 0  # the identity's position
@@ -236,7 +236,7 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
         raise NotACocycle(f"sigma is not a normalised unit-modulus 2-cocycle: {where}")
     n = G.order
     idx = np.arange(n)
-    inv = np.nonzero(T == 0)[1]  # the identity has index 0
+    inv = G.inverses
     # conj[h, g] = h g h^-1 and phi[h, g] its scalar
     conj = T[T, inv[:, None]]
     phi = complex_mul(complex_mul(S, S[T, inv[:, None]]), np.conj(S[inv, idx])[:, None])

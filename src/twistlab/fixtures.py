@@ -266,7 +266,7 @@ def random_element(G, support, seed):
     from .algebra import AlgebraElement
 
     rng = np.random.default_rng(seed)
-    support = sorted(support, key=G.sort_key)
+    support = G.in_order(support)
     coeffs = {}
     for g in support:
         coeffs[g] = complex(rng.standard_normal(), rng.standard_normal())

@@ -12,6 +12,11 @@ directly:
   int-lattice   -> tuple of ints
   extension     -> int index |K| h + k of the pair (k, h), whose JSON form
                    is [k, h]
+
+Each group fact has one owner.  The positions own the element order
+(Group.in_order sorts by them); a finite group keeps its index table and
+its inverses once, as read-only arrays; an extension keeps its action and
+factor set only as the arrays phi and kappa.
 """
 
 from __future__ import annotations
@@ -57,9 +62,12 @@ class Group:
     def invert(self, a):
         raise NotImplementedError
 
-    def sort_key(self, a):
-        """Total order on elements; shortlex where word length makes sense."""
-        raise NotImplementedError
+    def in_order(self, elements):
+        """The elements, duplicates kept, in the order of their positions:
+        shortlex on a free group, (l1 norm, tuple) on a lattice, the index on
+        a finite group."""
+        elements = list(elements)
+        return [elements[i] for i in np.argsort(self.positions(elements), kind="stable").tolist()]
 
     def elements(self):
         raise Unsupported(f"{self.kind} backend is not finite")
@@ -118,59 +126,64 @@ class Group:
         raise BackendMismatch(f"{self.kind} backends differ in {key}{detail}")
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 class FiniteTableGroup(Group):
     """Finite group given by an order-n multiplication table of indices.
 
-    Index 0 is the identity.  ``labels``, when given, are hashable display
-    names used by fixtures and serialization but play no role in arithmetic.
+    Index 0 is the identity.  The group keeps ``table``, the read-only intp
+    array whose [i, j] is the index of i * j, and ``inverses``, the read-only
+    array of each index's inverse.  ``labels``, when given, are hashable
+    display names used by fixtures and serialization but play no role in
+    arithmetic.
     """
 
     kind = "finite-table"
     is_finite = True
-    _index_table = None
 
     def __init__(self, table, labels=None, name="", validate=True):
-        self.table = [tuple(row) for row in table]
-        self.order = len(self.table)
         self.name = name
         self.labels = list(labels) if labels is not None else None
         if validate:
-            self._validate()
-        self._inv = [row.index(0) for row in self.table]
+            table = self._validate([tuple(row) for row in table])
+        self.table = _read_only(np.asarray(table, dtype=np.intp))
+        self.order = len(self.table)
+        self.inverses = _read_only(np.nonzero(self.table == 0)[1])
 
-    def _validate(self):
-        n = self.order
+    def _validate(self, rows):
+        """The index table of the rows, checked to be a group table."""
+        n = len(rows)
         if n == 0:
             raise InvalidGroupTable("table is empty")
         if self.labels is not None and len(self.labels) != n:
             raise InvalidGroupTable("labels length differs from table order")
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise InvalidGroupTable(f"row {i} has length {len(row)}, expected {n}")
             if any(type(v) is not int or not 0 <= v < n for v in row):
                 raise InvalidGroupTable(f"row {i} has entries that are not integers in [0, {n})")
-        T = self.multiplication_table()
-        if (T[0] != np.arange(n)).any() or (T[:, 0] != np.arange(n)).any():
+        T, idx = np.array(rows, dtype=np.intp), np.arange(n)
+        if (T[0] != idx).any() or (T[:, 0] != idx).any():
             raise InvalidGroupTable("identity is not at index 0")
-        for i in range(n):
-            if 0 not in self.table[i]:
-                raise InvalidGroupTable(f"element {i} has no inverse")
-        idx = np.arange(n)
+        has_inverse = (T == 0).any(axis=1)
+        if not has_inverse.all():
+            raise InvalidGroupTable(f"element {int(np.argmin(has_inverse))} has no inverse")
         bad = _first_nonassociative(T, idx, idx, idx)
         if bad:
             raise InvalidGroupTable(f"associativity fails at {bad}")
+        return T
 
     def identity(self):
         return 0
 
     def compose(self, a, b):
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def invert(self, a):
-        return self._inv[a]
-
-    def sort_key(self, a):
-        return a
+        return self.inverses.item(a)
 
     def elements(self):
         return list(range(self.order))
@@ -179,17 +192,12 @@ class FiniteTableGroup(Group):
         return self.order
 
     def multiplication_table(self):
-        """Index table: [i, j] is the index of i * j.  Built on the first call
-        and returned read-only from then on."""
-        if self._index_table is None:
-            T = np.array(self.table, dtype=np.intp)
-            T.flags.writeable = False
-            self._index_table = T
-        return self._index_table
+        """The read-only index table: [i, j] is the index of i * j."""
+        return self.table
 
     def products(self, xs, ys):
         """One gather on the index table (see Group.products)."""
-        return self.multiplication_table()[xs, ys]
+        return self.table[xs, ys]
 
     def positions(self, words):
         """An element's position is its index."""
@@ -207,7 +215,7 @@ class FiniteTableGroup(Group):
         return obj
 
     def describe(self):
-        return {"kind": self.kind, "order": self.order, "table": [list(r) for r in self.table]}
+        return {"kind": self.kind, "order": self.order, "table": self.table.tolist()}
 
     def label(self, a):
         return self.labels[a] if self.labels is not None else a
@@ -272,9 +280,6 @@ class FreeGroup(Group):
 
     def invert(self, a):
         return tuple(-v for v in reversed(a))
-
-    def sort_key(self, a):
-        return (len(a), tuple(map(letter_rank, a)))
 
     def word_length(self, a):
         return len(a)
@@ -421,9 +426,6 @@ class IntLattice(Group):
     def invert(self, a):
         return tuple(-x for x in a)
 
-    def sort_key(self, a):
-        return (sum(abs(x) for x in a), a)
-
     def word_length(self, a):
         return sum(abs(x) for x in a)
 
@@ -529,10 +531,11 @@ class ExtensionGroup(FiniteTableGroup):
     """Extension of a finite normal subgroup K by a finite quotient Lambda,
     held as the finite table of its elements.
 
-    Data: an action ``phi: h -> permutation of K indices`` and a factor set
-    ``kappa: (h1, h2) -> K index``, also held as the read-only index arrays
-    ``phi[h, k]`` and ``kappa[h1, h2]`` over Lambda's indices.  The pair
-    (k, h) is the element at index |K| * index(h) + k, and pairs multiply as
+    Data: an action ``h -> permutation of K indices`` and a factor set
+    ``(h1, h2) -> K index``, given as dicts and kept only as the read-only
+    index arrays ``phi[h, k]`` and ``kappa[h1, h2]`` over Lambda's indices.
+    The pair (k, h) is the element at index |K| * index(h) + k, and pairs
+    multiply as
 
         (k1, h1)(k2, h2) = (k1 * phi_{h1}(k2) * kappa(h1, h2), h1 h2),
 
@@ -552,28 +555,26 @@ class ExtensionGroup(FiniteTableGroup):
             raise Unsupported(f"extension quotients must be finite, got a {quotient.kind} group")
         self.K = K
         self.quotient = quotient
-        self.action = {h: tuple(p) for h, p in action.items()}
-        self.factor_set = dict(factor_set)
+        action = {h: tuple(p) for h, p in action.items()}
         hs = quotient.elements()
-        self._validate_data(hs)
+        self._validate_data(hs, action, factor_set)
         # T[|K| h1 + k1, |K| h2 + k2] = |K| h1h2 + k1 phi_h1(k2) kappa(h1, h2)
         m, nl = K.order, len(hs)
-        phi = np.array([self.action[h] for h in hs], dtype=np.intp)
-        kappa = np.array([[self.factor_set[(h1, h2)] for h2 in hs] for h1 in hs], dtype=np.intp)
-        phi.flags.writeable = kappa.flags.writeable = False
-        self.phi, self.kappa = phi, kappa
+        phi = self.phi = _read_only(np.array([action[h] for h in hs], dtype=np.intp))
+        kappa = self.kappa = _read_only(np.array([[factor_set[(h1, h2)] for h2 in hs]
+                                                  for h1 in hs], dtype=np.intp))
         TK, TL = K.multiplication_table(), quotient.multiplication_table()
         h1, k1, h2, k2 = (np.arange(nl)[:, None, None, None], np.arange(m)[:, None, None],
                           np.arange(nl)[:, None], np.arange(m))
         T = m * TL[h1, h2] + TK[TK[k1, phi[h1, k2]], kappa[h1, h2]]
-        super().__init__(T.reshape(nl * m, nl * m).tolist(), validate=False)
+        super().__init__(T.reshape(nl * m, nl * m), validate=False)
         self._validate_law(hs)
 
-    def _validate_data(self, hs):
+    def _validate_data(self, hs, action, factor_set):
         K, e_l, name = self.K, self.quotient.identity(), self.quotient.element_to_json
         TK = K.multiplication_table()
         for h in hs:
-            p = self.action.get(h)
+            p = action.get(h)
             if p is None or sorted(p) != list(range(K.order)):
                 raise InvalidAction(f"action value at {name(h)} is not a permutation of K",
                                     witness=h)
@@ -586,15 +587,15 @@ class ExtensionGroup(FiniteTableGroup):
                     f"at (x, y) = ({x}, {y})",
                     witness=(h, x, y),
                 )
-        if self.action[e_l] != tuple(range(K.order)):
+        if action[e_l] != tuple(range(K.order)):
             raise InvalidAction("action of the quotient identity is not the identity map", witness=e_l)
-        for (h1, h2), k in self.factor_set.items():
+        for (h1, h2), k in factor_set.items():
             if not 0 <= k < K.order:
                 raise InvalidFactorSet(
                     f"kappa({name(h1)}, {name(h2)}) = {k!r} is not an element of K",
                     witness=(h1, h2))
         for h in hs:
-            if self.factor_set[(e_l, h)] != 0 or self.factor_set[(h, e_l)] != 0:
+            if factor_set[(e_l, h)] != 0 or factor_set[(h, e_l)] != 0:
                 raise InvalidFactorSet(f"kappa is not normalised at {name(h)}", witness=h)
 
     def _validate_law(self, hs):
@@ -628,18 +629,15 @@ class ExtensionGroup(FiniteTableGroup):
         return self.quotient.element_from_json(obj[1]) * self.K.order + k
 
     def describe(self):
-        hs = self.quotient.elements()
+        names = [self.quotient.element_to_json(h) for h in self.quotient.elements()]
+        kappa = self.kappa.tolist()
         return {
             "kind": self.kind,
             "k": self.K.describe(),
             "lambda": self.quotient.describe(),
-            "action": {str(self.quotient.element_to_json(h)): list(self.action[h]) for h in hs},
-            "factorSet": {
-                f"{self.quotient.element_to_json(h1)}|{self.quotient.element_to_json(h2)}":
-                    self.factor_set[(h1, h2)]
-                for h1 in hs
-                for h2 in hs
-            },
+            "action": {str(h): p for h, p in zip(names, self.phi.tolist())},
+            "factorSet": {f"{h1}|{h2}": k for h1, row in zip(names, kappa)
+                          for h2, k in zip(names, row)},
         }
 
     def __repr__(self):

@@ -328,7 +328,7 @@ def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
     S, every delta, and seeded random complex elements); the same sample is
     then tested against every twisted norm."""
     T = G.multiplication_table()  # first, so an infinite G is refused before an empty S
-    S = sorted(set(S), key=G.sort_key)
+    S = G.in_order(set(S))
     if not S:
         raise InvalidArgument("S must be nonempty")
     rng = np.random.default_rng(seed)
@@ -404,7 +404,7 @@ def certify_free_subsemigroup(G: Group, t, F, L: int,
     a failure returns the first colliding pair of sequences."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    F = sorted(set(F), key=G.sort_key)
+    F = G.in_order(set(F))
     if not F:
         raise InvalidArgument("F must be nonempty")
     gens = [G.compose(t, f) for f in F]
@@ -459,7 +459,7 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
     from .fixtures import random_element
 
     cert = certify_free_subsemigroup(G, t, F, cfg.length, cfg.mem_cap)
-    tF = sorted((G.compose(t, f) for f in sorted(set(F), key=G.sort_key)), key=G.sort_key)
+    tF = G.in_order(G.compose(t, f) for f in G.in_order(set(F)))
     elements = [AlgebraElement(G, {g: 1.0 for g in tF})]
     for i in range(cfg.n_elements):
         elements.append(random_element(G, tF, cfg.seed + i))

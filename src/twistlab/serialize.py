@@ -177,7 +177,7 @@ def element_set_from_json(obj, G: Group | None = None):
 def element_set_to_json(G: Group, elements):
     return {
         "group": G.describe(),
-        "elements": [G.element_to_json(g) for g in sorted(elements, key=G.sort_key)],
+        "elements": [G.element_to_json(g) for g in G.in_order(elements)],
     }
 
 

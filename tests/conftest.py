@@ -77,15 +77,14 @@ class PairLaw:
     def times(self, a, b):
         (k1, h1), (k2, h2) = a, b
         K = self.K
-        k = K.compose(K.compose(k1, self.ext.action[h1][k2]), self.ext.factor_set[(h1, h2)])
+        k = K.compose(K.compose(k1, self.ext.phi[h1, k2]), self.ext.kappa[h1, h2])
         return k, self.L.compose(h1, h2)
 
     def inverse(self, a):
         k, h = a
         K, hi = self.K, self.L.invert(h)
         # the order of the two factors matters for a nonabelian K
-        return (K.compose(K.invert(self.ext.factor_set[(hi, h)]),
-                          self.ext.action[hi][K.invert(k)]), hi)
+        return (K.compose(K.invert(self.ext.kappa[hi, h]), self.ext.phi[hi, K.invert(k)]), hi)
 
     def section(self, h):
         return self.K.identity(), h
@@ -103,6 +102,25 @@ class PairLaw:
 
     def invert(self, x):
         return self.index(self.inverse(self.pair(x)))
+
+
+def extension_data(ext):
+    """The action and factor set dicts an extension was built from, read
+    back from its phi and kappa arrays."""
+    hs = ext.quotient.elements()
+    return ({h: ext.phi[h].tolist() for h in hs},
+            {(h1, h2): int(ext.kappa[h1, h2]) for h1 in hs for h2 in hs})
+
+
+def order_key(G, g):
+    """g's place in G's element order, from the definitions: shortlex with
+    x1 < x1^-1 < x2 < x2^-1 < ... on a free group, (l1 norm, tuple) on a
+    lattice, the index on a finite group."""
+    if G.kind == "free":
+        return len(g), tuple(2 * (abs(v) - 1) + (v < 0) for v in g)
+    if G.kind == "int-lattice":
+        return sum(map(abs, g)), g
+    return g
 
 
 def law(G):

@@ -709,6 +709,18 @@ def test_a_beta_that_leaves_an_element_out_is_one_error_line(args, missing):
     assert line == f"error: beta is not given at {missing}"
 
 
+@pytest.mark.parametrize("group, identity, key, value", [
+    ("group_f2.json", "e", "x1 x2^-1", 2),
+    ("group_q8_extension.json", "[0, 0]", "[1, 2]", 0.5),
+], ids=["f2", "q8-extension"])
+def test_a_non_unit_beta_is_named_by_its_key(tmp_path, group, identity, key, value):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"kind": "coboundary", "beta": {identity: 1, key: value}}))
+    line = _one_error_line(run_cli("validate", "--group", str(DATA / group),
+                                   "--cocycle", str(path)))
+    assert line == f"error: |beta({key})| != 1"
+
+
 def test_a_truncation_under_a_partial_beta_is_one_error_line():
     r = run_cli("norm", *F2_PARTIAL, "--mode", "truncate", "--radius", "2")
     assert r.returncode == 2 and r.stdout == ""

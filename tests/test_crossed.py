@@ -237,7 +237,7 @@ def test_s5_block_sizes():
 @pytest.mark.parametrize("name", sorted(fixtures.standard_extensions()))
 def test_decompose_on_an_extension_has_the_bits_of_its_plain_table(name):
     ext = fixtures.standard_extensions()[name]
-    plain = FiniteTableGroup(ext.table)
+    plain = FiniteTableGroup(ext.table.tolist())
     for sigma in (TrivialCocycle(ext), fixtures.random_coboundary(ext, seed=5)):
         S = value_table(ext, sigma)
         got = decompose_blocks(ext, TableCocycle(ext, S))

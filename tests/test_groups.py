@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PairLaw
+from conftest import PairLaw, extension_data, order_key
 from twistlab import fixtures
+from twistlab.algebra import AlgebraElement
 from twistlab.errors import (BackendMismatch, InvalidAction, InvalidFactorSet,
                              InvalidGroupTable, MemoryBudgetExceeded, Unsupported)
 from twistlab.groups import (ExtensionGroup, FiniteTableGroup, FreeGroup,
@@ -80,7 +81,7 @@ def test_free_ball_sizes_shortlex(f2):
     for r in range(5):
         ball = f2.enumerate_ball(r)
         assert len(ball) == 2 * 3**r - 1
-        keys = [f2.sort_key(g) for g in ball]
+        keys = [order_key(f2, g) for g in ball]
         assert keys == sorted(keys)
     assert f2.enumerate_ball(1) == [(), (1,), (-1,), (2,), (-2,)]
 
@@ -112,20 +113,20 @@ def test_extension_builds_and_inverts():
 
 def test_extension_rejects_broken_factor_set():
     ext = fixtures.q8_extension()
-    broken = dict(ext.factor_set)
+    action, broken = extension_data(ext)
     key = next(k for k in broken if broken[k] != 0)
     broken[key] = (broken[key] + 1) % ext.K.order
     with pytest.raises(InvalidFactorSet):
-        ExtensionGroup(ext.K, ext.quotient, ext.action, broken)
+        ExtensionGroup(ext.K, ext.quotient, action, broken)
 
 
 def test_extension_rejects_broken_action():
     ext = fixtures.s4_v4_extension()
-    action = {h: list(p) for h, p in ext.action.items()}
+    action, factor_set = extension_data(ext)
     h = next(h for h in action if h != ext.quotient.identity())
     action[h][1], action[h][2] = action[h][2], action[h][1]
     with pytest.raises((InvalidAction, InvalidFactorSet)):
-        ExtensionGroup(ext.K, ext.quotient, action, ext.factor_set)
+        ExtensionGroup(ext.K, ext.quotient, action, factor_set)
 
 
 def _extension_axioms_by_loops(K, L, action, factor_set):
@@ -186,8 +187,7 @@ def _mutate_extension(ext, rng):
     action entries swapped (half the time, when |K| > 2, two off the
     identity, which may leave an automorphism), a factor value moved within
     K, or one outside K."""
-    action = {h: list(p) for h, p in ext.action.items()}
-    factor_set = dict(ext.factor_set)
+    action, factor_set = extension_data(ext)
     hs, keys, m = ext.quotient.elements(), list(factor_set), ext.K.order
     for _ in range(1 if rng.random() < 0.5 else int(rng.integers(2, 4))):
         fault = int(rng.integers(3))
@@ -244,7 +244,7 @@ def test_extension_over_an_infinite_quotient_is_refused():
 def test_extension_elements_are_their_indices():
     for name, ext in fixtures.standard_extensions().items():
         assert ext.elements() == list(range(ext.order)), name
-        assert ext.elements() == sorted(ext.elements(), key=ext.sort_key), name
+        assert ext.elements() == sorted(ext.elements(), key=lambda g: order_key(ext, g)), name
 
 
 def test_finite_words_are_the_elements_at_their_indices():
@@ -454,7 +454,7 @@ def test_free_positions_at_the_int64_limit(k, extra):
     pos = G.positions(words)
     assert pos.dtype == dtype and G.words(pos) == words
     assert int(pos[1]) == (2 * k + 1) ** n - 1
-    ordered = sorted(set(words) | {(-k,) * (n - 1)}, key=G.sort_key)
+    ordered = sorted(set(words) | {(-k,) * (n - 1)}, key=lambda g: order_key(G, g))
     assert (np.diff(G.positions(ordered).astype(object)) > 0).all()
     # x w and g b, both of length at most n: the same dtype switch
     shorter = [w[:-1] for w in words]
@@ -522,9 +522,9 @@ def test_backend_mismatch_names_what_differs():
 
 def lattice_box(Z, r):
     """B_r of Z: the points of the box [-r, r]^d of norm at most r, sorted
-    by Z.sort_key."""
+    by order_key."""
     return sorted((p for p in itertools.product(range(-r, r + 1), repeat=Z.dim)
-                   if sum(map(abs, p)) <= r), key=Z.sort_key)
+                   if sum(map(abs, p)) <= r), key=lambda p: order_key(Z, p))
 
 
 def test_lattice_ball_matches_the_filtered_box_and_the_closed_form():
@@ -548,7 +548,7 @@ def test_lattice_positions_are_the_ball_indices_in_closed_form(record_calls):
     Z = IntLattice(3)
     balls = record_calls(Z, "enumerate_ball")
     far = sorted([(200, 0, 0), (-200, 0, 0), (0, 0, -200), (3, -97, 100), (0, 1, -199),
-                  (10 ** 5, -1, 0), (0, 0, 0)], key=Z.sort_key)
+                  (10 ** 5, -1, 0), (0, 0, 0)], key=lambda p: order_key(Z, p))
     pos = Z.positions(far)
     assert pos.dtype == np.int64 and (np.diff(pos) > 0).all() and Z.words(pos) == far
     assert pos[1] == Z.ball_size(199) and pos[-2] == Z.ball_size(200) - 1
@@ -565,7 +565,7 @@ def test_free_group_of_huge_rank_stores_nothing_per_generator():
     w = (10 ** 30, -7)
     assert G.element_from_json(G.element_to_json(w)) == w
     assert G.compose(w, G.invert(w)) == ()
-    assert G.sort_key((-1,)) > G.sort_key((1,))
+    assert G.in_order([(-1,), (1,)]) == [(1,), (-1,)]
     # its ball of radius 1 already has more than 2^63 words
     pos = G.positions([w, (), (-1,)])
     assert pos.dtype == object and G.words(pos) == [w, (), (-1,)]
@@ -573,11 +573,11 @@ def test_free_group_of_huge_rank_stores_nothing_per_generator():
 
 def test_factor_set_values_outside_k_are_rejected():
     ext = fixtures.q8_extension()
-    broken = dict(ext.factor_set)
+    action, broken = extension_data(ext)
     key = next(iter(broken))
     broken[key] = ext.K.order
     with pytest.raises(InvalidFactorSet, match="is not an element of K"):
-        ExtensionGroup(ext.K, ext.quotient, ext.action, broken)
+        ExtensionGroup(ext.K, ext.quotient, action, broken)
 
 
 def test_check_same_on_itself_reads_no_description(s3):
@@ -596,3 +596,53 @@ def test_finite_positions_are_element_indices(G):
     xs = elems[::-3]
     assert G.words(G.positions(xs)) == xs
     assert G.positions([]).tolist() == []
+
+
+INFINITE = {**{f"F{k}": FreeGroup(k) for k in (1, 2, 3)},
+            **{f"Z{d}": IntLattice(d) for d in (1, 2, 3, 4)}}
+
+
+def _order_case(name, rng):
+    """A group and a list of its elements: on F_k a ball and words on both
+    sides of the int64 limit, on Z^d a box and far points, some past int64."""
+    G = INFINITE.get(name)
+    if G is None:
+        G = fixtures.symmetric(3) if name == "S3" else _extension(name)
+        return G, G.elements()
+    if G.kind == "free":
+        n = INT64_LETTERS[G.rank]
+        return G, G.enumerate_ball(2) + [random_reduced_word(G.rank, int(m), rng)
+                                         for m in rng.integers(n - 3, n + 4, 12)]
+    far = [tuple(rng.integers(-10 ** 6, 10 ** 6, G.dim).tolist()) for _ in range(8)]
+    huge = [(10 ** 19,) + (0,) * (G.dim - 1), (0,) * (G.dim - 1) + (-10 ** 19,)]
+    return G, lattice_box(G, 2) + far + huge
+
+
+@pytest.mark.parametrize("name", [*INFINITE, "S3", *sorted(fixtures.standard_extensions())])
+def test_the_position_order_is_the_defined_order(name):
+    rng = np.random.default_rng(25)
+    G, elems = _order_case(name, rng)
+    if G.kind in ("free", "int-lattice"):
+        assert G.positions(elems).dtype == object
+    # duplicates are kept
+    shuffled = [elems[i] for i in rng.permutation(len(elems))] + elems[:3]
+    want = sorted(shuffled, key=lambda g: order_key(G, g))
+    assert G.in_order(shuffled) == want
+    a = AlgebraElement(G, {g: complex(i + 1, -i) for i, g in enumerate(shuffled)})
+    assert a.support() == sorted(set(shuffled), key=lambda g: order_key(G, g))
+    assert [t["g"] for t in a.to_json()["terms"]] == list(map(G.element_to_json, a.support()))
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.standard_groups()), *EXTENSIONS])
+def test_a_finite_group_keeps_one_read_only_table_and_its_inverses(name):
+    G = fixtures.standard_groups().get(name) or _extension(name)
+    T, inv = G.table, G.inverses
+    assert T.dtype == np.intp and not T.flags.writeable and not inv.flags.writeable
+    assert G.multiplication_table() is T
+    idx = np.arange(G.order)
+    assert (T[idx, inv] == 0).all() and (T[inv, idx] == 0).all()
+    for g in (0, G.order - 1):
+        assert type(G.compose(g, g)) is int and type(G.invert(g)) is int
+        assert G.compose(g, G.invert(g)) == 0
+    if G.kind == "extension":
+        assert not hasattr(G, "action") and not hasattr(G, "factor_set")

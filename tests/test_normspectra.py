@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import evaluate, law
+from conftest import evaluate, law, order_key
 from twistlab import fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -595,7 +595,7 @@ def test_trivial_value_table_evaluates_nothing(record_calls):
 def loop_transfer_check(G, S, sigmas, seed=0, n_random=50, tol=1e-9):
     """transfer_check as it was: one regular matrix and one norm per sample
     element and cocycle, by the pair loop."""
-    S = sorted(set(S), key=G.sort_key)
+    S = sorted(set(S), key=lambda g: order_key(G, g))
     rng = np.random.default_rng(seed)
     sample = [AlgebraElement(G, {g: 1.0 for g in S})]
     sample.extend(delta(G, g) for g in S)
