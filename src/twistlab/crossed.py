@@ -4,9 +4,9 @@ From an extension backend and a cocycle on it, extract the induced twisted
 action (alpha, rho) of the quotient on the twisted algebra of the finite
 normal subgroup, verify the twisted-action axioms, decompose finite
 dimensional twisted group algebras into matrix blocks, group the blocks into
-quotient orbits, reassemble the crossed product as the twisted group algebra
-of the whole extension under the cocycle read off (alpha, rho), and compare
-block structures.
+quotient orbits, and carry the blocks of the whole extension's algebra to the
+crossed product, the twisted group algebra under the cocycle read off
+(alpha, rho), through the Packer-Raeburn gauge.
 """
 
 from __future__ import annotations
@@ -369,21 +369,25 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     return TableCocycle(sys.gamma, omega.reshape(nl * m, nl * m))
 
 
-def assemble_crossed_product(sys: TwistedSystem, seed: int = 0):
-    """Build the crossed product as the twisted group algebra of the whole
-    extension under crossed_cocycle and decompose it into blocks.
-
-    Returns (basis, omega, blocks): basis is gamma.elements(), the index
-    |K| h + k standing for u_k v_h; omega is the table cocycle on gamma;
-    blocks its BlockDecomposition."""
-    omega = crossed_cocycle(sys)
-    return sys.gamma.elements(), omega, decompose_blocks(sys.gamma, omega, seed=seed)
+def transport_blocks(sys: TwistedSystem, omega: TableCocycle, direct: BlockDecomposition):
+    """Carry the blocks of C(Gamma, sigma) to the crossed product C(Gamma, omega)
+    by the Packer-Raeburn gauge u_k v_h -> u_(k,e) u_(0,h) = beta(g) u_g, with
+    beta(g) = sigma((k, e), (0, h)) = S[k, |K| h] at g = |K| h + k: omega d beta
+    = sigma for d beta(x, y) = conj beta(x) conj beta(y) beta(xy), so p goes to
+    conj(beta) p.  Returns max |omega d beta - sigma| and the carried blocks."""
+    S, m = sys.S, sys.K.order
+    g = np.arange(len(S))
+    beta = S[g % m, g - g % m]
+    dbeta = complex_mul(complex_mul(np.conj(beta)[:, None], np.conj(beta)), beta[sys.gamma.table])
+    residual = float(np.max(np.abs(complex_mul(omega.values, dbeta) - S)))
+    carried = complex_mul(np.conj(beta), direct.projections)
+    return residual, BlockDecomposition(sys.gamma, carried, direct.block_sizes)
 
 
 def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, omega: TableCocycle,
                                  crossed_blocks: BlockDecomposition):
-    """Match each assembled block to the summand whose central support
-    contains it; returns one block-size list per summand."""
+    """Match each block of the crossed product to the summand whose central
+    support contains it; returns one block-size list per summand."""
     whole = omega.group
     T = whole.multiplication_table()
     out = []
@@ -398,23 +402,11 @@ def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, omega: T
     return out
 
 
-def compare_block_structure(d1: BlockDecomposition, d2: BlockDecomposition):
-    """Multiset equality of block sizes, with a diff."""
-    c1, c2 = Counter(d1.block_sizes), Counter(d2.block_sizes)
-    if c1 == c2:
-        return True, {}
-    diff = {
-        "only_in_first": sorted((c1 - c2).elements()),
-        "only_in_second": sorted((c2 - c1).elements()),
-    }
-    return False, diff
-
-
 def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
                              convention: str = DEFAULT_CONVENTION, seed: int = 0) -> dict:
     """End-to-end run: induced action, axiom check, K-block decomposition,
-    orbits, assembled crossed product, and comparison with the directly
-    decomposed twisted algebra of the whole group."""
+    orbits, and the one decomposition of the whole group's twisted algebra,
+    whose blocks the gauge carries to the crossed product and its summands."""
     sys = induced_action_data(gamma, sigma, convention)
     action = verify_twisted_action(sys)
     if not action.passed:
@@ -426,22 +418,25 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
         }
     kblocks = decompose_blocks(sys.K, sys.sigma_k, seed=seed)
     summands = orbit_decomposition(sys, kblocks)
-    basis, omega, crossed_blocks = assemble_crossed_product(sys, seed=seed)
-    per_summand = attribute_blocks_to_summands(kblocks, summands, omega, crossed_blocks)
-    # the twisted algebra of the whole group, decomposed directly for comparison
     direct = decompose_blocks(gamma, TableCocycle(gamma, sys.S), seed=seed)
-    match, diff = compare_block_structure(crossed_blocks, direct)
+    omega = crossed_cocycle(sys)
+    gauge_residual, carried = transport_blocks(sys, omega, direct)
+    per_summand = attribute_blocks_to_summands(kblocks, summands, omega, carried)
+    assembled = sorted(size for sizes in per_summand for size in sizes)
+    first, second = Counter(assembled), Counter(direct.block_sizes)
+    diff = {} if first == second else {"only_in_first": sorted((first - second).elements()),
+                                       "only_in_second": sorted((second - first).elements())}
     return {
         "convention": convention,
         "axioms": action.to_json(),
         "k_block_sizes": sorted(kblocks.block_sizes),
         "summands": [s.to_json() for s in summands],
-        "assembled_block_sizes": sorted(crossed_blocks.block_sizes),
+        "assembled_block_sizes": assembled,
         "assembled_blocks_per_summand": per_summand,
         "direct_block_sizes": sorted(direct.block_sizes),
-        "blocks_match": match,
+        "blocks_match": gauge_residual <= AXIOM_TOL and first == second,
         "diff": diff,
-        "dimension": len(basis),
-        "dimension_check": len(basis) == gamma.K.order * len(gamma.quotient.elements()),
+        "dimension": gamma.order,
+        "dimension_check": gamma.order == gamma.K.order * len(gamma.quotient.elements()),
         "seed": seed,
     }

@@ -7,6 +7,7 @@ import pytest
 from twistlab import fixtures
 from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle, Cocycle, ConjugateCocycle,
                                ProductCocycle, PullbackCocycle, TableCocycle, TrivialCocycle)
+from twistlab.crossed import crossed_cocycle, decompose_blocks
 from twistlab.groups import FreeGroup
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -38,14 +39,23 @@ def f2():
 
 
 @pytest.fixture
-def record_calls():
-    """record_calls(obj, name) wraps the method obj.name so that every call
-    appends its argument tuple to the list it returns."""
+def record_calls(monkeypatch):
+    """record_calls(obj, name) wraps the method or module function obj.name,
+    until the test ends, so that every call appends its positional argument
+    tuple to the list it returns."""
     def wrap(obj, name):
         calls, method = [], getattr(obj, name)
-        setattr(obj, name, lambda *args: calls.append(args) or method(*args))
+        monkeypatch.setattr(obj, name,
+                            lambda *args, **kwargs: calls.append(args) or method(*args, **kwargs))
         return calls
     return wrap
+
+
+def assembled_blocks(sys, seed=0):
+    """The crossed product decomposed on its own, as the twisted group
+    algebra of the whole extension under crossed_cocycle: the oracle for the
+    blocks the pipeline carries over from the direct decomposition."""
+    return decompose_blocks(sys.gamma, crossed_cocycle(sys), seed=seed)
 
 
 class LengthPhase(Cocycle):

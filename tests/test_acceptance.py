@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import evaluate
+from conftest import assembled_blocks, evaluate
 from twistlab import algebra, crossed, fixtures, normspectra
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
 from twistlab.cocycles import PullbackCocycle, TrivialCocycle
@@ -135,8 +135,9 @@ def test_criterion_06_s4_v4_orbits():
         summands = crossed.orbit_decomposition(sys, blocks)
         assert sorted(s.orbit_size for s in summands) == [1, 3]
         assert sorted(s.stabilizer_index for s in summands) == [1, 3]
-        basis, _, _ = crossed.assemble_crossed_product(sys)
-        assert len(basis) == 24
+        blocks = assembled_blocks(sys)
+        assert blocks.projections.shape[1] == 24
+        assert sum(d * d for d in blocks.block_sizes) == 24
 
 
 def test_criterion_07_action_axioms_and_negative_control():

@@ -7,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import PairLaw, evaluate
+from conftest import PairLaw, assembled_blocks, evaluate
 from twistlab import algebra, crossed, fixtures
 from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
                                TrivialCocycle, validate, value_table)
-from twistlab.crossed import (assemble_crossed_product, crossed_cocycle, decompose_blocks,
-                              induced_action_data, orbit_decomposition, verify_twisted_action)
+from twistlab.crossed import (AXIOM_TOL, attribute_blocks_to_summands, crossed_cocycle,
+                              decompose_blocks, induced_action_data, orbit_decomposition,
+                              transport_blocks, verify_twisted_action)
 from twistlab.errors import DegenerateAfterRetries, InvalidArgument, Unsupported
 from twistlab.groups import FiniteTableGroup
 from twistlab.normspectra import regular_matrices
@@ -164,13 +165,76 @@ def test_crossed_cocycle_is_gauge_equivalent_to_sigma(name, twist):
             dbeta = np.conj(beta[i]) * np.conj(beta[j]) * beta[xy]
             worst = max(worst, abs(evaluate(omega, i, j) * dbeta - evaluate(sigma, i, j)))
     assert worst <= 1e-12
+    direct = decompose_blocks(ext, TableCocycle(ext, sys.S))
+    assert abs(transport_blocks(sys, omega, direct)[0] - worst) <= 1e-15
+
+
+def _s5():
+    """S5 as an extension of A5, the even permutations, by Z2."""
+    S5 = fixtures.symmetric(5)
+    even = [g for g in S5.elements()
+            if sum(a > b for i, a in enumerate(S5.label(g)) for b in S5.label(g)[i + 1:]) % 2 == 0]
+    return fixtures.extension_from_subgroup(S5, even)
+
+
+def _carry_cases():
+    for name, ext in sorted(fixtures.standard_extensions().items()):
+        yield f"{name}-trivial", ext, TrivialCocycle(ext)
+        yield f"{name}-coboundary", ext, fixtures.random_coboundary(ext, 5)
+        yield f"{name}-pullback-table", ext, _pullback_table(ext)
+    S5 = _s5()
+    yield "S5/A5-trivial", S5, TrivialCocycle(S5)
+    yield "S5/A5-coboundary", S5, fixtures.random_coboundary(S5, 5)
+
+
+@pytest.mark.parametrize("case", list(_carry_cases()), ids=lambda c: c[0])
+def test_carried_blocks_are_the_assembled_ones(case, record_calls):
+    _, ext, sigma = case
+    sys = induced_action_data(ext, sigma)
+    omega = crossed_cocycle(sys)
+    direct = decompose_blocks(ext, TableCocycle(ext, sys.S))
+    residual, carried = transport_blocks(sys, omega, direct)
+    oracle = assembled_blocks(sys)
+    assert residual <= AXIOM_TOL
+    assert sorted(carried.block_sizes) == sorted(oracle.block_sizes)
+    # each carried projection lies next to one assembled projection of its size
+    dist = np.linalg.norm(carried.projections[:, None] - oracle.projections[None], axis=2)
+    nearest = dist.argmin(axis=1)
+    assert sorted(nearest.tolist()) == list(range(len(oracle.block_sizes)))
+    assert dist.min(axis=1).max() <= 1e-9
+    assert [oracle.block_sizes[i] for i in nearest] == carried.block_sizes
+    kblocks = decompose_blocks(sys.K, sys.sigma_k)
+    summands = orbit_decomposition(sys, kblocks)
+    calls = record_calls(crossed, "decompose_blocks")
+    rep = crossed.crossed_product_pipeline(ext, sigma)
+    assert rep["blocks_match"] and rep["diff"] == {}
+    assert rep["assembled_blocks_per_summand"] == attribute_blocks_to_summands(
+        kblocks, summands, omega, oracle)
+    # one decomposition of K, one of Gamma
+    assert [args[0] for args in calls] == [ext.K, ext]
+
+
+def test_a_perturbed_omega_fails_the_gauge_check(monkeypatch):
+    ext = fixtures.q8_extension()
+    sigma = fixtures.random_coboundary(ext, 5)
+    assert crossed.crossed_product_pipeline(ext, sigma)["blocks_match"]
+
+    def perturbed(sys):
+        values = crossed_cocycle(sys).values.copy()
+        values[3, 5] *= np.exp(1e-6j)
+        return TableCocycle(sys.gamma, values)
+
+    monkeypatch.setattr(crossed, "crossed_cocycle", perturbed)
+    rep = crossed.crossed_product_pipeline(ext, sigma)
+    # the sizes still agree: only omega d beta = sigma catches the phase
+    assert rep["axioms"]["passed"] and not rep["blocks_match"] and rep["diff"] == {}
 
 
 def test_assembled_star_is_involutive():
     ext = fixtures.q8_extension()
     sigma = fixtures.random_coboundary(ext, seed=1)
     sys = induced_action_data(ext, sigma)
-    basis, index, blocks = assemble_crossed_product(sys)
+    blocks = assembled_blocks(sys)
     assert max(blocks.residuals.values()) <= 1e-9
 
 
@@ -178,16 +242,16 @@ def test_seed_changes_projections_not_sizes(q8):
     d0 = decompose_blocks(q8, TrivialCocycle(q8), seed=0)
     d1 = decompose_blocks(q8, TrivialCocycle(q8), seed=1)
     assert sorted(d0.block_sizes) == sorted(d1.block_sizes)
-    match, diff = crossed.compare_block_structure(d0, d1)
-    assert match and diff == {}
 
 
-def test_compare_block_structure_diff(s3, q8):
-    d1 = decompose_blocks(s3, TrivialCocycle(s3))
-    d2 = decompose_blocks(q8, TrivialCocycle(q8))
-    match, diff = crossed.compare_block_structure(d1, d2)
-    assert not match
-    assert diff["only_in_second"] == [1, 1]
+def test_compare_block_structure_diff(monkeypatch):
+    # the attribution loses two of the four 1-blocks of Q8
+    ext = fixtures.q8_extension()
+    monkeypatch.setattr(crossed, "attribute_blocks_to_summands", lambda *args: [[1, 1], [2]])
+    rep = crossed.crossed_product_pipeline(ext, TrivialCocycle(ext))
+    assert rep["assembled_block_sizes"] == [1, 1, 2]
+    assert not rep["blocks_match"]
+    assert rep["diff"] == {"only_in_first": [], "only_in_second": [1, 1]}
 
 
 def _regular_class_count(G, sigma):
