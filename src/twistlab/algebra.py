@@ -5,11 +5,11 @@ value type serves both the plain and the twisted algebra, with the cocycle
 supplied per operation.  Accumulation orders are fixed (sorted supports) so
 results are bit-reproducible.
 
-On a free group, convolution and powers run on terms (positions, re, im):
-word positions (see FreeGroup.positions), which sort as the words do in
-shortlex, in increasing order with float coefficient parts.  They do the
-dict loop's floating-point operations in its order, so the bits are the
-same.
+Convolution and powers run on terms (positions, re, im) on every backend:
+positions (see Group.ball_positions) in increasing order, which is the order
+of Group.in_order, with float coefficient parts.  A product reads only the
+backend's products and sigma's pair_values, and rounds each term as
+Python's complex arithmetic does.
 """
 
 from __future__ import annotations
@@ -94,10 +94,11 @@ def _sigma_or_trivial(G, sigma):
 
 
 def _terms(a: AlgebraElement):
-    """A free-group element as terms (positions, re, im)."""
-    support = a.support()
-    c = np.array([a.coeffs[g] for g in support], dtype=complex)
-    return a.group.positions(support), c.real, c.imag
+    """a's terms (positions, re, im), in increasing position."""
+    pos = a.group.positions(list(a.coeffs))
+    order = np.argsort(pos, kind="stable")
+    c = np.array(list(a.coeffs.values()), dtype=complex)[order]
+    return pos[order], c.real, c.imag
 
 
 def _from_terms(G, terms) -> AlgebraElement:
@@ -108,11 +109,12 @@ def _from_terms(G, terms) -> AlgebraElement:
 def _convolve_terms(G, sigma, x, y):
     """Terms of x *_sigma y.
 
-    The pairs run x-major and y in shortlex order, the order of the dict loop
-    in convolve: each term is (sigma(x, y) a_x) b_y by complex_product, and
-    np.bincount adds the terms of each product position in pair order, real
-    and imaginary parts apart, starting from 0.0 as the dict loop does.
-    Coefficients below DROP_TOL are dropped as AlgebraElement drops them."""
+    The pairs run x-major and y in position order: each term is
+    (sigma(x, y) a_x) b_y by complex_product, and np.bincount adds the terms
+    of each product position in pair order, real and imaginary parts apart,
+    starting from 0.0, as a loop of Python complex sums over the pairs
+    would.  Coefficients below DROP_TOL are dropped as AlgebraElement drops
+    them."""
     (xs, xre, xim), (ys, yre, yim) = x, y
     xys = G.products(xs[:, None], ys)
     s = sigma.pair_values(*pair_grid(xs, ys), xys.ravel()).reshape(xys.shape)
@@ -129,7 +131,7 @@ def _convolve_terms(G, sigma, x, y):
     return pos[keep], re[keep], im[keep]
 
 
-def _free_powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
+def _powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
     """Yield the terms of a^1, ..., a^N, left-associated."""
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
@@ -141,23 +143,11 @@ def _free_powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
-    """(a *_sigma b)_g = sum over xy = g of sigma(x, y) a_x b_y."""
+    """(a *_sigma b)_g = sum over xy = g of sigma(x, y) a_x b_y, on terms;
+    the product lists its support in position order."""
     a.group.check_same(b.group)
     G = a.group
-    sigma = _sigma_or_trivial(G, sigma)
-    if G.kind == "free":
-        return _from_terms(G, _convolve_terms(G, sigma, _terms(a), _terms(b)))
-    asupp, bsupp = a.support(), b.support()
-    xs, ys = pair_grid(G.positions(asupp), G.positions(bsupp))
-    xys = G.products(xs, ys)
-    terms = zip(G.words(xys), sigma.pair_values(xs, ys, xys).tolist())
-    acc = {}
-    for x in asupp:
-        ax = a.coeffs[x]
-        for y in bsupp:
-            g, s = next(terms)
-            acc[g] = acc.get(g, 0.0 + 0.0j) + s * ax * b.coeffs[y]
-    return AlgebraElement(G, acc)
+    return _from_terms(G, _convolve_terms(G, _sigma_or_trivial(G, sigma), _terms(a), _terms(b)))
 
 
 def involute(a: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
@@ -205,27 +195,15 @@ def power(a: AlgebraElement, n: int, sigma: Cocycle | None = None) -> AlgebraEle
     """Left-associated n-fold twisted power, n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if a.group.kind == "free":
-        *_, p = _free_powers(a, n, sigma)
-        return _from_terms(a.group, p)
-    out = a
-    for _ in range(n - 1):
-        out = convolve(out, a, sigma)
-    return out
+    *_, p = _powers(a, n, sigma)
+    return _from_terms(a.group, p)
 
 
 def power_norms(a: AlgebraElement, N: int, sigma: Cocycle | None = None):
-    """Yield (|supp a^n|, ||a^n||_2) for n = 1..N, with l2_norm's bits.  On a
-    free group the powers stay terms and no word is decoded."""
-    if a.group.kind == "free":
-        for pos, re, im in _free_powers(a, N, sigma):
-            yield len(pos), _root_sum_squares(np.hypot(re, im).tolist())
-        return
-    p = a
-    for n in range(1, N + 1):
-        if n > 1:
-            p = convolve(p, a, sigma)
-        yield len(p), l2_norm(p)
+    """Yield (|supp a^n|, ||a^n||_2) for n = 1..N, with l2_norm's bits.  The
+    powers stay terms, and no element is decoded."""
+    for pos, re, im in _powers(a, N, sigma):
+        yield len(pos), _root_sum_squares(np.hypot(re, im).tolist())
 
 
 def gauge(a: AlgebraElement, beta) -> AlgebraElement:

@@ -27,9 +27,9 @@ def naive_convolve(a, b, sigma):
 
 
 def dict_convolve(a, b, sigma):
-    """Bit-for-bit reference for the free-group position-array path: the
-    loop convolve runs on non-free backends, x-major, y in shortlex order,
-    sigma(x, y) a_x b_y as Python complex products."""
+    """Bit-for-bit oracle for convolve on every backend: a loop over the
+    terms, x-major, y in position order, adding sigma(x, y) a_x b_y as
+    Python complex products into a dict from 0j."""
     G = a.group
     acc = {}
     bsupp = b.support()
@@ -204,8 +204,9 @@ def test_finite_convolve_and_involute_have_the_bits_of_the_pair_loop(G):
               (AlgebraElement(G, {elems[0]: complex(-2.0, -0.0), elems[-1]: -1.0}), cases[0][0])]
     for sigma in sigmas:
         for a, b in cases:
-            got = convolve(a, b, sigma)
-            assert list(got.coeffs.items()) == list(dict_convolve(a, b, sigma).coeffs.items())
+            got, ref = convolve(a, b, sigma), dict_convolve(a, b, sigma)
+            assert got.coeffs == ref.coeffs
+            assert list(got.coeffs) == got.support()
             inv = law(G).invert
             want = {inv(g): np.conj(evaluate(sigma, inv(g), g)) * np.conj(c)
                     for g, c in a.coeffs.items()}
@@ -221,14 +222,32 @@ def test_lattice_convolve_and_involute_far_from_the_origin_list_no_ball(record_c
     b = AlgebraElement(G, {(0, 0, -150): 1 - 1j, (-1, 0, 0): 0.25, (0, 0, 0): 3.0})
     balls = record_calls(G, "enumerate_ball")
     for x, y in ((a, b), (b, a), (a, a)):
-        got = convolve(x, y, sigma)
-        assert list(got.coeffs.items()) == list(dict_convolve(x, y, sigma).coeffs.items())
+        got, ref = convolve(x, y, sigma), dict_convolve(x, y, sigma)
+        assert got.coeffs == ref.coeffs
+        assert list(got.coeffs) == got.support()
     want = {G.invert(g): np.conj(evaluate(sigma, G.invert(g), g)) * np.conj(c)
             for g, c in a.coeffs.items()}
     assert involute(a, sigma).coeffs == AlgebraElement(G, want).coeffs
     assert algebra.is_normal(a, sigma) is False
     assert len(normspectra.l2_spectral_radius(a, sigma, 2).r2_sequence) == 2
     assert balls == []
+
+
+def test_lattice_positions_past_int64_run_on_python_ints():
+    # the ball around (10^7, 0, 0) holds about 1.3 10^21 points, so its
+    # position is a Python int in an object array
+    G = IntLattice(3)
+    sigma = BicharacterCocycle(G, [[0.0, 1 / 3, 0.25], [0.0, 0.0, 1 / 7], [0.5, 0.0, 0.0]])
+    far = (10**7, 0, 0)
+    assert G.positions([far]).dtype == object
+    a = AlgebraElement(G, {far: 1.0, (0, 1, 0): 2j, (0, 0, 0): 0.5})
+    b = AlgebraElement(G, {(-1, 0, 0): 1 - 1j, (0, 0, -1): 0.25, far: -0.5j})
+    for x, y in ((a, b), (b, a), (a, a)):
+        got, ref = convolve(x, y, sigma), dict_convolve(x, y, sigma)
+        assert got.coeffs == ref.coeffs
+        assert list(got.coeffs) == got.support()
+    assert (normspectra.l2_spectral_radius(a, sigma, 4).r2_sequence
+            == dict_r2_sequence(a, sigma, 4))
 
 
 def test_serialization_roundtrip_exact(s3, f2):
@@ -250,7 +269,7 @@ def test_convolution_bilinear(seed):
     assert algebra.l1_norm(lhs - rhs) <= 1e-10 * max(1.0, algebra.l1_norm(lhs))
 
 
-# --- free groups: the position-array path against the dict loop -----------
+# --- the term engine against the dict loop --------------------------------
 
 def dict_r2_sequence(a, sigma, N):
     """l2_spectral_radius's sequence from dict_convolve powers."""
@@ -304,18 +323,54 @@ def test_free_convolve_equals_the_dict_loop(rank, kind):
         assert () not in convolve(a, b, sigma).coeffs
 
 
+def assert_powers_match_the_dict_loop(a, sigma, N=4):
+    """algebra.power and l2_spectral_radius's sequence against dict_convolve
+    powers, bit for bit."""
+    ref = a
+    for n in range(2, N + 1):
+        ref = dict_convolve(ref, a, sigma)
+        got = algebra.power(a, n, sigma)
+        assert got.coeffs == ref.coeffs
+        assert list(got.coeffs) == got.support()
+    assert (normspectra.l2_spectral_radius(a, sigma, N).r2_sequence
+            == dict_r2_sequence(a, sigma, N))
+
+
 @pytest.mark.parametrize("rank", FREE_RANKS)
 @pytest.mark.parametrize("kind", ["trivial", "coboundary", "product", "conjugate"])
 def test_free_powers_equal_the_dict_loop(rank, kind):
     G = FreeGroup(rank)
-    sigma = free_cocycles(G)[kind]
-    a = random_free_element(G, rank, size=3, radius=2)
-    ref = a
-    for n in range(2, 5):
-        ref = dict_convolve(ref, a, sigma)
-        assert algebra.power(a, n, sigma).coeffs == ref.coeffs
-    assert (normspectra.l2_spectral_radius(a, sigma, 4).r2_sequence
-            == dict_r2_sequence(a, sigma, 4))
+    assert_powers_match_the_dict_loop(random_free_element(G, rank, size=3, radius=2),
+                                      free_cocycles(G)[kind])
+
+
+def finite_and_lattice_cocycles(G):
+    """Cocycles of each kind on S3, the Q8 extension or Z^2."""
+    cob = fixtures.random_coboundary(G, 11)
+    if G.kind == "int-lattice":
+        other = BicharacterCocycle(G, [[0, 1 / 3], [0, 0]])
+    elif G.kind == "extension":
+        other = PullbackCocycle(G, fixtures.random_coboundary(G.quotient, 4))
+    else:
+        other = TableCocycle(G, cocycles.value_table(G, fixtures.random_coboundary(G, 3)))
+    return [TrivialCocycle(G), cob, other, ProductCocycle([other, cob]), ConjugateCocycle(other)]
+
+
+@pytest.mark.parametrize("G", [fixtures.symmetric(3), fixtures.q8_extension(), IntLattice(2)],
+                         ids=["S3", "Q8-extension", "Z2"])
+def test_powers_equal_the_dict_loop_on_finite_groups_and_lattices(G):
+    elems = G.elements() if G.is_finite else G.enumerate_ball(2)
+    cases = [random_pair(G, seed, size=3)[0] for seed in range(2)]
+    cases += [AlgebraElement(G, {elems[0]: complex(-2.0, -0.0), elems[-1]: 0.5j})]
+    if G.kind == "finite-table":
+        # e + i s for an involution s: the e terms of a^2, 1 and i^2 = -1,
+        # cancel exactly under the trivial cocycle, and e is dropped
+        s = next(g for g in elems[1:] if G.compose(g, g) == 0)
+        cases.append(AlgebraElement(G, {0: 1.0, s: 1j}))
+        assert algebra.power(cases[-1], 2).coeffs == {s: 2j}
+    for sigma in finite_and_lattice_cocycles(G):
+        for a in cases:
+            assert_powers_match_the_dict_loop(a, sigma)
 
 
 def test_free_pair_values_equal_evaluate():
@@ -433,10 +488,13 @@ def test_free_l2_squares_round_as_python_does(f2):
     assert ref != float(np.sqrt(sum(abs(a.coeffs[g]) * abs(a.coeffs[g]) for g in a.support())))
 
 
-def test_free_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):
-    x, y = f2.generator(1), f2.generator(2)
-    a = AlgebraElement(f2, {x: 1e200, y: 1e200j})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvalidArgument):
-            convolve(a, a)
+def test_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):
+    # 1e200 * 1e200 is past the float range on a free group, a finite
+    # extension and a lattice alike
+    for G in (f2, fixtures.q8_extension(), IntLattice(2)):
+        x, y = G.enumerate_ball(1)[1:3]
+        a = AlgebraElement(G, {x: 1e200, y: 1e200j})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="a coefficient of the product overflows"):
+                convolve(a, a)
