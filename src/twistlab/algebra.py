@@ -114,20 +114,36 @@ def _convolve_terms(G, sigma, x, y):
     of each product position in pair order, real and imaginary parts apart,
     starting from 0.0, as a loop of Python complex sums over the pairs
     would.  Coefficients below DROP_TOL are dropped as AlgebraElement drops
-    them."""
+    them.
+
+    The product positions are numbered as np.unique(..., return_inverse=True)
+    numbers them, by the same sort written out: on the few pairs of a
+    product in a small finite group np.unique's own set-up costs more than
+    the sort, and on many pairs the two take the same time."""
     (xs, xre, xim), (ys, yre, yim) = x, y
-    xys = G.products(xs[:, None], ys)
-    s = sigma.pair_values(*pair_grid(xs, ys), xys.ravel()).reshape(xys.shape)
-    pos, where = np.unique(xys, return_inverse=True)
-    # an overflow is caught by the isfinite test below, not by a warning
+    xys = G.products(xs[:, None], ys).ravel()
+    s = sigma.pair_values(*pair_grid(xs, ys), xys).reshape(len(xs), len(ys))
+    perm = xys.argsort()
+    ranked = xys[perm]
+    new = np.empty(len(xys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    where = np.empty(len(xys), dtype=np.intp)
+    where[perm] = new.cumsum() - 1
+    pos = ranked[new]
+    # an overflow is caught by the isfinite tests below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = complex_product(s.real, s.imag, xre[:, None], xim[:, None])
         re, im = complex_product(re, im, yre, yim)
-        re = np.bincount(where.ravel(), re.ravel(), len(pos))
-        im = np.bincount(where.ravel(), im.ravel(), len(pos))
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        re = np.bincount(where, re.ravel(), len(pos))
+        im = np.bincount(where, im.ravel(), len(pos))
+        modulus = np.hypot(re, im)
+    # a finite modulus needs finite parts; finite parts can still have an
+    # infinite modulus (1.5e308 + 1.5e308j), so only then are the parts tested
+    if not (np.isfinite(modulus).all()
+            or np.isfinite(re).all() and np.isfinite(im).all()):
         raise InvalidArgument("a coefficient of the product overflows")
-    keep = ~(np.hypot(re, im) < DROP_TOL)
+    keep = ~(modulus < DROP_TOL)
     return pos[keep], re[keep], im[keep]
 
 

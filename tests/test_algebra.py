@@ -490,11 +490,15 @@ def test_free_l2_squares_round_as_python_does(f2):
 
 def test_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):
     # 1e200 * 1e200 is past the float range on a free group, a finite
-    # extension and a lattice alike
+    # extension and a lattice alike; 1.5e308 + 1.5e308j is finite, though its
+    # modulus is not, and is kept as a term
     for G in (f2, fixtures.q8_extension(), IntLattice(2)):
         x, y = G.enumerate_ball(1)[1:3]
         a = AlgebraElement(G, {x: 1e200, y: 1e200j})
+        big, tilt = (algebra._terms(delta(G, G.identity(), c)) for c in (1.5e308, 1 + 1j))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgument, match="a coefficient of the product overflows"):
                 convolve(a, a)
+            _, re, im = algebra._convolve_terms(G, TrivialCocycle(G), big, tilt)
+        assert (re.tolist(), im.tolist()) == ([1.5e308], [1.5e308])
