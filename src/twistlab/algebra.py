@@ -125,12 +125,12 @@ def _convolve_terms(G, sigma, x, y):
     s = sigma.pair_values(*pair_grid(xs, ys), xys).reshape(len(xs), len(ys))
     perm = xys.argsort()
     ranked = xys[perm]
-    new = np.empty(len(xys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = np.empty(len(xys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     where = np.empty(len(xys), dtype=np.intp)
-    where[perm] = new.cumsum() - 1
-    pos = ranked[new]
+    where[perm] = first.cumsum() - 1
+    pos = ranked[first]
     # an overflow is caught by the isfinite tests below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = complex_product(s.real, s.imag, xre[:, None], xim[:, None])
