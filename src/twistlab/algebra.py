@@ -34,7 +34,11 @@ class AlgebraElement:
 
     def __init__(self, group: Group, coeffs):
         self.group = group
-        self.coeffs = {g: complex(c) for g, c in coeffs.items() if not abs(c) < DROP_TOL}
+        try:
+            self.coeffs = {g: complex(c) for g, c in coeffs.items() if not abs(c) < DROP_TOL}
+        except OverflowError:
+            # finite parts can have a modulus past the float range
+            raise InvalidArgument("the modulus of a coefficient overflows") from None
         if not all(map(cmath.isfinite, self.coeffs.values())):
             raise InvalidArgument("coefficients must be finite")
 

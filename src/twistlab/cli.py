@@ -35,7 +35,10 @@ def _progress(msg):
 def _load(path, inputs, slot, build, *context):
     """Read one descriptor file, record its digest under ``slot`` and build
     it with ``build(obj, *context)``.  Malformed content, whatever part of
-    the descriptor it is in, becomes a ParseError naming the file."""
+    the descriptor it is in, becomes a ParseError naming the file (exit 1).
+    An InvalidArgument, a well-formed value outside its domain such as a
+    coefficient whose modulus overflows, keeps its class and gains the file
+    name (exit 2)."""
     obj = serialize.load_json(path)
     digest = serialize.file_digest(path)
     if slot in inputs:
@@ -47,6 +50,8 @@ def _load(path, inputs, slot, build, *context):
         return build(obj, *context)
     except KeyError as exc:
         raise serialize.ParseError(f"{path}: missing key {exc}") from exc
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"{path}: {exc}") from exc
     except (serialize.ParseError, TypeError, ValueError) as exc:
         raise serialize.ParseError(f"{path}: {exc}") from exc
 

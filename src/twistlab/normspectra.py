@@ -79,7 +79,9 @@ def _truncation_matrix(G, sigma, a, r, cap):
     codomain rows it reaches, in shortlex order.  Returns ``data`` (one row
     per g in supp a, one column per b in B_r) holding sigma(g, b) a_g,
     ``rows`` (same shape) holding the kept row of g b, and the kept row
-    count.  The caller checks that sigma lives on G."""
+    count.  ``data`` is float64, its real parts, when no entry has a nonzero
+    imaginary part, so that the complex array is not held while a real T is
+    solved.  The caller checks that sigma lives on G."""
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
@@ -90,14 +92,19 @@ def _truncation_matrix(G, sigma, a, r, cap):
     s = sigma.pair_values(*pair_grid(xs, ball), gb.ravel())
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)
     data = complex_mul(s.reshape(gb.shape), c[:, None])
+    if not np.any(data.imag):
+        data = data.real.copy()
     positions, rows = np.unique(gb.ravel(), return_inverse=True)
     return data, rows.reshape(data.shape), len(positions)
 
 
 def _dot(x, y) -> float:
     """Re <x, y> by numpy's pairwise sum, which unlike BLAS does not depend
-    on the thread count."""
-    return float(np.sum(x.real * y.real + x.imag * y.imag))
+    on the thread count.  For real x and y the sum has the terms a complex
+    x and y with zero imaginary parts would give it, so the same bits."""
+    if np.iscomplexobj(x):
+        return float(np.sum(x.real * y.real + x.imag * y.imag))
+    return float(np.sum(x * y))
 
 
 def _lanczos(gram, q, steps):
@@ -105,7 +112,14 @@ def _lanczos(gram, q, steps):
     ``gram`` from the unit vector q, without reorthogonalisation: yields
     (q_k, alpha_k, beta_k) for k = 1..steps, or until beta_k is 0.  Every
     step repeats the same operations in the same order, so a second run
-    yields the same bits."""
+    yields the same bits.  The vectors have q's dtype, complex128 or
+    float64.
+
+    q_{k+1} is w times 1 / beta_k, not w / beta_k: numpy divides a complex
+    w by a real beta as a complex one, scaling by the reciprocal
+    1 / (beta + 0 * 0), so the product rounds each part of a complex w as
+    that division does, and a float64 w gets the same bits as a complex w
+    with zero imaginary parts."""
     q_prev = np.zeros_like(q)
     beta = 0.0
     for _ in range(steps):
@@ -116,13 +130,21 @@ def _lanczos(gram, q, steps):
         yield q, alpha, beta
         if beta == 0.0:
             return
-        q_prev, q = q, w / beta
+        q_prev, q = q, w * (1.0 / beta)
 
 
 def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     """||T y|| / ||y|| for a Ritz vector y of T^H T's top eigenvalue, where
     T is the m-row operator with entries ``data`` in ``rows`` (column j of
     ``data`` is column j of T).
+
+    When T is real, ``data`` float64 as _truncation_matrix gives it when no
+    entry has a nonzero imaginary part, the whole solve runs in float64: the
+    start vector, T's products, the Lanczos vectors, the kept basis and y.  Each of those
+    operations on a complex vector with zero imaginary parts rounds its real
+    parts as the float64 one rounds (see _dot and _lanczos), so the result
+    has the bits the complex solve would give, with vectors of half the
+    size.
 
     The start vector is ones when every entry of T is real and >= 0: then
     T^H T is entrywise nonnegative and has a nonnegative top eigenvector
@@ -135,7 +157,7 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     Lanczos runs on T^H T until the Ritz residual beta_k |s_k| or beta_k
     itself is at most LANCZOS_TOL times the Ritz value, or for
     LANCZOS_MAX_STEPS steps, and keeps its basis q_1..q_k while that holds at
-    most ``mem_cap`` complex entries (k n <= mem_cap for n columns); then
+    most ``mem_cap`` entries (k n <= mem_cap for n columns); then
     y = sum_j s_j q_j.  Past that count the basis is dropped and y sums a
     second run of the recurrence, which yields the same bits, so memory stays
     at a few vectors of lengths n and m.  T is applied by adding the rows of
@@ -145,21 +167,20 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     and whether or not the basis was kept.  Products with complex data go
     through complex_mul, since numpy's complex multiply may fuse a product
     with a sum under some SIMD targets; real data keeps numpy's multiply,
-    where one of each pair of products is an exact zero, so it rounds the
-    same under every target."""
+    which rounds each product once under every target."""
     n = data.shape[1]
-    conj = data.conj()
-    if np.all(data.imag == 0) and np.all(data.real >= 0):
+    real = not np.iscomplexobj(data)
+    conj, mul = (data, np.multiply) if real else (data.conj(), complex_mul)
+    if real and np.all(data >= 0):
         start = np.ones(n)
     else:
         start = np.random.default_rng(0).random(n)
-    start = (start / np.sqrt(_sum_squares(start))).astype(complex)
-    mul = complex_mul if np.any(data.imag) else np.multiply
+    start = (start / np.sqrt(_sum_squares(start))).astype(data.dtype)
 
     def apply(v):
         # each row of ``rows`` is injective (left multiplication is), so
         # every entry of out adds its terms in row order, starting from +0.0
-        out = np.zeros(m, dtype=complex)
+        out = np.zeros(m, dtype=data.dtype)
         for r, t in zip(rows, mul(data, v)):
             out[r] += t
         return out
@@ -190,7 +211,7 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
                 break
     if basis is None:
         basis = (q for q, _, _ in _lanczos(gram, start, len(s)))
-    y = np.zeros(n, dtype=complex)
+    y = np.zeros(n, dtype=data.dtype)
     for q, sj in zip(basis, s):
         y += sj * q
     return np.sqrt(_sum_squares(apply(y)) / _sum_squares(y))
@@ -258,7 +279,7 @@ def truncated_norm_lower(G: Group, sigma: Cocycle, a: AlgebraElement, r: int,
     sigma.  So the value is a genuine lower bound; it is clipped at 0.
 
     ``mem_cap`` bounds |B_r| and |B_{r + diam supp a}| (MemoryBudgetExceeded
-    past it) and the Lanczos basis kept, at most mem_cap complex entries;
+    past it) and the Lanczos basis kept, at most mem_cap entries;
     past that count the basis is recomputed instead, with the same bits.
 
     The truncated norm is monotone nondecreasing in r, and the value follows
@@ -401,36 +422,55 @@ def certify_free_subsemigroup(G: Group, t, F, L: int,
     length <= L multiply to distinct group elements.
 
     A pass is a bounded-length freeness certificate, not a proof of freeness;
-    a failure returns the first colliding pair of sequences."""
+    a failure returns the first colliding pair of sequences.
+
+    The products run on positions, one level per length: the products of
+    length l are G.products(level[:, None], gens) on those of length l - 1,
+    x-major, so entry j is the product of the sequence whose l base-|F|
+    digits are j, in the order in which a loop over sequences, then
+    generators, would form them.  Each product is
+    counted, past ``mem_cap`` as MemoryBudgetExceeded(count, mem_cap), and
+    looked up in one dict of the positions seen so far, which holds each
+    one's count: the first repeat is the collision, and the count names
+    both sequences.  A level is cut to the rows it can reach before the cap,
+    so no array holds more than |F| products past mem_cap."""
     if L < 1:
         raise ValueError("L must be >= 1")
     F = G.in_order(set(F))
     if not F:
         raise InvalidArgument("F must be nonempty")
-    gens = [G.compose(t, f) for f in F]
+    k = len(F)
+    gens = G.positions([G.compose(t, f) for f in F])
+    level = G.positions([G.identity()])
     seen = {}
-    frontier = [((), G.identity())]
     checked = 0
     for _ in range(L):
-        nxt = []
-        for seq, g in frontier:
-            for i, h in enumerate(gens):
-                seq2 = seq + (i,)
-                g2 = G.compose(g, h)
-                checked += 1
-                if checked > mem_cap:
-                    raise MemoryBudgetExceeded(checked, mem_cap)
-                if g2 in seen:
-                    other = seen[g2]
-                    return SemigroupCertificate(False, L, checked, {
-                        "sequence_a": list(other),
-                        "sequence_b": list(seq2),
-                        "element": G.element_to_json(g2),
-                    })
-                seen[g2] = seq2
-                nxt.append((seq2, g2))
-        frontier = nxt
+        rows = max(mem_cap - checked, 0) // k + 1
+        level = G.products(level[:rows, None], gens).ravel()
+        for j, p in enumerate(level.tolist()):
+            checked += 1
+            if checked > mem_cap:
+                raise MemoryBudgetExceeded(checked, mem_cap)
+            if p in seen:
+                return SemigroupCertificate(False, L, checked, {
+                    "sequence_a": _sequence(seen[p], k),
+                    "sequence_b": _sequence(checked, k),
+                    "element": G.element_to_json(G.words(level[j:j + 1])[0]),
+                })
+            seen[p] = checked
     return SemigroupCertificate(True, L, checked, None)
+
+
+def _sequence(count, k):
+    """The sequence over k generators that certify_free_subsemigroup forms
+    count-th, from 1: k sequences of length 1, then k^2 of length 2, each
+    length's in the order of its base-k digits."""
+    count -= 1
+    length = 1
+    while count >= k ** length:
+        count -= k ** length
+        length += 1
+    return [count // k ** (length - 1 - i) % k for i in range(length)]
 
 
 @dataclass

@@ -8,6 +8,7 @@ from twistlab import fixtures
 from twistlab.cocycles import (BicharacterCocycle, CoboundaryCocycle, Cocycle, ConjugateCocycle,
                                ProductCocycle, PullbackCocycle, TableCocycle, TrivialCocycle)
 from twistlab.crossed import crossed_cocycle, decompose_blocks
+from twistlab.errors import MemoryBudgetExceeded
 from twistlab.groups import FreeGroup
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -56,6 +57,35 @@ def assembled_blocks(sys, seed=0):
     algebra of the whole extension under crossed_cocycle: the oracle for the
     blocks the pipeline carries over from the direct decomposition."""
     return decompose_blocks(sys.gamma, crossed_cocycle(sys), seed=seed)
+
+
+def loop_certificate(G, t, F, L, mem_cap):
+    """The free-subsemigroup certificate as a loop over sequences, composing
+    words one pair at a time: the reference certify_free_subsemigroup is held
+    to.  Returns the certificate's JSON form, or raises
+    MemoryBudgetExceeded(products counted, mem_cap) past the cap."""
+    gens = [G.compose(t, f) for f in G.in_order(set(F))]
+    seen = {}
+    frontier = [((), G.identity())]
+    checked = 0
+    for _ in range(L):
+        nxt = []
+        for seq, g in frontier:
+            for i, h in enumerate(gens):
+                seq2 = seq + (i,)
+                g2 = G.compose(g, h)
+                checked += 1
+                if checked > mem_cap:
+                    raise MemoryBudgetExceeded(checked, mem_cap)
+                if g2 in seen:
+                    return {"certified": False, "length": L, "products_checked": checked,
+                            "collision": {"sequence_a": list(seen[g2]),
+                                          "sequence_b": list(seq2),
+                                          "element": G.element_to_json(g2)}}
+                seen[g2] = seq2
+                nxt.append((seq2, g2))
+        frontier = nxt
+    return {"certified": True, "length": L, "products_checked": checked, "collision": None}
 
 
 class LengthPhase(Cocycle):

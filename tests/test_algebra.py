@@ -502,3 +502,16 @@ def test_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):
                 convolve(a, a)
             _, re, im = algebra._convolve_terms(G, TrivialCocycle(G), big, tilt)
         assert (re.tolist(), im.tolist()) == ([1.5e308], [1.5e308])
+
+
+def test_a_coefficient_whose_modulus_overflows_is_an_invalid_argument(f2):
+    # 1.5e308 + 1.5e308j has finite parts and an infinite modulus: given so,
+    # or formed as the one term of a product, on a free group, a finite
+    # extension and a lattice alike
+    for G in (f2, fixtures.q8_extension(), IntLattice(2)):
+        x, y = G.enumerate_ball(1)[1:3]
+        with pytest.raises(InvalidArgument, match="the modulus of a coefficient overflows"):
+            AlgebraElement(G, {x: complex(1.5e308, 1.5e308)})
+        a, b = AlgebraElement(G, {x: 1.5e154 + 1.5e154j}), AlgebraElement(G, {y: 1e154})
+        with pytest.raises(InvalidArgument, match="the modulus of a coefficient overflows"):
+            convolve(a, b)

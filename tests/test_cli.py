@@ -709,6 +709,15 @@ def test_a_beta_that_leaves_an_element_out_is_one_error_line(args, missing):
     assert line == f"error: beta is not given at {missing}"
 
 
+def test_a_beta_that_leaves_the_identity_out_fails_validation_naming_its_file(tmp_path):
+    # the coboundary refuses it while it is built, inside the file's loading
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"kind": "coboundary", "beta": {"1": 1}}))
+    line = _one_error_line(run_cli("validate", "--group", str(DATA / "group_s3.json"),
+                                   "--cocycle", str(path)))
+    assert line == f"error: {path}: beta is not given at 0"
+
+
 @pytest.mark.parametrize("group, identity, key, value", [
     ("group_f2.json", "e", "x1 x2^-1", 2),
     ("group_q8_extension.json", "[0, 0]", "[1, 2]", 0.5),

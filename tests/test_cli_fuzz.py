@@ -185,6 +185,12 @@ FOUND = {
     # the sum of two finite squares overflows: "upper" was Infinity, not JSON
     "haagerup-sum-overflows": (INVOCATIONS[4], 6,
                                (DATA / "element_f2_sphere1_huge.json").read_text(), 2),
+    # finite parts whose modulus is past the float range: abs() raised
+    # OverflowError while the element was built
+    "coefficient-modulus-overflows": (INVOCATIONS[4], 6,
+                                      with_node("element_f2_ux.json", ("terms", 0),
+                                                {"g": "x1", "re": 1.5e308, "im": 1.5e308}),
+                                      2),
     # residuals past the float range printed numpy warnings before the error line
     "validate-residuals-overflow": (("validate", "--group", "group_q8_extension.json",
                                      "--cocycle", "cocycle_q8ext_pullback_huge.json"), 4,

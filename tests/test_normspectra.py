@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import evaluate, law, order_key
+from conftest import evaluate, law, loop_certificate, order_key
 from twistlab import fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -139,6 +139,48 @@ def test_semigroup_rejects_with_collision(f2):
     assert not cert.certified
     assert cert.collision is not None
     assert cert.length <= 2
+
+
+def _certificate_or_cap(certify, *args):
+    try:
+        return certify(*args)
+    except MemoryBudgetExceeded as exc:
+        return "cap", exc.needed, exc.cap
+
+
+@pytest.mark.parametrize("G", [FreeGroup(1), FreeGroup(2), FreeGroup(3), fixtures.symmetric(4),
+                               IntLattice(2)], ids=["F1", "F2", "F3", "S4", "Z2"])
+def test_semigroup_certificate_has_the_results_of_the_sequence_loop(G):
+    # seeded t, F (with the identity, inverse pairs and repeats possible), L
+    # and caps of 3 to 50 or the default: the same certificate dict, or the
+    # same MemoryBudgetExceeded arguments
+    pool = G.elements() if G.is_finite else G.enumerate_ball(2)
+    rng = np.random.default_rng(len(pool))
+    outcomes = set()
+    for _ in range(60):
+        t = pool[int(rng.integers(len(pool)))]
+        F = [pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(1, 4)))]
+        L = int(rng.integers(1, 7))
+        cap = int(rng.integers(3, 51)) if rng.random() < 0.6 else normspectra.DEFAULT_MEM_CAP
+        got = _certificate_or_cap(lambda *args: certify_free_subsemigroup(*args).to_json(),
+                                  G, t, F, L, cap)
+        want = _certificate_or_cap(loop_certificate, G, t, F, L, cap)
+        assert got == want, (t, F, L, cap)
+        outcomes.add(got[0] if isinstance(got, tuple) else got["certified"])
+    assert outcomes == {"cap", True, False}
+
+
+def test_semigroup_certificate_past_int64_keeps_the_loop_results(f2):
+    # words past 27 letters sit past int64, where positions are Python ints:
+    # {x^2 y, x^2 y^2} reaches 32 letters at L = 8 and is certified, and
+    # w^2, w^3 for w = (xy)^7 collide at w^5, 70 letters long
+    x, y = f2.generator(1), f2.generator(2)
+    xy = f2.compose(x, y)
+    w = xy * 7
+    for t, F, L in ((x, [xy, f2.compose(xy, y)], 8), (f2.identity(), [w * 2, w * 3], 3)):
+        got = certify_free_subsemigroup(f2, t, F, L).to_json()
+        assert got == loop_certificate(f2, t, F, L, normspectra.DEFAULT_MEM_CAP)
+        assert got["certified"] == (L == 8)
 
 
 def test_spectral_radius_normal_flag(s3):
@@ -396,14 +438,36 @@ def test_truncated_norm_past_the_float_range_is_an_invalid_argument(f2):
         truncated_norm_lower(f2, TrivialCocycle(f2), a, 3)
 
 
+def complex_lanczos(gram, q, steps):
+    """The three-term recurrence of _lanczos as it was written for complex
+    vectors alone: q_{k+1} = w / beta_k, and Re <x, y> summed over the real
+    and imaginary parts."""
+    def dot(x, y):
+        return float(np.sum(x.real * y.real + x.imag * y.imag))
+
+    q_prev = np.zeros_like(q)
+    beta = 0.0
+    for _ in range(steps):
+        w = gram(q) - beta * q_prev
+        alpha = dot(q, w)
+        w -= alpha * q
+        beta = np.sqrt(dot(w, w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        q_prev, q = q, w / beta
+
+
 def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
-    """The bit-for-bit reference for _top_singular_rayleigh, which keeps the
-    Lanczos basis and scatters T's rows one by one: here pass 1 finds the
+    """The bit-for-bit reference for _top_singular_rayleigh, always in
+    complex128, with its own recurrence (complex_lanczos): pass 1 finds the
     Ritz coefficients s, pass 2 reruns the recurrence to sum
     y = sum_j s_j q_j, and T is applied by bincount on the real and
-    imaginary parts, with the products of _top_singular_rayleigh.  mem_cap
-    is ignored."""
+    imaginary parts, with the products of _top_singular_rayleigh.  So a real
+    T, which _top_singular_rayleigh solves in float64, is held to the bits
+    of the complex solve.  mem_cap is ignored."""
     n = data.shape[1]
+    data = data.astype(complex)
     flat = rows.ravel()
     conj = data.conj()
     if np.all(data.imag == 0) and np.all(data.real >= 0):
@@ -424,7 +488,7 @@ def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
         return mul(conj, apply(v)[rows]).sum(axis=0)
 
     alphas, betas = [], []
-    for _, alpha, beta in normspectra._lanczos(gram, start, normspectra.LANCZOS_MAX_STEPS):
+    for _, alpha, beta in complex_lanczos(gram, start, normspectra.LANCZOS_MAX_STEPS):
         alphas.append(alpha)
         betas.append(beta)
         k = len(alphas)
@@ -436,20 +500,22 @@ def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
             if min(beta, beta * abs(s[-1])) <= normspectra.LANCZOS_TOL * theta:
                 break
     y = np.zeros(n, dtype=complex)
-    for (q, _, _), sj in zip(normspectra._lanczos(gram, start, len(s)), s):
+    for (q, _, _), sj in zip(complex_lanczos(gram, start, len(s)), s):
         y += sj * q
     return np.sqrt(normspectra._sum_squares(apply(y)) / normspectra._sum_squares(y))
 
 
 def _truncation_cases(G):
-    # sphere-1 (ones start), seeded complex elements on words of B_1 and B_2
-    # (random start), coefficients with zero parts of either sign, each
-    # untwisted and under a random coboundary
+    # sphere-1 (ones start), x - x^-1 (+ y) (real with a negative entry:
+    # random start), seeded complex elements on words of B_1 and B_2 (random
+    # start), coefficients with zero parts of either sign, each untwisted and
+    # under a random coboundary; the untwisted real ones run in float64
     ball = G.enumerate_ball(2)
     sphere1 = ball[1:2 * G.rank + 1]
     rng = np.random.default_rng(G.rank)
     words = [ball[int(i)] for i in rng.choice(len(ball) - 1, 3, replace=False) + 1]
     elements = [("sphere1", AlgebraElement(G, {g: 1.0 for g in sphere1})),
+                ("real-signed", AlgebraElement(G, dict(zip(sphere1[:3], (1.0, -1.0, 1.0))))),
                 ("random-b1", fixtures.random_element(G, sphere1, seed=G.rank)),
                 ("random-b2", fixtures.random_element(G, words, seed=G.rank + 10)),
                 ("zero-parts", AlgebraElement(G, {
@@ -475,6 +541,32 @@ def test_truncated_norm_has_the_bits_of_the_two_pass_solver(k, monkeypatch):
             # codomain ball drops it past about (2k - 1)^d steps
             for cap in (normspectra.DEFAULT_MEM_CAP, G.ball_size(r + d)):
                 assert truncated_norm_lower(G, sigma, a, r, cap).hex() == want, (case, r, cap)
+
+
+def test_a_real_truncation_runs_lanczos_in_float64(f2, monkeypatch):
+    # sphere-1 untwisted and gauged under its coboundary (conj beta (beta 1)
+    # has imaginary part exactly 0) and x - x^-1 + y are real operators; a
+    # seeded complex element is not
+    dtypes, lanczos = [], normspectra._lanczos
+
+    def recorded(gram, q, steps):
+        for step in lanczos(gram, q, steps):
+            dtypes.append(step[0].dtype)
+            yield step
+
+    monkeypatch.setattr(normspectra, "_lanczos", recorded)
+    sphere1 = f2.enumerate_ball(1)[1:]
+    a = AlgebraElement(f2, {g: 1.0 for g in sphere1})
+    cob = fixtures.random_coboundary(f2, seed=1)
+    signed = AlgebraElement(f2, dict(zip(sphere1[:3], (1.0, -1.0, 1.0))))
+    trivial = TrivialCocycle(f2)
+    for sigma, b, dtype in ((trivial, a, np.float64), (cob, gauge(a, cob.beta), np.float64),
+                            (trivial, signed, np.float64),
+                            (trivial, fixtures.random_element(f2, sphere1, seed=3),
+                             np.complex128)):
+        dtypes.clear()
+        truncated_norm_lower(f2, sigma, b, 4)
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}, (sigma.kind, dtypes)
 
 
 def test_lanczos_runs_once_while_the_basis_fits(f2, monkeypatch):
