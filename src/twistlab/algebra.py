@@ -22,7 +22,7 @@ import numpy as np
 
 from .cocycles import Cocycle, TrivialCocycle, complex_product, pair_grid
 from .errors import InvalidArgument
-from .groups import Group
+from .groups import Group, number_positions
 
 DROP_TOL = 1e-300
 
@@ -116,28 +116,23 @@ def _convolve_terms(G, sigma, x, y):
     The pairs run x-major and y in position order: each term is
     (sigma(x, y) a_x) b_y by complex_product, and np.bincount adds the terms
     of each product position in pair order, real and imaginary parts apart,
-    starting from 0.0, as a loop of Python complex sums over the pairs
-    would.  Coefficients below DROP_TOL are dropped as AlgebraElement drops
-    them.
+    starting from +0.0, as a loop of Python complex sums over the pairs
+    would.  The product positions are numbered by groups.number_positions.
+    Coefficients below DROP_TOL are dropped as AlgebraElement drops them.
 
-    The product positions are numbered as np.unique(..., return_inverse=True)
-    numbers them, by the same sort written out: on the few pairs of a
-    product in a small finite group np.unique's own set-up costs more than
-    the sort, and on many pairs the two take the same time."""
+    Under a TrivialCocycle the term is a_x b_y: sigma is not read, and a_x
+    is not multiplied by 1 + 0j.  That product can change only the sign of
+    a zero part of a_x, so of a zero part of a term, and a sum from +0.0
+    never ends at -0.0 (x + -x is +0.0), so the sums have the same bits."""
     (xs, xre, xim), (ys, yre, yim) = x, y
     xys = G.products(xs[:, None], ys).ravel()
-    s = sigma.pair_values(*pair_grid(xs, ys), xys).reshape(len(xs), len(ys))
-    perm = xys.argsort()
-    ranked = xys[perm]
-    first = np.empty(len(xys), dtype=bool)
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    where = np.empty(len(xys), dtype=np.intp)
-    where[perm] = first.cumsum() - 1
-    pos = ranked[first]
+    pos, where = number_positions(xys)
     # an overflow is caught by the isfinite tests below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        re, im = complex_product(s.real, s.imag, xre[:, None], xim[:, None])
+        re, im = xre[:, None], xim[:, None]
+        if not isinstance(sigma, TrivialCocycle):
+            s = sigma.pair_values(*pair_grid(xs, ys), xys).reshape(len(xs), len(ys))
+            re, im = complex_product(s.real, s.imag, re, im)
         re, im = complex_product(re, im, yre, yim)
         re = np.bincount(where, re.ravel(), len(pos))
         im = np.bincount(where, im.ravel(), len(pos))

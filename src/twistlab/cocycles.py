@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BackendMismatch, InvalidArgument, MemoryBudgetExceeded, NotUnitModulus
-from .groups import FiniteTableGroup, Group, IntLattice
+from .groups import FiniteTableGroup, Group, IntLattice, number_positions
 
 MODULUS_TOL = 1e-12
 IDENTITY_TOL = 1e-12
@@ -177,7 +177,7 @@ class CoboundaryCocycle(Cocycle):
         """beta at each distinct position, read only where it is not
         remembered, then (conj beta(x) conj beta(y)) beta(xy) as Python's
         complex multiply rounds it."""
-        pos, inv = np.unique(np.concatenate([xs, ys, xys]), return_inverse=True)
+        pos, inv = number_positions(np.concatenate([xs, ys, xys]))
         b = self.beta_at(pos)
         ix, iy, ixy = np.split(inv, [len(xs), len(xs) + len(ys)])
         conj = b.conj()

@@ -126,6 +126,30 @@ class Group:
         raise BackendMismatch(f"{self.kind} backends differ in {key}{detail}")
 
 
+def number_positions(pos):
+    """(distinct, inverse) for a 1-D array of positions, int64 or object
+    (Python ints past int64): the distinct positions in increasing order,
+    and for each entry the index of its value among them, as
+    np.unique(pos, return_inverse=True) gives them, by a sort written
+    out: on the few positions of a product in a small finite group
+    np.unique's own set-up costs more than the sort.  Ranks do not depend
+    on the sort algorithm, so the sort is numpy's stable one, which merges
+    runs: a product x-major on a free group (a few words times a ball, or a
+    power times a few words) comes in long increasing runs.  The 157,460
+    positions of sphere-1's truncation at r = 9 on F2 argsort in 0.5-0.8 ms
+    so, against 2.6-2.7 ms by quicksort (2-core x86-64 VM)."""
+    perm = pos.argsort(kind="stable")
+    ranked = pos[perm]
+    first = np.empty(len(pos), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    ranks = first.cumsum()
+    ranks -= 1
+    inverse = np.empty(len(pos), dtype=np.intp)
+    inverse[perm] = ranks
+    return ranked[first], inverse
+
+
 def _read_only(a):
     a.flags.writeable = False
     return a

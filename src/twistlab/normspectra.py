@@ -15,10 +15,10 @@ import numpy as np
 
 from .algebra import (AlgebraElement, _root_sum_squares, _sigma_or_trivial, delta,
                       is_normal, l2_norm, power_norms)
-from .cocycles import (Cocycle, TrivialCocycle, complex_mul, gauge_factors, pair_grid,
-                       value_table)
+from .cocycles import (Cocycle, TrivialCocycle, complex_mul, complex_product, gauge_factors,
+                       pair_grid, value_table)
 from .errors import InvalidArgument, MemoryBudgetExceeded, Unsupported
-from .groups import Group
+from .groups import Group, number_positions
 
 DEFAULT_MEM_CAP = 2_000_000
 # Lanczos stops once the Ritz residual is this small relative to the Ritz
@@ -79,9 +79,15 @@ def _truncation_matrix(G, sigma, a, r, cap):
     codomain rows it reaches, in shortlex order.  Returns ``data`` (one row
     per g in supp a, one column per b in B_r) holding sigma(g, b) a_g,
     ``rows`` (same shape) holding the kept row of g b, and the kept row
-    count.  ``data`` is float64, its real parts, when no entry has a nonzero
-    imaginary part, so that the complex array is not held while a real T is
-    solved.  The caller checks that sigma lives on G."""
+    count.  Each entry is one complex_product, rounded as Python's complex
+    multiply.  Under a TrivialCocycle sigma is not read and the entry is
+    a_g, not (1 + 0j) a_g, which differs from a_g at most in the sign of a
+    zero part: a real T has the same bits, and a complex T the same printed
+    value (see _top_singular_rayleigh).  ``data`` is float64: the real
+    parts when no entry has a nonzero imaginary part, and else the real and
+    the imaginary parts stacked, of shape (2,) + rows.shape, so that no
+    complex array is held while T is solved.  The caller checks that sigma
+    lives on G."""
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
@@ -89,21 +95,24 @@ def _truncation_matrix(G, sigma, a, r, cap):
             raise MemoryBudgetExceeded(G.ball_size(n), cap)
     xs, ball = G.positions(supp), G.ball_positions(r)
     gb = G.products(xs[:, None], ball)
-    s = sigma.pair_values(*pair_grid(xs, ball), gb.ravel())
-    c = np.array([a.coeffs[g] for g in supp], dtype=complex)
-    data = complex_mul(s.reshape(gb.shape), c[:, None])
-    if not np.any(data.imag):
-        data = data.real.copy()
-    positions, rows = np.unique(gb.ravel(), return_inverse=True)
-    return data, rows.reshape(data.shape), len(positions)
+    c = np.array([a.coeffs[g] for g in supp], dtype=complex)[:, None]
+    if isinstance(sigma, TrivialCocycle):
+        re, im = np.repeat(c.real, len(ball), axis=1), np.repeat(c.imag, len(ball), axis=1)
+    else:
+        s = sigma.pair_values(*pair_grid(xs, ball), gb.ravel()).reshape(gb.shape)
+        re, im = complex_product(s.real, s.imag, c.real, c.imag)
+    positions, rows = number_positions(gb.ravel())
+    return np.stack([re, im]) if np.any(im) else re, rows.reshape(gb.shape), len(positions)
 
 
 def _dot(x, y) -> float:
     """Re <x, y> by numpy's pairwise sum, which unlike BLAS does not depend
-    on the thread count.  For real x and y the sum has the terms a complex
-    x and y with zero imaginary parts would give it, so the same bits."""
-    if np.iscomplexobj(x):
-        return float(np.sum(x.real * y.real + x.imag * y.imag))
+    on the thread count.  On (2, n) parts the terms are x[0] y[0] + x[1] y[1],
+    the terms complex x and y give it.  For real x and y the sum has the
+    terms a complex x and y with zero imaginary parts would give it, so the
+    same bits."""
+    if x.ndim == 2:
+        return float(np.sum(x[0] * y[0] + x[1] * y[1]))
     return float(np.sum(x * y))
 
 
@@ -112,14 +121,19 @@ def _lanczos(gram, q, steps):
     ``gram`` from the unit vector q, without reorthogonalisation: yields
     (q_k, alpha_k, beta_k) for k = 1..steps, or until beta_k is 0.  Every
     step repeats the same operations in the same order, so a second run
-    yields the same bits.  The vectors have q's dtype, complex128 or
-    float64.
+    yields the same bits.  The vectors have q's shape: length n for a real
+    operator, or (2, n), the real and imaginary parts, for a complex one,
+    float64 either way.
 
+    On parts, a scaling by a real alpha or beta multiplies each part once.
+    numpy multiplies a complex vector by a real scalar as by the complex
+    beta + 0j, which adds a zero product to each part: the two differ only
+    in the sign of a zero, and so in no nonzero value that follows.
     q_{k+1} is w times 1 / beta_k, not w / beta_k: numpy divides a complex
     w by a real beta as a complex one, scaling by the reciprocal
-    1 / (beta + 0 * 0), so the product rounds each part of a complex w as
-    that division does, and a float64 w gets the same bits as a complex w
-    with zero imaginary parts."""
+    1 / (beta + 0 * 0), so the product rounds each part of w as that
+    division does, and a float64 w gets the same bits as a complex w with
+    zero imaginary parts."""
     q_prev = np.zeros_like(q)
     beta = 0.0
     for _ in range(steps):
@@ -136,15 +150,23 @@ def _lanczos(gram, q, steps):
 def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     """||T y|| / ||y|| for a Ritz vector y of T^H T's top eigenvalue, where
     T is the m-row operator with entries ``data`` in ``rows`` (column j of
-    ``data`` is column j of T).
+    ``data`` is column j of T), as _truncation_matrix gives them.
 
-    When T is real, ``data`` float64 as _truncation_matrix gives it when no
-    entry has a nonzero imaginary part, the whole solve runs in float64: the
-    start vector, T's products, the Lanczos vectors, the kept basis and y.  Each of those
+    The solve never forms a complex array.  When T is real, ``data`` one
+    float64 array, it runs on float64 vectors of length n: the start vector,
+    T's products, the Lanczos vectors, the kept basis and y.  Each of those
     operations on a complex vector with zero imaginary parts rounds its real
     parts as the float64 one rounds (see _dot and _lanczos), so the result
     has the bits the complex solve would give, with vectors of half the
-    size.
+    size.  When T is complex, ``data`` its stacked parts, the vectors are
+    (2, n) float64 parts and every product with T has complex_product's
+    four products and two sums, each rounded once, as Python's complex
+    multiply rounds them: the bits of the complex solve on the nonzero
+    values, while a zero may differ in sign (see _lanczos), as may a zero
+    part of ``data`` (see _truncation_matrix).  A zero's sign moves no
+    nonzero value that follows it, each entry of T's products is a sum from
+    +0.0, which never ends at -0.0, and the printed value is a ratio of
+    sums of squares, so it has the bits of the complex solve.
 
     The start vector is ones when every entry of T is real and >= 0: then
     T^H T is entrywise nonnegative and has a nonnegative top eigenvector
@@ -160,33 +182,53 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     most ``mem_cap`` entries (k n <= mem_cap for n columns); then
     y = sum_j s_j q_j.  Past that count the basis is dropped and y sums a
     second run of the recurrence, which yields the same bits, so memory stays
-    at a few vectors of lengths n and m.  T is applied by adding the rows of
-    data * v into zeros and T^H by a sum over them, both in a fixed order,
-    inner products use numpy's pairwise sum and the final norms math.fsum:
-    the result is the same bits in every process, for every BLAS thread count
-    and whether or not the basis was kept.  Products with complex data go
-    through complex_mul, since numpy's complex multiply may fuse a product
-    with a sum under some SIMD targets; real data keeps numpy's multiply,
-    which rounds each product once under every target."""
-    n = data.shape[1]
-    real = not np.iscomplexobj(data)
-    conj, mul = (data, np.multiply) if real else (data.conj(), complex_mul)
+    at a few vectors of lengths n and m.  T is applied by one np.bincount
+    of the products data * v (of both parts at once for a complex T, the
+    imaginary parts in bins m .. 2m - 1), which adds the terms of each row
+    of T in the order of the rows of ``data``, starting from +0.0 (each row
+    of ``rows`` is injective, as left multiplication is), and T^H by a sum
+    over the rows; inner products use numpy's pairwise sum and the final
+    norms math.fsum: the result is the same bits in every process, for
+    every BLAS thread count and whether or not the basis was kept.  Complex
+    products are written out on the parts, since numpy's complex multiply
+    may fuse a product with a sum under some SIMD targets; numpy's real
+    multiply rounds each product once under every target."""
+    real = data.ndim == 2
+    n = rows.shape[1]
     if real and np.all(data >= 0):
         start = np.ones(n)
     else:
         start = np.random.default_rng(0).random(n)
-    start = (start / np.sqrt(_sum_squares(start))).astype(data.dtype)
+    start = start / np.sqrt(_sum_squares(start))
+    if real:
+        flat = rows.ravel()
 
-    def apply(v):
-        # each row of ``rows`` is injective (left multiplication is), so
-        # every entry of out adds its terms in row order, starting from +0.0
-        out = np.zeros(m, dtype=data.dtype)
-        for r, t in zip(rows, mul(data, v)):
-            out[r] += t
-        return out
+        def apply(v):
+            return np.bincount(flat, (data * v).ravel(), m)
 
-    def gram(v):
-        return mul(conj, apply(v)[rows]).sum(axis=0)
+        def gram(v):
+            return (data * apply(v)[rows]).sum(axis=0)
+    else:
+        start = np.stack([start, np.zeros(n)])
+        # the rows of both parts of T v, the imaginary ones m .. 2m - 1
+        rows = np.stack([rows, rows + m])
+        flat = rows.ravel()
+
+        def apply(v):
+            # pr[a, b] = data[a] v[b]: complex_product's four products in
+            # one multiply, then its two sums into pr[0]
+            pr = data[:, None] * v[None, :, None]
+            np.subtract(pr[0, 0], pr[1, 1], out=pr[0, 0])
+            np.add(pr[0, 1], pr[1, 0], out=pr[0, 1])
+            return np.bincount(flat, pr[0].ravel(), 2 * m).reshape(2, m)
+
+        def gram(v):
+            # conj(T) u as complex_product(dr, -di, ur, ui) rounds it:
+            # x - (-y) is x + y and x + (-y) is x - y, bit for bit
+            pr = data[:, None] * apply(v).ravel()[rows]
+            np.add(pr[0, 0], pr[1, 1], out=pr[0, 0])
+            np.subtract(pr[0, 1], pr[1, 0], out=pr[0, 1])
+            return pr[0].sum(axis=1)
 
     alphas, betas, basis = [], [], []
     for q, alpha, beta in _lanczos(gram, start, LANCZOS_MAX_STEPS):
@@ -211,16 +253,17 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
                 break
     if basis is None:
         basis = (q for q, _, _ in _lanczos(gram, start, len(s)))
-    y = np.zeros(n, dtype=data.dtype)
+    y = np.zeros_like(start)
     for q, sj in zip(basis, s):
         y += sj * q
     return np.sqrt(_sum_squares(apply(y)) / _sum_squares(y))
 
 
 def _sum_squares(x) -> float:
-    """||x||^2 as one math.fsum over the squares of the real (and, for a
-    complex x, imaginary) parts."""
-    return math.fsum(np.square(x.view(np.float64)).tolist())
+    """||x||^2 as one math.fsum over the squares of the parts of x: a
+    float64 vector, (2, n) parts or a complex vector.  fsum rounds the
+    exact sum once, so the order of the parts does not matter."""
+    return math.fsum(memoryview(np.square(x.view(np.float64)).ravel()))
 
 
 def _untwist(G: Group, sigma: Cocycle, a: AlgebraElement):

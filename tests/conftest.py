@@ -206,3 +206,15 @@ def evaluate(sigma, x, y) -> complex:
         pair = PairLaw(G).pair
         return evaluate(sigma.quotient_cocycle, pair(x)[1], pair(y)[1])
     raise TypeError(f"no reference for {type(sigma).__name__}")
+
+
+def coefficient_bits(a):
+    """a's terms in support order as (element, float.hex of the real part,
+    float.hex of the imaginary part).  == on complex numbers takes -0.0 for
+    0.0; equal lists here mean the same support, the same order and the
+    same bits, signed zeros included."""
+    return [(g, a.coeffs[g].real.hex(), a.coeffs[g].imag.hex()) for g in a.support()]
+
+
+def assert_same_bits(got, want):
+    assert coefficient_bits(got) == coefficient_bits(want)

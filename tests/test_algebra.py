@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, law
+from conftest import assert_same_bits, evaluate, law
 from twistlab import algebra, cocycles, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -205,12 +205,12 @@ def test_finite_convolve_and_involute_have_the_bits_of_the_pair_loop(G):
     for sigma in sigmas:
         for a, b in cases:
             got, ref = convolve(a, b, sigma), dict_convolve(a, b, sigma)
-            assert got.coeffs == ref.coeffs
+            assert_same_bits(got, ref)
             assert list(got.coeffs) == got.support()
             inv = law(G).invert
             want = {inv(g): np.conj(evaluate(sigma, inv(g), g)) * np.conj(c)
                     for g, c in a.coeffs.items()}
-            assert involute(a, sigma).coeffs == AlgebraElement(G, want).coeffs
+            assert_same_bits(involute(a, sigma), AlgebraElement(G, want))
 
 
 def test_lattice_convolve_and_involute_far_from_the_origin_list_no_ball(record_calls):
@@ -223,11 +223,11 @@ def test_lattice_convolve_and_involute_far_from_the_origin_list_no_ball(record_c
     balls = record_calls(G, "enumerate_ball")
     for x, y in ((a, b), (b, a), (a, a)):
         got, ref = convolve(x, y, sigma), dict_convolve(x, y, sigma)
-        assert got.coeffs == ref.coeffs
+        assert_same_bits(got, ref)
         assert list(got.coeffs) == got.support()
     want = {G.invert(g): np.conj(evaluate(sigma, G.invert(g), g)) * np.conj(c)
             for g, c in a.coeffs.items()}
-    assert involute(a, sigma).coeffs == AlgebraElement(G, want).coeffs
+    assert_same_bits(involute(a, sigma), AlgebraElement(G, want))
     assert algebra.is_normal(a, sigma) is False
     assert len(normspectra.l2_spectral_radius(a, sigma, 2).r2_sequence) == 2
     assert balls == []
@@ -244,7 +244,7 @@ def test_lattice_positions_past_int64_run_on_python_ints():
     b = AlgebraElement(G, {(-1, 0, 0): 1 - 1j, (0, 0, -1): 0.25, far: -0.5j})
     for x, y in ((a, b), (b, a), (a, a)):
         got, ref = convolve(x, y, sigma), dict_convolve(x, y, sigma)
-        assert got.coeffs == ref.coeffs
+        assert_same_bits(got, ref)
         assert list(got.coeffs) == got.support()
     assert (normspectra.l2_spectral_radius(a, sigma, 4).r2_sequence
             == dict_r2_sequence(a, sigma, 4))
@@ -254,7 +254,7 @@ def test_serialization_roundtrip_exact(s3, f2):
     for G, seed in [(s3, 0), (f2, 1)]:
         a, _ = random_pair(G, seed)
         back = serialize.element_from_json(a.to_json())
-        assert back.coeffs == a.coeffs
+        assert_same_bits(back, a)
 
 
 @settings(max_examples=30, deadline=None)
@@ -316,7 +316,7 @@ def test_free_convolve_equals_the_dict_loop(rank, kind):
     ]
     for a, b in cases:
         got, ref = convolve(a, b, sigma), dict_convolve(a, b, sigma)
-        assert got.coeffs == ref.coeffs
+        assert_same_bits(got, ref)
         assert list(got.coeffs) == got.support()
     if kind == "trivial":
         a, b = cases[4]
@@ -330,7 +330,7 @@ def assert_powers_match_the_dict_loop(a, sigma, N=4):
     for n in range(2, N + 1):
         ref = dict_convolve(ref, a, sigma)
         got = algebra.power(a, n, sigma)
-        assert got.coeffs == ref.coeffs
+        assert_same_bits(got, ref)
         assert list(got.coeffs) == got.support()
     assert (normspectra.l2_spectral_radius(a, sigma, N).r2_sequence
             == dict_r2_sequence(a, sigma, N))
@@ -367,10 +367,40 @@ def test_powers_equal_the_dict_loop_on_finite_groups_and_lattices(G):
         # cancel exactly under the trivial cocycle, and e is dropped
         s = next(g for g in elems[1:] if G.compose(g, g) == 0)
         cases.append(AlgebraElement(G, {0: 1.0, s: 1j}))
-        assert algebra.power(cases[-1], 2).coeffs == {s: 2j}
+        assert_same_bits(algebra.power(cases[-1], 2), AlgebraElement(G, {s: 2j}))
     for sigma in finite_and_lattice_cocycles(G):
         for a in cases:
             assert_powers_match_the_dict_loop(a, sigma)
+
+
+@pytest.mark.parametrize("G", [FreeGroup(2), fixtures.symmetric(3), fixtures.q8_extension(),
+                               IntLattice(2)], ids=["F2", "S3", "Q8-extension", "Z2"])
+def test_the_trivial_twist_keeps_the_bits_of_the_pair_loop_with_signed_zeros(G):
+    # the engine multiplies by no sigma under the trivial twist, where the
+    # pair loop multiplies by 1 + 0j, which can flip the sign of a zero part;
+    # coefficients with zero parts of either sign, and parts 1 and -1 whose
+    # products cancel, test that every sum still has the loop's bits
+    elems = G.elements() if G.is_finite else G.enumerate_ball(2)
+    rng = np.random.default_rng(len(elems))
+    parts = (0.0, -0.0, 1.0, -1.0, 1.5)
+
+    def signed(size):
+        pick = rng.choice(len(elems), size=min(size, len(elems)), replace=False)
+        return AlgebraElement(G, {elems[i]: complex(*rng.choice(parts, 2)) for i in pick})
+
+    cases = [(signed(5), signed(5)) for _ in range(6)]
+    cases.append((AlgebraElement(G, {elems[0]: complex(1.0, -0.0), elems[1]: complex(-0.0, -1.0)}),
+                  AlgebraElement(G, {elems[0]: complex(-0.0, 1.0), elems[-1]: complex(1.0, -0.0)})))
+    trivial = TrivialCocycle(G)
+    for sigma in (None, trivial):
+        for a, b in cases:
+            assert_same_bits(convolve(a, b, sigma), dict_convolve(a, b, trivial))
+            ref = a
+            for n in range(2, 5):
+                ref = dict_convolve(ref, a, trivial)
+                assert_same_bits(algebra.power(a, n, sigma), ref)
+            assert (normspectra.l2_spectral_radius(a, sigma, 4).r2_sequence
+                    == dict_r2_sequence(a, trivial, 4))
 
 
 def test_free_pair_values_equal_evaluate():
@@ -426,7 +456,7 @@ def test_free_words_past_int64_positions_run_on_python_ints(f2):
     sigma = fixtures.random_coboundary(f2, 3)
     a = AlgebraElement(f2, {long: 1.5, (1,) * 39: -0.5j, (): 2.0})
     b = AlgebraElement(f2, {(-2, -1): 1.0, (1,) * 3: 0.25})
-    assert convolve(a, b, sigma).coeffs == dict_convolve(a, b, sigma).coeffs
+    assert_same_bits(convolve(a, b, sigma), dict_convolve(a, b, sigma))
     ux = AlgebraElement(f2, {(1,): 1.0, (-1,): 1.0})
     assert (normspectra.l2_spectral_radius(ux, None, 44).r2_sequence
             == dict_r2_sequence(ux, TrivialCocycle(f2), 44))

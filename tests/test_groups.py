@@ -11,7 +11,7 @@ from twistlab.algebra import AlgebraElement
 from twistlab.errors import (BackendMismatch, InvalidAction, InvalidFactorSet,
                              InvalidGroupTable, MemoryBudgetExceeded, Unsupported)
 from twistlab.groups import (ExtensionGroup, FiniteTableGroup, FreeGroup,
-                             IntLattice, reduce_word)
+                             IntLattice, number_positions, reduce_word)
 
 
 def test_finite_table_validates():
@@ -646,3 +646,30 @@ def test_a_finite_group_keeps_one_read_only_table_and_its_inverses(name):
         assert G.compose(g, G.invert(g)) == 0
     if G.kind == "extension":
         assert not hasattr(G, "action") and not hasattr(G, "factor_set")
+
+
+def test_number_positions_numbers_as_np_unique_does():
+    f2, z3 = FreeGroup(2), IntLattice(3)
+    rng = np.random.default_rng(5)
+    # int64 positions with repeats; F2 words past int64 and Z^3 points at
+    # 10^7, whose positions are Python ints in object arrays, mixed with
+    # small ones and repeated
+    small = rng.choice(f2.ball_positions(4), 300)
+    long_words = [(1, 2) * 20, (1,) * 39, (-2,) * 45, (1,), (), (2, -1)]
+    far = [(10**7, 0, 0), (0, -10**7, 3), (1, 2, 3), (0, 0, 0), (-10**7, 10**7, 0)]
+    cases = {
+        "int64": small,
+        "free-object": f2.positions([long_words[i] for i in rng.integers(0, 6, 40)]),
+        "lattice-object": z3.positions([far[i] for i in rng.integers(0, 5, 40)]),
+        "empty-int64": np.zeros(0, dtype=np.int64),
+        "empty-object": np.zeros(0, dtype=object),
+        "all-equal": np.full(9, 17, dtype=np.int64),
+        "all-equal-object": np.array([2**70] * 4, dtype=object),
+    }
+    assert cases["free-object"].dtype == object and cases["lattice-object"].dtype == object
+    for name, pos in cases.items():
+        distinct, inverse = number_positions(pos)
+        want, want_inverse = np.unique(pos, return_inverse=True)
+        assert distinct.dtype == pos.dtype, name
+        assert distinct.tolist() == want.tolist(), name
+        assert inverse.dtype == np.intp and inverse.tolist() == want_inverse.ravel().tolist(), name

@@ -245,6 +245,17 @@ def dict_reference_matrix(G, sigma, a, r):
     return sp.csr_matrix((data, (rows, cols)), shape=(len(cod), len(dom)), dtype=complex)
 
 
+def complex_data(data):
+    """_truncation_matrix's data as one array: the real T as it is, a
+    complex T's stacked parts as the complex128 array holding them, signed
+    zeros included."""
+    if data.ndim == 2:
+        return data
+    out = np.empty(data[0].shape, dtype=complex)
+    out.real, out.imag = data
+    return out
+
+
 def five_term_element(G, seed):
     # seeded coefficients on 5 seeded words of B_4, one of them of length 4
     ball = G.enumerate_ball(4)
@@ -267,6 +278,7 @@ def test_truncation_bit_equal_to_dict_reference(k, rmax):
             for r in range(rmax + 1):
                 ref = dict_reference_matrix(G, sigma, a, r)
                 data, rows, m = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
+                data = complex_data(data)
                 n = data.shape[1]
                 T = sp.csr_matrix((data.ravel(), (rows.ravel(), np.tile(np.arange(n), len(data)))),
                                   shape=(m, n), dtype=complex)
@@ -464,8 +476,10 @@ def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
     Ritz coefficients s, pass 2 reruns the recurrence to sum
     y = sum_j s_j q_j, and T is applied by bincount on the real and
     imaginary parts, with the products of _top_singular_rayleigh.  So a real
-    T, which _top_singular_rayleigh solves in float64, is held to the bits
-    of the complex solve.  mem_cap is ignored."""
+    T, which _top_singular_rayleigh solves in float64, and a complex one,
+    which it solves on float64 parts, are held to the bits of the complex
+    solve.  ``data`` is a complex or float64 array (see complex_data).
+    mem_cap is ignored."""
     n = data.shape[1]
     data = data.astype(complex)
     flat = rows.ravel()
@@ -535,7 +549,8 @@ def test_truncated_norm_has_the_bits_of_the_two_pass_solver(k, monkeypatch):
         for r in range(7):
             with monkeypatch.context() as patched:
                 patched.setattr(normspectra, "_top_singular_rayleigh",
-                                two_pass_top_singular_rayleigh)
+                                lambda data, *rest: two_pass_top_singular_rayleigh(
+                                    complex_data(data), *rest))
                 want = truncated_norm_lower(G, sigma, a, r).hex()
             # the default cap keeps the basis; the least cap that admits the
             # codomain ball drops it past about (2k - 1)^d steps
@@ -543,15 +558,37 @@ def test_truncated_norm_has_the_bits_of_the_two_pass_solver(k, monkeypatch):
                 assert truncated_norm_lower(G, sigma, a, r, cap).hex() == want, (case, r, cap)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_trivial_twist_truncates_with_the_bits_of_a_product_by_one(k):
+    # under a TrivialCocycle the truncation reads no sigma and multiplies by
+    # nothing; a product of one trivial factor is read as 1 + 0j and
+    # multiplied in, which can flip the sign of a zero part of an entry
+    G = FreeGroup(k)
+    one = ProductCocycle([TrivialCocycle(G)])
+    for case, sigma, a in _truncation_cases(G):
+        if sigma.kind != "trivial":
+            continue
+        for r in range(5):
+            data, rows, m = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
+            data1, rows1, m1 = normspectra._truncation_matrix(G, one, a, r, 10**7)
+            assert m == m1 and np.array_equal(rows, rows1) and np.array_equal(data, data1)
+            if data.ndim == 2:
+                assert data.tobytes() == data1.tobytes(), (case, r)
+            assert (truncated_norm_lower(G, sigma, a, r).hex()
+                    == truncated_norm_lower(G, one, a, r).hex()), (case, r)
+
+
 def test_a_real_truncation_runs_lanczos_in_float64(f2, monkeypatch):
     # sphere-1 untwisted and gauged under its coboundary (conj beta (beta 1)
-    # has imaginary part exactly 0) and x - x^-1 + y are real operators; a
-    # seeded complex element is not
-    dtypes, lanczos = [], normspectra._lanczos
+    # has imaginary part exactly 0) and x - x^-1 + y are real operators,
+    # solved on float64 vectors of length n; a seeded complex element is
+    # not, and is solved on (2, n) float64 parts.  No complex128 vector
+    # appears in either
+    shapes, lanczos = [], normspectra._lanczos
 
     def recorded(gram, q, steps):
         for step in lanczos(gram, q, steps):
-            dtypes.append(step[0].dtype)
+            shapes.append((step[0].dtype, step[0].shape))
             yield step
 
     monkeypatch.setattr(normspectra, "_lanczos", recorded)
@@ -560,13 +597,13 @@ def test_a_real_truncation_runs_lanczos_in_float64(f2, monkeypatch):
     cob = fixtures.random_coboundary(f2, seed=1)
     signed = AlgebraElement(f2, dict(zip(sphere1[:3], (1.0, -1.0, 1.0))))
     trivial = TrivialCocycle(f2)
-    for sigma, b, dtype in ((trivial, a, np.float64), (cob, gauge(a, cob.beta), np.float64),
-                            (trivial, signed, np.float64),
-                            (trivial, fixtures.random_element(f2, sphere1, seed=3),
-                             np.complex128)):
-        dtypes.clear()
+    n = f2.ball_size(4)
+    for sigma, b, shape in ((trivial, a, (n,)), (cob, gauge(a, cob.beta), (n,)),
+                            (trivial, signed, (n,)),
+                            (trivial, fixtures.random_element(f2, sphere1, seed=3), (2, n))):
+        shapes.clear()
         truncated_norm_lower(f2, sigma, b, 4)
-        assert dtypes and set(dtypes) == {np.dtype(dtype)}, (sigma.kind, dtypes)
+        assert shapes and set(shapes) == {(np.dtype(np.float64), shape)}, (sigma.kind, shapes)
 
 
 def test_lanczos_runs_once_while_the_basis_fits(f2, monkeypatch):
