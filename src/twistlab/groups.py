@@ -143,11 +143,14 @@ def number_positions(pos):
     first = np.empty(len(pos), dtype=bool)
     first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = ranked[first]
+    # freed before the ranks and the inverse are formed: one array fewer at the peak
+    del ranked
     ranks = first.cumsum()
     ranks -= 1
     inverse = np.empty(len(pos), dtype=np.intp)
     inverse[perm] = ranks
-    return ranked[first], inverse
+    return distinct, inverse
 
 
 def _read_only(a):

@@ -83,11 +83,12 @@ def _truncation_matrix(G, sigma, a, r, cap):
     multiply.  Under a TrivialCocycle sigma is not read and the entry is
     a_g, not (1 + 0j) a_g, which differs from a_g at most in the sign of a
     zero part: a real T has the same bits, and a complex T the same printed
-    value (see _top_singular_rayleigh).  ``data`` is float64: the real
-    parts when no entry has a nonzero imaginary part, and else the real and
-    the imaginary parts stacked, of shape (2,) + rows.shape, so that no
-    complex array is held while T is solved.  The caller checks that sigma
-    lives on G."""
+    value (see _top_singular_rayleigh).  Then ``data`` has one column, a's
+    coefficients, which broadcasts against ``rows`` as the |B_r| equal
+    columns would.  ``data`` is float64: the real parts when no entry has a
+    nonzero imaginary part, and else the real and the imaginary parts
+    stacked, of shape (2,) + its own, so that no complex array is held
+    while T is solved.  The caller checks that sigma lives on G."""
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
@@ -96,11 +97,10 @@ def _truncation_matrix(G, sigma, a, r, cap):
     xs, ball = G.positions(supp), G.ball_positions(r)
     gb = G.products(xs[:, None], ball)
     c = np.array([a.coeffs[g] for g in supp], dtype=complex)[:, None]
-    if isinstance(sigma, TrivialCocycle):
-        re, im = np.repeat(c.real, len(ball), axis=1), np.repeat(c.imag, len(ball), axis=1)
-    else:
+    re, im = c.real, c.imag
+    if not isinstance(sigma, TrivialCocycle):
         s = sigma.pair_values(*pair_grid(xs, ball), gb.ravel()).reshape(gb.shape)
-        re, im = complex_product(s.real, s.imag, c.real, c.imag)
+        re, im = complex_product(s.real, s.imag, re, im)
     positions, rows = number_positions(gb.ravel())
     return np.stack([re, im]) if np.any(im) else re, rows.reshape(gb.shape), len(positions)
 
@@ -150,7 +150,8 @@ def _lanczos(gram, q, steps):
 def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     """||T y|| / ||y|| for a Ritz vector y of T^H T's top eigenvalue, where
     T is the m-row operator with entries ``data`` in ``rows`` (column j of
-    ``data`` is column j of T), as _truncation_matrix gives them.
+    ``data``, broadcast to the shape of ``rows``, is column j of T), as
+    _truncation_matrix gives them.
 
     The solve never forms a complex array.  When T is real, ``data`` one
     float64 array, it runs on float64 vectors of length n: the start vector,

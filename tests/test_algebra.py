@@ -311,6 +311,10 @@ def test_free_convolve_equals_the_dict_loop(rank, kind):
         # cancels exactly under the trivial cocycle
         (AlgebraElement(G, {(): 1.0, x: 1.0}), AlgebraElement(G, {(): 1.0, xi: -1.0})),
         (AlgebraElement(G, {(): 2.5j}), random_free_element(G, 7)),
+        # a longer x of LONG_SUPPORT terms is laid out on the inner axis of the
+        # grid, then read x-major; on F1 its positions are past int64
+        (random_free_element(G, 10, size=algebra.LONG_SUPPORT, radius=(128, 5, 4)[rank - 1]),
+         random_free_element(G, 11, size=2)),
         (AlgebraElement(G, {}), random_free_element(G, 8)),
         (random_free_element(G, 9), AlgebraElement(G, {})),
     ]
@@ -516,6 +520,51 @@ def test_free_l2_squares_round_as_python_does(f2):
     ref = float(np.sqrt(sum(abs(a.coeffs[g]) ** 2 for g in a.support())))
     assert next(algebra.power_norms(a, 1))[1] == algebra.l2_norm(a) == ref
     assert ref != float(np.sqrt(sum(abs(a.coeffs[g]) * abs(a.coeffs[g]) for g in a.support())))
+
+
+def test_libm_squares_integers_below_2_26_exactly():
+    # the premise of squaring integer moduli in numpy: pow(h, 2) is h * h,
+    # exact below 2^52, for every integer h below 2^16 and sampled ones below 2^26
+    rng = np.random.default_rng(26)
+    hs = np.concatenate([np.arange(2 ** 16), rng.integers(2 ** 16, 2 ** 26, 100_000),
+                         [2 ** 26 - 1]]).astype(float)
+    assert algebra._squares(hs.tolist()) == (hs * hs).tolist()
+
+
+def test_power_norms_keep_the_bits_of_squares_on_mixed_moduli(f2):
+    # integer moduli below 2^26 are squared in numpy, the others by
+    # _squares, and the squares added left to right: the bits of the list;
+    # the fractions are moduli whose h * h differs from pow(h, 2)
+    rng = np.random.default_rng(7)
+    edges = [0.0, -0.0, 1.0, -3.0, 2.0 ** 26 - 1, -(2.0 ** 26 - 1), 2.0 ** 26, -2.0 ** 26,
+             2.0 ** 26 + 2, 2.0 ** 26 - 0.5, 0.5, 1e-300, 2.0 ** 60]
+    ints = rng.integers(-2 ** 26, 2 ** 26, 100).astype(float)
+    fractions = np.array([h for h in (rng.standard_normal(400_000) * 1e4).tolist()
+                          if h ** 2 != h * h][:100])
+    if len(fractions) < 100:
+        pytest.skip("this libm's pow(h, 2) rounds like h * h")
+    for re in (np.concatenate([edges, ints, fractions]), ints, fractions, rng.permutation(ints)):
+        assert len(re) >= algebra.LONG_SUPPORT
+        want = algebra._sum_in_order(algebra._squares(np.hypot(re, 0.0).tolist()))
+        assert algebra._power_sum_squares(re, np.zeros_like(re)).hex() == want.hex()
+    huge = np.concatenate([edges, [1e200], ints])
+    with pytest.raises(InvalidArgument, match="the square of a coefficient overflows"):
+        algebra._power_sum_squares(huge, np.zeros_like(huge))
+    # through the power chain, against l2_norm's list
+    a = AlgebraElement(f2, dict(zip(f2.enumerate_ball(4), [c for c in edges + ints.tolist()
+                                                            + fractions.tolist() if c])))
+    assert len(a) >= algebra.LONG_SUPPORT
+    assert next(algebra.power_norms(a, 1))[1] == algebra.l2_norm(a)
+
+
+def test_sums_add_left_to_right_on_every_interpreter(f2):
+    # from Python 3.12 on the builtin sum compensates: there 1 + 1e-16 + 1e-16
+    # is 1.0000000000000002, added left to right it is 1.0
+    assert algebra._sum_in_order(algebra._squares([1.0, 1e-8, 1e-8])) == 1.0
+    ball = f2.enumerate_ball(1)
+    a = AlgebraElement(f2, dict(zip(ball, [1.0, 1e-8, 1e-8, 1e-8, 1e-8])))
+    assert algebra.l2_norm(a) == next(algebra.power_norms(a, 1))[1] == 1.0
+    assert algebra.l1_norm(AlgebraElement(f2, dict(zip(ball, [1.0, 1e-16, 1e-16])))) == 1.0
 
 
 def test_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):

@@ -360,17 +360,26 @@ def test_stable_digests_keep_their_bytes():
 FUSED_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 F2_SPHERE1_TRUNCATION = ("norm --group data/group_f2.json --cocycle data/cocycle_{}.json"
                          " --element data/element_f2_sphere1.json --mode truncate --radius {}")
+F2_SPECRAD = ("specrad --group data/group_f2.json --cocycle data/cocycle_{}.json"
+              " --element data/element_f2_{}.json --powers {}")
 
 
-@pytest.mark.parametrize("cocycle, r", [("f2_random_coboundary", 4),
-                                        ("f2_random_coboundary", 6), ("trivial", 9)])
-def test_pinned_truncations_keep_their_bytes_without_simd_targets(cocycle, r):
+# the pinned F2 truncations and power chains, whose kernels run on float64
+# parts and on grids of either orientation
+@pytest.mark.parametrize("args", [
+    *(pytest.param(F2_SPHERE1_TRUNCATION.format(cocycle, r), id=f"{cocycle}-{r}")
+      for cocycle, r in [("f2_random_coboundary", 4), ("f2_random_coboundary", 6),
+                         ("trivial", 9)]),
+    *(pytest.param(F2_SPECRAD.format(cocycle, element, n), id=f"specrad-{cocycle}-{element}-{n}")
+      for cocycle, element, n in [("trivial", "sphere1", 10), ("trivial", "ux", 24),
+                                  ("f2_random_coboundary", "sphere1", 8),
+                                  ("f2_random_coboundary", "t_x", 5)])])
+def test_pinned_truncations_keep_their_bytes_without_simd_targets(args):
     from numpy._core._multiarray_umath import __cpu_features__
 
     off = [t for t in FUSED_TARGETS if __cpu_features__.get(t)]
     if not off:
         pytest.skip("no x86-64 SIMD target with fused kernels is enabled here")
-    args = F2_SPHERE1_TRUNCATION.format(cocycle, r)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), NPY_DISABLE_CPU_FEATURES=" ".join(off))
     run = subprocess.run([sys.executable, "-m", "twistlab.cli", *args.split()],
                          capture_output=True, env=env, cwd=ROOT)

@@ -499,11 +499,16 @@ def test_free_products_are_the_positions_of_the_composed_words(k):
     # x0 y = e, and x1 y cancelling all but the first letter of x1
     yw += [G.invert(xw[0]), G.invert(xw[1][1:]), ()]
     short = [w for w in xw if len(w) < n // 2]
-    for xs, ys in ((xw, yw), (yw, xw), (short, yw), (xw, short), ([], yw), (xw, [])):
-        got = G.products(G.positions(xs)[:, None], G.positions(ys))
+    assert G.products(G.positions(short)[:, None], G.positions(short)).dtype == np.int64
+    for xs, ys in ((xw, yw), (yw, xw), (short, yw), (xw, short), (short, short),
+                   ([], yw), (xw, [])):
+        xp, yp = G.positions(xs), G.positions(ys)
+        got = G.products(xp[:, None], yp)
         assert got.shape == (len(xs), len(ys))
         want = G.positions([G.compose(x, y) for x in xs for y in ys])
         assert got.ravel().tolist() == want.tolist()
+        # x along the inner axis, as _convolve_terms lays out a longer x
+        assert G.products(xp[None, :], yp[:, None]).T.tolist() == got.tolist()
     for r in range(5):
         assert G.enumerate_ball(r) == G.words(G.ball_positions(r)) == listed_ball(k, r)
 

@@ -278,7 +278,7 @@ def test_truncation_bit_equal_to_dict_reference(k, rmax):
             for r in range(rmax + 1):
                 ref = dict_reference_matrix(G, sigma, a, r)
                 data, rows, m = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
-                data = complex_data(data)
+                data = np.broadcast_to(complex_data(data), rows.shape)
                 n = data.shape[1]
                 T = sp.csr_matrix((data.ravel(), (rows.ravel(), np.tile(np.arange(n), len(data)))),
                                   shape=(m, n), dtype=complex)
@@ -480,7 +480,7 @@ def two_pass_top_singular_rayleigh(data, rows, m, mem_cap=None):
     which it solves on float64 parts, are held to the bits of the complex
     solve.  ``data`` is a complex or float64 array (see complex_data).
     mem_cap is ignored."""
-    n = data.shape[1]
+    n = rows.shape[1]
     data = data.astype(complex)
     flat = rows.ravel()
     conj = data.conj()
@@ -571,9 +571,12 @@ def test_the_trivial_twist_truncates_with_the_bits_of_a_product_by_one(k):
         for r in range(5):
             data, rows, m = normspectra._truncation_matrix(G, sigma, a, r, 10**7)
             data1, rows1, m1 = normspectra._truncation_matrix(G, one, a, r, 10**7)
-            assert m == m1 and np.array_equal(rows, rows1) and np.array_equal(data, data1)
+            # the trivial data is a's coefficient column, broadcast over B_r
+            assert data.shape == data1.shape[:-1] + (1,), (case, r)
+            full = np.broadcast_to(data, data1.shape)
+            assert m == m1 and np.array_equal(rows, rows1) and np.array_equal(full, data1)
             if data.ndim == 2:
-                assert data.tobytes() == data1.tobytes(), (case, r)
+                assert full.tobytes() == data1.tobytes(), (case, r)
             assert (truncated_norm_lower(G, sigma, a, r).hex()
                     == truncated_norm_lower(G, one, a, r).hex()), (case, r)
 
