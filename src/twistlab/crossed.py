@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import DROP_TOL, _squares
-from .cocycles import Cocycle, TableCocycle, complex_mul, validate, value_table
+from .cocycles import (IDENTITY_TOL, Cocycle, TableCocycle, complex_mul, identity_bound, validate,
+                       value_table)
 from .errors import DegenerateAfterRetries, NotACocycle, NotPermuting, Unsupported
 from .groups import ExtensionGroup, FiniteTableGroup
 from .normspectra import regular_matrices
@@ -223,12 +224,17 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     to |C(g)| or to 0 over C(g).  A seeded random self-adjoint central element
     is spectrally decomposed; its eigenvalue clusters give the projections p,
     and the canonical trace p_e = d^2 / |G| the block sizes d.  Retries with a
-    fresh element when clusters merge."""
+    fresh element when clusters merge.
+
+    sigma is first checked on the rows of G's generators: when
+    cocycles.identity_bound is at most IDENTITY_TOL, the exhaustive check
+    would pass.  Otherwise the exhaustive check runs, and a sigma that fails
+    it raises NotACocycle naming its first failing triple."""
     if not G.is_finite:
         raise Unsupported("decompose needs a finite-table group")
     T, S = G.multiplication_table(), value_table(G, sigma)
-    rep = validate(G, sigma, values=S)
-    if not rep.passed:
+    rep = validate(G, sigma, values=S) if identity_bound(G, S) > IDENTITY_TOL else None
+    if rep is not None and not rep.passed:
         w = rep.witnesses[0] if rep.witnesses else None
         where = (f"the identity fails at {tuple(w['triple'])} by {w['residual']:.3g}" if w
                  else f"modulus residual {rep.max_modulus_residual:.3g}, normalisation "

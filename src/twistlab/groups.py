@@ -163,9 +163,11 @@ class FiniteTableGroup(Group):
 
     Index 0 is the identity.  The group keeps ``table``, the read-only intp
     array whose [i, j] is the index of i * j, and ``inverses``, the read-only
-    array of each index's inverse.  ``labels``, when given, are hashable
-    display names used by fixtures and serialization but play no role in
-    arithmetic.
+    array of each index's inverse.  It also keeps ``generators``, the
+    read-only array of a generating set S picked from the table, and
+    ``diameter``, the largest number of letters of S that any element needs
+    (see _generating_set).  ``labels``, when given, are hashable display names
+    used by fixtures and serialization but play no role in arithmetic.
     """
 
     kind = "finite-table"
@@ -175,13 +177,18 @@ class FiniteTableGroup(Group):
         self.name = name
         self.labels = list(labels) if labels is not None else None
         if validate:
-            table = self._validate([tuple(row) for row in table])
+            table = self._validate_rows([tuple(row) for row in table])
         self.table = _read_only(np.asarray(table, dtype=np.intp))
         self.order = len(self.table)
+        generators, self.diameter = _generating_set(self.table)
+        self.generators = _read_only(generators)
+        if validate:
+            self._validate()
         self.inverses = _read_only(np.nonzero(self.table == 0)[1])
 
-    def _validate(self, rows):
-        """The index table of the rows, checked to be a group table."""
+    def _validate_rows(self, rows):
+        """The index table of the rows, checked to be a square table of
+        indices with the identity at 0 and a 0 in every row."""
         n = len(rows)
         if n == 0:
             raise InvalidGroupTable("table is empty")
@@ -198,10 +205,21 @@ class FiniteTableGroup(Group):
         has_inverse = (T == 0).any(axis=1)
         if not has_inverse.all():
             raise InvalidGroupTable(f"element {int(np.argmin(has_inverse))} has no inverse")
-        bad = _first_nonassociative(T, idx, idx, idx)
-        if bad:
-            raise InvalidGroupTable(f"associativity fails at {bad}")
         return T
+
+    def _validate(self):
+        """Associativity of the table, by Light's test (Clifford-Preston,
+        The Algebraic Theory of Semigroups I, 1961, 1.2): the m with
+        (x m) y = x (m y) for every x and y are closed under the product and
+        hold the two-sided identity 0, so checking the triples (x, s, y) for s
+        in the generators, which reach every index from 0, checks every
+        triple: |S| n^2 of them, not n^3.  Only when one fails is the whole
+        table searched, so that the error names the first failing triple in
+        row-major order."""
+        T, idx = self.table, np.arange(self.order)
+        if _first_nonassociative(T, idx, self.generators, idx):
+            bad = _first_nonassociative(T, idx, idx, idx)
+            raise InvalidGroupTable(f"associativity fails at {bad}")
 
     def identity(self):
         return 0
@@ -539,13 +557,39 @@ def _first_true(lo, hi, test):
     return lo
 
 
+def _generating_set(T):
+    """(S, d) for the index table T: an intp array S of indices that reach
+    every index from the identity 0 by right multiplication, and d, the depth
+    of that breadth-first search, so that every element is a product of at
+    most d elements of S.  S is picked greedily: grow {0} by right
+    multiplication by S, and whenever the growth stops short of every index,
+    add to S the smallest index not reached and search again."""
+    n = len(T)
+    generators = np.zeros(0, dtype=np.intp)
+    while True:
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        frontier, depth = np.zeros(1, dtype=np.intp), 0
+        while True:
+            new = np.zeros(n, dtype=bool)
+            new[T[frontier[:, None], generators]] = True
+            new &= ~reached
+            if not new.any():
+                break
+            reached |= new
+            frontier, depth = np.flatnonzero(new), depth + 1
+        if reached.all():
+            return generators, depth
+        generators = np.append(generators, np.argmin(reached))
+
+
 def _first_nonassociative(T, xs, ys, zs):
     """The first (i, j, l), row-major, with (x_i y_j) z_l != x_i (y_j z_l) in
     the index table T, or None; about 2**13 triples at a time, each side
     gathered along one axis: rows of T[:, zs], and row x of T at y z."""
     Tz = T[:, zs]
     yz = Tz[ys]
-    step = max(1, 2 ** 13 // yz.size)
+    step = max(1, 2 ** 13 // max(yz.size, 1))
     for i in range(0, len(xs), step):
         x = xs[i:i + step]
         bad = Tz[T[x[:, None], ys]] != np.take(T[x], yz, axis=1)

@@ -486,3 +486,96 @@ def test_product_and_conjugate_pair_values_have_the_bits_of_evaluate():
                   ProductCocycle([a, ConjugateCocycle(b), TrivialCocycle(f2)])):
         got = sigma.pair_values(*_pair_positions(f2, pairs))
         assert got.tobytes() == _evaluated(sigma, pairs).tobytes()
+
+
+def _perturbed(G, sigma, factor, at=(3, 5)):
+    """sigma's value table with the entry at ``at`` multiplied by factor."""
+    values = cocycles.value_table(G, sigma)
+    values[at] *= factor
+    return values
+
+
+def _bound_cases():
+    s4, z44 = fixtures.symmetric(4), fixtures.cyclic_product([4, 4])
+    s4v4 = fixtures.s4_v4_extension()
+    tol = cocycles.IDENTITY_TOL
+    cob = fixtures.random_coboundary(s4, 1)
+    yield from ((f"clock{n}", (fixtures.clock_shift_group(n), fixtures.clock_shift_cocycle(n)))
+                for n in range(2, 7))
+    yield "bicharacter", (z44, fixtures.random_bicharacter_table(z44, [4, 4], 3))
+    yield "bicharacter-coboundary", (z44, fixtures.random_cocycle_abelian(z44, [4, 4], 3))
+    yield "coboundary-S4", (s4, cob)
+    yield "coboundary-S4/V4", (s4v4, fixtures.random_coboundary(s4v4, 2))
+    yield "coboundary-Q8", (fixtures.quaternion(), fixtures.random_coboundary(fixtures.quaternion(), 4))
+    # phases just below and above tol, and far above it
+    for size in (0.3 * tol, 0.9 * tol, 1.1 * tol, 3 * tol, 1e-9, 1e-3):
+        yield f"phase-{size:.1e}", (s4, TableCocycle(s4, _perturbed(s4, cob, np.exp(1j * size))))
+    # a modulus off by about 1e-13, and one off by more than tol
+    for size in (1e-13, 1e-11):
+        yield f"modulus-{size:.0e}", (s4, TableCocycle(s4, _perturbed(s4, cob, 1 + size)))
+
+
+@pytest.mark.parametrize("case", list(_bound_cases()), ids=lambda c: c[0])
+def test_identity_bound_covers_the_exhaustive_residual(case):
+    name, (G, sigma) = case
+    values = cocycles.value_table(G, sigma)
+    bound = cocycles.identity_bound(G, values)
+    rep = cocycles.validate(G, sigma, values=values)
+    assert bound >= rep.max_identity_residual
+    if bound <= cocycles.IDENTITY_TOL:
+        assert rep.passed
+    # every cocycle up to rounding is accepted; a residual near tol is left
+    # to the exhaustive check, since the bound grows it 3 G.diameter times
+    assert (bound <= cocycles.IDENTITY_TOL) is not name.startswith(("phase", "modulus"))
+
+
+def test_identity_bound_reads_the_generator_rows_and_every_value(monkeypatch):
+    G = fixtures.symmetric(4)
+    values = cocycles.value_table(G, fixtures.random_coboundary(G, 1))
+    full = cocycles.validate(G, TableCocycle(G, values), values=values)
+    rep = cocycles._validate_table(G, G.table, values, cocycles.IDENTITY_TOL, G.generators)
+    assert not rep.exhaustive and rep.checked_triples == len(G.generators) * G.order ** 2
+    assert (rep.max_modulus_residual, rep.max_normalization_residual) == (
+        full.max_modulus_residual, full.max_normalization_residual)
+    calls = []
+    table = cocycles._validate_table
+    monkeypatch.setattr(cocycles, "_validate_table",
+                        lambda *args: calls.append(args[4]) or table(*args))
+    assert cocycles.identity_bound(G, values) <= cocycles.IDENTITY_TOL
+    assert [rows.tolist() for rows in calls] == [G.generators.tolist()]
+
+
+def _hypot_residual(d, tol):
+    """_identity_residual's maximum and witnesses on the differences d,
+    np.hypot on every triple: the reference for its squared-modulus
+    shortcut."""
+    r = np.hypot(d.real, d.imag)
+    return float(np.max(r)), [(tuple(map(int, i)), float(r[tuple(i)]))
+                              for i in np.argwhere(r > tol)[:10]]
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0 ** -540, 2.0 ** -520, 2.0 ** -60, 2.0 ** -40, 1.0, 2.0 ** 530])
+@pytest.mark.parametrize("special", ["none", "nan", "inf", "subnormal"])
+def test_identity_residual_has_the_bits_of_hypot_on_every_triple(scale, special):
+    # sigma(x, y) = sigma(x, yz) = 1 and sigma(y, z) = 0 make the difference
+    # of the two sides sigma(xy, z) exactly, so d is the slab's differences
+    G = fixtures.cyclic(16)
+    rng = np.random.default_rng(7)
+    shape = (4, 16, 128)  # past the 1,280 triples where the shortcut starts
+    d = scale * (rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape))
+    # np.hypot orders these two the other way from their squared moduli
+    d[1, 2, 3] = scale * complex(0.20057591083599738, 0.9796781634763064)
+    d[3, 1, 4] = scale * complex(0.9200595445581299, 0.3917785528426551)
+    if special != "none":
+        d[2, 5, 7] = {"nan": complex(np.nan, 0.0), "inf": complex(np.inf, 1.0),
+                      "subnormal": complex(5e-324, 0.0)}[special]
+    ones, zeros = np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex)
+    xyz = (np.arange(4)[:, None, None], np.arange(16)[:, None], np.arange(128) % 16)
+    for tol in (0.0, 1e-12, 1e-300, 0.5 * scale, 1.0):
+        witnesses = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cocycles._identity_residual(G, ones, d, ones, zeros, xyz, tol, witnesses)
+        want, hits = _hypot_residual(d, tol)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert [w["residual"] for w in witnesses] == [r for _, r in hits]
+        assert [w["triple"] for w in witnesses] == [[i, j, k % 16] for (i, j, k), _ in hits]

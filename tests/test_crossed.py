@@ -15,7 +15,7 @@ from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle
 from twistlab.crossed import (AXIOM_TOL, attribute_blocks_to_summands, crossed_cocycle,
                               decompose_blocks, induced_action_data, orbit_decomposition,
                               transport_blocks, verify_twisted_action)
-from twistlab.errors import DegenerateAfterRetries, InvalidArgument, Unsupported
+from twistlab.errors import DegenerateAfterRetries, InvalidArgument, NotACocycle, Unsupported
 from twistlab.groups import FiniteTableGroup
 from twistlab.normspectra import regular_matrices
 
@@ -681,3 +681,41 @@ def test_a_residual_square_past_the_float_range_is_an_invalid_argument():
 def test_induced_action_data_needs_an_extension_group(s3):
     with pytest.raises(Unsupported, match="induced_action_data needs an extension group"):
         induced_action_data(s3, TrivialCocycle(s3))
+
+
+def _exhaustive_message(G, values):
+    """The NotACocycle message of the exhaustive check of a value table."""
+    rep = validate(G, TableCocycle(G, values), values=values)
+    w = rep.witnesses[0]
+    return ("sigma is not a normalised unit-modulus 2-cocycle: "
+            f"the identity fails at {tuple(w['triple'])} by {w['residual']:.3g}")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_perturbed_phase_fails_decompose_with_the_exhaustive_witness(n):
+    G = fixtures.symmetric(n)
+    base = value_table(G, fixtures.random_coboundary(G, 3))
+    rng = np.random.default_rng(n)
+    # from 1e-3 down to 10 tol, each at a random entry off the identity's row and column
+    for size in (1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11):
+        values = base.copy()
+        x, y = rng.integers(1, G.order, size=2)
+        values[x, y] *= np.exp(1j * size)
+        with pytest.raises(NotACocycle) as err:
+            decompose_blocks(G, TableCocycle(G, values))
+        assert str(err.value) == _exhaustive_message(G, values)
+
+
+def test_decompose_runs_the_exhaustive_check_only_when_the_bound_fails(monkeypatch):
+    G = fixtures.symmetric(4)
+    calls = []
+    monkeypatch.setattr(crossed, "validate",
+                        lambda *args, **kwargs: calls.append(args) or validate(*args, **kwargs))
+    for sigma in (TrivialCocycle(G), fixtures.random_coboundary(G, 1)):
+        assert sorted(decompose_blocks(G, sigma).block_sizes) == [1, 1, 2, 3, 3]
+    assert calls == []
+    # a residual of 3e-13 passes the exhaustive check but not the bound
+    values = value_table(G, fixtures.random_coboundary(G, 1))
+    values[3, 5] *= np.exp(3e-13j)
+    assert sorted(decompose_blocks(G, TableCocycle(G, values)).block_sizes) == [1, 1, 2, 3, 3]
+    assert len(calls) == 1

@@ -29,13 +29,16 @@ def test_finite_table_validates():
         FiniteTableGroup([[0, 1], [1, 2]])
 
 
+# a Latin square with identity 0 that is not a group
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 4, 3, 2, 0],
+         [2, 3, 4, 0, 1],
+         [3, 0, 1, 4, 2],
+         [4, 2, 0, 1, 3]]
+
+
 def test_associativity_failure_names_the_first_triple():
-    # a Latin square with identity 0 that is not a group
-    table = [[0, 1, 2, 3, 4],
-             [1, 4, 3, 2, 0],
-             [2, 3, 4, 0, 1],
-             [3, 0, 1, 4, 2],
-             [4, 2, 0, 1, 3]]
+    table = LOOP5
     first = next((i, j, k) for i in range(5) for j in range(5) for k in range(5)
                  if table[table[i][j]][k] != table[i][table[j][k]])
     with pytest.raises(InvalidGroupTable) as err:
@@ -678,3 +681,81 @@ def test_number_positions_numbers_as_np_unique_does():
         assert distinct.dtype == pos.dtype, name
         assert distinct.tolist() == want.tolist(), name
         assert inverse.dtype == np.intp and inverse.tolist() == want_inverse.ravel().tolist(), name
+
+
+def _word_lengths(T, generators):
+    """Each index's least number of factors from generators, by a
+    breadth-first search over Python sets; -1 where none reaches it."""
+    lengths, frontier, k = {0: 0}, [0], 0
+    while frontier:
+        k += 1
+        frontier = [g for g in {T[x][s] for x in frontier for s in generators} if g not in lengths]
+        lengths.update(dict.fromkeys(frontier, k))
+    return [lengths.get(g, -1) for g in range(len(T))]
+
+
+@pytest.mark.parametrize("n, generators, diameter", [(4, [1, 2, 6], 6), (5, [1, 2, 6, 24], 10),
+                                                     (6, [1, 2, 6, 24, 120], 15)])
+def test_symmetric_groups_keep_their_generators_and_diameter(n, generators, diameter):
+    G = fixtures.symmetric(n)
+    assert G.generators.tolist() == generators and G.diameter == diameter
+    assert not G.generators.flags.writeable
+    lengths = _word_lengths(G.table.tolist(), generators)
+    assert min(lengths) == 0 and max(lengths) == diameter
+
+
+@pytest.mark.parametrize("name", [*sorted(fixtures.standard_groups()), *EXTENSIONS])
+def test_every_finite_group_picks_generators_that_reach_every_index(name):
+    G = fixtures.standard_groups().get(name) or _extension(name)
+    T = G.table.tolist()
+    gens = G.generators.tolist()
+    lengths = _word_lengths(T, gens)
+    assert min(lengths) == 0 and max(lengths) == G.diameter
+    # greedy: each generator is the least index the ones before it do not reach
+    for i, s in enumerate(gens):
+        assert s == _word_lengths(T, gens[:i]).index(-1)
+    assert G.generators.dtype == np.intp
+
+
+def test_the_trivial_group_has_no_generators():
+    G = FiniteTableGroup([[0]])
+    assert G.generators.tolist() == [] and G.diameter == 0
+
+
+def _first_triple(T):
+    """The first (i, j, l), row-major, with (ij)l != i(jl), from the whole
+    cube at once."""
+    T = np.asarray(T)
+    bad = np.argwhere(T[T] != T[np.arange(len(T))[:, None, None], T[None]])
+    return tuple(map(int, bad[0])) if len(bad) else None
+
+
+@pytest.mark.parametrize("n, swaps", [(4, 150), (5, 40)])
+def test_a_swap_in_a_row_fails_associativity_at_the_first_triple(n, swaps):
+    # swapping two entries of a row off the identity's row and column keeps
+    # every check before associativity, and no such table is a group
+    table = fixtures.symmetric(n).table
+    rng = np.random.default_rng(n)
+    for _ in range(swaps):
+        T = table.copy()
+        i = rng.integers(1, len(T))
+        j, k = rng.choice(np.arange(1, len(T)), size=2, replace=False)
+        T[i, [j, k]] = T[i, [k, j]]
+        first = _first_triple(T)
+        assert first is not None
+        with pytest.raises(InvalidGroupTable) as err:
+            FiniteTableGroup(T.tolist())
+        assert str(err.value) == f"associativity fails at {first}"
+
+
+def test_every_generator_is_checked_for_associativity():
+    # Z2 x LOOP5 with (g, l) at index 2 l + g: the first generator, (1, 0),
+    # associates with everything, and the second, (0, 1), does not
+    table = [[2 * LOOP5[a // 2][b // 2] + (a + b) % 2 for b in range(10)] for a in range(10)]
+    with pytest.raises(InvalidGroupTable) as err:
+        FiniteTableGroup(table)
+    assert str(err.value) == f"associativity fails at {_first_triple(table)}"
+    G = FiniteTableGroup(table, validate=False)
+    assert G.generators.tolist() == [1, 2]
+    idx = np.arange(10)
+    assert not (G.table[G.table[:, [1]], idx] != G.table[idx[:, None], G.table[1]]).any()
