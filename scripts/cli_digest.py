@@ -148,6 +148,11 @@ def invocations():
     # an extension by an extension whose action is bad at the quotient key
     # [1, 1]: one error line naming that key, exit 2
     out.append(("validate", "--group", "data/group_nested_bad_action.json"))
+    # real power chains under the trivial twist on a finite group and a lattice
+    out += [("specrad", "--group", "data/group_z2.json", *TRIVIAL,
+             "--element", "data/element_z2_ones.json", "--powers", "6"),
+            ("specrad", "--group", "data/group_z2_lattice.json", *TRIVIAL,
+             "--element", "data/element_z2_harper.json", "--powers", "6")]
     return out
 
 

@@ -116,7 +116,7 @@ def _from_terms(G, terms) -> AlgebraElement:
     return AlgebraElement(G, dict(zip(G.words(pos), map(complex, re.tolist(), im.tolist()))))
 
 
-def _convolve_terms(G, sigma, x, y):
+def _convolve_terms(G, sigma, x, y, real=None):
     """Terms of x *_sigma y.
 
     The pairs run x-major and y in position order: each term is
@@ -137,8 +137,15 @@ def _convolve_terms(G, sigma, x, y):
     Under a TrivialCocycle the term is a_x b_y: sigma is not read, and a_x
     is not multiplied by 1 + 0j.  That product can change only the sign of
     a zero part of a_x, so of a zero part of a term, and a sum from +0.0
-    never ends at -0.0 (x + -x is +0.0), so the sums have the same bits."""
+    never ends at -0.0 (x + -x is +0.0), so the sums have the same bits.
+    When also no part of x or y is imaginary (real; a power chain decides it
+    once, None tests it here), the terms are the products of the real parts,
+    added by one np.bincount (two transposes when flipped, not three), and
+    the imaginary parts +0.0: complex_product differs only in signs of zeros,
+    so the sums have the same bits, and hypot(r, +0.0) is |r|."""
     (xs, xre, xim), (ys, yre, yim) = x, y
+    if real is None:
+        real = isinstance(sigma, TrivialCocycle) and not (xim.any() or yim.any())
     flip = len(xs) > len(ys) and len(xs) >= LONG_SUPPORT
     if flip:
         # (|y|, |x|) grids, read x-major through .T
@@ -152,18 +159,24 @@ def _convolve_terms(G, sigma, x, y):
     pos, where = number_positions(xys)
     # an overflow is caught by the isfinite tests below, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        re, im = xre, xim
-        if not isinstance(sigma, TrivialCocycle):
-            s = sigma.pair_values(*pair_grid(xs, ys), xys).reshape(len(xs), len(ys))
+        if real:
+            re = xre * yre
+            re = np.bincount(where, (re.T if flip else re).ravel(), len(pos))
+            im = np.zeros(len(pos))
+            modulus = np.abs(re)
+        else:
+            re, im = xre, xim
+            if not isinstance(sigma, TrivialCocycle):
+                s = sigma.pair_values(*pair_grid(xs, ys), xys).reshape(len(xs), len(ys))
+                if flip:
+                    s = s.T
+                re, im = complex_product(s.real, s.imag, re, im)
+            re, im = complex_product(re, im, yre, yim)
             if flip:
-                s = s.T
-            re, im = complex_product(s.real, s.imag, re, im)
-        re, im = complex_product(re, im, yre, yim)
-        if flip:
-            re, im = re.T, im.T
-        re = np.bincount(where, re.ravel(), len(pos))
-        im = np.bincount(where, im.ravel(), len(pos))
-        modulus = np.hypot(re, im)
+                re, im = re.T, im.T
+            re = np.bincount(where, re.ravel(), len(pos))
+            im = np.bincount(where, im.ravel(), len(pos))
+            modulus = np.hypot(re, im)
     # a finite modulus needs finite parts; finite parts can still have an
     # infinite modulus (1.5e308 + 1.5e308j), so only then are the parts tested
     if not (np.isfinite(modulus).all()
@@ -178,9 +191,11 @@ def _powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
     base = p = _terms(a)
+    # under the trivial twist the powers of a real a are real products
+    real = isinstance(sigma, TrivialCocycle) and not base[2].any()
     for n in range(1, N + 1):
         if n > 1:
-            p = _convolve_terms(G, sigma, p, base)
+            p = _convolve_terms(G, sigma, p, base, real)
         yield p
 
 

@@ -421,19 +421,26 @@ def transfer_check(G: Group, S, sigmas, seed: int = 0, n_random: int = 50,
     return TransferReport(C, C, per_sigma, ok, len(sample), seed, tol)
 
 
-def l2_spectral_radius(a: AlgebraElement, sigma: Cocycle | None, N: int,
-                       mem_cap: int = DEFAULT_MEM_CAP) -> SpectralReport:
-    """The sequence n -> ||a^n||_2^(1/n) for n = 1..N with twisted powers.
-
-    The last entry is the working estimate; no extrapolation is asserted."""
+def _r2_sequence(a: AlgebraElement, sigma: Cocycle | None, N: int, mem_cap: int) -> list:
+    """||a^n||_2^(1/n), n = 1..N; a power past mem_cap terms is MemoryBudgetExceeded."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    G = a.group
     seq = []
     for n, (size, l2) in enumerate(power_norms(a, N, sigma), 1):
         if size > mem_cap:
             raise MemoryBudgetExceeded(size, mem_cap)
         seq.append(float(l2 ** (1.0 / n)))
+    return seq
+
+
+def l2_spectral_radius(a: AlgebraElement, sigma: Cocycle | None, N: int,
+                       mem_cap: int = DEFAULT_MEM_CAP) -> SpectralReport:
+    """_r2_sequence's n -> ||a^n||_2^(1/n) for n = 1..N with twisted powers,
+    r_sigma on a finite group, and is_normal.
+
+    The last entry is the working estimate; no extrapolation is asserted."""
+    G = a.group
+    seq = _r2_sequence(a, sigma, N, mem_cap)
     r_sigma = None
     if G.is_finite:
         spec = exact_spectrum(G, _sigma_or_trivial(G, sigma), a)
@@ -536,7 +543,8 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
     untwisted data of a0 = conj(beta) a: the r2 sequence of its untwisted
     powers, computed apart from the twisted ones as a check, and the
     truncated bound, which is the run's own, since truncated_norm_lower
-    bounds a0's untwisted operator for such a sigma.  Claims no equality."""
+    bounds a0's untwisted operator for such a sigma.  Claims no equality,
+    and prints no normality flag, so it runs _r2_sequence, not is_normal."""
     if G.kind != "free":
         raise Unsupported("criterion_report supports free backends only")
     cfg = config or CriterionConfig()
@@ -551,23 +559,22 @@ def criterion_report(G: Group, sigma: Cocycle | None, t, F,
     twist = _sigma_or_trivial(G, sigma)
     runs = []
     for a in elements:
-        rep = l2_spectral_radius(a, sigma, cfg.max_power, cfg.mem_cap)
+        seq = _r2_sequence(a, sigma, cfg.max_power, cfg.mem_cap)
         norm_lower = truncated_norm_lower(G, twist, a, cfg.radius, cfg.mem_cap)
         upper = haagerup_upper(G, a)
         run = {
             "element": a.to_json()["terms"],
-            "r2_sequence": rep.r2_sequence,
-            "r2_estimate": rep.r2_at_max_power,
+            "r2_sequence": seq,
+            "r2_estimate": seq[-1],
             "norm_lower_truncated": norm_lower,
             "norm_upper_haagerup": upper,
-            "gap_r2_vs_norm_lower": norm_lower - rep.r2_at_max_power,
+            "gap_r2_vs_norm_lower": norm_lower - seq[-1],
         }
         _, a0, k = _untwist(G, twist, a)
         if k:
             # norm_lower is a0's untwisted bound: the truncation is gauged
-            rep0 = l2_spectral_radius(a0, None, cfg.max_power, cfg.mem_cap)
             run["untwisted_gauge_transport"] = {
-                "r2_sequence": rep0.r2_sequence,
+                "r2_sequence": _r2_sequence(a0, None, cfg.max_power, cfg.mem_cap),
                 "norm_lower_truncated": norm_lower,
             }
         runs.append(run)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, evaluate, law
+from conftest import assert_same_bits, coefficient_bits, evaluate, law
 from twistlab import algebra, cocycles, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -594,3 +594,132 @@ def test_a_coefficient_whose_modulus_overflows_is_an_invalid_argument(f2):
         a, b = AlgebraElement(G, {x: 1.5e154 + 1.5e154j}), AlgebraElement(G, {y: 1e154})
         with pytest.raises(InvalidArgument, match="the modulus of a coefficient overflows"):
             convolve(a, b)
+
+
+# --- real products under the trivial twist ---------------------------------
+
+class UnitCocycle(cocycles.Cocycle):
+    """sigma = 1 as a cocycle that is not a TrivialCocycle: a product under
+    it runs the complex path and multiplies each a_x by 1 + 0j."""
+
+    kind = "unit"
+
+    def pair_values(self, xs, ys, xys):
+        return np.ones(len(xs), dtype=complex)
+
+
+def ordered_bits(a):
+    """a's terms in the order of its dict, with the bits of both parts."""
+    return [(g, c.real.hex(), c.imag.hex()) for g, c in a.coeffs.items()]
+
+
+def real_path_pool(name):
+    """(G, elements to draw supports from, the size of the longer factor)."""
+    f2, z2, s3 = FreeGroup(2), IntLattice(2), fixtures.symmetric(3)
+    # words of 28 to 40 letters: F2 positions past int64, on Python ints
+    long_words = [(1, 2) * 20, (1,) * 39, (2, -1) * 14, (-2,) * 30, (1, 2) * 19 + (1,)]
+    return {
+        "F2": (f2, f2.enumerate_ball(3), 5),
+        "F2-past-int64": (f2, [()] + long_words + [f2.invert(w) for w in long_words], 5),
+        # a factor of at least LONG_SUPPORT terms lays the grid out flipped
+        "F2-flipped": (f2, f2.enumerate_ball(4), algebra.LONG_SUPPORT + 6),
+        "S3": (s3, s3.elements(), 5),
+        "Z2": (z2, z2.enumerate_ball(2), 5),
+        "Z2-flipped": (z2, z2.enumerate_ball(6), algebra.LONG_SUPPORT + 6),
+    }[name]
+
+
+def real_path_pairs(G, elems, size):
+    """Pairs of real elements: imaginary parts +0.0 and -0.0, products that
+    cancel exactly, fall below DROP_TOL or are subnormal."""
+    rng = np.random.default_rng(size + len(elems))
+    e, g = G.identity(), elems[-1]
+    gi = G.invert(g)
+
+    def real(n):
+        pick = rng.choice(len(elems), size=min(n, len(elems)), replace=False)
+        return AlgebraElement(G, {elems[i]: complex(rng.choice([rng.standard_normal(), 1.0, -1.0]),
+                                                    rng.choice([0.0, -0.0])) for i in pick})
+
+    pairs = [(real(size), real(3)), (real(3), real(size)), (real(5), real(5))]
+    pairs += [
+        # (e + g)(e - g^-1): the e terms 1 and -1 cancel to +0.0, which is dropped
+        (AlgebraElement(G, {e: 1.0, g: complex(1.0, -0.0)}),
+         AlgebraElement(G, {e: complex(1.0, -0.0), gi: -1.0})),
+        # 1.1e-300 is kept; 9e-301 is below DROP_TOL; 1e-310 is a subnormal
+        # term added to 1.1e-150; 1e-320 + 1e-320 is a subnormal sum, dropped
+        (AlgebraElement(G, {e: 1e-150, g: 1.0}), AlgebraElement(G, {e: 1.1e-150, g: 1e-160})),
+        (AlgebraElement(G, {e: 0.9e-150}), AlgebraElement(G, {e: -1e-150})),
+        (AlgebraElement(G, {e: 1e-160, g: 1e-160}), AlgebraElement(G, {e: 1e-160, gi: 1e-160})),
+        # 1e-200 * -1e-200 underflows to a -0.0 term, whose sum is +0.0
+        (AlgebraElement(G, {e: 1e-200}), AlgebraElement(G, {e: -1e-200, g: 1.0})),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["F2", "F2-past-int64", "F2-flipped", "S3", "Z2", "Z2-flipped"])
+def test_real_products_under_the_trivial_twist_keep_the_bits_of_the_complex_path(name,
+                                                                                monkeypatch):
+    # real factors under the trivial twist multiply their real parts only and
+    # give imaginary parts of +0.0; the same bits as the pair loop and as the
+    # complex path, which the unit cocycle forces, supports in order
+    G, elems, size = real_path_pool(name)
+    pairs = real_path_pairs(G, elems, size)
+    trivial, unit = TrivialCocycle(G), UnitCocycle(G)
+    want = [(dict_convolve(a, b, trivial), convolve(a, b, unit),
+             [algebra.power(a, n, unit) for n in (2, 3)], list(algebra.power_norms(a, 3, unit)))
+            for a, b in pairs]
+    if name.endswith("flipped"):
+        assert any(len(a) >= algebra.LONG_SUPPORT > len(b) for a, b in pairs)
+
+    def complex_product(*args):
+        raise AssertionError("a real product ran the complex path")
+
+    # the real path reads no complex_product at all
+    monkeypatch.setattr(algebra, "complex_product", complex_product)
+    for (a, b), (loop, forced, powers, norms) in zip(pairs, want):
+        for sigma in (None, trivial):
+            got = convolve(a, b, sigma)
+            assert coefficient_bits(got) == coefficient_bits(loop)
+            assert ordered_bits(got) == ordered_bits(forced)
+            assert list(got.coeffs) == got.support()
+            assert [ordered_bits(algebra.power(a, n, sigma)) for n in (2, 3)] == [
+                ordered_bits(p) for p in powers]
+            assert list(algebra.power_norms(a, 3, sigma)) == norms
+    assert G.identity() not in convolve(*pairs[3]).coeffs
+    assert [len(convolve(a, b)) for a, b in pairs[5:]] == [0, 0, 1]
+    # a twisted product of real factors is not real
+    monkeypatch.undo()
+    cob = fixtures.random_coboundary(G, 11)
+    for a, b in pairs[:3]:
+        assert_same_bits(convolve(a, b, cob), dict_convolve(a, b, cob))
+        c = min(a, b, key=len)
+        assert_same_bits(algebra.power(c, 3, cob), dict_convolve(dict_convolve(c, c, cob), c, cob))
+
+
+@pytest.mark.parametrize("G", [FreeGroup(2), fixtures.symmetric(3), IntLattice(2)],
+                         ids=["F2", "S3", "Z2"])
+def test_an_imaginary_part_keeps_the_complex_path_under_the_trivial_twist(G):
+    # one imaginary part in either factor, long or short, is not dropped:
+    # i * 2 has real part +0.0, so its modulus is not that of its real part
+    elems = G.enumerate_ball(4) if not G.is_finite else G.elements()
+    many = AlgebraElement(G, {g: 1.0 for g in elems})
+    for a, b in ((delta(G, elems[1], 1j), delta(G, elems[2], 2.0)),
+                 (delta(G, elems[1], 2.0), delta(G, elems[2], 1j)),
+                 (many + delta(G, elems[-1], 0.5j), delta(G, elems[1], 2.0)),
+                 (delta(G, elems[1], 2.0), many + delta(G, elems[-1], 0.5j))):
+        got = convolve(a, b)
+        assert coefficient_bits(got) == coefficient_bits(dict_convolve(a, b, TrivialCocycle(G)))
+        assert any(c.imag for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("G", [FreeGroup(2), fixtures.symmetric(3), IntLattice(2)],
+                         ids=["F2", "S3", "Z2"])
+def test_a_real_product_past_the_float_range_is_an_invalid_argument(G):
+    e = G.identity()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="a coefficient of the product overflows"):
+            convolve(delta(G, e, 1.5e308), delta(G, e, 2.0))
+        with pytest.raises(InvalidArgument, match="a coefficient of the product overflows"):
+            algebra.power(delta(G, e, -1e200), 2)

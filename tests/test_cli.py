@@ -204,8 +204,9 @@ def test_byte_determinism_across_runs_and_threads():
 # (OPENBLAS_CORETYPE=Prescott or Haswell, NPY_DISABLE_CPU_FEATURES with every
 # target off): the crossed pipeline, semigroup certificates, Haagerup bounds,
 # validation reports (finite ones included, whose residuals are formed from
-# real and imaginary parts), free-group spectral reports, and the Z^2 lattice
-# at truncation radius 8 and to the 6th power
+# real and imaginary parts), free-group spectral reports, the Z^2 lattice
+# at truncation radius 8 and to the 6th power, and the real power chains of Z2
+# and Z^2 under the trivial twist
 PINNED_STDOUT = {
     ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
      " data/element_f2_sphere1.json --mode haagerup"):
@@ -271,6 +272,12 @@ PINNED_STDOUT = {
     ("specrad --group data/group_z2_lattice.json --cocycle data/cocycle_z2_bicharacter_third.json"
      " --element data/element_z2_harper.json --powers 6"):
         ("7f69053c6acfe0dc1a213a779c045e2c20b984f0480f2a27640b3233f776e1e9", 0),
+    ("specrad --group data/group_z2.json --cocycle data/cocycle_trivial.json"
+     " --element data/element_z2_ones.json --powers 6"):
+        ("579a557b6d0b5e5bef8967558c328f4714ea8bcad7c4543be31787ec436897ef", 0),
+    ("specrad --group data/group_z2_lattice.json --cocycle data/cocycle_trivial.json"
+     " --element data/element_z2_harper.json --powers 6"):
+        ("bd5c2b7cbd1dffc9aee0189b3cbe1425facc0123a989a83c93901ea7a919296f", 0),
     # the free-group truncations whose bytes hold under every SIMD and BLAS
     # dispatch tried (see README "Tests")
     ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"

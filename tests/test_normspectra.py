@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import evaluate, law, loop_certificate, order_key
-from twistlab import fixtures, normspectra, serialize
+from twistlab import algebra, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, delta, gauge, l2_norm
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
                                PullbackCocycle, TableCocycle, TrivialCocycle, complex_mul,
@@ -847,3 +847,45 @@ def test_a_sigma_over_another_group_is_refused(fn):
                 F2, fixtures.random_coboundary(FreeGroup(3), 1), AlgebraElement(F2, {}), 4)}[fn]
     with pytest.raises(BackendMismatch):
         call()
+
+
+def criterion_f2_setup(seed=7919):
+    """The F2 criterion configuration of the free-f2 benchmark: t = x, F =
+    {xy, xy^2}, the seed + 1 coboundary, powers to 8 and radius 6."""
+    G = FreeGroup(2)
+    x, y = G.generator(1), G.generator(2)
+    F = [G.compose(x, y), G.compose(x, G.compose(y, y))]
+    return G, fixtures.random_coboundary(G, seed + 1), x, F, normspectra.CriterionConfig(
+        seed=seed, max_power=8, radius=6)
+
+
+@pytest.mark.parametrize("twist", ["coboundary", "trivial"])
+def test_criterion_runs_no_normality_test_and_keeps_its_bytes(twist, monkeypatch):
+    G, cob, t, F, cfg = criterion_f2_setup()
+    sigma = cob if twist == "coboundary" else None
+    want = json.dumps(normspectra.criterion_report(G, sigma, t, F, cfg))
+    if twist == "coboundary":
+        assert "untwisted_gauge_transport" in want
+
+    def is_normal(*args, **kwargs):
+        raise AssertionError("criterion_report ran is_normal")
+
+    monkeypatch.setattr(normspectra, "is_normal", is_normal)
+    monkeypatch.setattr(algebra, "is_normal", is_normal)
+    assert json.dumps(normspectra.criterion_report(G, sigma, t, F, cfg)) == want
+
+
+def test_criterion_power_chain_past_the_cap_is_refused_before_the_truncation(monkeypatch):
+    # a^n has 2^n terms on the free subsemigroup: a^7 is past a cap of 100,
+    # before the truncation of radius 8 is built
+    G, cob, t, F, _ = criterion_f2_setup()
+
+    def truncated_norm_lower(*args, **kwargs):
+        raise AssertionError("the truncation ran")
+
+    monkeypatch.setattr(normspectra, "truncated_norm_lower", truncated_norm_lower)
+    cfg = normspectra.CriterionConfig(length=1, max_power=8, mem_cap=100)
+    for sigma in (cob, None):
+        with pytest.raises(MemoryBudgetExceeded) as exc:
+            normspectra.criterion_report(G, sigma, t, F, cfg)
+        assert (exc.value.needed, exc.value.cap) == (128, 100)
