@@ -153,6 +153,9 @@ def invocations():
              "--element", "data/element_z2_ones.json", "--powers", "6"),
             ("specrad", "--group", "data/group_z2_lattice.json", *TRIVIAL,
              "--element", "data/element_z2_harper.json", "--powers", "6")]
+    # a Haagerup bound that is not the root rounded to nearest, but above it
+    out.append(("norm", *F2, *TRIVIAL, "--element", "data/element_f2_c_e.json",
+                "--mode", "haagerup"))
     return out
 
 

@@ -93,6 +93,11 @@ def main():
     # the float range
     dump("element_f2_sphere1_huge.json",
          AlgebraElement(f2, {x: 1e154, xi: 1e154, y: 1.0, yi: 1.0}).to_json())
+    # c e for case 2 of c from default_rng(0).standard_normal((20000, 2)):
+    # the root of |c|^2 rounded to nearest is below |c|, so the Haagerup bound
+    # must round up to stay a bound
+    dump("element_f2_c_e.json",
+         delta(f2, f2.identity(), complex(-0.535669373161111, 0.36159505490948474)).to_json())
     dump("element_delta_e_ref.json",
          {"group": "ref", "terms": [{"g": "", "re": 1.0, "im": 0.0}]})
 

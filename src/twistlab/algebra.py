@@ -15,7 +15,6 @@ Python's complex arithmetic does.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -26,10 +25,8 @@ from .groups import Group, number_positions
 
 DROP_TOL = 1e-300
 # the least term count at which a product lays the longer factor on the inner
-# axis of its grid, and a power norm squares integer moduli in numpy: below
-# it the extra numpy calls cost about what they save (a 13 x 2 product on F2
-# 48 us, 47 us x-major; 61 x 2 77 against 79 us; the norm of 49 terms 8 us,
-# 5 us by the list, and of 100 terms 7 against 10 us)
+# axis of its grid: below it the transposes cost about what they save (a
+# 13 x 2 product on F2 48 us, 47 us x-major; 61 x 2 77 against 79 us)
 LONG_SUPPORT = 64
 
 
@@ -187,16 +184,20 @@ def _convolve_terms(G, sigma, x, y, real=None):
 
 
 def _powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
-    """Yield the terms of a^1, ..., a^N, left-associated."""
+    """Yield the terms of a^1, ..., a^N, left-associated, each with whether
+    the chain is integer-valued."""
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
     base = p = _terms(a)
-    # under the trivial twist the powers of a real a are real products
+    # under the trivial twist the powers of a real a are real products, and
+    # those of an integer-valued one integer-valued: a float product or sum
+    # of integers is an integer (every float from 2^52 on is one)
     real = isinstance(sigma, TrivialCocycle) and not base[2].any()
+    integral = real and bool((np.floor(base[1]) == base[1]).all())
     for n in range(1, N + 1):
         if n > 1:
             p = _convolve_terms(G, sigma, p, base, real)
-        yield p
+        yield p, integral
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
@@ -226,76 +227,54 @@ def positive_part(a: AlgebraElement) -> AlgebraElement:
 
 
 def l1_norm(a: AlgebraElement) -> float:
-    return _sum_in_order(abs(a.coeffs[g]) for g in a.support())
+    return math.fsum(map(abs, a.coeffs.values()))
 
 
-def _sum_in_order(values) -> float:
-    """The floats in values added one by one from the left, starting from
-    0.0: the builtin sum's order up to Python 3.11, whose sum adds floats
-    with compensation from 3.12 on."""
-    total = 0.0
-    for v in values:
-        total += v
+def sum_squares(parts) -> float:
+    """The sum of the squares of the float64 parts (an array of any shape,
+    or a sequence of arrays; a complex array counts as its real and
+    imaginary parts): each square rounded once in numpy, and all of them
+    added by one math.fsum, which rounds their exact sum once (Shewchuk
+    1997).  So the order of the parts does not matter, and the sum is within
+    2u relative of the exact one (u = 2^-53: one rounding of each square,
+    one of their sum) on every libm and Python version.  A sum past the
+    float range is an InvalidArgument."""
+    with np.errstate(over="ignore"):
+        squares = np.square(np.asarray(parts).view(np.float64)).ravel()
+    try:
+        total = math.fsum(memoryview(squares))
+    except OverflowError:  # finite squares whose sum is past the range
+        total = math.inf
+    if total == math.inf:  # or a square past it
+        raise InvalidArgument("the sum of squares overflows")
     return total
 
 
-def _squares(moduli) -> list:
-    """h ** 2 for each float h in moduli, in order: libm pow, as Python
-    squares a float, which differs from h * h in the last bit for about one h
-    in 1200.  A square past the float range is an InvalidArgument."""
-    try:
-        return list(map(math.pow, moduli, itertools.repeat(2.0)))
-    except OverflowError:
-        raise InvalidArgument("the square of a coefficient overflows") from None
-
-
-def _root_sum_squares(moduli) -> float:
-    """sqrt of the sum of the _squares, added one by one in the given order."""
-    return float(np.sqrt(_sum_in_order(_squares(moduli))))
-
-
-def _power_sum_squares(re, im) -> float:
-    """The sum of the _squares of the moduli of the terms re + i im, added
-    one by one in order, with _root_sum_squares's bits.
-
-    A modulus h that is an integer below 2^26 has an exact square h * h
-    (below 2^52), and libm's pow, accurate to within an ulp, returns that
-    square: those are squared in numpy, and the other moduli go through
-    _squares.  With no imaginary part h is |re|, which hypot(re, 0) is.
-    np.cumsum adds from the left, as _sum_in_order does, so the
-    integer-valued powers of sphere-1 and of x + x^-1 build no list.
-    Complex moduli, and the moduli of fewer than LONG_SUPPORT terms, go to
-    _squares at once."""
-    if len(re) < LONG_SUPPORT or im.any():
-        return _sum_in_order(_squares(np.hypot(re, im).tolist()))
-    h = np.abs(re)
-    # a square past the float range is not exact, and is replaced below
-    with np.errstate(over="ignore"):
-        sq = h * h
-    exact = (h < 2.0 ** 26) & (np.floor(h) == h)
-    if not exact.all():
-        rest = ~exact
-        sq[rest] = _squares(h[rest].tolist())
-    return float(np.cumsum(sq)[-1])
-
-
 def l2_norm(a: AlgebraElement) -> float:
-    return _root_sum_squares(abs(a.coeffs[g]) for g in a.support())
+    return math.sqrt(sum_squares(np.fromiter(a.coeffs.values(), complex, len(a.coeffs))))
 
 
 def power(a: AlgebraElement, n: int, sigma: Cocycle | None = None) -> AlgebraElement:
     """Left-associated n-fold twisted power, n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    *_, p = _powers(a, n, sigma)
+    *_, (p, _) = _powers(a, n, sigma)
     return _from_terms(a.group, p)
 
 
 def power_norms(a: AlgebraElement, N: int, sigma: Cocycle | None = None):
     """Yield (|supp a^n|, ||a^n||_2) for n = 1..N, with l2_norm's bits.  The
-    powers stay terms, and no element is decoded."""
-    for pos, re, im in _powers(a, N, sigma):
-        yield len(pos), float(np.sqrt(_power_sum_squares(re, im)))
+    powers stay terms, and no element is decoded.  An integer-valued chain
+    whose parts are below 2^26 and whose sum of squares is below 2^53 has
+    exact squares and exact partial sums in any order, so one dot product
+    gives sum_squares's bits: the powers of sphere-1 and x + x^-1 are not
+    sent through fsum."""
+    for (pos, re, im), integral in _powers(a, N, sigma):
+        top = max(re.max(initial=0.0), -re.min(initial=0.0)) if integral else math.inf
+        if top < 2.0 ** 26 and len(re) * top * top < 2.0 ** 53:
+            yield len(pos), math.sqrt(float(re @ re))
+        else:
+            yield len(pos), math.sqrt(sum_squares((re, im)))
 
 
 def gauge(a: AlgebraElement, beta) -> AlgebraElement:

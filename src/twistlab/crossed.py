@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import DROP_TOL, _squares
+from .algebra import DROP_TOL
 from .cocycles import (IDENTITY_TOL, Cocycle, TableCocycle, complex_mul, identity_bound, validate,
                        value_table)
 from .errors import DegenerateAfterRetries, NotACocycle, NotPermuting, Unsupported
@@ -106,13 +106,11 @@ class ActionReport:
 
 def _distance(i1, c1, i2, c2) -> np.ndarray:
     """||c1 u_i1 - c2 u_i2||_2 elementwise: |c1 - c2| on the same index, else
-    sqrt(|c1|^2 + |c2|^2), each square abs(c) ** 2 as hypot and _squares
-    round it."""
+    hypot(|c1|, |c2|), finite wherever c1 and c2 are; each modulus is the
+    hypot of the parts, as Python's abs rounds it."""
     same = np.asarray(i1 == i2)
-    c = np.stack(np.broadcast_arrays(np.where(same, c1 - c2, c1), np.where(same, 0.0, c2)))
-    h = np.hypot(c.real, c.imag)
-    first, second = np.reshape(_squares(h.ravel().tolist()), h.shape)
-    return np.sqrt(first + second)
+    first, second = np.where(same, c1 - c2, c1), np.where(same, 0.0, c2)
+    return np.hypot(np.hypot(first.real, first.imag), np.hypot(second.real, second.imag))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -130,9 +128,10 @@ def verify_twisted_action(sys: TwistedSystem) -> ActionReport:
     (sigma(i1, i2) c1) c2 u_{i1 i2} and an adjoint conj(sigma(i^-1, i))
     conj(c) u_{i^-1}, and alpha_h(c u_k) is alpha_scalar[h, k] c
     u_{alpha_perm[h, k]}, each rounded as Python's complex multiply.  A
-    residual is the l2 distance of the two sides (see _distance); a product
-    past the float range warns of nothing, and a square past it is an
-    InvalidArgument."""
+    residual is the l2 distance of the two sides (see _distance), finite
+    wherever the two sides are, however far past the float range its square
+    lies: such a residual fails the check.  A product past the float range
+    warns of nothing."""
     K, L = sys.K, sys.gamma.quotient
     m = K.order
     TK, TL = K.multiplication_table(), L.multiplication_table()

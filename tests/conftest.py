@@ -1,5 +1,6 @@
 import cmath
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,3 +219,10 @@ def coefficient_bits(a):
 
 def assert_same_bits(got, want):
     assert coefficient_bits(got) == coefficient_bits(want)
+
+
+def exact_sum_squares(values) -> float:
+    """Oracle for algebra.sum_squares: the squares x * x of the real and
+    imaginary parts of the values, each rounded as a float, added exactly as
+    rationals and rounded once."""
+    return float(sum(Fraction(c.real * c.real) + Fraction(c.imag * c.imag) for c in values))

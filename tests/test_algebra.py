@@ -1,11 +1,13 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bits, coefficient_bits, evaluate, law
+from conftest import assert_same_bits, coefficient_bits, evaluate, exact_sum_squares, law
 from twistlab import algebra, cocycles, fixtures, normspectra, serialize
 from twistlab.algebra import AlgebraElement, convolve, delta, gauge, involute
 from twistlab.cocycles import (BicharacterCocycle, ConjugateCocycle, ProductCocycle,
@@ -272,12 +274,13 @@ def test_convolution_bilinear(seed):
 # --- the term engine against the dict loop --------------------------------
 
 def dict_r2_sequence(a, sigma, N):
-    """l2_spectral_radius's sequence from dict_convolve powers."""
+    """l2_spectral_radius's sequence from dict_convolve powers, each norm
+    the root of the correctly rounded sum of the rounded squares."""
     seq, p = [], a
     for n in range(1, N + 1):
         if n > 1:
             p = dict_convolve(p, a, sigma)
-        l2 = float(np.sqrt(sum(abs(p.coeffs[g]) ** 2 for g in p.support())))
+        l2 = math.sqrt(exact_sum_squares(p.coeffs.values()))
         seq.append(float(l2 ** (1.0 / n)))
     return seq
 
@@ -487,9 +490,9 @@ def test_free_r2_sequences_keep_their_recorded_bits(f2):
     assert normspectra.l2_spectral_radius(ux, None, 24).r2_sequence == X_PLUS_XINV_R2_N24
 
 
-# (|supp a^n|, ||a^n||_2) for x + x^-1 under the seed-1 coboundary, recorded
-# from the dense-rank positions these numerals replaced; from n = 28 on the
-# positions pass F2's int64 limit and run on Python ints
+# (|supp a^n|, ||a^n||_2) for x + x^-1 under the seed-1 coboundary, each norm
+# the root of the correctly rounded sum of the squares of the parts; from
+# n = 28 on the positions pass F2's int64 limit and run on Python ints
 X_PLUS_XINV_COBOUNDARY_NORMS_N30 = [
     (2, 1.4142135623730951), (3, 2.449489742783178), (4, 4.472135954999579),
     (5, 8.366600265340752), (6, 15.874507866387535), (7, 30.39736830714131),
@@ -497,74 +500,89 @@ X_PLUS_XINV_COBOUNDARY_NORMS_N30 = [
     (11, 429.8325255259305), (12, 839.8999940469097), (13, 1644.4318167683314),
     (14, 3224.9961240286752), (15, 6333.766651843113), (16, 12454.618420489633),
     (17, 24516.94087768698), (18, 48307.41371673705), (19, 95263.50455447237),
-    (20, 188003.36114016664), (21, 371276.88969285396), (22, 733660.598942044),
+    (20, 188003.3611401666), (21, 371276.88969285396), (22, 733660.5989420438),
     (23, 1450551.2620104104), (24, 2869395.533487842), (25, 5678697.357942216),
-    (26, 11243247.1482998), (27, 22269228.38690426), (28, 44124136.542805076),
-    (29, 87456792.76511583), (30, 173399153.68749908), (31, 343896178.4679513)]
+    (26, 11243247.148299802), (27, 22269228.38690426), (28, 44124136.54280507),
+    (29, 87456792.76511583), (30, 173399153.6874991), (31, 343896178.4679513)]
 
 
 def test_free_power_norms_across_the_int64_limit_keep_their_bits(f2):
     ux = AlgebraElement(f2, {(1,): 1.0, (-1,): 1.0})
     sigma = fixtures.random_coboundary(f2, 1)
     assert list(algebra.power_norms(ux, 30, sigma)) == X_PLUS_XINV_COBOUNDARY_NORMS_N30
+    assert X_PLUS_XINV_COBOUNDARY_NORMS_N30 == [
+        (len(p), math.sqrt(exact_sum_squares(p.coeffs.values())))
+        for p in (algebra.power(ux, n, sigma) for n in range(1, 31))]
 
 
-def test_free_l2_squares_round_as_python_does(f2):
-    # h * h and Python's h ** 2 (libm pow) differ in the last bit for about
-    # one h in 1200; an element made of such h tells the two apart
+def test_sum_squares_rounds_the_exact_sum_of_the_rounded_squares_once():
+    # random, integer, mixed, huge (squares near the top of the float range)
+    # and tiny (subnormal or vanishing squares) parts, against exact rationals
     rng = np.random.default_rng(5)
-    hs = [h for h in rng.standard_normal(400_000).tolist() if h ** 2 != h * h][:200]
-    if len(hs) < 200:
-        pytest.skip("this libm's pow(h, 2) rounds like h * h")
-    a = AlgebraElement(f2, dict(zip(f2.enumerate_ball(5), hs)))
-    ref = float(np.sqrt(sum(abs(a.coeffs[g]) ** 2 for g in a.support())))
-    assert next(algebra.power_norms(a, 1))[1] == algebra.l2_norm(a) == ref
-    assert ref != float(np.sqrt(sum(abs(a.coeffs[g]) * abs(a.coeffs[g]) for g in a.support())))
+    normal = rng.standard_normal(4000)
+    ints = rng.integers(-2 ** 26, 2 ** 26, 500).astype(float)
+    mixed = np.concatenate([normal[:100] * 1e4, ints[:100], [0.0, -0.0, 2.0 ** 60, 0.5, 1e-300]])
+    cases = [normal, ints, mixed, normal[:50] * 1e153, normal[:50] * 1e-160,
+             normal[:50] * 1e-300, np.array([1.0, 1e-8, 1e-8]), np.array([])]
+    for parts in cases:
+        want = exact_sum_squares(parts.tolist())
+        assert algebra.sum_squares(parts).hex() == want.hex()
+        # the order does not matter, and a complex array counts as its parts
+        assert algebra.sum_squares(rng.permutation(parts)) == want
+        if len(parts) % 2 == 0:
+            assert algebra.sum_squares(parts.view(complex)) == want
+    # 1 + 1e-16 + 1e-16 rounds to 1.0000000000000002, not to the 1.0 of a sum
+    # from the left, on every Python version
+    assert algebra.sum_squares([1.0, 1e-8, 1e-8]) == 1.0000000000000002
 
 
-def test_libm_squares_integers_below_2_26_exactly():
-    # the premise of squaring integer moduli in numpy: pow(h, 2) is h * h,
-    # exact below 2^52, for every integer h below 2^16 and sampled ones below 2^26
-    rng = np.random.default_rng(26)
-    hs = np.concatenate([np.arange(2 ** 16), rng.integers(2 ** 16, 2 ** 26, 100_000),
-                         [2 ** 26 - 1]]).astype(float)
-    assert algebra._squares(hs.tolist()) == (hs * hs).tolist()
+def test_a_sum_of_squares_past_the_float_range_is_an_invalid_argument():
+    # one square past the range, or finite squares whose sum is
+    for parts in ([1e200, 1.0], [1e154, 1e154], np.array([1e154 + 1e154j])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="the sum of squares overflows"):
+                algebra.sum_squares(parts)
 
 
-def test_power_norms_keep_the_bits_of_squares_on_mixed_moduli(f2):
-    # integer moduli below 2^26 are squared in numpy, the others by
-    # _squares, and the squares added left to right: the bits of the list;
-    # the fractions are moduli whose h * h differs from pow(h, 2)
-    rng = np.random.default_rng(7)
-    edges = [0.0, -0.0, 1.0, -3.0, 2.0 ** 26 - 1, -(2.0 ** 26 - 1), 2.0 ** 26, -2.0 ** 26,
-             2.0 ** 26 + 2, 2.0 ** 26 - 0.5, 0.5, 1e-300, 2.0 ** 60]
-    ints = rng.integers(-2 ** 26, 2 ** 26, 100).astype(float)
-    fractions = np.array([h for h in (rng.standard_normal(400_000) * 1e4).tolist()
-                          if h ** 2 != h * h][:100])
-    if len(fractions) < 100:
-        pytest.skip("this libm's pow(h, 2) rounds like h * h")
-    for re in (np.concatenate([edges, ints, fractions]), ints, fractions, rng.permutation(ints)):
-        assert len(re) >= algebra.LONG_SUPPORT
-        want = algebra._sum_in_order(algebra._squares(np.hypot(re, 0.0).tolist()))
-        assert algebra._power_sum_squares(re, np.zeros_like(re)).hex() == want.hex()
-    huge = np.concatenate([edges, [1e200], ints])
-    with pytest.raises(InvalidArgument, match="the square of a coefficient overflows"):
-        algebra._power_sum_squares(huge, np.zeros_like(huge))
-    # through the power chain, against l2_norm's list
-    a = AlgebraElement(f2, dict(zip(f2.enumerate_ball(4), [c for c in edges + ints.tolist()
-                                                            + fractions.tolist() if c])))
-    assert len(a) >= algebra.LONG_SUPPORT
+def test_l1_and_l2_norms_round_their_exact_sums_once(f2):
+    ball = f2.enumerate_ball(4)
+    re, im = np.random.default_rng(7).standard_normal((2, len(ball)))
+    a = AlgebraElement(f2, dict(zip(ball, map(complex, re.tolist(), im.tolist()))))
+    assert algebra.l2_norm(a) == math.sqrt(exact_sum_squares(a.coeffs.values()))
+    assert algebra.l1_norm(a) == float(sum(Fraction(abs(c)) for c in a.coeffs.values()))
     assert next(algebra.power_norms(a, 1))[1] == algebra.l2_norm(a)
+    tiny = AlgebraElement(f2, dict(zip(ball, [1.0, 1e-16, 1e-16])))
+    assert algebra.l1_norm(tiny) == 1.0000000000000002
+    assert algebra.l2_norm(AlgebraElement(f2, {})) == algebra.l1_norm(AlgebraElement(f2, {})) == 0.0
 
 
-def test_sums_add_left_to_right_on_every_interpreter(f2):
-    # from Python 3.12 on the builtin sum compensates: there 1 + 1e-16 + 1e-16
-    # is 1.0000000000000002, added left to right it is 1.0
-    assert algebra._sum_in_order(algebra._squares([1.0, 1e-8, 1e-8])) == 1.0
-    ball = f2.enumerate_ball(1)
-    a = AlgebraElement(f2, dict(zip(ball, [1.0, 1e-8, 1e-8, 1e-8, 1e-8])))
-    assert algebra.l2_norm(a) == next(algebra.power_norms(a, 1))[1] == 1.0
-    assert algebra.l1_norm(AlgebraElement(f2, dict(zip(ball, [1.0, 1e-16, 1e-16])))) == 1.0
+def test_integer_power_chains_have_the_bits_of_the_exact_sum(f2, monkeypatch):
+    # a real integer-valued chain under the trivial twist adds its exact
+    # squares by one dot product while its parts stay below 2^26 and their
+    # sum of squares below 2^53, else by sum_squares; both give the
+    # correctly rounded sum.  The third element's powers pass 2^26 from
+    # n = 2 on; the fourth's 8 parts 2^25 have squares summing to 2^53;
+    # 0.5 x + y is real and not integer-valued
+    x, y = f2.generator(1), f2.generator(2)
+    xi, yi = f2.invert(x), f2.invert(y)
+    cases = [(AlgebraElement(f2, {x: 1.0, xi: 1.0, y: 1.0, yi: 1.0}), 8),
+             (AlgebraElement(f2, {x: 1.0, xi: 1.0}), 24),
+             (AlgebraElement(f2, {x: 3000.0, y: -5000.0, xi: 7.0, (): 2.0 ** 25}), 4),
+             (AlgebraElement(f2, dict.fromkeys(f2.enumerate_ball(2)[:8], 2.0 ** 25)), 3),
+             (AlgebraElement(f2, {x: 0.5, y: 1.0}), 4)]
+    for a, N in cases:
+        want = [(len(p), math.sqrt(exact_sum_squares(p.coeffs.values())))
+                for p in (algebra.power(a, n) for n in range(1, N + 1))]
+        assert list(algebra.power_norms(a, N)) == want
+    # sphere-1 and x + x^-1 never reach sum_squares
+
+    def sum_squares(parts):
+        raise AssertionError("an integer chain below 2^26 ran fsum")
+
+    monkeypatch.setattr(algebra, "sum_squares", sum_squares)
+    for a, N in cases[:2]:
+        assert len(list(algebra.power_norms(a, N))) == N
 
 
 def test_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):

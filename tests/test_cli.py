@@ -87,7 +87,20 @@ def test_norm_haagerup():
                 "--cocycle", str(DATA / "cocycle_trivial.json"),
                 "--element", str(DATA / "element_f2_sphere1.json"),
                 "--mode", "haagerup")
-    assert json.loads(r.stdout)["upper"] == pytest.approx(4.0)
+    assert json.loads(r.stdout)["upper"] == 4.0
+
+
+def test_norm_haagerup_rounds_up_and_overflows_in_one_error_line():
+    # |c| for the c of element_f2_c_e.json is 0.6462914675885879, and its
+    # square is above |c|^2 rounded; past the float range, one error line
+    def upper(element):
+        return run_cli("norm", "--group", str(DATA / "group_f2.json"),
+                       "--cocycle", str(DATA / "cocycle_trivial.json"),
+                       "--element", str(DATA / element), "--mode", "haagerup")
+
+    assert json.loads(upper("element_f2_c_e.json").stdout)["upper"] == 0.646291467588588
+    r = upper("element_f2_sphere1_huge.json")
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: the Haagerup bound overflows\n")
 
 
 def test_semigroup_certified():
@@ -233,6 +246,9 @@ PINNED_STDOUT = {
     ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
      " data/element_f2_sphere1_huge.json --mode haagerup"):
         ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("norm --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
+     " data/element_f2_c_e.json --mode haagerup"):
+        ("e6c992babaaf588b332be146bbde7f1424677761d3d18a5db4a87523b27fc4bd", 0),
     ("crossed --group data/group_s4_v4_extension.json --cocycle"
      " data/cocycle_f2_random_coboundary.json"):
         ("c7b8ebbb02ccc8649d02e04a3959cd71df6702660e8d9557817468e437c19a53", 0),
@@ -244,7 +260,7 @@ PINNED_STDOUT = {
         ("502958263c39f8b2dd78e8b2653411c3791e48251abd99a2b27e53b6a760c4cb", 0),
     ("specrad --group data/group_f2.json --cocycle data/cocycle_f2_random_coboundary.json"
      " --element data/element_f2_sphere1.json --powers 8"):
-        ("c40acba1b523b8f61ff3a217b7fd702ea6baa24cf8406153824c437655f3f79b", 0),
+        ("a3570684848362ff0eebc3d83ba4a8edc6f96105f1bcdabe31ebb2b2c0f5b62b", 0),
     ("specrad --group data/group_f2.json --cocycle data/cocycle_trivial.json --element"
      " data/element_f2_ux.json --powers 24"):
         ("52c7dc309f5f9f9b6b354290f561646d5538ad8bd1662d7ce3e958862480f71e", 0),

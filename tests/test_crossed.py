@@ -3,19 +3,20 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import PairLaw, assembled_blocks, evaluate
-from twistlab import algebra, crossed, fixtures
+from twistlab import crossed, fixtures
 from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
                                TrivialCocycle, validate, value_table)
 from twistlab.crossed import (AXIOM_TOL, attribute_blocks_to_summands, crossed_cocycle,
                               decompose_blocks, induced_action_data, orbit_decomposition,
                               transport_blocks, verify_twisted_action)
-from twistlab.errors import DegenerateAfterRetries, InvalidArgument, NotACocycle, Unsupported
+from twistlab.errors import DegenerateAfterRetries, NotACocycle, Unsupported
 from twistlab.groups import FiniteTableGroup
 from twistlab.normspectra import regular_matrices
 
@@ -658,24 +659,25 @@ def test_multiplication_table_is_built_once_and_read_only():
     assert T.tolist() == [[ext.compose(x, y) for y in elems] for x in elems]
 
 
-def test_residual_squares_round_as_python_does():
-    # h * h differs from Python's h ** 2 (libm pow) in the last bit for
-    # about one h in 1200
+def test_residuals_round_as_python_abs_does():
+    # on the same index the distance is |c1 - c2|, on different indices the
+    # modulus of |c1| + i |c2|, each modulus rounded as Python's abs
     re, im = np.random.default_rng(3).standard_normal((2, 4000))
     z = re + 1j * im
-    h = np.abs(z)
-    if np.array_equal(h * h, [abs(c) ** 2 for c in z.tolist()]):
-        pytest.skip("libm pow rounds h ** 2 as h * h here")
-    assert algebra._squares(np.hypot(re, im).tolist()) == [abs(c) ** 2 for c in z.tolist()]
-    # on different indices the distance is sqrt(|c1|^2 + |c2|^2)
+    first, second = z[:2000].tolist(), z[2000:].tolist()
     got = crossed._distance(0, z[:2000], 1, z[2000:])
-    assert got.tolist() == [float(np.sqrt(abs(a) ** 2 + abs(b) ** 2))
-                            for a, b in zip(z[:2000].tolist(), z[2000:].tolist())]
+    assert got.tolist() == [abs(complex(abs(a), abs(b))) for a, b in zip(first, second)]
+    got = crossed._distance(np.arange(2000), z[:2000], np.arange(2000), z[2000:])
+    assert got.tolist() == [abs(a - b) for a, b in zip(first, second)]
 
 
-def test_a_residual_square_past_the_float_range_is_an_invalid_argument():
-    with pytest.raises(InvalidArgument, match="square of a coefficient overflows"):
-        crossed._distance(0, np.array([1e200 + 0j]), 1, complex(1.0))
+def test_a_residual_whose_square_passes_the_float_range_is_finite_and_fails():
+    # 1e200 is reported as it is, without a warning, and fails the axiom check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = crossed._distance(0, np.array([1e200 + 0j, 1e200 + 1e200j]), 1, complex(1.0))
+    assert got.tolist() == [1e200, abs(complex(1e200, 1e200))]
+    assert all(r > AXIOM_TOL for r in got.tolist())
 
 
 def test_induced_action_data_needs_an_extension_group(s3):
