@@ -185,7 +185,7 @@ def _convolve_terms(G, sigma, x, y, real=None):
 
 def _powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
     """Yield the terms of a^1, ..., a^N, left-associated, each with whether
-    the chain is integer-valued."""
+    the chain is real and whether it is integer-valued."""
     G = a.group
     sigma = _sigma_or_trivial(G, sigma)
     base = p = _terms(a)
@@ -197,7 +197,7 @@ def _powers(a: AlgebraElement, N: int, sigma: Cocycle | None):
     for n in range(1, N + 1):
         if n > 1:
             p = _convolve_terms(G, sigma, p, base, real)
-        yield p, integral
+        yield p, real, integral
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement, sigma: Cocycle | None = None) -> AlgebraElement:
@@ -258,7 +258,7 @@ def power(a: AlgebraElement, n: int, sigma: Cocycle | None = None) -> AlgebraEle
     """Left-associated n-fold twisted power, n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    *_, (p, _) = _powers(a, n, sigma)
+    *_, (p, _, _) = _powers(a, n, sigma)
     return _from_terms(a.group, p)
 
 
@@ -268,13 +268,13 @@ def power_norms(a: AlgebraElement, N: int, sigma: Cocycle | None = None):
     whose parts are below 2^26 and whose sum of squares is below 2^53 has
     exact squares and exact partial sums in any order, so one dot product
     gives sum_squares's bits: the powers of sphere-1 and x + x^-1 are not
-    sent through fsum."""
-    for (pos, re, im), integral in _powers(a, N, sigma):
+    sent through fsum, and a real chain's +0.0 imaginary parts are not."""
+    for (pos, re, im), real, integral in _powers(a, N, sigma):
         top = max(re.max(initial=0.0), -re.min(initial=0.0)) if integral else math.inf
         if top < 2.0 ** 26 and len(re) * top * top < 2.0 ** 53:
             yield len(pos), math.sqrt(float(re @ re))
         else:
-            yield len(pos), math.sqrt(sum_squares((re, im)))
+            yield len(pos), math.sqrt(sum_squares(re if real else (re, im)))
 
 
 def gauge(a: AlgebraElement, beta) -> AlgebraElement:

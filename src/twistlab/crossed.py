@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algebra import DROP_TOL
-from .cocycles import (IDENTITY_TOL, Cocycle, TableCocycle, complex_mul, identity_bound, validate,
-                       value_table)
+from .cocycles import (IDENTITY_TOL, Cocycle, TableCocycle, complex_mul, complex_product,
+                       identity_bound, validate, value_table)
 from .errors import DegenerateAfterRetries, NotACocycle, NotPermuting, Unsupported
 from .groups import ExtensionGroup, FiniteTableGroup
 from .normspectra import regular_matrices
@@ -206,7 +206,7 @@ class BlockDecomposition:
             "block_sizes": sorted(self.block_sizes),
             "projections": [[{"g": self.group.element_to_json(g), "re": float(p[g].real),
                               "im": float(p[g].imag)}
-                             for g in np.flatnonzero(np.abs(p) >= DROP_TOL)]
+                             for g in np.flatnonzero(np.hypot(p.real, p.imag) >= DROP_TOL)]
                             for p in self.projections],
             "residuals": self.residuals,
         }
@@ -218,12 +218,19 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
 
     Everything comes from the multiplication table T and the value table S of
     sigma.  With u_h u_g u_h* = phi(h, g) u_{hgh^-1}, the centre is spanned by
-    the twisted class sums of the sigma-regular classes: g is sigma-regular
-    when phi(., g) is trivial on its centraliser C(g), and that character sums
-    to |C(g)| or to 0 over C(g).  A seeded random self-adjoint central element
-    is spectrally decomposed; its eigenvalue clusters give the projections p,
-    and the canonical trace p_e = d^2 / |G| the block sizes d.  Retries with a
-    fresh element when clusters merge.
+    the twisted class sums c_j of the sigma-regular classes, each scaled to 1
+    at its class's least index r_j: g is sigma-regular when phi(., g) is
+    trivial on its centraliser C(g), and that character sums to |C(g)| or to
+    0 over C(g).  A seeded random self-adjoint central w acts on the centre by
+    M[j, k] = (w c_k)[r_j], Hermitian once scaled by nu_j = ||c_j||_2 (Dixon
+    1967, Schneider 1990).  Its eigenvectors v_i give the projections p_i =
+    conj(v_0i) sum_j (v_ji / nu_j) c_j, and p_e = |v_0i|^2 = d^2 / |G| the
+    block sizes d.  Retries with a fresh w when two eigenvalues lie within
+    CLUSTER_GAP (relative).  Products of projections are formed at the r_j,
+    where a central x has ||x||_2^2 = sum_j |x[r_j]|^2 nu_j^2.  The central
+    residual is the largest entry of u_s p u_s* - p (of u_s p - p u_s, moved
+    by u_s*) over G.generators; over all of G it is at most G.diameter times
+    that, plus rounding.
 
     sigma is first checked on the rows of G's generators: when
     cocycles.identity_bound is at most IDENTITY_TOL, the exhaustive check
@@ -250,41 +257,55 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     sums = (np.bincount(flat, phi.real.ravel(), n * n)
             + 1j * np.bincount(flat, phi.imag.ravel(), n * n)).reshape(n, n)
     centraliser = np.count_nonzero(conj == idx[None, :], axis=0)
-    regular = np.abs(sums[idx, idx]) > centraliser / 2
-    reps = np.flatnonzero((conj.min(axis=0) == idx) & regular)
-    centre = sums[reps] / centraliser[reps, None]
-    zdim = len(reps)
+    regular = np.hypot(sums[idx, idx].real, sums[idx, idx].imag) > centraliser / 2
+    first = conj.min(axis=0)  # the least index of each class
+    reps = np.flatnonzero((first == idx) & regular)
+    zdim, nu = len(reps), np.sqrt(n // centraliser[reps])
+    centre = sums[reps] / sums[reps, reps][:, None]
+    centre[np.arange(zdim), reps] = 1.0
+    cls = np.searchsorted(reps, first, side="right") - 1  # the class of each regular g
+    left = T[inv, reps[:, None]]  # g^-1 r_j at [j, g]
+    weight, rows = S[idx, left], max(1, 2 ** 18 // left.size)
+
+    def at_reps(x, Y):
+        """(x y)[r_j] = sum over g of S[g, g^-1 r_j] x_g y[g^-1 r_j], as [row y, j],
+        for about 2^18 terms at a time."""
+        a = complex_product(weight.real, weight.imag, x.real, x.imag)
+        ys = (Y[k:k + rows][:, left] for k in range(0, len(Y), rows))
+        terms = (complex_product(*a, y.real, y.imag) for y in ys)
+        return np.concatenate([re.sum(axis=-1) + 1j * im.sum(axis=-1) for re, im in terms])
 
     def star(vec):
-        out = np.empty(n, dtype=complex)
-        out[inv] = complex_mul(np.conj(S[inv, idx]), np.conj(vec))
-        return out
+        return complex_mul(np.conj(S[inv, idx]), np.conj(vec))[inv]
 
     last = None
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng((seed + 1) * 1000 + attempt)
         coeff = rng.standard_normal(zdim) + 1j * rng.standard_normal(zdim)
         wvec = coeff @ centre
-        C = regular_matrices(T, S, 0.5 * (wvec + star(wvec))[None])[0]
-        C = 0.5 * (C + C.conj().T)
-        ev, U = np.linalg.eigh(C)
+        # M[j, k] = (w c_k)[r_j], scaled to nu_j M[j, k] / nu_k
+        H = complex_mul(at_reps(0.5 * (wvec + star(wvec)), centre).T, nu[:, None] / nu)
+        ev, V = np.linalg.eigh(0.5 * (H + H.conj().T))
         gap = CLUSTER_GAP * max(1.0, float(np.max(np.abs(ev))))
-        cuts = np.flatnonzero(np.diff(ev) > gap) + 1
-        if len(cuts) + 1 != zdim:
-            last = f"{len(cuts) + 1} clusters for {zdim} sigma-regular classes"
+        if np.any(np.diff(ev) <= gap):
+            last = f"eigenvalues within {gap:.3g} for {zdim} sigma-regular classes"
             continue
-        P = np.array([Uc @ Uc[0].conj() for Uc in np.split(U, cuts, axis=1)])
+        V = complex_mul(V, 1 / nu[:, None])  # nu_0 = 1 leaves V[0] as it is
+        P = complex_mul(np.conj(V[0])[:, None], complex_mul(V[cls].T, centre[cls, idx]))
         sizes = [int(round(np.sqrt(n * p[0].real))) for p in P]
 
-        res = {"self_adjoint": [], "idempotent": [], "orthogonal": [0.0], "central": []}
+        res = {"self_adjoint": [], "idempotent": [], "orthogonal": [0.0]}
         for i, p in enumerate(P):
-            Lp = regular_matrices(T, S, p[None])[0]
-            prods = P[i:] @ Lp.T  # p times p, then times each later projection
+            prods = at_reps(p, P[i:])  # p times p, then times each later projection
+            prods[0] -= p[reps]
+            norms = np.sqrt(np.sum((prods.real ** 2 + prods.imag ** 2) * nu ** 2, axis=1))
             res["self_adjoint"].append(np.linalg.norm(p - star(p)))
-            res["idempotent"].append(np.linalg.norm(prods[0] - p))
-            res["orthogonal"].extend(np.linalg.norm(prods[1:], axis=1))
-            res["central"].append(np.max(np.abs(Lp - regular_matrices(T.T, S.T, p[None])[0])))
+            res["idempotent"].append(norms[0])
+            res["orthogonal"].extend(norms[1:])
         residuals = {key: float(max(values)) for key, values in res.items()}
+        # (u_s p u_s*)[s k s^-1] = phi(s, k) p[k]
+        diff = complex_mul(phi[G.generators], P[:, None]) - P[:, conj[G.generators]]
+        residuals["central"] = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
         residuals["sum_to_unit"] = float(np.linalg.norm(P.sum(axis=0) - (idx == 0)))
         order = np.argsort([-s for s in sizes], kind="stable")
         return BlockDecomposition(G, P[order], [sizes[i] for i in order], residuals)
@@ -384,7 +405,7 @@ def transport_blocks(sys: TwistedSystem, omega: TableCocycle, direct: BlockDecom
     g = np.arange(len(S))
     beta = S[g % m, g - g % m]
     dbeta = complex_mul(complex_mul(np.conj(beta)[:, None], np.conj(beta)), beta[sys.gamma.table])
-    residual = float(np.max(np.abs(complex_mul(omega.values, dbeta) - S)))
+    residual = float(np.max(_distance(0, complex_mul(omega.values, dbeta), 0, S)))
     carried = complex_mul(np.conj(beta), direct.projections)
     return residual, BlockDecomposition(sys.gamma, carried, direct.block_sizes)
 

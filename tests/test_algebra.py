@@ -585,6 +585,24 @@ def test_integer_power_chains_have_the_bits_of_the_exact_sum(f2, monkeypatch):
         assert len(list(algebra.power_norms(a, N))) == N
 
 
+@pytest.mark.parametrize("G", [FreeGroup(2), IntLattice(2)], ids=["F2", "Z2"])
+def test_real_power_chains_square_only_their_real_parts(G, record_calls):
+    # 0.5 x + y is real and not integer-valued under the trivial twist: its
+    # zero imaginary parts add nothing to the fsum, so the bits are those of
+    # both parts, and sum_squares gets one array
+    x, y = G.enumerate_ball(1)[1:3]
+    a = AlgebraElement(G, {x: 0.5, y: 1.0})
+    want = []
+    for n in range(1, 7):
+        _, re, im = algebra._terms(algebra.power(a, n))
+        want.append(math.sqrt(algebra.sum_squares((re, im))).hex())
+    squared = record_calls(algebra, "sum_squares")
+    assert [norm.hex() for _, norm in algebra.power_norms(a, 6)] == want
+    assert len(squared) == 6
+    assert all(isinstance(parts, np.ndarray) and parts.dtype == np.float64 and parts.ndim == 1
+               for parts, in squared)
+
+
 def test_convolve_overflow_is_an_invalid_argument_without_a_warning(f2):
     # 1e200 * 1e200 is past the float range on a free group, a finite
     # extension and a lattice alike; 1.5e308 + 1.5e308j is finite, though its

@@ -292,6 +292,108 @@ def test_one_block_per_sigma_regular_class(case):
     assert max(dec.residuals.values()) <= 1e-10
 
 
+def eigh_decompose_blocks(G, sigma, seed=0):
+    """The blocks as decompose_blocks found them through the whole algebra:
+    the class sums by the definition, one pair (h, g) at a time; the seeded
+    self-adjoint central element w of its first try; eigh of the |G| x |G|
+    matrix of left multiplication by w, whose eigenvalue clusters'
+    projectors, applied to delta_e, are the minimal central projections.
+    Returns (block sizes, projections), largest block first."""
+    T, S, inv, n = G.multiplication_table(), value_table(G, sigma), G.inverses, G.order
+    sums, first, cent = np.zeros((n, n), dtype=complex), np.arange(n), np.zeros(n)
+    for h, g in np.ndindex(n, n):  # u_h u_g u_h* = phi u_k, k = h g h^-1
+        k = T[T[h, g], inv[h]]
+        sums[g, k] += S[h, g] * S[T[h, g], inv[h]] * np.conj(S[inv[h], h])
+        first[g], cent[g] = min(first[g], k), cent[g] + (k == g)
+    reps = [g for g in range(n) if first[g] == g and abs(sums[g, g]) > cent[g] / 2]
+    rng = np.random.default_rng((seed + 1) * 1000)
+    coeff = rng.standard_normal(len(reps)) + 1j * rng.standard_normal(len(reps))
+    # the left matrix of w* is that of w's adjoint
+    C = regular_matrices(T, S, (coeff @ (sums[reps] / sums[reps, reps][:, None]))[None])[0]
+    ev, U = np.linalg.eigh(0.5 * (C + C.conj().T))
+    cuts = np.flatnonzero(np.diff(ev) > crossed.CLUSTER_GAP * max(1.0, np.abs(ev).max())) + 1
+    P = np.array([Uc @ Uc[0].conj() for Uc in np.split(U, cuts, axis=1)])
+    sizes = np.rint(np.sqrt(n * P[:, 0].real)).astype(int)
+    order = np.argsort(-sizes, kind="stable")
+    return sizes[order].tolist(), P[order]
+
+
+def _oracle_cases():
+    groups = {**fixtures.standard_groups(), **fixtures.standard_extensions()}
+    for name, G in sorted(groups.items()):
+        yield f"{name}-trivial", G, TrivialCocycle(G)
+        yield f"{name}-coboundary", G, fixtures.random_coboundary(G, seed=4)
+    for n in range(2, 7):
+        sigma = fixtures.clock_shift_cocycle(n)
+        yield f"clock{n}", sigma.group, sigma
+    S5 = fixtures.symmetric(5)
+    yield "S5-coboundary", S5, fixtures.random_coboundary(S5, 1)
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_blocks_split_in_the_centre_are_those_of_the_whole_algebra(case, record_calls):
+    # the same sizes in the same order, the same projections, and neither a
+    # |G| x |G| left matrix nor an eigenproblem past z x z
+    _, G, sigma = case
+    sizes, P = eigh_decompose_blocks(G, sigma)
+    left, eigh = record_calls(crossed, "regular_matrices"), record_calls(np.linalg, "eigh")
+    dec = decompose_blocks(G, sigma)
+    assert dec.block_sizes == sizes
+    assert np.abs(dec.projections - P).max() <= 1e-12
+    assert max(dec.residuals.values()) <= 1e-10
+    assert left == [] and [args[0].shape for args in eigh] == [(len(sizes), len(sizes))]
+
+
+def test_residuals_formed_at_the_representatives_are_the_l2_norms(monkeypatch):
+    # eigenvectors off by about 1e-6 give central p that are not projections:
+    # each residual is then signal, not rounding, and equals the l2 norm of
+    # the products formed on the whole group
+    G = fixtures.symmetric(4)
+    sigma = fixtures.random_coboundary(G, 1)
+    eigh, rng = np.linalg.eigh, np.random.default_rng(2)
+
+    def perturbed(H):
+        ev, V = eigh(H)
+        return ev, V + 1e-6 * (rng.standard_normal(V.shape) + 1j * rng.standard_normal(V.shape))
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    dec = decompose_blocks(G, sigma)
+    P, T, S = dec.projections, G.multiplication_table(), value_table(G, sigma)
+    prods = np.einsum("iab,kb->ika", regular_matrices(T, S, P), P)  # p_i p_k
+    z = len(P)
+    star = np.conj(S[G.inverses, np.arange(G.order)] * P)[:, G.inverses]
+    want = {"self_adjoint": np.linalg.norm(P - star, axis=1).max(),
+            "idempotent": max(np.linalg.norm(prods[i, i] - P[i]) for i in range(z)),
+            "orthogonal": max(np.linalg.norm(prods[i, k]) for i in range(z) for k in range(i)),
+            "sum_to_unit": np.linalg.norm(P.sum(axis=0) - np.eye(G.order)[0])}
+    assert min(want.values()) > 1e-8
+    for key, value in want.items():
+        assert dec.residuals[key] == pytest.approx(value, rel=1e-6), key
+    assert dec.residuals["central"] <= 1e-12
+
+
+class _ZeroDraws:
+    """A generator whose every normal draw is 0: the seeded central element
+    is 0, and its eigenvalues all coincide."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_a_vanishing_central_element_retries_until_it_gives_up(s3, monkeypatch):
+    clock = fixtures.clock_shift_cocycle(3)
+    seeds = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or _ZeroDraws())
+    with pytest.raises(DegenerateAfterRetries) as err:
+        decompose_blocks(s3, TrivialCocycle(s3))
+    assert str(err.value) == ("no clean decomposition after 5 tries: "
+                              "eigenvalues within 1e-08 for 3 sigma-regular classes")
+    assert seeds == [1000, 1001, 1002, 1003, 1004]
+    # one sigma-regular class: the centre is C delta_e, which w = 0 splits
+    dec = decompose_blocks(clock.group, clock)
+    assert dec.block_sizes == [3] and dec.projections.tolist() == [[1] + [0] * 8]
+
+
 def test_s5_block_sizes():
     S5 = fixtures.symmetric(5)
     dec = decompose_blocks(S5, TrivialCocycle(S5))
@@ -492,15 +594,26 @@ def test_crossed_cocycle_rounds_as_python_does(name, twist):
 
 
 DISPATCH_PROBE = """
-import hashlib
+import hashlib, json
 from twistlab import crossed, fixtures
+from twistlab.cocycles import TableCocycle
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+def json_sha(dec):
+    return sha(json.dumps(dec.to_json()).encode())
+
 for name, G in sorted(fixtures.standard_groups().items()):
     dec = crossed.decompose_blocks(G, fixtures.random_coboundary(G, 4))
-    print(name, hashlib.sha256(dec.projections.tobytes()).hexdigest())
+    print(name, sha(dec.projections.tobytes()), json_sha(dec))
 for name, ext in sorted(fixtures.standard_extensions().items()):
-    omega = crossed.crossed_cocycle(
-        crossed.induced_action_data(ext, fixtures.random_coboundary(ext, 5)))
-    print(name, hashlib.sha256(omega.values.tobytes()).hexdigest())
+    system = crossed.induced_action_data(ext, fixtures.random_coboundary(ext, 5))
+    omega = crossed.crossed_cocycle(system)
+    direct = crossed.decompose_blocks(ext, TableCocycle(ext, system.S))
+    residual, carried = crossed.transport_blocks(system, omega, direct)
+    print(name, sha(omega.values.tobytes()), json_sha(direct), json_sha(carried),
+          residual.hex())
 """
 
 
