@@ -16,12 +16,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .algebra import DROP_TOL
+from .algebra import DROP_TOL, sum_squares
 from .cocycles import (IDENTITY_TOL, Cocycle, TableCocycle, complex_mul, complex_product,
                        identity_bound, validate, value_table)
 from .errors import DegenerateAfterRetries, NotACocycle, NotPermuting, Unsupported
 from .groups import ExtensionGroup, FiniteTableGroup
-from .normspectra import regular_matrices
 
 AXIOM_TOL = 1e-10
 # decompose_blocks: relative gap between eigenvalue clusters
@@ -299,14 +298,14 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
             prods = at_reps(p, P[i:])  # p times p, then times each later projection
             prods[0] -= p[reps]
             norms = np.sqrt(np.sum((prods.real ** 2 + prods.imag ** 2) * nu ** 2, axis=1))
-            res["self_adjoint"].append(np.linalg.norm(p - star(p)))
+            res["self_adjoint"].append(np.sqrt(sum_squares(p - star(p))))
             res["idempotent"].append(norms[0])
             res["orthogonal"].extend(norms[1:])
         residuals = {key: float(max(values)) for key, values in res.items()}
         # (u_s p u_s*)[s k s^-1] = phi(s, k) p[k]
         diff = complex_mul(phi[G.generators], P[:, None]) - P[:, conj[G.generators]]
         residuals["central"] = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
-        residuals["sum_to_unit"] = float(np.linalg.norm(P.sum(axis=0) - (idx == 0)))
+        residuals["sum_to_unit"] = float(np.sqrt(sum_squares(P.sum(axis=0) - (idx == 0))))
         order = np.argsort([-s for s in sizes], kind="stable")
         return BlockDecomposition(G, P[order], [sizes[i] for i in order], residuals)
     raise DegenerateAfterRetries(f"no clean decomposition after {MAX_RETRIES} tries: {last}")
@@ -412,20 +411,21 @@ def transport_blocks(sys: TwistedSystem, omega: TableCocycle, direct: BlockDecom
 
 def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, omega: TableCocycle,
                                  crossed_blocks: BlockDecomposition):
-    """Match each block of the crossed product to the summand whose central
-    support contains it; returns one block-size list per summand."""
-    whole = omega.group
-    T = whole.multiplication_table()
-    out = []
-    for s in summands:
-        # u_k of K sits at index k of gamma
-        z = np.zeros(whole.order, dtype=complex)
-        z[:kblocks.projections.shape[1]] = kblocks.projections[s.block_indices].sum(axis=0)
-        Lz = regular_matrices(T, omega.values, z[None])[0]
-        out.append(sorted(size for q, size in zip(crossed_blocks.projections,
-                                                  crossed_blocks.block_sizes)
-                          if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q))))
-    return out
+    """Match each block q of the crossed product to the summand whose orbit
+    sum z of K-projections contains it; returns one block-size list per
+    summand.  Both are central projections, so ||zq - q||_2^2 = tau(q) -
+    tau(zq) for the trace tau(x) = x[e], and tau(zq) sums omega(k, k^-1) z[k]
+    q[k^-1] over K, gamma's first |K| indices.  q joins z when tau(zq) is
+    within 1e-7 tau(q) of tau(q) and each of q's traces that close to 0 or
+    to tau(q)."""
+    inv = omega.group.inverses[:kblocks.projections.shape[1]]
+    Z = np.array([kblocks.projections[s.block_indices].sum(axis=0) for s in summands])
+    traces = (Z * omega.values[np.arange(len(inv)), inv]) @ crossed_blocks.projections[:, inv].T
+    tau = crossed_blocks.projections[:, 0]
+    tol = 1e-7 * np.abs(tau)
+    joins = np.abs(traces - tau) <= tol
+    joins &= (joins | (np.abs(traces) <= tol)).all(axis=0)
+    return [sorted(size for size, j in zip(crossed_blocks.block_sizes, row) if j) for row in joins]
 
 
 def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,

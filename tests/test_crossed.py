@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import PairLaw, assembled_blocks, evaluate
-from twistlab import crossed, fixtures
+from twistlab import crossed, fixtures, normspectra
 from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
                                TrivialCocycle, validate, value_table)
@@ -188,6 +188,23 @@ def _carry_cases():
     yield "S5/A5-coboundary", S5, fixtures.random_coboundary(S5, 5)
 
 
+def _left_matrices(kblocks, summands, omega):
+    """The |Gamma| x |Gamma| left matrix L_z of each summand's orbit sum z of
+    K-projections, K at the first |K| indices of gamma."""
+    Z = np.zeros((len(summands), omega.group.order), dtype=complex)
+    for z, s in zip(Z, summands):
+        z[:kblocks.projections.shape[1]] = kblocks.projections[s.block_indices].sum(axis=0)
+    return regular_matrices(omega.group.multiplication_table(), omega.values, Z)
+
+
+def left_matrix_attribution(kblocks, summands, omega, blocks):
+    """Blocks to summands as attribute_blocks_to_summands found them through
+    the left matrices: q joins z when ||L_z q - q|| <= 1e-7 max(1, ||q||)."""
+    return [sorted(size for q, size in zip(blocks.projections, blocks.block_sizes)
+                   if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q)))
+            for Lz in _left_matrices(kblocks, summands, omega)]
+
+
 @pytest.mark.parametrize("case", list(_carry_cases()), ids=lambda c: c[0])
 def test_carried_blocks_are_the_assembled_ones(case, record_calls):
     _, ext, sigma = case
@@ -207,12 +224,15 @@ def test_carried_blocks_are_the_assembled_ones(case, record_calls):
     kblocks = decompose_blocks(sys.K, sys.sigma_k)
     summands = orbit_decomposition(sys, kblocks)
     calls = record_calls(crossed, "decompose_blocks")
+    left = record_calls(normspectra, "regular_matrices")
     rep = crossed.crossed_product_pipeline(ext, sigma)
     assert rep["blocks_match"] and rep["diff"] == {}
     assert rep["assembled_blocks_per_summand"] == attribute_blocks_to_summands(
         kblocks, summands, omega, oracle)
-    # one decomposition of K, one of Gamma
-    assert [args[0] for args in calls] == [ext.K, ext]
+    # one decomposition of K, one of Gamma, and no |Gamma| x |Gamma| left matrix
+    assert [args[0] for args in calls] == [ext.K, ext] and left == []
+    assert rep["assembled_blocks_per_summand"] == left_matrix_attribution(
+        kblocks, summands, omega, oracle)
 
 
 def test_a_perturbed_omega_fails_the_gauge_check(monkeypatch):
@@ -253,6 +273,48 @@ def test_compare_block_structure_diff(monkeypatch):
     assert rep["assembled_block_sizes"] == [1, 1, 2]
     assert not rep["blocks_match"]
     assert rep["diff"] == {"only_in_first": [], "only_in_second": [1, 1]}
+
+
+def test_a_block_mixing_two_summands_joins_neither(monkeypatch):
+    # on Q8/centre the 2-block and the first 1-block lie in different
+    # summands; their average is central but no projection: its traces
+    # against the two orbit sums are 1/4 and 1/16 of its own 5/16
+    ext = fixtures.q8_extension()
+    carry = crossed.transport_blocks
+
+    def mixed(sys, omega, direct):
+        residual, carried = carry(sys, omega, direct)
+        P = carried.projections.copy()
+        P[0] = (P[0] + P[1]) / 2
+        return residual, crossed.BlockDecomposition(ext, P, carried.block_sizes)
+
+    monkeypatch.setattr(crossed, "transport_blocks", mixed)
+    rep = crossed.crossed_product_pipeline(ext, TrivialCocycle(ext))
+    assert rep["direct_block_sizes"] == [1, 1, 1, 1, 2]
+    assert rep["assembled_blocks_per_summand"] == [[1, 1, 1, 1], []]
+    assert not rep["blocks_match"]
+    assert rep["diff"] == {"only_in_first": [], "only_in_second": [2]}
+
+
+def test_a_block_with_a_trace_off_zero_elsewhere_joins_no_summand():
+    # q = q_a + (q_b - q_c) / 2, with q_a, q_b, q_c in the three summands of
+    # Z3sq/Z3, has the trace of q against z_a but +-1/18 against z_b and z_c:
+    # it is no block of z_a, as the left matrices also find
+    ext = fixtures.z3sq_extension()
+    sys = induced_action_data(ext, TrivialCocycle(ext))
+    omega = crossed_cocycle(sys)
+    kblocks = decompose_blocks(sys.K, sys.sigma_k)
+    summands = orbit_decomposition(sys, kblocks)
+    _, carried = transport_blocks(sys, omega, decompose_blocks(ext, TableCocycle(ext, sys.S)))
+    P = carried.projections
+    owner = [next(i for i, q in enumerate(P) if np.allclose(Lz @ q, q))
+             for Lz in _left_matrices(kblocks, summands, omega)]
+    mixed = P.copy()
+    mixed[owner[0]] = P[owner[0]] + (P[owner[1]] - P[owner[2]]) / 2
+    blocks = crossed.BlockDecomposition(ext, mixed, carried.block_sizes)
+    got = attribute_blocks_to_summands(kblocks, summands, omega, blocks)
+    assert got == [[1, 1], [1, 1, 1], [1, 1, 1]]
+    assert got == left_matrix_attribution(kblocks, summands, omega, blocks)
 
 
 def _regular_class_count(G, sigma):
@@ -336,7 +398,7 @@ def test_blocks_split_in_the_centre_are_those_of_the_whole_algebra(case, record_
     # |G| x |G| left matrix nor an eigenproblem past z x z
     _, G, sigma = case
     sizes, P = eigh_decompose_blocks(G, sigma)
-    left, eigh = record_calls(crossed, "regular_matrices"), record_calls(np.linalg, "eigh")
+    left, eigh = record_calls(normspectra, "regular_matrices"), record_calls(np.linalg, "eigh")
     dec = decompose_blocks(G, sigma)
     assert dec.block_sizes == sizes
     assert np.abs(dec.projections - P).max() <= 1e-12
@@ -595,7 +657,7 @@ def test_crossed_cocycle_rounds_as_python_does(name, twist):
 
 DISPATCH_PROBE = """
 import hashlib, json
-from twistlab import crossed, fixtures
+from twistlab import crossed, fixtures, normspectra
 from twistlab.cocycles import TableCocycle
 
 def sha(data):
