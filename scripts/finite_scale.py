@@ -6,13 +6,18 @@ Stages, each timed by time.process_time in this one process:
                  group-law check included);
   s6_validate    validate on S6 under random_coboundary(S6, 1);
   s6_decompose   decompose_blocks on S6 under random_coboundary(S6, 1);
+  c240_decompose decompose_blocks on cyclic(240) under the trivial sigma,
+                 where every class is sigma-regular (z = n = 240);
+  z16sq_decompose
+                 the same on Z16 x Z16 (z = n = 256);
   a5z2_crossed   crossed_product_pipeline on S5 = A5.Z2 under
                  random_coboundary(ext, 1);
   a6z2_crossed   the same on S6 = A6.Z2.
 
 Every stage reads a fresh cocycle, so no stage reuses another's beta reads.
-``checks`` holds what each stage found (validate's verdict, the block
-sizes, blocks_match), so a run that computed something else shows.
+``checks`` holds what each stage found (validate's verdict, the number of
+blocks of each size, blocks_match), so a run that computed something else
+shows.
 ``--root`` names the checkout whose ``src/`` is imported (default: the one
 holding this script), so two checkouts can be timed in one session:
 
@@ -27,6 +32,7 @@ import json
 import pathlib
 import sys
 import time
+from collections import Counter
 
 
 def alternating_extension(fixtures, n):
@@ -44,6 +50,7 @@ def main():
     sys.path.insert(0, str(args.root.resolve() / "src"))
 
     from twistlab import cocycles, crossed, fixtures
+    from twistlab.cocycles import TrivialCocycle
     from twistlab.groups import FiniteTableGroup
 
     S6 = fixtures.symmetric(6)
@@ -51,6 +58,13 @@ def main():
     def extension(n):
         ext = alternating_extension(fixtures, n)
         return ext, fixtures.random_coboundary(ext, 1)
+
+    def untwisted(G):
+        return G, TrivialCocycle(G)
+
+    def decompose(G, sigma):
+        sizes = Counter(crossed.decompose_blocks(G, sigma).block_sizes)
+        return {"blocks_of_size": {d: sizes[d] for d in sorted(sizes)}}
 
     def crossed_run(ext, sigma):
         rep = crossed.crossed_product_pipeline(ext, sigma)
@@ -63,9 +77,9 @@ def main():
                      lambda rows: {"order": FiniteTableGroup(rows).order}),
         "s6_validate": (lambda: (S6, fixtures.random_coboundary(S6, 1)),
                         lambda G, sigma: {"passed": cocycles.validate(G, sigma).passed}),
-        "s6_decompose": (lambda: (S6, fixtures.random_coboundary(S6, 1)),
-                         lambda G, sigma: {"block_sizes": sorted(
-                             crossed.decompose_blocks(G, sigma).block_sizes)}),
+        "s6_decompose": (lambda: (S6, fixtures.random_coboundary(S6, 1)), decompose),
+        "c240_decompose": (lambda: untwisted(fixtures.cyclic(240)), decompose),
+        "z16sq_decompose": (lambda: untwisted(fixtures.cyclic_product([16, 16])), decompose),
         "a5z2_crossed": (lambda: extension(5), crossed_run),
         "a6z2_crossed": (lambda: extension(6), crossed_run),
     }

@@ -439,10 +439,7 @@ def _identity_residual(G, sxy, sxy_z, sx_yz, syz, xyz, tol, witnesses) -> float:
     lr, li = complex_product(sxy.real, sxy.imag, sxy_z.real, sxy_z.imag)
     rr, ri = complex_product(sx_yz.real, sx_yz.imag, syz.real, syz.imag)
     dr, di = (lr - rr).ravel(), (li - ri).ravel()
-    # below about 1,280 entries the squares cost more than they save: on
-    # 1e-16 differences the shortcut took 17-20 against 13 us at 512
-    # entries, 15 against 19 us at 1,728 and 27 against 130 us at 8,192
-    at = None if dr.size < 1280 else _hypot_candidates(dr, di, tol)
+    at = _hypot_candidates(dr, di, tol)
     r = np.hypot(dr, di) if at is None else np.hypot(dr[at], di[at])
     worst = float(np.max(r))
     if not worst <= tol:  # a NaN in r still lets the residuals above tol through

@@ -4,9 +4,9 @@ From an extension backend and a cocycle on it, extract the induced twisted
 action (alpha, rho) of the quotient on the twisted algebra of the finite
 normal subgroup, verify the twisted-action axioms, decompose finite
 dimensional twisted group algebras into matrix blocks, group the blocks into
-quotient orbits, and carry the blocks of the whole extension's algebra to the
-crossed product, the twisted group algebra under the cocycle read off
-(alpha, rho), through the Packer-Raeburn gauge.
+quotient orbits, and attribute the blocks of the whole extension's algebra to
+them.  The Packer-Raeburn gauge checks that this algebra is the crossed
+product, the twisted group algebra under the cocycle read off (alpha, rho).
 """
 
 from __future__ import annotations
@@ -226,10 +226,12 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
     conj(v_0i) sum_j (v_ji / nu_j) c_j, and p_e = |v_0i|^2 = d^2 / |G| the
     block sizes d.  Retries with a fresh w when two eigenvalues lie within
     CLUSTER_GAP (relative).  Products of projections are formed at the r_j,
-    where a central x has ||x||_2^2 = sum_j |x[r_j]|^2 nu_j^2.  The central
-    residual is the largest entry of u_s p u_s* - p (of u_s p - p u_s, moved
-    by u_s*) over G.generators; over all of G it is at most G.diameter times
-    that, plus rounding.
+    where a central x has ||x||_2^2 = sum_j |x[r_j]|^2 nu_j^2: p_i p_i and p_i
+    q_i, q_i = p_{i+1} + ... + p_{z-1} in eigenvector order.  For self-adjoint
+    idempotents sum_{k>i} (p_k p_i)* (p_k p_i) = p_i q_i p_i, so p_i q_i = 0
+    for all i is orthogonality.  The central residual is the largest entry of
+    u_s p u_s* - p (of u_s p - p u_s, moved by u_s*) over G.generators; over
+    all of G it is at most G.diameter times that, plus rounding.
 
     sigma is first checked on the rows of G's generators: when
     cocycles.identity_bound is at most IDENTITY_TOL, the exhaustive check
@@ -293,15 +295,16 @@ def decompose_blocks(G: FiniteTableGroup, sigma: Cocycle, seed: int = 0) -> Bloc
         P = complex_mul(np.conj(V[0])[:, None], complex_mul(V[cls].T, centre[cls, idx]))
         sizes = [int(round(np.sqrt(n * p[0].real))) for p in P]
 
-        res = {"self_adjoint": [], "idempotent": [], "orthogonal": [0.0]}
-        for i, p in enumerate(P):
-            prods = at_reps(p, P[i:])  # p times p, then times each later projection
+        found, pq = [], np.zeros((2, n), dtype=complex)  # p, and the sum of those after p
+        for p in P[::-1]:
+            pq[0] = p
+            prods = at_reps(p, pq)  # p p, then p q
             prods[0] -= p[reps]
             norms = np.sqrt(np.sum((prods.real ** 2 + prods.imag ** 2) * nu ** 2, axis=1))
-            res["self_adjoint"].append(np.sqrt(sum_squares(p - star(p))))
-            res["idempotent"].append(norms[0])
-            res["orthogonal"].extend(norms[1:])
-        residuals = {key: float(max(values)) for key, values in res.items()}
+            found.append((np.sqrt(sum_squares(p - star(p))), *norms))
+            pq[1] += p
+        names = ("self_adjoint", "idempotent", "orthogonal")
+        residuals = {key: float(max(column)) for key, column in zip(names, zip(*found))}
         # (u_s p u_s*)[s k s^-1] = phi(s, k) p[k]
         diff = complex_mul(phi[G.generators], P[:, None]) - P[:, conj[G.generators]]
         residuals["central"] = float(np.max(np.hypot(diff.real, diff.imag), initial=0.0))
@@ -394,45 +397,42 @@ def crossed_cocycle(sys: TwistedSystem) -> TableCocycle:
     return TableCocycle(sys.gamma, omega.reshape(nl * m, nl * m))
 
 
-def transport_blocks(sys: TwistedSystem, omega: TableCocycle, direct: BlockDecomposition):
-    """Carry the blocks of C(Gamma, sigma) to the crossed product C(Gamma, omega)
-    by the Packer-Raeburn gauge u_k v_h -> u_(k,e) u_(0,h) = beta(g) u_g, with
-    beta(g) = sigma((k, e), (0, h)) = S[k, |K| h] at g = |K| h + k: omega d beta
-    = sigma for d beta(x, y) = conj beta(x) conj beta(y) beta(xy), so p goes to
-    conj(beta) p.  Returns max |omega d beta - sigma| and the carried blocks."""
+def gauge_residual(sys: TwistedSystem, omega: TableCocycle) -> float:
+    """max |omega d beta - sigma| over gamma's pairs, 0 when the Packer-Raeburn
+    gauge u_k v_h -> u_(k,e) u_(0,h) = beta(g) u_g carries C(Gamma, omega)
+    onto C(Gamma, sigma): beta(g) = sigma((k, e), (0, h)) = S[k, |K| h] at
+    g = |K| h + k, and d beta(x, y) = conj beta(x) conj beta(y) beta(xy)."""
     S, m = sys.S, sys.K.order
     g = np.arange(len(S))
     beta = S[g % m, g - g % m]
     dbeta = complex_mul(complex_mul(np.conj(beta)[:, None], np.conj(beta)), beta[sys.gamma.table])
-    residual = float(np.max(_distance(0, complex_mul(omega.values, dbeta), 0, S)))
-    carried = complex_mul(np.conj(beta), direct.projections)
-    return residual, BlockDecomposition(sys.gamma, carried, direct.block_sizes)
+    return float(np.max(_distance(0, complex_mul(omega.values, dbeta), 0, S)))
 
 
-def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, omega: TableCocycle,
-                                 crossed_blocks: BlockDecomposition):
-    """Match each block q of the crossed product to the summand whose orbit
-    sum z of K-projections contains it; returns one block-size list per
-    summand.  Both are central projections, so ||zq - q||_2^2 = tau(q) -
-    tau(zq) for the trace tau(x) = x[e], and tau(zq) sums omega(k, k^-1) z[k]
-    q[k^-1] over K, gamma's first |K| indices.  q joins z when tau(zq) is
-    within 1e-7 tau(q) of tau(q) and each of q's traces that close to 0 or
-    to tau(q)."""
-    inv = omega.group.inverses[:kblocks.projections.shape[1]]
+def attribute_blocks_to_summands(kblocks: BlockDecomposition, summands, sigma_k: TableCocycle,
+                                 blocks: BlockDecomposition):
+    """Match each block q of C(Gamma, sigma) to the summand whose orbit sum z
+    of K-projections contains it; returns one block-size list per summand.  z
+    sits at gamma's first |K| indices, where the gauge is trivial (beta(k) =
+    sigma(k, e) = 1).  Both are central projections, so ||zq - q||_2^2 =
+    tau(q) - tau(zq) for the trace tau(x) = x[e], and tau(zq) sums
+    sigma_K(k, k^-1) z[k] q[k^-1] over K.  q joins z when tau(zq) is within
+    1e-7 tau(q) of tau(q) and each of q's traces that close to 0 or to tau(q)."""
+    inv = sigma_k.group.inverses
     Z = np.array([kblocks.projections[s.block_indices].sum(axis=0) for s in summands])
-    traces = (Z * omega.values[np.arange(len(inv)), inv]) @ crossed_blocks.projections[:, inv].T
-    tau = crossed_blocks.projections[:, 0]
+    traces = (Z * sigma_k.values[np.arange(len(inv)), inv]) @ blocks.projections[:, inv].T
+    tau = blocks.projections[:, 0]
     tol = 1e-7 * np.abs(tau)
     joins = np.abs(traces - tau) <= tol
     joins &= (joins | (np.abs(traces) <= tol)).all(axis=0)
-    return [sorted(size for size, j in zip(crossed_blocks.block_sizes, row) if j) for row in joins]
+    return [sorted(size for size, j in zip(blocks.block_sizes, row) if j) for row in joins]
 
 
 def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
                              convention: str = DEFAULT_CONVENTION, seed: int = 0) -> dict:
     """End-to-end run: induced action, axiom check, K-block decomposition,
-    orbits, and the one decomposition of the whole group's twisted algebra,
-    whose blocks the gauge carries to the crossed product and its summands."""
+    orbits, and the blocks of C(Gamma, sigma) attributed to them; they match
+    when the sizes agree and the gauge carries the crossed product there."""
     sys = induced_action_data(gamma, sigma, convention)
     action = verify_twisted_action(sys)
     if not action.passed:
@@ -445,9 +445,7 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
     kblocks = decompose_blocks(sys.K, sys.sigma_k, seed=seed)
     summands = orbit_decomposition(sys, kblocks)
     direct = decompose_blocks(gamma, TableCocycle(gamma, sys.S), seed=seed)
-    omega = crossed_cocycle(sys)
-    gauge_residual, carried = transport_blocks(sys, omega, direct)
-    per_summand = attribute_blocks_to_summands(kblocks, summands, omega, carried)
+    per_summand = attribute_blocks_to_summands(kblocks, summands, sys.sigma_k, direct)
     assembled = sorted(size for sizes in per_summand for size in sizes)
     first, second = Counter(assembled), Counter(direct.block_sizes)
     diff = {} if first == second else {"only_in_first": sorted((first - second).elements()),
@@ -460,7 +458,7 @@ def crossed_product_pipeline(gamma: ExtensionGroup, sigma: Cocycle,
         "assembled_block_sizes": assembled,
         "assembled_blocks_per_summand": per_summand,
         "direct_block_sizes": sorted(direct.block_sizes),
-        "blocks_match": gauge_residual <= AXIOM_TOL and first == second,
+        "blocks_match": gauge_residual(sys, crossed_cocycle(sys)) <= AXIOM_TOL and first == second,
         "diff": diff,
         "dimension": gamma.order,
         "dimension_check": gamma.order == gamma.K.order * len(gamma.quotient.elements()),

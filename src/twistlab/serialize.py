@@ -12,10 +12,10 @@ import math
 import sys
 
 from .algebra import AlgebraElement
-from .cocycles import (BicharacterCocycle, Cocycle, CoboundaryCocycle,
+from .cocycles import (MODULUS_TOL, BicharacterCocycle, Cocycle, CoboundaryCocycle,
                        ConjugateCocycle, ProductCocycle, PullbackCocycle,
                        TableCocycle, TrivialCocycle)
-from .errors import BackendMismatch, TwistlabError
+from .errors import BackendMismatch, InvalidArgument, TwistlabError
 from .groups import (ExtensionGroup, FiniteTableGroup, FreeGroup, Group, IntLattice,
                      json_int)
 
@@ -115,8 +115,13 @@ def cocycle_from_json(obj, G: Group) -> Cocycle:
     if kind == "trivial":
         return TrivialCocycle(G)
     if kind == "table":
-        return TableCocycle(G, [[_complex(v, "a table value") for v in row]
-                                for row in obj["values"]])
+        rows = [[_complex(v, "a table value") for v in row] for row in obj["values"]]
+        sigma = TableCocycle(G, rows)
+        # TableCocycle sets the identity's row and column to 1; a file must hold 1 there
+        for i, j in [(0, k) for k in range(len(rows))] + [(k, 0) for k in range(len(rows))]:
+            if not abs(rows[i][j] / rows[0][0] - 1) <= MODULUS_TOL:
+                raise InvalidArgument(f"table value [{i}][{j}] is not 1 once divided by [0][0]")
+        return sigma
     if kind == "bicharacter":
         return BicharacterCocycle(G, [[_number(v, "a theta entry") for v in row]
                                       for row in obj["theta"]])

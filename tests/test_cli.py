@@ -167,6 +167,37 @@ def test_table_cocycle_on_an_extension_validates(tmp_path):
     assert json.loads(r.stdout)["cocycle"]["passed"] is True
 
 
+def _s3_table(entries, scale=1):
+    """S3's trivial table cocycle times scale, with the given (i, j): value
+    entries, as a descriptor."""
+    values = [[[scale.real, scale.imag]] * 6 for _ in range(6)]
+    for (i, j), v in entries.items():
+        values[i][j] = [v.real, v.imag]
+    return {"kind": "table", "values": values}
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+@pytest.mark.parametrize("entries, where", [
+    ({(0, 1): 1j, (2, 0): -1}, "[0][1]"),
+    ({(3, 0): -1}, "[3][0]"),
+])
+def test_a_table_off_one_at_the_identity_exits_2(tmp_path, command, entries, where):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(_s3_table(entries)))
+    r = run_cli(command, "--group", str(DATA / "group_s3.json"), "--cocycle", str(path))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"error: {path}: table value {where} is not 1 once divided by [0][0]"]
+
+
+def test_a_table_is_read_after_dividing_by_its_value_at_the_identity(tmp_path):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(_s3_table({}, scale=1j)))
+    r = run_cli("validate", "--group", str(DATA / "group_s3.json"), "--cocycle", str(path))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["cocycle"]["max_normalization_residual"] == 0.0
+
+
 def _nested_extension(case):
     """Z2 by the Q8 extension with one fault at the quotient element of
     index 3, whose JSON form, the descriptor's key, is [1, 1]."""

@@ -561,7 +561,7 @@ def test_identity_residual_has_the_bits_of_hypot_on_every_triple(scale, special)
     # of the two sides sigma(xy, z) exactly, so d is the slab's differences
     G = fixtures.cyclic(16)
     rng = np.random.default_rng(7)
-    shape = (4, 16, 128)  # past the 1,280 triples where the shortcut starts
+    shape = (4, 16, 128)
     d = scale * (rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape))
     # np.hypot orders these two the other way from their squared moduli
     d[1, 2, 3] = scale * complex(0.20057591083599738, 0.9796781634763064)

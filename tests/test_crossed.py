@@ -12,10 +12,10 @@ from conftest import PairLaw, assembled_blocks, evaluate
 from twistlab import crossed, fixtures, normspectra
 from twistlab.algebra import AlgebraElement, convolve, delta, involute
 from twistlab.cocycles import (ConjugateCocycle, ProductCocycle, PullbackCocycle, TableCocycle,
-                               TrivialCocycle, validate, value_table)
+                               TrivialCocycle, complex_mul, validate, value_table)
 from twistlab.crossed import (AXIOM_TOL, attribute_blocks_to_summands, crossed_cocycle,
-                              decompose_blocks, induced_action_data, orbit_decomposition,
-                              transport_blocks, verify_twisted_action)
+                              decompose_blocks, gauge_residual, induced_action_data,
+                              orbit_decomposition, verify_twisted_action)
 from twistlab.errors import DegenerateAfterRetries, NotACocycle, Unsupported
 from twistlab.groups import FiniteTableGroup
 from twistlab.normspectra import regular_matrices
@@ -166,8 +166,7 @@ def test_crossed_cocycle_is_gauge_equivalent_to_sigma(name, twist):
             dbeta = np.conj(beta[i]) * np.conj(beta[j]) * beta[xy]
             worst = max(worst, abs(evaluate(omega, i, j) * dbeta - evaluate(sigma, i, j)))
     assert worst <= 1e-12
-    direct = decompose_blocks(ext, TableCocycle(ext, sys.S))
-    assert abs(transport_blocks(sys, omega, direct)[0] - worst) <= 1e-15
+    assert abs(gauge_residual(sys, omega) - worst) <= 1e-15
 
 
 def _s5():
@@ -188,21 +187,32 @@ def _carry_cases():
     yield "S5/A5-coboundary", S5, fixtures.random_coboundary(S5, 5)
 
 
-def _left_matrices(kblocks, summands, omega):
+def carried_blocks(sys, direct):
+    """The blocks of C(Gamma, sigma) carried to the crossed product C(Gamma,
+    omega) by the Packer-Raeburn gauge: p goes to conj(beta) p, with beta(g)
+    = sigma((k, e), (0, h)) = S[k, |K| h] at g = |K| h + k."""
+    S, m = sys.S, sys.K.order
+    g = np.arange(len(S))
+    P = complex_mul(np.conj(S[g % m, g - g % m]), direct.projections)
+    return crossed.BlockDecomposition(sys.gamma, P, direct.block_sizes)
+
+
+def _left_matrices(kblocks, summands, table):
     """The |Gamma| x |Gamma| left matrix L_z of each summand's orbit sum z of
-    K-projections, K at the first |K| indices of gamma."""
-    Z = np.zeros((len(summands), omega.group.order), dtype=complex)
+    K-projections, K at the first |K| indices of gamma, under the table
+    cocycle omega or sigma on gamma."""
+    Z = np.zeros((len(summands), table.group.order), dtype=complex)
     for z, s in zip(Z, summands):
         z[:kblocks.projections.shape[1]] = kblocks.projections[s.block_indices].sum(axis=0)
-    return regular_matrices(omega.group.multiplication_table(), omega.values, Z)
+    return regular_matrices(table.group.multiplication_table(), table.values, Z)
 
 
-def left_matrix_attribution(kblocks, summands, omega, blocks):
+def left_matrix_attribution(kblocks, summands, table, blocks):
     """Blocks to summands as attribute_blocks_to_summands found them through
     the left matrices: q joins z when ||L_z q - q|| <= 1e-7 max(1, ||q||)."""
     return [sorted(size for q, size in zip(blocks.projections, blocks.block_sizes)
                    if np.linalg.norm(Lz @ q - q) <= 1e-7 * max(1.0, np.linalg.norm(q)))
-            for Lz in _left_matrices(kblocks, summands, omega)]
+            for Lz in _left_matrices(kblocks, summands, table)]
 
 
 @pytest.mark.parametrize("case", list(_carry_cases()), ids=lambda c: c[0])
@@ -211,9 +221,9 @@ def test_carried_blocks_are_the_assembled_ones(case, record_calls):
     sys = induced_action_data(ext, sigma)
     omega = crossed_cocycle(sys)
     direct = decompose_blocks(ext, TableCocycle(ext, sys.S))
-    residual, carried = transport_blocks(sys, omega, direct)
+    carried = carried_blocks(sys, direct)
     oracle = assembled_blocks(sys)
-    assert residual <= AXIOM_TOL
+    assert gauge_residual(sys, omega) <= AXIOM_TOL
     assert sorted(carried.block_sizes) == sorted(oracle.block_sizes)
     # each carried projection lies next to one assembled projection of its size
     dist = np.linalg.norm(carried.projections[:, None] - oracle.projections[None], axis=2)
@@ -227,12 +237,17 @@ def test_carried_blocks_are_the_assembled_ones(case, record_calls):
     left = record_calls(normspectra, "regular_matrices")
     rep = crossed.crossed_product_pipeline(ext, sigma)
     assert rep["blocks_match"] and rep["diff"] == {}
+    # the crossed product's K corner is C(K, sigma_K) too, so the blocks of
+    # C(Gamma, omega) are attributed by the same trace
     assert rep["assembled_blocks_per_summand"] == attribute_blocks_to_summands(
-        kblocks, summands, omega, oracle)
+        kblocks, summands, sys.sigma_k, oracle)
     # one decomposition of K, one of Gamma, and no |Gamma| x |Gamma| left matrix
     assert [args[0] for args in calls] == [ext.K, ext] and left == []
     assert rep["assembled_blocks_per_summand"] == left_matrix_attribution(
         kblocks, summands, omega, oracle)
+    # and the direct blocks, read where they are, by the left matrices under sigma
+    assert rep["assembled_blocks_per_summand"] == left_matrix_attribution(
+        kblocks, summands, TableCocycle(ext, sys.S), direct)
 
 
 def test_a_perturbed_omega_fails_the_gauge_check(monkeypatch):
@@ -280,15 +295,15 @@ def test_a_block_mixing_two_summands_joins_neither(monkeypatch):
     # summands; their average is central but no projection: its traces
     # against the two orbit sums are 1/4 and 1/16 of its own 5/16
     ext = fixtures.q8_extension()
-    carry = crossed.transport_blocks
+    attribute = crossed.attribute_blocks_to_summands
 
-    def mixed(sys, omega, direct):
-        residual, carried = carry(sys, omega, direct)
-        P = carried.projections.copy()
+    def mixed(kblocks, summands, sigma_k, blocks):
+        P = blocks.projections.copy()
         P[0] = (P[0] + P[1]) / 2
-        return residual, crossed.BlockDecomposition(ext, P, carried.block_sizes)
+        return attribute(kblocks, summands, sigma_k,
+                         crossed.BlockDecomposition(ext, P, blocks.block_sizes))
 
-    monkeypatch.setattr(crossed, "transport_blocks", mixed)
+    monkeypatch.setattr(crossed, "attribute_blocks_to_summands", mixed)
     rep = crossed.crossed_product_pipeline(ext, TrivialCocycle(ext))
     assert rep["direct_block_sizes"] == [1, 1, 1, 1, 2]
     assert rep["assembled_blocks_per_summand"] == [[1, 1, 1, 1], []]
@@ -302,19 +317,19 @@ def test_a_block_with_a_trace_off_zero_elsewhere_joins_no_summand():
     # it is no block of z_a, as the left matrices also find
     ext = fixtures.z3sq_extension()
     sys = induced_action_data(ext, TrivialCocycle(ext))
-    omega = crossed_cocycle(sys)
+    sigma = TableCocycle(ext, sys.S)
     kblocks = decompose_blocks(sys.K, sys.sigma_k)
     summands = orbit_decomposition(sys, kblocks)
-    _, carried = transport_blocks(sys, omega, decompose_blocks(ext, TableCocycle(ext, sys.S)))
-    P = carried.projections
+    direct = decompose_blocks(ext, sigma)
+    P = direct.projections
     owner = [next(i for i, q in enumerate(P) if np.allclose(Lz @ q, q))
-             for Lz in _left_matrices(kblocks, summands, omega)]
+             for Lz in _left_matrices(kblocks, summands, sigma)]
     mixed = P.copy()
     mixed[owner[0]] = P[owner[0]] + (P[owner[1]] - P[owner[2]]) / 2
-    blocks = crossed.BlockDecomposition(ext, mixed, carried.block_sizes)
-    got = attribute_blocks_to_summands(kblocks, summands, omega, blocks)
+    blocks = crossed.BlockDecomposition(ext, mixed, direct.block_sizes)
+    got = attribute_blocks_to_summands(kblocks, summands, sys.sigma_k, blocks)
     assert got == [[1, 1], [1, 1, 1], [1, 1, 1]]
-    assert got == left_matrix_attribution(kblocks, summands, omega, blocks)
+    assert got == left_matrix_attribution(kblocks, summands, sigma, blocks)
 
 
 def _regular_class_count(G, sigma):
@@ -414,24 +429,61 @@ def test_residuals_formed_at_the_representatives_are_the_l2_norms(monkeypatch):
     sigma = fixtures.random_coboundary(G, 1)
     eigh, rng = np.linalg.eigh, np.random.default_rng(2)
 
+    vectors = []
+
     def perturbed(H):
         ev, V = eigh(H)
-        return ev, V + 1e-6 * (rng.standard_normal(V.shape) + 1j * rng.standard_normal(V.shape))
+        vectors.append(V + 1e-6 * (rng.standard_normal(V.shape) + 1j * rng.standard_normal(V.shape)))
+        return ev, vectors[-1]
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     dec = decompose_blocks(G, sigma)
     P, T, S = dec.projections, G.multiplication_table(), value_table(G, sigma)
     prods = np.einsum("iab,kb->ika", regular_matrices(T, S, P), P)  # p_i p_k
     z = len(P)
+    # the later sums run in eigenvector order, P in order of size: P[j] is
+    # the projection of eigenvector at[j], whose block size is sqrt(|G|) |v_0|
+    at = np.argsort(-np.rint(np.sqrt(G.order) * np.abs(vectors[-1][0])), kind="stable")
     star = np.conj(S[G.inverses, np.arange(G.order)] * P)[:, G.inverses]
     want = {"self_adjoint": np.linalg.norm(P - star, axis=1).max(),
             "idempotent": max(np.linalg.norm(prods[i, i] - P[i]) for i in range(z)),
-            "orthogonal": max(np.linalg.norm(prods[i, k]) for i in range(z) for k in range(i)),
+            "orthogonal": max(np.linalg.norm(prods[i, at > at[i]].sum(axis=0)) for i in range(z)),
             "sum_to_unit": np.linalg.norm(P.sum(axis=0) - np.eye(G.order)[0])}
     assert min(want.values()) > 1e-8
     for key, value in want.items():
         assert dec.residuals[key] == pytest.approx(value, rel=1e-6), key
     assert dec.residuals["central"] <= 1e-12
+
+
+def test_orthogonal_reaches_the_last_projection(monkeypatch):
+    # p_i = conj(v_0i) u_i with u_i linear in the eigenvector v_i, so this
+    # first column turns p_0 into p_0 + p_last: still a self-adjoint central
+    # idempotent, whose overlap with p_last only p_0 q_0 shows, q_0 being the
+    # later sum that reaches p_last
+    G = fixtures.symmetric(4)
+    sigma = fixtures.random_coboundary(G, 1)
+    assert max(decompose_blocks(G, sigma).residuals.values()) <= 1e-12
+    eigh = np.linalg.eigh
+
+    def merged(H):
+        ev, V = eigh(H)
+        a, b = np.conj(V[0, 0]), np.conj(V[0, -1])
+        V[:, 0] = (a * V[:, 0] + b * V[:, -1]) / np.hypot(abs(a), abs(b))
+        return ev, V
+
+    monkeypatch.setattr(np.linalg, "eigh", merged)
+    res = decompose_blocks(G, sigma).residuals
+    assert res["orthogonal"] > 1e-3
+    assert max(res["self_adjoint"], res["idempotent"], res["central"]) <= 1e-12
+
+
+def test_a_large_abelian_group_splits_into_ones():
+    # z = |G| sigma-regular classes: the later sums keep the residuals at
+    # 2 z^2 |G| products of central elements
+    G = fixtures.cyclic(120)
+    dec = decompose_blocks(G, TrivialCocycle(G))
+    assert dec.block_sizes == [1] * 120
+    assert max(dec.residuals.values()) <= 1e-12
 
 
 class _ZeroDraws:
@@ -657,8 +709,9 @@ def test_crossed_cocycle_rounds_as_python_does(name, twist):
 
 DISPATCH_PROBE = """
 import hashlib, json
+import numpy as np
 from twistlab import crossed, fixtures, normspectra
-from twistlab.cocycles import TableCocycle
+from twistlab.cocycles import TableCocycle, complex_mul
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -673,9 +726,11 @@ for name, ext in sorted(fixtures.standard_extensions().items()):
     system = crossed.induced_action_data(ext, fixtures.random_coboundary(ext, 5))
     omega = crossed.crossed_cocycle(system)
     direct = crossed.decompose_blocks(ext, TableCocycle(ext, system.S))
-    residual, carried = crossed.transport_blocks(system, omega, direct)
-    print(name, sha(omega.values.tobytes()), json_sha(direct), json_sha(carried),
-          residual.hex())
+    S, m = system.S, system.K.order
+    g = np.arange(len(S))
+    carried = complex_mul(np.conj(S[g % m, g - g % m]), direct.projections)
+    print(name, sha(omega.values.tobytes()), json_sha(direct), sha(carried.tobytes()),
+          crossed.gauge_residual(system, omega).hex())
 """
 
 
