@@ -24,8 +24,8 @@ EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
 
-# smallest accepted value of each count flag, by argparse dest
-COUNT_MINIMUM = {"radius": 0, "powers": 1, "length": 1, "mem_cap": 1}
+# smallest accepted value of each integer flag, by argparse dest
+COUNT_MINIMUM = {"radius": 0, "powers": 1, "length": 1, "mem_cap": 1, "seed": 0}
 
 
 def _progress(msg):

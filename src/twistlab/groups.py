@@ -547,7 +547,9 @@ def _sphere_points_before(k, left, x):
 
 def _first_true(lo, hi, test):
     """The first n in [lo, hi) with test(n), for a test false then true on
-    that range; hi if it is nowhere true."""
+    that range; hi if it is nowhere true.  bisect.bisect_left on a range
+    cannot stand in: it takes the range's len, an OverflowError past
+    sys.maxsize, where lattice positions run on Python ints."""
     while lo < hi:
         mid = (lo + hi) // 2
         if test(mid):

@@ -8,6 +8,7 @@ norm-transfer check, and free-subsemigroup certification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -76,19 +77,19 @@ def exact_norm(G: Group, sigma: Cocycle, a: AlgebraElement) -> float:
 
 def _truncation_matrix(G, sigma, a, r, cap):
     """b -> a *_sigma b from l2(B_r) to l2(B_{r + diam supp a}), kept on the
-    codomain rows it reaches, in shortlex order.  Returns ``data`` (one row
-    per g in supp a, one column per b in B_r) holding sigma(g, b) a_g,
-    ``rows`` (same shape) holding the kept row of g b, and the kept row
-    count.  Each entry is one complex_product, rounded as Python's complex
-    multiply.  Under a TrivialCocycle sigma is not read and the entry is
-    a_g, not (1 + 0j) a_g, which differs from a_g at most in the sign of a
+    codomain rows it reaches, in shortlex order.  Returns ``data``, ``rows``
+    (one row per g in supp a, one column per b in B_r) holding the kept row
+    of g b, and the kept row count.  ``data`` is float64 of shape
+    (P,) + the shape of ``rows``: the parts of sigma(g, b) a_g, P = 1 (the
+    real parts) when no entry has a nonzero imaginary part, else P = 2 (the
+    real and the imaginary parts), so that no complex array is held while T
+    is solved.  Each entry is one complex_product, rounded as Python's
+    complex multiply.  Under a TrivialCocycle sigma is not read and the entry
+    is a_g, not (1 + 0j) a_g, which differs from a_g at most in the sign of a
     zero part: a real T has the same bits, and a complex T the same printed
     value (see _top_singular_rayleigh).  Then ``data`` has one column, a's
     coefficients, which broadcasts against ``rows`` as the |B_r| equal
-    columns would.  ``data`` is float64: the real parts when no entry has a
-    nonzero imaginary part, and else the real and the imaginary parts
-    stacked, of shape (2,) + its own, so that no complex array is held
-    while T is solved.  The caller checks that sigma lives on G."""
+    columns would.  The caller checks that sigma lives on G."""
     supp = a.support()
     d = max(G.word_length(g) for g in supp)
     for n in (r, r + d):
@@ -102,18 +103,16 @@ def _truncation_matrix(G, sigma, a, r, cap):
         s = sigma.pair_values(*pair_grid(xs, ball), gb.ravel()).reshape(gb.shape)
         re, im = complex_product(s.real, s.imag, re, im)
     positions, rows = number_positions(gb.ravel())
-    return np.stack([re, im]) if np.any(im) else re, rows.reshape(gb.shape), len(positions)
+    return np.stack([re, im]) if np.any(im) else re[None], rows.reshape(gb.shape), len(positions)
 
 
 def _dot(x, y) -> float:
-    """Re <x, y> by numpy's pairwise sum, which unlike BLAS does not depend
-    on the thread count.  On (2, n) parts the terms are x[0] y[0] + x[1] y[1],
-    the terms complex x and y give it.  For real x and y the sum has the
-    terms a complex x and y with zero imaginary parts would give it, so the
-    same bits."""
-    if x.ndim == 2:
-        return float(np.sum(x[0] * y[0] + x[1] * y[1]))
-    return float(np.sum(x * y))
+    """Re <x, y> of (P, n) parts by numpy's pairwise sum, which unlike BLAS
+    does not depend on the thread count: the terms x[0] y[0] + x[1] y[1]
+    complex x and y give it, or x[0] y[0] for P = 1, the terms complex x and
+    y with zero imaginary parts give it, so the same bits.  reduce returns
+    the one row of a P = 1 product itself, with no pass over it."""
+    return float(np.sum(functools.reduce(np.add, x * y)))
 
 
 def _lanczos(gram, q, steps):
@@ -121,7 +120,7 @@ def _lanczos(gram, q, steps):
     ``gram`` from the unit vector q, without reorthogonalisation: yields
     (q_k, alpha_k, beta_k) for k = 1..steps, or until beta_k is 0.  Every
     step repeats the same operations in the same order, so a second run
-    yields the same bits.  The vectors have q's shape: length n for a real
+    yields the same bits.  The vectors have q's shape: (1, n) for a real
     operator, or (2, n), the real and imaginary parts, for a complex one,
     float64 either way.
 
@@ -150,32 +149,31 @@ def _lanczos(gram, q, steps):
 def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     """||T y|| / ||y|| for a Ritz vector y of T^H T's top eigenvalue, where
     T is the m-row operator with entries ``data`` in ``rows`` (column j of
-    ``data``, broadcast to the shape of ``rows``, is column j of T), as
-    _truncation_matrix gives them.
+    ``data[i]``, broadcast to the shape of ``rows``, is column j of part i of
+    T), as _truncation_matrix gives them.
 
-    The solve never forms a complex array.  When T is real, ``data`` one
-    float64 array, it runs on float64 vectors of length n: the start vector,
-    T's products, the Lanczos vectors, the kept basis and y.  Each of those
-    operations on a complex vector with zero imaginary parts rounds its real
-    parts as the float64 one rounds (see _dot and _lanczos), so the result
-    has the bits the complex solve would give, with vectors of half the
-    size.  When T is complex, ``data`` its stacked parts, the vectors are
-    (2, n) float64 parts and every product with T has complex_product's
-    four products and two sums, each rounded once, as Python's complex
-    multiply rounds them: the bits of the complex solve on the nonzero
-    values, while a zero may differ in sign (see _lanczos), as may a zero
-    part of ``data`` (see _truncation_matrix).  A zero's sign moves no
-    nonzero value that follows it, each entry of T's products is a sum from
-    +0.0, which never ends at -0.0, and the printed value is a ratio of
-    sums of squares, so it has the bits of the complex solve.
+    The solve never forms a complex array: with P the number of parts of
+    ``data``, the start vector, T's products, the Lanczos vectors, the kept
+    basis and y are (P, n) float64 parts.  When T is real (P = 1), each of
+    those operations on a complex vector with zero imaginary parts rounds
+    its real parts as the float64 one rounds (see _dot and _lanczos), so the
+    result has the bits the complex solve would give, with vectors of half
+    the size.  When T is complex (P = 2), every product with T has
+    complex_product's four products and two sums, each rounded once, as
+    Python's complex multiply rounds them: the bits of the complex solve on
+    the nonzero values, while a zero may differ in sign (see _lanczos), as
+    may a zero part of ``data`` (see _truncation_matrix).  A zero's sign
+    moves no nonzero value that follows it, each entry of T's products is a
+    sum from +0.0, which never ends at -0.0, and the printed value is a
+    ratio of sums of squares, so it has the bits of the complex solve.
 
-    The start vector is ones when every entry of T is real and >= 0: then
+    The start vector is ones when P = 1 and every entry of T is >= 0: then
     T^H T is entrywise nonnegative and has a nonnegative top eigenvector
     (Perron-Frobenius), which ones is not orthogonal to, and a radial
     element's Krylov space stays in the radial subspace.  Otherwise a
     symmetry can hide the top eigenvector from ones (x - x^-1 on F1 at r = 3
     keeps it in the odd functions while ones is even), so a fixed
-    pseudo-random vector starts.
+    pseudo-random vector starts, as the real part.
 
     Lanczos runs on T^H T until the Ritz residual beta_k |s_k| or beta_k
     itself is at most LANCZOS_TOL times the Ritz value, or for
@@ -184,52 +182,42 @@ def _top_singular_rayleigh(data, rows, m, mem_cap) -> float:
     y = sum_j s_j q_j.  Past that count the basis is dropped and y sums a
     second run of the recurrence, which yields the same bits, so memory stays
     at a few vectors of lengths n and m.  T is applied by one np.bincount
-    of the products data * v (of both parts at once for a complex T, the
-    imaginary parts in bins m .. 2m - 1), which adds the terms of each row
-    of T in the order of the rows of ``data``, starting from +0.0 (each row
-    of ``rows`` is injective, as left multiplication is), and T^H by a sum
-    over the rows; inner products use numpy's pairwise sum and the final
-    norms math.fsum: the result is the same bits in every process, for
-    every BLAS thread count and whether or not the basis was kept.  Complex
-    products are written out on the parts, since numpy's complex multiply
-    may fuse a product with a sum under some SIMD targets; numpy's real
-    multiply rounds each product once under every target."""
-    real = data.ndim == 2
-    n = rows.shape[1]
-    if real and np.all(data >= 0):
-        start = np.ones(n)
-    else:
-        start = np.random.default_rng(0).random(n)
-    start = start / np.sqrt(sum_squares(start))
-    if real:
-        flat = rows.ravel()
+    of the products data * v, all parts at once (part i in bins
+    i m .. (i + 1) m - 1), which adds the terms of each row of T in the
+    order of the rows of ``data``, starting from +0.0 (each row of ``rows``
+    is injective, as left multiplication is), and T^H by a sum over the
+    rows; inner products use numpy's pairwise sum and the final norms
+    math.fsum: the result is the same bits in every process, for every BLAS
+    thread count and whether or not the basis was kept.  Complex products
+    are written out on the parts, since numpy's complex multiply may fuse a
+    product with a sum under some SIMD targets; numpy's real multiply rounds
+    each product once under every target."""
+    P, n = len(data), rows.shape[1]
+    start = np.zeros((P, n))
+    start[0] = 1.0 if P == 1 and np.all(data >= 0) else np.random.default_rng(0).random(n)
+    start /= np.sqrt(sum_squares(start))
+    # the rows of each part of T v, part i in i m .. (i + 1) m - 1; a view
+    # of ``rows`` for a real T
+    rows = rows[None] if P == 1 else np.stack([rows, rows + m])
+    flat = rows.ravel()
 
-        def apply(v):
-            return np.bincount(flat, (data * v).ravel(), m)
-
-        def gram(v):
-            return (data * apply(v)[rows]).sum(axis=0)
-    else:
-        start = np.stack([start, np.zeros(n)])
-        # the rows of both parts of T v, the imaginary ones m .. 2m - 1
-        rows = np.stack([rows, rows + m])
-        flat = rows.ravel()
-
-        def apply(v):
-            # pr[a, b] = data[a] v[b]: complex_product's four products in
-            # one multiply, then its two sums into pr[0]
-            pr = data[:, None] * v[None, :, None]
+    def apply(v):
+        # pr[a, b] = data[a] v[b]: for P = 2 complex_product's four products
+        # in one multiply, then its two sums into pr[0]
+        pr = data[:, None] * v[None, :, None]
+        if P == 2:
             np.subtract(pr[0, 0], pr[1, 1], out=pr[0, 0])
             np.add(pr[0, 1], pr[1, 0], out=pr[0, 1])
-            return np.bincount(flat, pr[0].ravel(), 2 * m).reshape(2, m)
+        return np.bincount(flat, pr[0].ravel(), P * m).reshape(P, m)
 
-        def gram(v):
-            # conj(T) u as complex_product(dr, -di, ur, ui) rounds it:
-            # x - (-y) is x + y and x + (-y) is x - y, bit for bit
-            pr = data[:, None] * apply(v).ravel()[rows]
+    def gram(v):
+        # conj(T) u as complex_product(dr, -di, ur, ui) rounds it:
+        # x - (-y) is x + y and x + (-y) is x - y, bit for bit
+        pr = data[:, None] * apply(v).ravel()[rows]
+        if P == 2:
             np.add(pr[0, 0], pr[1, 1], out=pr[0, 0])
             np.subtract(pr[0, 1], pr[1, 0], out=pr[0, 1])
-            return pr[0].sum(axis=1)
+        return pr[0].sum(axis=1)
 
     alphas, betas, basis = [], [], []
     for q, alpha, beta in _lanczos(gram, start, LANCZOS_MAX_STEPS):

@@ -649,6 +649,27 @@ OUT_OF_RANGE = {
     "tol-inf": ((*S3_VALIDATE, "--tol", "inf"), "--tol must be a finite number >= 0, got inf"),
     "tol-negative": ((*S3_VALIDATE, "--tol", "-1"),
                      "--tol must be a finite number >= 0, got -1.0"),
+    # each seeded its numpy generator with the value and ended in a traceback
+    "seed-validate": (("validate", "--group", str(DATA / "group_f2.json"),
+                       "--cocycle", str(DATA / "cocycle_f2_random_coboundary.json"),
+                       "--seed", "-1"), "--seed must be >= 0, got -1"),
+    "seed-transfer": (("transfer", "--group", str(DATA / "group_z4xz4.json"),
+                       "--set", str(DATA / "set_z4xz4_S.json"),
+                       "--cocycle", str(DATA / "cocycle_trivial.json"), "--seed", "-1"),
+                      "--seed must be >= 0, got -1"),
+    "seed-criterion": (("criterion", "--group", str(DATA / "group_f2.json"),
+                        "--element", str(DATA / "element_f2_t_x.json"),
+                        "--set", str(DATA / "set_f2_F_y_y2.json"), "--seed", "-1"),
+                       "--seed must be >= 0, got -1"),
+    "seed-decompose": (("decompose", "--group", str(DATA / "group_s3.json"),
+                        "--cocycle", str(DATA / "cocycle_trivial.json"), "--seed", "-2"),
+                       "--seed must be >= 0, got -2"),
+    "seed-crossed": (("crossed", "--group", str(DATA / "group_q8_extension.json"),
+                      "--cocycle", str(DATA / "cocycle_trivial.json"), "--seed", "-2"),
+                     "--seed must be >= 0, got -2"),
+    # norm used to accept -1 and print it in its report
+    "seed-norm": (("norm", *F2_SPHERE1, "--mode", "haagerup", "--seed", "-1"),
+                  "--seed must be >= 0, got -1"),
 }
 
 

@@ -247,11 +247,11 @@ def dict_reference_matrix(G, sigma, a, r):
 
 
 def complex_data(data):
-    """_truncation_matrix's data as one array: the real T as it is, a
-    complex T's stacked parts as the complex128 array holding them, signed
-    zeros included."""
-    if data.ndim == 2:
-        return data
+    """_truncation_matrix's (P, ...) parts as one array: a real T's one part
+    as it is, a complex T's two parts as the complex128 array holding them,
+    signed zeros included."""
+    if len(data) == 1:
+        return data[0]
     out = np.empty(data[0].shape, dtype=complex)
     out.real, out.imag = data
     return out
@@ -576,7 +576,7 @@ def test_the_trivial_twist_truncates_with_the_bits_of_a_product_by_one(k):
             assert data.shape == data1.shape[:-1] + (1,), (case, r)
             full = np.broadcast_to(data, data1.shape)
             assert m == m1 and np.array_equal(rows, rows1) and np.array_equal(full, data1)
-            if data.ndim == 2:
+            if len(data) == 1:
                 assert full.tobytes() == data1.tobytes(), (case, r)
             assert (truncated_norm_lower(G, sigma, a, r).hex()
                     == truncated_norm_lower(G, one, a, r).hex()), (case, r)
@@ -585,9 +585,9 @@ def test_the_trivial_twist_truncates_with_the_bits_of_a_product_by_one(k):
 def test_a_real_truncation_runs_lanczos_in_float64(f2, monkeypatch):
     # sphere-1 untwisted and gauged under its coboundary (conj beta (beta 1)
     # has imaginary part exactly 0) and x - x^-1 + y are real operators,
-    # solved on float64 vectors of length n; a seeded complex element is
-    # not, and is solved on (2, n) float64 parts.  No complex128 vector
-    # appears in either
+    # solved on (1, n) float64 parts; a seeded complex element is not, and
+    # is solved on (2, n) float64 parts.  No complex128 vector appears in
+    # either
     shapes, lanczos = [], normspectra._lanczos
 
     def recorded(gram, q, steps):
@@ -602,8 +602,8 @@ def test_a_real_truncation_runs_lanczos_in_float64(f2, monkeypatch):
     signed = AlgebraElement(f2, dict(zip(sphere1[:3], (1.0, -1.0, 1.0))))
     trivial = TrivialCocycle(f2)
     n = f2.ball_size(4)
-    for sigma, b, shape in ((trivial, a, (n,)), (cob, gauge(a, cob.beta), (n,)),
-                            (trivial, signed, (n,)),
+    for sigma, b, shape in ((trivial, a, (1, n)), (cob, gauge(a, cob.beta), (1, n)),
+                            (trivial, signed, (1, n)),
                             (trivial, fixtures.random_element(f2, sphere1, seed=3), (2, n))):
         shapes.clear()
         truncated_norm_lower(f2, sigma, b, 4)
